@@ -17,7 +17,6 @@ from .core import (
     haar_unitary,
     partial_trace,
     permute_subsystems,
-    pure_overlap_sq,
     purify,
     reduced_density,
     stream_rng,
@@ -57,7 +56,6 @@ from .applications import (
     entanglement_of_purification,
     eoa,
     mac_region,
-    region_contains,
     side_info_rates,
 )
 from . import presets

@@ -9,7 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import (
     ChannelSpec,
@@ -24,7 +23,12 @@ from .core import (
     partial_trace,
     stream_rng,
 )
-from .entropy import EntropyReport, conditional_entropy, von_neumann_entropy
+from .entropy import (
+    EntropyReport,
+    conditional_entropy,
+    subsets_in_counting_order,
+    von_neumann_entropy,
+)
 
 MAX_PARTIES = 16
 MAX_HELPERS = 12
@@ -82,13 +86,6 @@ class RateRegion:
         ]
 
 
-def subsets_in_counting_order(labels: tuple[str, ...]):
-    """Non-empty subsets, bit i of the counter selecting label i."""
-    m = len(labels)
-    for mask in range(1, 2 ** m):
-        yield tuple(labels[i] for i in range(m) if mask >> i & 1)
-
-
 def compression_region(state: State, parties: Labels | None = None) -> RateRegion:
     """Distributed-compression bounds R_T ≥ S(T | complement) for every
     non-empty subset T of parties."""
@@ -110,10 +107,6 @@ def compression_region(state: State, parties: Labels | None = None) -> RateRegio
     if s_full < -1e-9:
         raise AssertionError("total rate bound must be nonnegative")
     return RateRegion(labels, tuple(constraints), "compression")
-
-
-def region_contains(region: RateRegion, rates) -> tuple[bool, list[RateConstraint]]:
-    return region.contains(rates)
 
 
 def mac_region(
@@ -161,8 +154,7 @@ def eoa(psi: PureState, alice: Labels = "A", bob: Labels = "B") -> EoAResult:
     report = EntropyReport(psi)
     cut_values: dict[tuple[str, ...], float] = {}
     best_value, best_cut = math.inf, ()
-    for mask in range(2 ** len(helpers)):
-        t = tuple(helpers[i] for i in range(len(helpers)) if mask >> i & 1)
+    for t in ((), *subsets_in_counting_order(helpers)):
         t_bar = tuple(l for l in helpers if l not in set(t))
         cut = min(report.entropy(a + t), report.entropy(b + t_bar))
         cut_values[t] = cut
@@ -190,6 +182,13 @@ def _hermitian_from(theta: np.ndarray, m: int) -> np.ndarray:
     h[iu] = off[0] + 1j * off[1]
     h[(iu[1], iu[0])] = off[0] - 1j * off[1]
     return h
+
+
+def expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) for anti-Hermitian ``a`` = iH: V·diag(e^{iλ})·V† from the
+    eigendecomposition H = V·diag(λ)·V†."""
+    lam, vecs = np.linalg.eigh(-1j * a)
+    return (vecs * np.exp(1j * lam)) @ vecs.conj().T
 
 
 def _search_channel(theta: np.ndarray, u_label: str, d_u: int,

@@ -31,7 +31,7 @@ from .core import (
     PureState,
     stream_rng,
 )
-from .entropy import EntropyReport, conditional_entropy, subset_entropy
+from .entropy import EntropyReport, conditional_entropy, subset_entropy, subsets_in_counting_order
 from .merging import (
     CurveRow,
     MergeOutcome,
@@ -69,10 +69,30 @@ def _rates_arg(text: str) -> tuple[float, ...]:
 
 def _range_arg(text: str) -> tuple[int, int]:
     try:
-        lo, hi = text.split("..")
-        return int(lo), int(hi)
+        lo, hi = (int(x) for x in text.split(".."))
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected n1..n2") from err
+    if min(lo, hi) < 1:
+        raise argparse.ArgumentTypeError(f"bad range {text!r}, copy counts must be >= 1")
+    return lo, hi  # n1 > n2 is an empty curve
+
+
+def _bounded_arg(convert, ok, what: str):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_positive_int = _bounded_arg(int, lambda v: v >= 1, "an integer >= 1")
+_slack_bits = _bounded_arg(float, lambda v: math.isfinite(v) and v >= 0,
+                           "a finite number >= 0")
 
 
 def _clean(value):
@@ -121,7 +141,7 @@ def _curve_dict(row: CurveRow) -> dict:
 
 
 def _emit_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_csv(header, rows) -> str:
@@ -170,7 +190,7 @@ def cmd_report(args) -> str:
     report = EntropyReport(state)
     labels = report.labels
     entries = []
-    for subset in report.subsets(args.max_subset):
+    for subset in subsets_in_counting_order(labels, args.max_subset):
         rest = tuple(l for l in labels if l not in set(subset))
         entry = {
             "subset": ",".join(subset),
@@ -301,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--state", required=True,
                         help="preset name or path to a JSON state file")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--dim-cap", type=int, default=None,
+    common.add_argument("--dim-cap", type=_positive_int, default=None,
                         help=f"pure-state amplitude cap (default {DEFAULT_PURE_CAP}, "
                              f"env {ENV_DIM_CAP})")
 
@@ -322,9 +342,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("merge", parents=[common], help="simulate state merging")
-    p.add_argument("-n", type=int, default=None, help="number of copies")
-    p.add_argument("--slack", type=float, default=1.0)
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("-n", type=_positive_int, default=None, help="number of copies")
+    p.add_argument("--slack", type=_slack_bits, default=1.0)
+    p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--curve", type=_range_arg, default=None, metavar="N1..N2",
                    help="aggregate trials for each copy count in the range")

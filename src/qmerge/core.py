@@ -122,7 +122,7 @@ class PureState:
                 f"amplitude vector has length {amps.shape[0]}, layout needs {self.layout.dim}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -159,7 +159,7 @@ class DensityOperator:
         if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
         tr = mat.trace()
-        if abs(tr - 1.0) > 1e-10:
+        if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"trace {tr!r} is not 1 within 1e-10")
         lo = np.linalg.eigvalsh(mat)[0] if d > 1 else mat[0, 0].real
         if lo < EIG_FLOOR:
@@ -169,11 +169,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues with the PSD drift clamped to 0."""
-        lam = np.linalg.eigvalsh(self.matrix)
-        return np.clip(lam, 0.0, None)
 
     def relabeled(self, mapping: dict[str, str]) -> "DensityOperator":
         parts = tuple((mapping.get(l, l), d) for l, d in self.layout.parts)
@@ -369,6 +364,27 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+def _measurement_blocks(psi: PureState, party: str, unitary: np.ndarray, block_size: int):
+    """Check a coarse-grained measurement of ``party`` and return a generator
+    of its unnormalized branch tensors: the rotated state with the party's
+    axis cut to each block of ``block_size`` indices in turn."""
+    pos = psi.layout.position(party)
+    d = psi.layout.dims[pos]
+    if d % block_size != 0:
+        raise ValueError(f"block size {block_size} does not divide party dimension {d}")
+    w = np.asarray(unitary)
+    if w.shape != (d, d):
+        raise ValueError(f"unitary shape {w.shape} does not match party dimension {d}")
+    if not np.abs(w.conj().T @ w - np.eye(d)).max() <= 1e-9:
+        raise ValueError("measurement basis matrix is not unitary")
+    rotated = np.tensordot(w, psi.tensor_view(), axes=([1], [pos]))
+    rotated = np.moveaxis(rotated, 0, pos)
+    return (
+        np.take(rotated, range(k * block_size, (k + 1) * block_size), axis=pos)
+        for k in range(d // block_size)
+    )
+
+
 def block_branches(
     psi: PureState, party: str, unitary: np.ndarray, block_size: int, new_label: str = "A1"
 ) -> list[tuple[int, float, PureState | None]]:
@@ -380,24 +396,12 @@ def block_branches(
     sampling floor carry ``None``. The measured party is relabeled to
     ``new_label`` with dimension ``block_size``.
     """
-    pos = psi.layout.position(party)
-    d = psi.layout.dims[pos]
-    if d % block_size != 0:
-        raise ValueError(f"block size {block_size} does not divide party dimension {d}")
-    w = np.asarray(unitary)
-    if w.shape != (d, d):
-        raise ValueError(f"unitary shape {w.shape} does not match party dimension {d}")
-    if np.abs(w.conj().T @ w - np.eye(d)).max() > 1e-9:
-        raise ValueError("measurement basis matrix is not unitary")
-    n_out = d // block_size
-    rotated = np.tensordot(w, psi.tensor_view(), axes=([1], [pos]))
-    rotated = np.moveaxis(rotated, 0, pos)
+    blocks = _measurement_blocks(psi, party, unitary, block_size)
     parts = list(psi.layout.parts)
-    parts[pos] = (new_label, block_size)
+    parts[psi.layout.position(party)] = (new_label, block_size)
     post_layout = SubsystemLayout(tuple(parts))
     branches: list[tuple[int, float, PureState | None]] = []
-    for k in range(n_out):
-        block = np.take(rotated, range(k * block_size, (k + 1) * block_size), axis=pos)
+    for k, block in enumerate(blocks):
         p = float(np.vdot(block, block).real)
         if p < ZERO_PROB:
             branches.append((k, max(p, 0.0), None))
@@ -453,13 +457,6 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     _check_same_layout(rho, sigma)
     s = np.linalg.svd(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix), compute_uv=False)
     return float(min(1.0, s.sum() ** 2))
-
-
-def pure_overlap_sq(psi: PureState, phi: PureState) -> float:
-    """|⟨ψ|φ⟩|² for two pure states on the same layout."""
-    if psi.layout != phi.layout:
-        raise ValueError("layout mismatch")
-    return float(min(1.0, abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2))
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

@@ -63,29 +63,18 @@ def _disjoint(state: State, a: Labels, b: Labels) -> tuple[tuple[str, ...], tupl
 
 
 def conditional_entropy(state: State, of: Labels, given: Labels) -> float:
-    """S(A|B) = S(AB) − S(B); signed, negative for entangled states."""
-    a, b = _disjoint(state, of, given)
-    return subset_entropy(state, a + b) - subset_entropy(state, b)
+    """S(A|B); see :meth:`EntropyReport.conditional`."""
+    return EntropyReport(state).conditional(of, given)
 
 
 def mutual_information(state: State, a: Labels, b: Labels) -> float:
-    """I(A:B) = S(A) + S(B) − S(AB); nonnegative up to numerics."""
-    a_t, b_t = _disjoint(state, a, b)
-    return (
-        subset_entropy(state, a_t)
-        + subset_entropy(state, b_t)
-        - subset_entropy(state, a_t + b_t)
-    )
+    """I(A:B); see :meth:`EntropyReport.mutual`."""
+    return EntropyReport(state).mutual(a, b)
 
 
 def coherent_information(state: State, a: Labels, b: Labels, legacy: bool = False) -> float:
-    """I(A⟩B) = −S(A|B), signed.
-
-    ``legacy=True`` returns the clamped variant max{S(B) − S(AB), 0} for
-    comparison with the older convention.
-    """
-    value = -conditional_entropy(state, a, b) + 0.0  # avoid -0.0
-    return max(value, 0.0) if legacy else value
+    """I(A⟩B); see :meth:`EntropyReport.coherent`."""
+    return EntropyReport(state).coherent(a, b, legacy)
 
 
 def ssa_margin(state: State, a: Labels, b: Labels, c: Labels) -> float:
@@ -94,11 +83,23 @@ def ssa_margin(state: State, a: Labels, b: Labels, c: Labels) -> float:
     _, c_t = _disjoint(state, a, c)
     if set(b_t) & set(c_t):
         raise ValueError(f"label sets overlap on {sorted(set(b_t) & set(c_t))}")
-    return conditional_entropy(state, a_t, b_t) - conditional_entropy(state, a_t, b_t + c_t)
+    report = EntropyReport(state)
+    return report.conditional(a_t, b_t) - report.conditional(a_t, b_t + c_t)
+
+
+def subsets_in_counting_order(labels: tuple[str, ...], max_size: int | None = None):
+    """Non-empty subsets of at most ``max_size`` labels, bit i of the
+    counter selecting label i."""
+    m = len(labels)
+    for mask in range(1, 2 ** m):
+        subset = tuple(labels[i] for i in range(m) if mask >> i & 1)
+        if max_size is None or len(subset) <= max_size:
+            yield subset
 
 
 class EntropyReport:
-    """Subset entropies of one state, memoized by sorted label subset.
+    """Subset entropies of one state, memoized by sorted label subset, and
+    the signed entropic quantities built from them.
 
     The 2^m subsets reappear across rate-region constraints; computing each
     once keeps those loops cheap.
@@ -119,22 +120,20 @@ class EntropyReport:
         return self._cache[key]
 
     def conditional(self, of: Labels, given: Labels) -> float:
+        """S(A|B) = S(AB) − S(B); signed, negative for entangled states."""
         a, b = _disjoint(self.state, of, given)
         return self.entropy(a + b) - self.entropy(b)
 
     def mutual(self, a: Labels, b: Labels) -> float:
+        """I(A:B) = S(A) + S(B) − S(AB); nonnegative up to numerics."""
         a_t, b_t = _disjoint(self.state, a, b)
         return self.entropy(a_t) + self.entropy(b_t) - self.entropy(a_t + b_t)
 
     def coherent(self, a: Labels, b: Labels, legacy: bool = False) -> float:
-        value = -self.conditional(a, b) + 0.0
-        return max(value, 0.0) if legacy else value
+        """I(A⟩B) = −S(A|B), signed.
 
-    def subsets(self, max_size: int | None = None):
-        """All non-empty label subsets in binary-counting order."""
-        labels = self.labels
-        m = len(labels)
-        for mask in range(1, 2 ** m):
-            subset = tuple(labels[i] for i in range(m) if mask >> i & 1)
-            if max_size is None or len(subset) <= max_size:
-                yield subset
+        ``legacy=True`` returns the clamped variant max{S(B) − S(AB), 0} for
+        comparison with the older convention.
+        """
+        value = -self.conditional(a, b) + 0.0  # avoid -0.0
+        return max(value, 0.0) if legacy else value

@@ -24,8 +24,10 @@ from .core import (
     Labels,
     PureState,
     SubsystemLayout,
+    _measurement_blocks,
     as_labels,
     block_branches,
+    block_measure,
     fidelity,
     fuse_subsystems,
     haar_unitary,
@@ -349,8 +351,7 @@ def _run_setup(psi, plan, rng, unitary, dim_cap):
     target = _merge_target(psi, plan, dim_cap)
     rho_refs = reduced_density(prepared, ref_group) if ref_group else None
     ref_sigma = _reference_sigma(plan, rho_refs)
-    branches = block_branches(prepared, plan.alice, unitary, plan.block_dim, RESIDUAL_LABEL)
-    return branches, ref_group, ref_sigma, target
+    return prepared, unitary, ref_group, ref_sigma, target
 
 
 def run_merge(
@@ -366,11 +367,10 @@ def run_merge(
     Draws a fresh Haar basis from ``rng`` unless an explicit ``unitary`` is
     injected (test hook); the outcome is Born-sampled from ``rng`` either way.
     """
-    branches, ref_group, ref_sigma, target = _run_setup(psi, plan, rng, unitary, dim_cap)
-    live = [(k, p, post) for k, p, post in branches if post is not None]
-    probs = np.array([p for _, p, _ in live])
-    pick = int(rng.choice(len(live), p=probs / probs.sum()))
-    k, p, post = live[pick]
+    prepared, unitary, ref_group, ref_sigma, target = _run_setup(
+        psi, plan, rng, unitary, dim_cap)
+    k, post, p = block_measure(prepared, plan.alice, unitary, plan.block_dim, rng,
+                               RESIDUAL_LABEL)
     return _outcome(k, p, post, plan, ref_group, ref_sigma, target)
 
 
@@ -388,7 +388,9 @@ def run_merge_exhaustive(
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the exhaustive cap {max_outcomes}"
         )
-    branches, ref_group, ref_sigma, target = _run_setup(psi, plan, rng, unitary, dim_cap)
+    prepared, unitary, ref_group, ref_sigma, target = _run_setup(
+        psi, plan, rng, unitary, dim_cap)
+    branches = block_branches(prepared, plan.alice, unitary, plan.block_dim, RESIDUAL_LABEL)
     return [
         _outcome(k, p, post, plan, ref_group, ref_sigma, target)
         for k, p, post in branches
@@ -415,21 +417,15 @@ def ensemble_reference_check(
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {max_outcomes}"
         )
-    unitary = np.asarray(unitary)
-    if unitary.shape != (plan.alice_dim, plan.alice_dim):
-        raise ValueError(f"unitary shape {unitary.shape} does not match {plan.alice_dim}")
-    if np.abs(unitary.conj().T @ unitary - np.eye(plan.alice_dim)).max() > 1e-9:
-        raise ValueError("measurement basis matrix is not unitary")
     prepared, _, ref_group = _prepare(psi, plan, dim_cap)
+    blocks = _measurement_blocks(prepared, plan.alice, unitary, plan.block_dim)
     if not ref_group:
         return 0.0
     rho_refs = reduced_density(prepared, ref_group)
     d_ref = rho_refs.dim
-    rotated = np.tensordot(unitary, prepared.tensor_view(), axes=([1], [0]))
-    flat = rotated.reshape(plan.alice_dim, -1, d_ref)  # (alice, bob, refs)
     avg = np.zeros((d_ref, d_ref), dtype=complex)
-    for k in range(plan.outcome_count):
-        m = flat[k * plan.block_dim: (k + 1) * plan.block_dim].reshape(-1, d_ref)
+    for block in blocks:  # (alice block, bob..., refs...) with refs last
+        m = block.reshape(-1, d_ref)
         avg += m.T @ m.conj()
     return trace_distance(DensityOperator(rho_refs.layout, avg), rho_refs)
 

@@ -130,13 +130,25 @@ def parse_state(
     if source in _FIXED_PRESETS:
         return _FIXED_PRESETS[source]()
     if source.startswith("ghz:"):
-        return ghz(int(source.split(":", 1)[1]))
+        try:
+            m = int(source[len("ghz:"):])
+        except ValueError:
+            raise ValueError(f"bad preset {source!r}, expected ghz:m") from None
+        if m >= pure_cap.bit_length():  # 2**m > pure_cap, without forming 2**m
+            raise DimensionCapError(f"GHZ dimension 2^{m} exceeds cap {pure_cap}")
+        return ghz(m)
     if source.startswith("random-pure:"):
-        _, dims_part, seed_part = source.split(":")
-        dims = tuple(int(d) for d in dims_part.split("x"))
+        try:
+            _, dims_part, seed_part = source.split(":")
+            dims = tuple(int(d) for d in dims_part.split("x"))
+            seed = int(seed_part)
+        except ValueError:
+            raise ValueError(
+                f"bad preset {source!r}, expected random-pure:d1xd2x...:seed"
+            ) from None
         if math.prod(dims) > pure_cap:
             raise DimensionCapError(f"random state dimension exceeds cap {pure_cap}")
-        return random_pure(dims, int(seed_part))
+        return random_pure(dims, seed)
     if os.path.exists(source):
         return load_state_file(source, pure_cap, density_cap)
     raise ValueError(
@@ -158,7 +170,10 @@ def _complex_array(doc: dict, path: str) -> np.ndarray:
     re, im = doc.get("re"), doc.get("im")
     if re is None or im is None or len(re) != len(im):
         raise ValueError(f"{path}: 're' and 'im' must be parallel arrays")
-    return np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{path}: 're' and 'im' must hold finite numbers")
+    return re + 1j * im
 
 
 def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
@@ -176,7 +191,7 @@ def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
         if data.shape != (d,):
             raise ValueError(f"{path}: expected {d} amplitudes, got {data.shape[0]}")
         norm = np.linalg.norm(data)
-        if abs(norm - 1.0) > FILE_NORM_TOL:
+        if not abs(norm - 1.0) <= FILE_NORM_TOL:
             raise ValueError(f"{path}: norm {norm} violates 1 beyond {FILE_NORM_TOL}")
         return PureState(layout, data / norm)
     if doc["kind"] == "mixed":
@@ -186,7 +201,7 @@ def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
             raise ValueError(f"{path}: expected {d * d} matrix entries, got {data.shape[0]}")
         mat = data.reshape(d, d)
         tr = mat.trace()
-        if abs(tr - 1.0) > FILE_NORM_TOL:
+        if not abs(tr - 1.0) <= FILE_NORM_TOL:
             raise ValueError(f"{path}: trace {tr} violates 1 beyond {FILE_NORM_TOL}")
         mat = (mat + mat.conj().T) / 2 / tr.real  # absorb tolerated drift
         return DensityOperator(layout, mat)

@@ -11,8 +11,8 @@ from qmerge.applications import (
     compression_region,
     entanglement_of_purification,
     eoa,
+    expm,
     mac_region,
-    region_contains,
     side_info_rates,
 )
 from qmerge.core import (
@@ -160,7 +160,7 @@ class TestMembership:
         region = compression_region(presets.classically_correlated())
         bounds = {c.subset: c.bound for c in region.constraints}
         rates = (bounds[("A",)] - 0.5, bounds[("B",)] + 2.0)
-        contained, violated = region_contains(region, rates)
+        contained, violated = region.contains(rates)
         assert not contained
         assert ("A",) in [c.subset for c in violated]
 
@@ -288,6 +288,33 @@ class TestEntanglementOfPurification:
         with pytest.raises(ValueError, match="cover"):
             entanglement_of_purification(rho, "A", "U", cap_out=1, cap_env=1,
                                          rng=stream_rng(13))
+
+
+class TestExpm:
+    """Oracles that do not diagonalize: closed forms and group identities."""
+
+    PAULIS = {
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    }
+
+    @pytest.mark.parametrize("name", ["X", "Y", "Z"])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -1.7, math.pi / 2, 4.0])
+    def test_pauli_closed_form(self, name, theta):
+        sigma = self.PAULIS[name]
+        expected = math.cos(theta) * np.eye(2) + 1j * math.sin(theta) * sigma
+        assert np.abs(expm(1j * theta * sigma) - expected).max() < 1e-12
+
+    def test_random_hermitian_group_identities(self):
+        rng = np.random.default_rng(17)
+        g = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        h = (g + g.conj().T) / 2
+        u = expm(1j * h)
+        eye = np.eye(9)
+        assert np.abs(u.conj().T @ u - eye).max() < 1e-12
+        assert np.abs(u @ expm(-1j * h) - eye).max() < 1e-12
+        assert abs(np.linalg.det(u) - np.exp(1j * np.trace(h).real)) < 1e-10
 
 
 class TestSideInfo:

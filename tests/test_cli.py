@@ -1,12 +1,18 @@
 """Command-line behavior: presets, formats, determinism and exit codes."""
 
 import json
+import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from qmerge.cli import main
-from qmerge.core import partial_trace
+import qmerge
+from qmerge.cli import _emit_json, main
+from qmerge.core import DimensionCapError, partial_trace
 from qmerge.presets import load_channel_file, parse_state
 
 
@@ -84,6 +90,25 @@ class TestParseState:
         path.write_text(json.dumps(IDENTITY_CHANNEL))
         ch = load_channel_file(str(path))
         np.testing.assert_allclose(ch.isometry, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("source", [
+        "random-pure:2x2", "random-pure:2xa:1", "random-pure:2x2:s", "random-pure:2x2:1:2",
+    ])
+    def test_malformed_random_pure_names_the_form(self, source):
+        with pytest.raises(ValueError, match=re.escape("random-pure:d1xd2x...:seed")):
+            parse_state(source)
+
+    def test_ghz_checked_against_the_pure_cap(self):
+        assert parse_state("ghz:3", pure_cap=8).dim == 8
+        with pytest.raises(DimensionCapError):
+            parse_state("ghz:4", pure_cap=8)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_channel_file_rejects_non_finite(self, tmp_path, bad):
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps({**IDENTITY_CHANNEL, "im": [0.0, bad, 0.0, 0.0]}))
+        with pytest.raises(ValueError, match="finite"):
+            load_channel_file(str(path))
 
 
 class TestEntropyCommand:
@@ -236,7 +261,53 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "entropy", "--state", "epr", "--of", "Z")
         assert code == 2 and out == ""
 
+    def test_nan_state_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({
+            "labels": ["A", "B"], "dims": [2, 2], "kind": "pure",
+            "re": [math.nan, 0.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0, 0.0],
+        }))
+        code, out, err = run_cli(capsys, "entropy", "--state", str(path),
+                                 "--of", "A", "--given", "B")
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "finite" in err
+
+    def test_ghz_over_the_cap_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "entropy", "--state", "ghz:4", "--of", "A",
+                                 "--dim-cap", "8")
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("flags", [
+        ("-n", "1", "--trials", "0"),
+        ("--curve", "0..2"),
+        ("--curve", "3..x"),
+        ("-n", "1", "--slack", "inf"),
+        ("-n", "1", "--slack", "nan"),
+        ("-n", "1", "--slack", "-1"),
+        ("-n", "1", "--dim-cap", "0"),
+    ])
+    def test_bad_merge_flags_rejected_at_parse_time(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["merge", "--state", "epr", "--seed", "1", *flags])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "Traceback" not in captured.err and "error:" in captured.err
+
+    def test_json_output_is_strict(self):
+        with pytest.raises(ValueError):
+            _emit_json({"value": math.inf})
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["entropy", "--state", "epr"])  # missing --of
         assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(qmerge.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    code = ("import sys, qmerge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
