@@ -39,6 +39,7 @@ from .merging import (
     ensemble_reference_check,
     epr_boost,
     hadamard_basis,
+    merge_trials,
     monte_carlo_merge,
     plan_merge,
     recovered_overlap_sq,

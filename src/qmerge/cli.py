@@ -37,9 +37,9 @@ from .merging import (
     MergeOutcome,
     MergePlan,
     hadamard_basis,
+    merge_trials,
     monte_carlo_merge,
     plan_merge,
-    run_merge,
     run_merge_exhaustive,
 )
 from .presets import load_channel_file, parse_state
@@ -162,7 +162,13 @@ def _emit(args, json_obj, header, rows) -> str:
 def _pure_cap(args) -> int:
     if args.dim_cap is not None:
         return args.dim_cap
-    return int(os.environ.get(ENV_DIM_CAP, DEFAULT_PURE_CAP))
+    text = os.environ.get(ENV_DIM_CAP)
+    if text is None:
+        return DEFAULT_PURE_CAP
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError as err:
+        raise ValueError(f"{ENV_DIM_CAP}: {err}") from None
 
 
 def _load_state(args):
@@ -227,11 +233,8 @@ def cmd_merge(args) -> str:
         rng = None if unitary is not None else stream_rng(args.seed, args.n, 0)
         outcomes = run_merge_exhaustive(state, plan, rng, unitary=unitary, dim_cap=cap)
     else:
-        outcomes = [
-            run_merge(state, plan, stream_rng(args.seed, args.n, t),
-                      unitary=unitary, dim_cap=cap)
-            for t in range(args.trials)
-        ]
+        rngs = (stream_rng(args.seed, args.n, t) for t in range(args.trials))
+        outcomes = merge_trials(state, plan, rngs, unitary=unitary, dim_cap=cap)
     plan_d = _plan_dict(plan)
     out_ds = [_outcome_dict(o) for o in outcomes]
     header = tuple(plan_d.keys()) + tuple(out_ds[0].keys())
@@ -316,6 +319,13 @@ def cmd_sideinfo(args) -> str:
     return _emit(args, obj, ("r_a", "r_b", "ep_value", "ep_restarts", "ep_converged"), rows)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors as one stderr line and exit code 2; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--state", required=True,
@@ -325,7 +335,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"pure-state amplitude cap (default {DEFAULT_PURE_CAP}, "
                              f"env {ENV_DIM_CAP})")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmerge",
         description="Partial quantum information and state-merging simulation",
     )
@@ -338,7 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("report", parents=[common], help="all subset entropies")
-    p.add_argument("--max-subset", type=int, default=None)
+    p.add_argument("--max-subset", type=_positive_int, default=None)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("merge", parents=[common], help="simulate state merging")
@@ -369,10 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sideinfo", parents=[common],
                        help="side-information rate pair for a helper channel")
     p.add_argument("--channel", required=True, help="path to a JSON channel file")
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--restarts", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap-out", type=int, default=None)
-    p.add_argument("--cap-env", type=int, default=None)
+    p.add_argument("--cap-out", type=_positive_int, default=None)
+    p.add_argument("--cap-env", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sideinfo)
     return parser
 

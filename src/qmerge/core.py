@@ -246,20 +246,14 @@ def tensor(a: State, b: State) -> State:
     return DensityOperator(layout, np.kron(a.matrix, b.matrix))
 
 
-def _split_positions(layout: SubsystemLayout, keep: Labels) -> tuple[list[int], list[int]]:
-    kept = layout.check_subset(keep, "keep")
-    keep_pos = [layout.position(l) for l in kept]
-    drop_pos = [i for i in range(len(layout)) if i not in set(keep_pos)]
-    return keep_pos, drop_pos
-
-
 def _sub_layout(layout: SubsystemLayout, positions: Sequence[int]) -> SubsystemLayout:
     return SubsystemLayout(tuple(layout.parts[i] for i in positions))
 
 
 def partial_trace(rho: DensityOperator, keep: Labels) -> DensityOperator:
     """Trace out everything but ``keep``; kept labels stay in layout order."""
-    keep_pos, drop_pos = _split_positions(rho.layout, keep)
+    keep_pos = [rho.layout.position(l) for l in rho.layout.check_subset(keep, "keep")]
+    drop_pos = [i for i in range(len(rho.layout)) if i not in keep_pos]
     dims = rho.layout.dims
     n = len(dims)
     t = rho.matrix.reshape(dims + dims)
@@ -273,14 +267,23 @@ def partial_trace(rho: DensityOperator, keep: Labels) -> DensityOperator:
     return DensityOperator(_sub_layout(rho.layout, keep_pos), reduced)
 
 
+def split_matrix(psi: PureState, keep: Labels) -> np.ndarray:
+    """Amplitudes as a (keep, rest) matrix: rows index ``keep`` in the given
+    order, columns the other subsystems in layout order."""
+    keep_t = as_labels(keep)
+    psi.layout.check_subset(keep_t, "keep")
+    keep_pos = [psi.layout.position(l) for l in keep_t]
+    rest = [i for i in range(len(psi.layout)) if i not in keep_pos]
+    t = psi.tensor_view().transpose(keep_pos + rest)
+    return t.reshape(psi.layout.dim_of(keep_t), -1)
+
+
 def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
     """Reduced density operator of a pure state, without forming |ψ⟩⟨ψ|."""
-    keep_pos, drop_pos = _split_positions(psi.layout, keep)
-    dims = psi.layout.dims
-    t = psi.tensor_view().transpose(keep_pos + drop_pos)
-    dk = math.prod(dims[i] for i in keep_pos)
-    m = t.reshape(dk, -1)
-    return DensityOperator(_sub_layout(psi.layout, keep_pos), m @ m.conj().T)
+    kept = psi.layout.check_subset(keep, "keep")
+    m = split_matrix(psi, kept)
+    layout = SubsystemLayout(tuple((l, psi.layout.dim_of(l)) for l in kept))
+    return DensityOperator(layout, m @ m.conj().T)
 
 
 def purify(rho: DensityOperator, new_label: str) -> PureState:
@@ -478,22 +481,13 @@ def apply_channel(rho: DensityOperator, ch: ChannelSpec) -> DensityOperator:
         )
     if ch.output_label != ch.input_label and ch.output_label in rho.layout.labels:
         raise ValueError(f"output label {ch.output_label!r} already present")
-    dims = rho.layout.dims
-    n = len(dims)
-    t = rho.matrix.reshape(dims + dims)
-    # contract the isometry on the ket-side input axis and its conjugate on
-    # the bra side, landing the new (out*env) axes in the input's position
-    t = np.tensordot(ch.isometry, t, axes=([1], [pos]))
-    t = np.moveaxis(t, 0, pos)
-    t = np.tensordot(t, ch.isometry.conj(), axes=([n + pos], [1]))
-    t = np.moveaxis(t, -1, n + pos)
-    env = "__env"
-    while env in rho.layout.labels or env == ch.output_label:
-        env += "_"
+    lo, hi = math.prod(rho.layout.dims[:pos]), math.prod(rho.layout.dims[pos + 1:])
+    t = rho.matrix.reshape(lo, d_in, hi, lo, d_in, hi)
+    # V on the ket-side input axis, V* on the bra side, summed over the
+    # shared environment index: Σ_e K_e ρ K_e† with K_e = V[:, e, :]
+    v = ch.isometry.reshape(ch.out_dim, ch.env_dim, ch.in_dim)
+    t = np.einsum("oei,aibcjd,pej->aobcpd", v, t, v.conj())
     parts = list(rho.layout.parts)
-    parts[pos: pos + 1] = [(ch.output_label, ch.out_dim), (env, ch.env_dim)]
-    lifted_layout = SubsystemLayout(tuple(parts))
-    d = lifted_layout.dim
-    lifted = DensityOperator(lifted_layout, t.reshape(d, d))
-    keep = [l for l in lifted_layout.labels if l != env]
-    return partial_trace(lifted, keep)
+    parts[pos] = (ch.output_label, ch.out_dim)
+    layout = SubsystemLayout(tuple(parts))
+    return DensityOperator(layout, t.reshape(layout.dim, layout.dim))

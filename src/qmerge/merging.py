@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .core import (
     haar_unitary,
     permute_subsystems,
     reduced_density,
+    split_matrix,
     stream_rng,
     tensor,
     trace_distance,
@@ -213,7 +215,8 @@ def _tensor_copies(psi: PureState, n: int) -> PureState:
 
 
 def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
-    """ψ^⊗n, boosted, with Alice's group fused into one front subsystem."""
+    """ψ^⊗n, boosted, with Alice's group fused into one front subsystem;
+    also returns the reference labels and ψ^⊗n, which the target reuses."""
     others = [l for l in psi.layout.labels if l not in (plan.alice, plan.bob)]
     if psi.dim ** plan.n * 4 ** plan.k_boost > dim_cap:
         raise DimensionCapError(
@@ -228,25 +231,18 @@ def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
     prepared = permute_subsystems(fused, [plan.alice] + bob_group + ref_group)
     if prepared.layout.dim_of(plan.alice) != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
-    return prepared, bob_group, ref_group
+    return prepared, ref_group, copies
 
 
-def _merge_target(psi: PureState, plan: MergePlan, dim_cap: int) -> PureState:
-    """|Φ_L⟩ on (A1, B0) next to ψ^⊗n with Alice's share moved to Bob's A′."""
-    if plan.block_dim ** 2 * psi.dim ** plan.n > dim_cap:
+def _merge_target(copies: PureState, plan: MergePlan, dim_cap: int) -> PureState:
+    """|Φ_L⟩ on (A1, B0) next to ``copies`` = ψ^⊗n with Alice's share moved
+    to Bob's A′."""
+    if plan.block_dim ** 2 * copies.dim > dim_cap:
         raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
-    copies = _tensor_copies(psi, plan.n)
     primed = copies.relabeled(
         {_copy_label(plan.alice, i): _copy_label(plan.alice + "'", i) for i in range(plan.n)}
     )
     return tensor(bell_pair(RESIDUAL_LABEL, ANCILLA_LABEL, plan.block_dim), primed)
-
-
-def _split_matrix(state: PureState, keep: tuple[str, ...]) -> np.ndarray:
-    """Amplitudes as a (keep, rest) matrix with keep axes in the given order."""
-    rest = [l for l in state.layout.labels if l not in set(keep)]
-    moved = permute_subsystems(state, list(keep) + rest)
-    return moved.amplitudes.reshape(state.layout.dim_of(keep), -1)
 
 
 def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.ndarray:
@@ -266,32 +262,22 @@ def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.nd
     fidelity is still the Uhlmann optimum.
     """
     keep_t = as_labels(keep)
-    for state in (post, target):
-        state.layout.check_subset(keep_t, "keep")
     post_keep = tuple(post.layout.parts[post.layout.position(l)] for l in keep_t)
     target_keep = tuple(target.layout.parts[target.layout.position(l)] for l in keep_t)
     if post_keep != target_keep:
         raise ValueError(
             f"kept subsystems differ: {post_keep} vs {target_keep}"
         )
-    p = _split_matrix(post, keep_t)
-    t = _split_matrix(target, keep_t)
+    p = split_matrix(post, keep_t)
+    t = split_matrix(target, keep_t)
     bp, bt = p.shape[1], t.shape[1]
     cross = p.T @ t.conj()  # (bob_post, bob_target) overlap operator
-    u, _, vh = np.linalg.svd(cross, full_matrices=False)
-    v = vh.conj().T @ u.conj().T
-    if bt >= bp:
-        return v
-    # complete the rank-deficient polar part with junk slices: send the
-    # unused part of Bob's input space to junk indices >= 1
-    rank = min(bp, bt)
-    u_full, _, _ = np.linalg.svd(cross, full_matrices=True)
-    junk = 1 + -(-(bp - rank) // bt)
-    out = np.zeros((bt * junk, bp), dtype=complex)
-    out[:bt] = v
-    for extra, i in enumerate(range(rank, bp)):
-        row = bt * (1 + extra // bt) + extra % bt
-        out[row] = u_full[:, i].conj()
+    u, _, vh = np.linalg.svd(cross, full_matrices=bp > bt)
+    # the polar part fills the first target-sized slice; the rest of Bob's
+    # input space (u's columns past bt) goes to junk indices >= 1
+    out = np.zeros((bt * -(-bp // bt), bp), dtype=complex)
+    out[:bt] = vh.conj().T @ u[:, :bt].conj().T
+    out[bt:bp] = u[:, bt:].conj().T
     return out
 
 
@@ -300,9 +286,8 @@ def recovered_overlap_sq(
 ) -> float:
     """Fidelity of Bob's reconstruction with the target: |⟨target|(I ⊗ V)
     |post⟩|², summed over the discarded junk basis when V carries one."""
-    keep_t = as_labels(keep)
-    p = _split_matrix(post, keep_t)
-    t = _split_matrix(target, keep_t)
+    p = split_matrix(post, keep)
+    t = split_matrix(target, keep)
     recon = p @ isometry.T  # (keep, target_bob * junk)
     junk = recon.shape[1] // t.shape[1]
     recon = recon.reshape(recon.shape[0], junk, t.shape[1])
@@ -319,15 +304,8 @@ def _reference_sigma(plan: MergePlan, rho_refs: DensityOperator | None) -> Densi
     return DensityOperator(SubsystemLayout(parts), mat)
 
 
-def _outcome(
-    index: int,
-    prob: float,
-    post: PureState,
-    plan: MergePlan,
-    ref_group: list[str],
-    ref_sigma: DensityOperator,
-    target: PureState,
-) -> MergeOutcome:
+def _outcome(index: int, prob: float, post: PureState, plan: MergePlan, setup) -> MergeOutcome:
+    _, ref_group, ref_sigma, target = setup
     keep = (RESIDUAL_LABEL, *ref_group)
     sigma = reduced_density(post, keep)
     v = recovery_isometry(post, target, keep)
@@ -342,16 +320,45 @@ def _outcome(
     )
 
 
-def _run_setup(psi, plan, rng, unitary, dim_cap):
-    prepared, bob_group, ref_group = _prepare(psi, plan, dim_cap)
-    if unitary is None:
-        if rng is None:
-            raise ValueError("provide either rng or an explicit measurement unitary")
-        unitary = haar_unitary(plan.alice_dim, rng)
-    target = _merge_target(psi, plan, dim_cap)
+def _setup(psi: PureState, plan: MergePlan, dim_cap: int):
+    """What every trial of one plan shares, built from one ψ^⊗n: the
+    prepared state, the reference labels, I/L ⊗ ρ_R^⊗n and Bob's target."""
+    prepared, ref_group, copies = _prepare(psi, plan, dim_cap)
     rho_refs = reduced_density(prepared, ref_group) if ref_group else None
     ref_sigma = _reference_sigma(plan, rho_refs)
-    return prepared, unitary, ref_group, ref_sigma, target
+    return prepared, ref_group, ref_sigma, _merge_target(copies, plan, dim_cap)
+
+
+def _basis(plan: MergePlan, rng, unitary):
+    if unitary is not None:
+        return unitary
+    if rng is None:
+        raise ValueError("provide either rng or an explicit measurement unitary")
+    return haar_unitary(plan.alice_dim, rng)
+
+
+def merge_trials(
+    psi: PureState,
+    plan: MergePlan,
+    rngs: Iterable[np.random.Generator],
+    *,
+    unitary: np.ndarray | None = None,
+    dim_cap: int = DEFAULT_PURE_CAP,
+) -> list[MergeOutcome]:
+    """One merging trial per generator, all sharing one setup of the plan.
+
+    Each trial draws a fresh Haar basis from its generator unless an
+    explicit ``unitary`` is injected (test hook), then Born-samples an
+    outcome from the same generator and scores it.
+    """
+    setup = _setup(psi, plan, dim_cap)
+    outcomes = []
+    for rng in rngs:
+        basis = _basis(plan, rng, unitary)
+        k, post, p = block_measure(setup[0], plan.alice, basis, plan.block_dim, rng,
+                                   RESIDUAL_LABEL)
+        outcomes.append(_outcome(k, p, post, plan, setup))
+    return outcomes
 
 
 def run_merge(
@@ -362,16 +369,8 @@ def run_merge(
     unitary: np.ndarray | None = None,
     dim_cap: int = DEFAULT_PURE_CAP,
 ) -> MergeOutcome:
-    """One merging trial: sample a measurement outcome and score it.
-
-    Draws a fresh Haar basis from ``rng`` unless an explicit ``unitary`` is
-    injected (test hook); the outcome is Born-sampled from ``rng`` either way.
-    """
-    prepared, unitary, ref_group, ref_sigma, target = _run_setup(
-        psi, plan, rng, unitary, dim_cap)
-    k, post, p = block_measure(prepared, plan.alice, unitary, plan.block_dim, rng,
-                               RESIDUAL_LABEL)
-    return _outcome(k, p, post, plan, ref_group, ref_sigma, target)
+    """One merging trial: :func:`merge_trials` with a single generator."""
+    return merge_trials(psi, plan, [rng], unitary=unitary, dim_cap=dim_cap)[0]
 
 
 def run_merge_exhaustive(
@@ -388,14 +387,10 @@ def run_merge_exhaustive(
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the exhaustive cap {max_outcomes}"
         )
-    prepared, unitary, ref_group, ref_sigma, target = _run_setup(
-        psi, plan, rng, unitary, dim_cap)
-    branches = block_branches(prepared, plan.alice, unitary, plan.block_dim, RESIDUAL_LABEL)
-    return [
-        _outcome(k, p, post, plan, ref_group, ref_sigma, target)
-        for k, p, post in branches
-        if post is not None
-    ]
+    setup = _setup(psi, plan, dim_cap)
+    basis = _basis(plan, rng, unitary)
+    branches = block_branches(setup[0], plan.alice, basis, plan.block_dim, RESIDUAL_LABEL)
+    return [_outcome(k, p, post, plan, setup) for k, p, post in branches if post is not None]
 
 
 def ensemble_reference_check(
@@ -417,7 +412,7 @@ def ensemble_reference_check(
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {max_outcomes}"
         )
-    prepared, _, ref_group = _prepare(psi, plan, dim_cap)
+    prepared, ref_group = _prepare(psi, plan, dim_cap)[:2]
     blocks = _measurement_blocks(prepared, plan.alice, unitary, plan.block_dim)
     if not ref_group:
         return 0.0
@@ -469,10 +464,8 @@ def monte_carlo_merge(
     for n in n_values:
         try:
             plan = plan_merge(psi, n, slack_bits, alice, bob)
-            outcomes = [
-                run_merge(psi, plan, stream_rng(seed, n, t), dim_cap=dim_cap)
-                for t in range(trials)
-            ]
+            outcomes = merge_trials(
+                psi, plan, (stream_rng(seed, n, t) for t in range(trials)), dim_cap=dim_cap)
         except DimensionCapError:
             rows.append(CurveRow(
                 n=n, trials=0, block_dim=0, outcome_count=0, k_boost=0,

@@ -161,14 +161,22 @@ def _load_json(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     try:
-        return json.loads(text)
+        doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from err
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
+
+
+def _is_count(value) -> bool:
+    """A JSON integer >= 1 (``true`` and ``2.0`` are not)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 def _complex_array(doc: dict, path: str) -> np.ndarray:
     re, im = doc.get("re"), doc.get("im")
-    if re is None or im is None or len(re) != len(im):
+    if not (isinstance(re, list) and isinstance(im, list) and len(re) == len(im)):
         raise ValueError(f"{path}: 're' and 'im' must be parallel arrays")
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -182,7 +190,14 @@ def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
     for field in ("labels", "dims", "kind"):
         if field not in doc:
             raise ValueError(f"{path}: missing field {field!r}")
-    layout = SubsystemLayout(tuple(zip(doc["labels"], doc["dims"])))
+    labels, dims = doc["labels"], doc["dims"]
+    if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
+        raise ValueError(f"{path}: 'labels' must be a list of strings")
+    if not (isinstance(dims, list) and all(_is_count(d) for d in dims)):
+        raise ValueError(f"{path}: 'dims' must be a list of integers >= 1")
+    if len(labels) != len(dims):
+        raise ValueError(f"{path}: 'labels' and 'dims' differ in length")
+    layout = SubsystemLayout(tuple(zip(labels, dims)))
     data = _complex_array(doc, path)
     d = layout.dim
     if doc["kind"] == "pure":
@@ -215,9 +230,12 @@ def load_channel_file(path: str) -> ChannelSpec:
     for field in ("input", "output", "out_dim", "env_dim"):
         if field not in doc:
             raise ValueError(f"{path}: missing field {field!r}")
+    out_dim, env_dim = doc["out_dim"], doc["env_dim"]
+    if not (_is_count(out_dim) and _is_count(env_dim)):
+        raise ValueError(f"{path}: 'out_dim' and 'env_dim' must be integers >= 1")
     data = _complex_array(doc, path)
-    rows = int(doc["out_dim"]) * int(doc["env_dim"])
+    rows = out_dim * env_dim
     if len(data) % rows != 0:
         raise ValueError(f"{path}: isometry length {len(data)} not divisible by {rows}")
     iso = data.reshape(-1, rows).T
-    return ChannelSpec(doc["input"], iso, doc["output"], int(doc["out_dim"]), int(doc["env_dim"]))
+    return ChannelSpec(doc["input"], iso, doc["output"], out_dim, env_dim)

@@ -303,6 +303,70 @@ class TestErrorPaths:
         assert exc.value.code == 2
 
 
+PURE_EPR = {"labels": ["A", "B"], "dims": [2, 2], "kind": "pure",
+            "re": [0.7071067811865476, 0, 0, 0.7071067811865476], "im": [0, 0, 0, 0]}
+
+
+class TestFileShapes:
+    @pytest.mark.parametrize("kind,fields", [
+        ("state", {"labels": "AB"}),
+        ("state", {"labels": ["A", "B", "C"]}),
+        ("state", {"labels": ["A", 1]}),
+        ("state", {"dims": "22"}),
+        ("state", {"dims": [2.5, 2]}),
+        ("state", {"dims": [2, 0]}),
+        ("state", {"dims": [True, 2]}),
+        ("state", {"re": 0.5}),
+        ("channel", {"out_dim": "2"}),
+        ("channel", {"out_dim": 2.0}),
+        ("channel", {"env_dim": 0}),
+    ])
+    def test_bad_shape_exits_2_with_one_line(self, capsys, tmp_path, kind, fields):
+        base = PURE_EPR if kind == "state" else IDENTITY_CHANNEL
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({**base, **fields}))
+        if kind == "state":
+            argv = ("entropy", "--state", str(path), "--of", "A", "--given", "B")
+        else:
+            argv = ("sideinfo", "--state", "cc-pure", "--channel", str(path),
+                    "--seed", "1", "--restarts", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and path.name in err
+
+    def test_non_object_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, out, err = run_cli(capsys, "entropy", "--state", str(path), "--of", "A")
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_bad_env_cap_exits_2_naming_the_variable(capsys, monkeypatch, value):
+    monkeypatch.setenv("QMERGE_DIM_CAP", value)
+    code, out, err = run_cli(capsys, "entropy", "--state", "epr", "--of", "A")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "QMERGE_DIM_CAP" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("report", "--state", "ghz:3", "--max-subset", "-1"),
+    ("report", "--state", "ghz:3", "--max-subset", "0"),
+    ("sideinfo", "--state", "cc-pure", "--channel", "c.json", "--seed", "1", "--restarts", "0"),
+    ("sideinfo", "--state", "cc-pure", "--channel", "c.json", "--seed", "1", "--cap-out", "0"),
+    ("sideinfo", "--state", "cc-pure", "--channel", "c.json", "--seed", "1", "--cap-env", "x"),
+    ("merge", "--state", "epr", "-n", "1", "--trials", "0", "--seed", "1"),
+    ("entropy", "--state", "epr"),
+])
+def test_usage_errors_are_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"qmerge {argv[0]}: error: ")
+
+
 def test_cli_import_loads_no_scipy():
     src = os.path.dirname(os.path.dirname(qmerge.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -271,6 +271,21 @@ class TestApplyChannel:
         out = apply_channel(presets.bell_pair().density(), deph)
         np.testing.assert_allclose(out.matrix, np.diag([0.5, 0, 0, 0.5]), atol=1e-12)
 
+    def test_matches_kraus_sum_oracle(self):
+        # Σ_e (I ⊗ K_e ⊗ I) ρ (I ⊗ K_e ⊗ I)† with K_e[o, i] = V[o*env + e, i]
+        rng = np.random.default_rng(31)
+        rho = random_density(rng, (("A", 2), ("B", 3), ("C", 2)))
+        out_dim, env_dim = 2, 3
+        g = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        iso, _ = np.linalg.qr(g)
+        out = apply_channel(rho, ChannelSpec("B", iso, "U", out_dim, env_dim))
+        expected = np.zeros((8, 8), dtype=complex)
+        for e in range(env_dim):
+            k = np.kron(np.kron(np.eye(2), iso[e::env_dim]), np.eye(2))
+            expected += k @ rho.matrix @ k.conj().T
+        assert out.layout.parts == (("A", 2), ("U", 2), ("C", 2))
+        np.testing.assert_allclose(out.matrix, expected, atol=1e-12)
+
     def test_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             apply_channel(presets.bell_pair().density(), ChannelSpec.identity("B", 3))

@@ -20,6 +20,7 @@ from qmerge.merging import (
     ensemble_reference_check,
     epr_boost,
     hadamard_basis,
+    merge_trials,
     monte_carlo_merge,
     plan_merge,
     recovered_overlap_sq,
@@ -135,6 +136,19 @@ class TestRunMerge:
         plan = plan_merge(seed11_state, 3, slack_bits=1.0)
         with pytest.raises(DimensionCapError):
             run_merge(seed11_state, plan, stream_rng(4, 3, 0), dim_cap=64)
+
+
+class TestMergeTrials:
+    # n=1 on the random state sends Bob's spent boost pairs to junk (his
+    # side is 8, the target's 4); n=2 has equal sides
+    @pytest.mark.parametrize("spec,n", [
+        ("seed11", 3), ("random-pure:2x2x2:11", 1), ("random-pure:2x2x2:11", 2),
+    ])
+    def test_shared_setup_equals_independent_runs(self, seed11_state, spec, n):
+        psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
+        plan = plan_merge(psi, n)
+        shared = merge_trials(psi, plan, (stream_rng(11, n, t) for t in range(5)))
+        assert shared == [run_merge(psi, plan, stream_rng(11, n, t)) for t in range(5)]
 
 
 class TestRecoveryIsometry:
