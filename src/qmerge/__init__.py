@@ -13,7 +13,6 @@ from .core import (
     block_branches,
     block_measure,
     fidelity,
-    fuse_subsystems,
     haar_unitary,
     partial_trace,
     permute_subsystems,

@@ -225,8 +225,6 @@ def cmd_merge(args) -> str:
         dicts = [_curve_dict(r) for r in rows]
         return _emit(args, {"curve": dicts}, _CURVE_FIELDS,
                      [tuple(d.values()) for d in dicts])
-    if args.n is None:
-        raise ValueError("merge needs -n or --curve")
     plan = plan_merge(state, args.n, args.slack)
     unitary = hadamard_basis(plan.alice_dim) if args.basis == "hadamard" else None
     if args.exhaustive:
@@ -352,17 +350,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("merge", parents=[common], help="simulate state merging")
-    p.add_argument("-n", type=_positive_int, default=None, help="number of copies")
+    copies = p.add_mutually_exclusive_group(required=True)
+    copies.add_argument("-n", type=_positive_int, help="number of copies")
+    copies.add_argument("--curve", type=_range_arg, metavar="N1..N2",
+                        help="aggregate trials for each copy count in the range")
     p.add_argument("--slack", type=_slack_bits, default=1.0)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--curve", type=_range_arg, default=None, metavar="N1..N2",
-                   help="aggregate trials for each copy count in the range")
     p.add_argument("--exhaustive", action="store_true",
                    help="score every outcome of one measurement basis")
     p.add_argument("--basis", choices=("haar", "hadamard"), default="haar",
                    help="hadamard injects H^n instead of a random basis")
-    p.set_defaults(func=cmd_merge)
+    p.set_defaults(func=cmd_merge, parser=p)
 
     p = sub.add_parser("region", parents=[common], help="rate-region constraints")
     p.add_argument("--mac", action="store_true",
@@ -389,6 +388,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.command == "merge" and args.curve and (args.exhaustive or args.basis != "haar"):
+        args.parser.error("--curve draws a Haar basis per trial; "
+                          "--exhaustive and --basis hadamard need -n")
     try:
         text = args.func(args)
     except DimensionCapError as err:

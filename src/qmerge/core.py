@@ -330,25 +330,6 @@ def permute_subsystems(state: State, new_order: Sequence[str]) -> State:
     return DensityOperator(new_layout, t.reshape(d, d))
 
 
-def fuse_subsystems(psi: PureState, labels: Labels, new_label: str) -> PureState:
-    """Merge the named subsystems (in the given order) into one label.
-
-    The fused group is moved to the front of the layout; amplitudes follow
-    the index convention automatically.
-    """
-    group = as_labels(labels)
-    psi.layout.check_subset(group, "fuse group")
-    rest = [l for l in psi.layout.labels if l not in set(group)]
-    if new_label in rest:
-        raise ValueError(f"label {new_label!r} already present in layout")
-    moved = permute_subsystems(psi, list(group) + rest)
-    fused_dim = psi.layout.dim_of(group)
-    parts = ((new_label, fused_dim),) + tuple(
-        moved.layout.parts[len(group):]
-    )
-    return PureState(SubsystemLayout(parts), moved.amplitudes)
-
-
 # ---------------------------------------------------------------------------
 # randomness and measurement
 

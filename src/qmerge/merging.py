@@ -7,6 +7,12 @@ blocks of size L, and checks how well Bob's optimal local recovery
 reconstructs the global state while the reference stays untouched. Resources
 are tallied in ebits (log2 L net of the boost) and cbits (log2 of the
 outcome count).
+
+Every state of a run is laid out as three fused parts (A|A1, R, B): Alice's
+share (A before the measurement, A1 after), the reference parties of all
+copies, and Bob's side. The parts Bob cannot touch, (A1, R), lead, so
+splitting a state into its kept and Bob's halves, or reducing it to
+(A1, R), is a reshape and copies nothing.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -30,9 +37,7 @@ from .core import (
     block_branches,
     block_measure,
     fidelity,
-    fuse_subsystems,
     haar_unitary,
-    permute_subsystems,
     reduced_density,
     split_matrix,
     stream_rng,
@@ -44,7 +49,7 @@ from .presets import bell_pair
 
 DEFAULT_SLACK_BITS = 1.0
 RESIDUAL_LABEL = "A1"   # Alice's post-measurement share
-ANCILLA_LABEL = "B0"    # Bob's half of the target entangled pair
+_KEEP = (RESIDUAL_LABEL, "R")   # the parts Bob's recovery cannot touch
 
 
 @dataclass(frozen=True)
@@ -121,26 +126,6 @@ def _ceil_bits(x: float) -> int:
     return max(0, math.ceil(x - 1e-9))
 
 
-def _boost_half_labels(existing, k: int) -> tuple[list[str], list[str]]:
-    taken = set(existing)
-    a_half, b_half, j = [], [], 0
-    while len(a_half) < k:
-        ca, cb = f"A{j}", f"B{j}"
-        if ca not in taken and cb not in taken:
-            a_half.append(ca)
-            b_half.append(cb)
-        j += 1
-    return a_half, b_half
-
-
-def _boost(psi: PureState, k: int) -> tuple[PureState, list[str], list[str]]:
-    a_half, b_half = _boost_half_labels(psi.layout.labels, k)
-    out = psi
-    for ca, cb in zip(a_half, b_half):
-        out = tensor(out, bell_pair(ca, cb))
-    return out, a_half, b_half
-
-
 def epr_boost(psi: PureState, k: int) -> PureState:
     """Append k EPR pairs, one half to Alice's side and one to Bob's.
 
@@ -149,7 +134,14 @@ def epr_boost(psi: PureState, k: int) -> PureState:
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _boost(psi, k)[0]
+    taken, j = set(psi.layout.labels), 0
+    while k > 0:
+        ca, cb = f"A{j}", f"B{j}"
+        if ca not in taken and cb not in taken:
+            psi = tensor(psi, bell_pair(ca, cb))
+            k -= 1
+        j += 1
+    return psi
 
 
 def plan_merge(
@@ -203,46 +195,56 @@ def plan_merge(
     )
 
 
-def _copy_label(label: str, i: int) -> str:
-    return f"{label}.{i}"
+def _trace_alice_bob(t: np.ndarray) -> np.ndarray:
+    """Σ_a t[a] t[a]†: the reference block of an unnormalized (A, R, B)
+    amplitude array, where every t[a] is an (R, B) view."""
+    return sum(m @ m.conj().T for m in t)
 
 
-def _tensor_copies(psi: PureState, n: int) -> PureState:
-    out = psi.relabeled({l: _copy_label(l, 0) for l in psi.layout.labels})
-    for i in range(1, n):
-        out = tensor(out, psi.relabeled({l: _copy_label(l, i) for l in psi.layout.labels}))
-    return out
+def _setup(psi: PureState, plan: MergePlan, dim_cap: int, scored: bool = True):
+    """What every trial of one plan shares, built from one ψ^⊗n.
 
+    ψ^⊗n is built once as an (Alice, reference, Bob) array: Alice's n
+    copies fused with copy 0 most significant, every other party of every
+    copy fused into the reference R (dimension 1 when there is none), and
+    Bob's copies. Every state derived from it is laid out (A|A1, R, B), so
+    the kept (A1, R) parts lead and splitting off Bob's side is a reshape.
 
-def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
-    """ψ^⊗n, boosted, with Alice's group fused into one front subsystem;
-    also returns the reference labels and ψ^⊗n, which the target reuses."""
-    others = [l for l in psi.layout.labels if l not in (plan.alice, plan.bob)]
-    if psi.dim ** plan.n * 4 ** plan.k_boost > dim_cap:
-        raise DimensionCapError(
-            f"prepared state would exceed the {dim_cap}-amplitude cap"
-        )
-    copies = _tensor_copies(psi, plan.n)
-    boosted, a_half, b_half = _boost(copies, plan.k_boost)
-    alice_group = [_copy_label(plan.alice, i) for i in range(plan.n)] + a_half
-    bob_group = [_copy_label(plan.bob, i) for i in range(plan.n)] + b_half
-    ref_group = [_copy_label(l, i) for i in range(plan.n) for l in others]
-    fused = fuse_subsystems(boosted, alice_group, plan.alice)
-    prepared = permute_subsystems(fused, [plan.alice] + bob_group + ref_group)
-    if prepared.layout.dim_of(plan.alice) != plan.alice_dim:
+    Returns the prepared state ψ^⊗n ⊗ Φ_{2^k} (boost halves last on both
+    sides), I/L ⊗ ρ_R^⊗n (a Kronecker power of the one-copy ρ_R) and Bob's
+    target |Φ_L⟩ ⊗ ψ^⊗n, whose B part holds Φ_L's half, then Alice's
+    copies, then Bob's. With ``scored`` false only the prepared state is
+    built and the target cap is not checked.
+    """
+    pa, pb = psi.layout.position(plan.alice), psi.layout.position(plan.bob)
+    others = [i for i in range(len(psi.layout)) if i not in (pa, pb)]
+    one = psi.tensor_view().transpose([pa, *others, pb])
+    one = one.reshape(one.shape[0], -1, one.shape[-1])
+    boost, block = 2 ** plan.k_boost, plan.block_dim
+    if psi.dim ** plan.n * boost ** 2 > dim_cap:
+        raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
+    if one.shape[0] ** plan.n * boost != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
-    return prepared, ref_group, copies
-
-
-def _merge_target(copies: PureState, plan: MergePlan, dim_cap: int) -> PureState:
-    """|Φ_L⟩ on (A1, B0) next to ``copies`` = ψ^⊗n with Alice's share moved
-    to Bob's A′."""
-    if plan.block_dim ** 2 * copies.dim > dim_cap:
+    if scored and block ** 2 * psi.dim ** plan.n > dim_cap:
         raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
-    primed = copies.relabeled(
-        {_copy_label(plan.alice, i): _copy_label(plan.alice + "'", i) for i in range(plan.n)}
-    )
-    return tensor(bell_pair(RESIDUAL_LABEL, ANCILLA_LABEL, plan.block_dim), primed)
+    copies = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(plan.n):
+        shape = [c * d for c, d in zip(copies.shape, one.shape)]
+        copies = np.einsum("arb,xyz->axrybz", copies, one).reshape(shape)
+    d_a, d_r, d_b = copies.shape
+    phi = bell_pair(dim=boost).tensor_view()
+    prepared = PureState(SubsystemLayout((("A", d_a * boost), ("R", d_r), ("B", d_b * boost))),
+                         np.einsum("arb,xy->axrby", copies, phi))
+    if not scored:
+        return prepared, None, None
+    kept = ((RESIDUAL_LABEL, block), ("R", d_r))
+    rho_r = _trace_alice_bob(one)
+    ref_sigma = DensityOperator(SubsystemLayout(kept),
+                                reduce(np.kron, [rho_r] * plan.n, np.eye(block) / block))
+    phi = bell_pair(dim=block).tensor_view()
+    target = PureState(SubsystemLayout((*kept, ("B", block * d_a * d_b))),
+                       np.einsum("xy,arb->xrayb", phi, copies))
+    return prepared, ref_sigma, target
 
 
 def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.ndarray:
@@ -295,38 +297,19 @@ def recovered_overlap_sq(
     return float(min(1.0, (np.abs(overlaps) ** 2).sum()))
 
 
-def _reference_sigma(plan: MergePlan, rho_refs: DensityOperator | None) -> DensityOperator:
-    parts = ((RESIDUAL_LABEL, plan.block_dim),)
-    mat = np.eye(plan.block_dim) / plan.block_dim
-    if rho_refs is not None:
-        parts = parts + rho_refs.layout.parts
-        mat = np.kron(mat, rho_refs.matrix)
-    return DensityOperator(SubsystemLayout(parts), mat)
-
-
 def _outcome(index: int, prob: float, post: PureState, plan: MergePlan, setup) -> MergeOutcome:
-    _, ref_group, ref_sigma, target = setup
-    keep = (RESIDUAL_LABEL, *ref_group)
-    sigma = reduced_density(post, keep)
-    v = recovery_isometry(post, target, keep)
+    _, ref_sigma, target = setup
+    sigma = reduced_density(post, _KEEP)
+    v = recovery_isometry(post, target, _KEEP)
     return MergeOutcome(
         outcome_index=index,
         probability=prob,
         decoupling_error=trace_distance(sigma, ref_sigma),
         uhlmann_fidelity=fidelity(sigma, ref_sigma),
-        achieved_fidelity=recovered_overlap_sq(post, target, keep, v),
+        achieved_fidelity=recovered_overlap_sq(post, target, _KEEP, v),
         epr_net_bits=math.log2(plan.block_dim) - plan.k_boost,
         cbits=math.log2(plan.outcome_count),
     )
-
-
-def _setup(psi: PureState, plan: MergePlan, dim_cap: int):
-    """What every trial of one plan shares, built from one ψ^⊗n: the
-    prepared state, the reference labels, I/L ⊗ ρ_R^⊗n and Bob's target."""
-    prepared, ref_group, copies = _prepare(psi, plan, dim_cap)
-    rho_refs = reduced_density(prepared, ref_group) if ref_group else None
-    ref_sigma = _reference_sigma(plan, rho_refs)
-    return prepared, ref_group, ref_sigma, _merge_target(copies, plan, dim_cap)
 
 
 def _basis(plan: MergePlan, rng, unitary):
@@ -355,7 +338,7 @@ def merge_trials(
     outcomes = []
     for rng in rngs:
         basis = _basis(plan, rng, unitary)
-        k, post, p = block_measure(setup[0], plan.alice, basis, plan.block_dim, rng,
+        k, post, p = block_measure(setup[0], "A", basis, plan.block_dim, rng,
                                    RESIDUAL_LABEL)
         outcomes.append(_outcome(k, p, post, plan, setup))
     return outcomes
@@ -389,7 +372,7 @@ def run_merge_exhaustive(
         )
     setup = _setup(psi, plan, dim_cap)
     basis = _basis(plan, rng, unitary)
-    branches = block_branches(setup[0], plan.alice, basis, plan.block_dim, RESIDUAL_LABEL)
+    branches = block_branches(setup[0], "A", basis, plan.block_dim, RESIDUAL_LABEL)
     return [_outcome(k, p, post, plan, setup) for k, p, post in branches if post is not None]
 
 
@@ -412,17 +395,12 @@ def ensemble_reference_check(
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {max_outcomes}"
         )
-    prepared, ref_group = _prepare(psi, plan, dim_cap)[:2]
-    blocks = _measurement_blocks(prepared, plan.alice, unitary, plan.block_dim)
-    if not ref_group:
-        return 0.0
-    rho_refs = reduced_density(prepared, ref_group)
-    d_ref = rho_refs.dim
-    avg = np.zeros((d_ref, d_ref), dtype=complex)
-    for block in blocks:  # (alice block, bob..., refs...) with refs last
-        m = block.reshape(-1, d_ref)
-        avg += m.T @ m.conj()
-    return trace_distance(DensityOperator(rho_refs.layout, avg), rho_refs)
+    prepared = _setup(psi, plan, dim_cap, scored=False)[0]
+    blocks = _measurement_blocks(prepared, "A", unitary, plan.block_dim)
+    layout = SubsystemLayout((("R", prepared.layout.dims[1]),))
+    rho_refs = DensityOperator(layout, _trace_alice_bob(prepared.tensor_view()))
+    avg = sum(_trace_alice_bob(block) for block in blocks)  # blocks are (A1, R, B)
+    return trace_distance(DensityOperator(layout, avg), rho_refs)
 
 
 @dataclass(frozen=True)

@@ -285,6 +285,11 @@ class TestErrorPaths:
         ("-n", "1", "--slack", "nan"),
         ("-n", "1", "--slack", "-1"),
         ("-n", "1", "--dim-cap", "0"),
+        (),
+        ("-n", "2", "--curve", "1..1"),
+        ("--curve", "1..2", "--exhaustive"),
+        ("--curve", "1..2", "--basis", "hadamard"),
+        ("--curve", "1..2", "--basis", "hadamard", "--exhaustive"),
     ])
     def test_bad_merge_flags_rejected_at_parse_time(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -356,6 +361,10 @@ def test_bad_env_cap_exits_2_naming_the_variable(capsys, monkeypatch, value):
     ("sideinfo", "--state", "cc-pure", "--channel", "c.json", "--seed", "1", "--cap-out", "0"),
     ("sideinfo", "--state", "cc-pure", "--channel", "c.json", "--seed", "1", "--cap-env", "x"),
     ("merge", "--state", "epr", "-n", "1", "--trials", "0", "--seed", "1"),
+    ("merge", "--state", "epr", "--seed", "1"),
+    ("merge", "--state", "epr", "-n", "2", "--curve", "1..1", "--seed", "1"),
+    ("merge", "--state", "epr", "--curve", "1..2", "--exhaustive", "--seed", "1"),
+    ("merge", "--state", "epr", "--curve", "1..2", "--basis", "hadamard", "--seed", "1"),
     ("entropy", "--state", "epr"),
 ])
 def test_usage_errors_are_one_line(capsys, argv):

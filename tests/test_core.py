@@ -15,7 +15,6 @@ from qmerge.core import (
     block_branches,
     block_measure,
     fidelity,
-    fuse_subsystems,
     haar_unitary,
     partial_trace,
     permute_subsystems,
@@ -322,17 +321,6 @@ class TestPermuteAndFuse:
         np.testing.assert_allclose(
             partial_trace(moved, ("A", "B")).matrix,
             partial_trace(rho, ("A", "B")).matrix,
-            atol=1e-12,
-        )
-
-    def test_fuse_preserves_reductions(self):
-        rng = np.random.default_rng(14)
-        psi = random_pure_state(rng, (("A", 2), ("B", 3), ("C", 2)))
-        fused = fuse_subsystems(psi, ("A", "C"), "AC")
-        assert fused.layout.parts[0] == ("AC", 4)
-        np.testing.assert_allclose(
-            reduced_density(fused, "B").matrix,
-            reduced_density(psi, "B").matrix,
             atol=1e-12,
         )
 

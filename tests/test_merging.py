@@ -11,6 +11,7 @@ from qmerge.core import (
     DimensionCapError,
     fidelity,
     haar_unitary,
+    permute_subsystems,
     reduced_density,
     stream_rng,
 )
@@ -151,6 +152,36 @@ class TestMergeTrials:
         assert shared == [run_merge(psi, plan, stream_rng(11, n, t)) for t in range(5)]
 
 
+class TestMergeLayoutInvariance:
+    # the subsystem order and the role labels of the input state must not
+    # change which outcomes are drawn or how they score
+    @pytest.mark.parametrize("variant", ["permuted", "relabeled"])
+    def test_same_outcomes(self, seed11_state, variant):
+        if variant == "permuted":
+            psi, roles = permute_subsystems(seed11_state, ("R", "B", "A")), {}
+        else:
+            psi, roles = seed11_state.relabeled({"A": "X", "B": "Y"}), {"alice": "X", "bob": "Y"}
+        base = merge_trials(seed11_state, plan_merge(seed11_state, 2),
+                            (stream_rng(11, 2, t) for t in range(5)))
+        moved = merge_trials(psi, plan_merge(psi, 2, **roles),
+                             (stream_rng(11, 2, t) for t in range(5)))
+        for a, b in zip(base, moved, strict=True):
+            assert a.outcome_index == b.outcome_index
+            for field in ("probability", "decoupling_error", "uhlmann_fidelity",
+                          "achieved_fidelity", "epr_net_bits", "cbits"):
+                assert abs(getattr(a, field) - getattr(b, field)) <= 1e-12, field
+
+    def test_two_reference_parties_per_copy(self):
+        rng = np.random.default_rng(1)
+        psi = random_pure_state(rng, (("A", 2), ("B", 2), ("C1", 2), ("C2", 2)))
+        plan = plan_merge(psi, 2)
+        assert plan.k_boost == 2
+        for out in merge_trials(psi, plan, (stream_rng(16, 2, t) for t in range(4))):
+            assert abs(out.achieved_fidelity - out.uhlmann_fidelity) < 1e-6
+        w = haar_unitary(plan.alice_dim, rng)
+        assert ensemble_reference_check(psi, plan, w) <= 1e-9
+
+
 class TestRecoveryIsometry:
     def test_post_equals_target_gives_identity_embedding(self):
         rng = np.random.default_rng(5)
@@ -222,6 +253,13 @@ class TestEnsembleReference:
         plan = plan_merge(psi, 2, slack_bits=1.0)
         w = haar_unitary(plan.alice_dim, rng)
         assert ensemble_reference_check(psi, plan, w) <= 1e-9
+
+    def test_no_reference_party(self):
+        # epr has no reference: R has dimension 1 and the check still runs
+        psi = presets.bell_pair()
+        plan = plan_merge(psi, 2)
+        w = haar_unitary(plan.alice_dim, np.random.default_rng(9))
+        assert ensemble_reference_check(psi, plan, w) < 1e-12
 
     def test_outcome_cap(self):
         psi = presets.cc_purification()
