@@ -13,6 +13,7 @@ import numpy as np
 from .core import (
     ChannelSpec,
     DEFAULT_DENSITY_CAP,
+    DEFAULT_PURE_CAP,
     DensityOperator,
     DimensionCapError,
     Labels,
@@ -173,12 +174,13 @@ class EpEstimate:
     converged: bool
 
 
-def _hermitian_from(theta: np.ndarray, m: int) -> np.ndarray:
+def _hermitian_from(theta: np.ndarray, m: int, iu: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The m×m Hermitian matrix with diagonal ``theta[:m]`` and the real then
+    imaginary parts of its upper triangle ``iu = np.triu_indices(m, 1)``
+    from ``theta[m:]``."""
     h = np.zeros((m, m), dtype=complex)
-    diag = theta[:m]
     off = theta[m:].reshape(2, -1)
-    h[np.diag_indices(m)] = diag
-    iu = np.triu_indices(m, k=1)
+    np.fill_diagonal(h, theta[:m])
     h[iu] = off[0] + 1j * off[1]
     h[(iu[1], iu[0])] = off[0] - 1j * off[1]
     return h
@@ -189,13 +191,6 @@ def expm(a: np.ndarray) -> np.ndarray:
     eigendecomposition H = V·diag(λ)·V†."""
     lam, vecs = np.linalg.eigh(-1j * a)
     return (vecs * np.exp(1j * lam)) @ vecs.conj().T
-
-
-def _search_channel(theta: np.ndarray, u_label: str, d_u: int,
-                    cap_out: int, cap_env: int) -> ChannelSpec:
-    m = cap_out * cap_env
-    g = expm(1j * _hermitian_from(theta, m))
-    return ChannelSpec(u_label, g[:, :d_u], u_label, cap_out, cap_env)
 
 
 def entanglement_of_purification(
@@ -216,6 +211,9 @@ def entanglement_of_purification(
     Random restarts; a restart converges when 50 consecutive iterations
     improve by less than 1e-7. The identity and full-trace channels are
     always scored as baselines, so the estimate never exceeds S(AU).
+    Raises :class:`DimensionCapError`, before allocating anything, when the
+    m² parameters (m = cap_out·cap_env) exceed the pure-state cap or the
+    output side exceeds the density cap.
     """
     a = rho.layout.check_subset(alice, "alice")
     if u_label in set(a):
@@ -227,7 +225,22 @@ def entanglement_of_purification(
         raise ValueError("caps and restarts must be >= 1")
     if cap_out * cap_env < d_u:
         raise ValueError("cap_out * cap_env must cover the input dimension")
+    m = cap_out * cap_env
+    n_params = m * m
+    if n_params > DEFAULT_PURE_CAP:
+        raise DimensionCapError(
+            f"EP search needs (cap_out*cap_env)^2 = {n_params} parameters, "
+            f"over the {DEFAULT_PURE_CAP} cap")
+    side = rho.dim // d_u * cap_out
+    if side > DEFAULT_DENSITY_CAP:
+        raise DimensionCapError(
+            f"EP search output side {side} exceeds the {DEFAULT_DENSITY_CAP} density cap")
+    iu = np.triu_indices(m, k=1)
     rng = rng if rng is not None else stream_rng(0)
+
+    def channel_at(theta: np.ndarray) -> ChannelSpec:
+        g = expm(1j * _hermitian_from(theta, m, iu))
+        return ChannelSpec(u_label, g[:, :d_u], u_label, cap_out, cap_env)
 
     def value_of(ch: ChannelSpec) -> float:
         return von_neumann_entropy(apply_channel(rho, ch))
@@ -244,12 +257,10 @@ def entanglement_of_purification(
         if v < best:
             best, best_ch = v, ch
 
-    m = cap_out * cap_env
-    n_params = m * m
     all_converged = True
     for _ in range(restarts):
         theta = rng.standard_normal(n_params) * 0.5
-        f = value_of(_search_channel(theta, u_label, d_u, cap_out, cap_env))
+        f = value_of(channel_at(theta))
         step = 0.4
         history = [f]
         converged = False
@@ -258,7 +269,7 @@ def entanglement_of_purification(
             moved = False
             for sign in (1.0, -1.0):
                 cand = theta + sign * step * direction
-                fc = value_of(_search_channel(cand, u_label, d_u, cap_out, cap_env))
+                fc = value_of(channel_at(cand))
                 if fc < f - 1e-12:
                     theta, f = cand, fc
                     moved = True
@@ -271,7 +282,7 @@ def entanglement_of_purification(
         all_converged = all_converged and converged
         if f < best:
             best = f
-            best_ch = _search_channel(theta, u_label, d_u, cap_out, cap_env)
+            best_ch = channel_at(theta)
     return EpEstimate(best, best_ch, restarts, all_converged)
 
 

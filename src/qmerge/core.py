@@ -12,7 +12,8 @@ function except the ones taking an explicit seeded generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -47,10 +48,15 @@ class SubsystemLayout:
 
     The first listed label is the most significant digit of the composite
     basis index: for parts ``(("A", dA), ("B", dB))`` the basis state
-    ``|a⟩|b⟩`` sits at flat index ``a * dB + b``.
+    ``|a⟩|b⟩`` sits at flat index ``a * dB + b``. ``labels``, ``dims`` and
+    ``dim`` are derived from ``parts`` once; equality and hashing use
+    ``parts`` alone.
     """
 
     parts: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    dims: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         parts = tuple((str(l), int(d)) for l, d in self.parts)
@@ -64,18 +70,9 @@ class SubsystemLayout:
             seen.add(label)
             if d < 1:
                 raise ValueError(f"subsystem {label!r} has dimension {d} < 1")
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(l for l, _ in self.parts)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(d for _, d in self.parts)
-
-    @property
-    def dim(self) -> int:
-        return math.prod(self.dims)
+        object.__setattr__(self, "labels", tuple(l for l, _ in parts))
+        object.__setattr__(self, "dims", tuple(d for _, d in parts))
+        object.__setattr__(self, "dim", math.prod(self.dims))
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -146,10 +143,15 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """A Hermitian, PSD, unit-trace operator over a :class:`SubsystemLayout`."""
+    """A Hermitian, PSD, unit-trace operator over a :class:`SubsystemLayout`.
+
+    ``spectrum`` holds the ascending eigenvalues found by the PSD check, so
+    no caller needs to diagonalize the matrix again for them.
+    """
 
     layout: SubsystemLayout
     matrix: np.ndarray
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _freeze(np.asarray(self.matrix))
@@ -161,14 +163,25 @@ class DensityOperator:
         tr = mat.trace()
         if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"trace {tr!r} is not 1 within 1e-10")
-        lo = np.linalg.eigvalsh(mat)[0] if d > 1 else mat[0, 0].real
-        if lo < EIG_FLOOR:
-            raise ValueError(f"minimum eigenvalue {lo!r} below {EIG_FLOOR}")
+        spectrum = np.linalg.eigvalsh(mat)
+        spectrum.setflags(write=False)
+        if spectrum[0] < EIG_FLOOR:
+            raise ValueError(f"minimum eigenvalue {spectrum[0]!r} below {EIG_FLOOR}")
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "spectrum", spectrum)
 
     @property
     def dim(self) -> int:
         return self.layout.dim
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """The PSD square root √ρ, computed on first use and then kept."""
+        lam, vecs = np.linalg.eigh(self.matrix)
+        lam = np.clip(lam, 0.0, None)
+        root = (vecs * np.sqrt(lam)) @ vecs.conj().T
+        root.setflags(write=False)
+        return root
 
     def relabeled(self, mapping: dict[str, str]) -> "DensityOperator":
         parts = tuple((mapping.get(l, l), d) for l, d in self.layout.parts)
@@ -423,12 +436,6 @@ def block_measure(
 # distance measures and channels
 
 
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    lam, vecs = np.linalg.eigh(mat)
-    lam = np.clip(lam, 0.0, None)
-    return (vecs * np.sqrt(lam)) @ vecs.conj().T
-
-
 def _check_same_layout(rho: DensityOperator, sigma: DensityOperator):
     if rho.layout != sigma.layout:
         raise ValueError(
@@ -439,7 +446,7 @@ def _check_same_layout(rho: DensityOperator, sigma: DensityOperator):
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     """Uhlmann fidelity ``(Tr |√ρ √σ|)²`` in the squared convention."""
     _check_same_layout(rho, sigma)
-    s = np.linalg.svd(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix), compute_uv=False)
+    s = np.linalg.svd(rho.sqrt @ sigma.sqrt, compute_uv=False)
     return float(min(1.0, s.sum() ** 2))
 
 
@@ -463,12 +470,14 @@ def apply_channel(rho: DensityOperator, ch: ChannelSpec) -> DensityOperator:
     if ch.output_label != ch.input_label and ch.output_label in rho.layout.labels:
         raise ValueError(f"output label {ch.output_label!r} already present")
     lo, hi = math.prod(rho.layout.dims[:pos]), math.prod(rho.layout.dims[pos + 1:])
-    t = rho.matrix.reshape(lo, d_in, hi, lo, d_in, hi)
-    # V on the ket-side input axis, V* on the bra side, summed over the
-    # shared environment index: Σ_e K_e ρ K_e† with K_e = V[:, e, :]
-    v = ch.isometry.reshape(ch.out_dim, ch.env_dim, ch.in_dim)
-    t = np.einsum("oei,aibcjd,pej->aobcpd", v, t, v.conj())
+    out, env, v = ch.out_dim, ch.env_dim, ch.isometry
+    # Σ_e K_e ρ K_e† with K_e = V[:, e, :]: V on the ket-side input axis,
+    # then V* on the bra side in one product that also sums over e
+    t = v @ rho.matrix.reshape(lo, d_in, -1)
+    t = t.reshape(lo, out, env, hi, lo, d_in, hi).transpose(0, 1, 3, 4, 6, 2, 5)
+    t = t.reshape(-1, env * d_in) @ v.conj().reshape(out, env * d_in).T
+    t = t.reshape(lo, out, hi, lo, hi, out).transpose(0, 1, 2, 3, 5, 4)
     parts = list(rho.layout.parts)
-    parts[pos] = (ch.output_label, ch.out_dim)
+    parts[pos] = (ch.output_label, out)
     layout = SubsystemLayout(tuple(parts))
     return DensityOperator(layout, t.reshape(layout.dim, layout.dim))

@@ -22,17 +22,13 @@ from .core import (
 )
 
 
-def _entropy_of_eigenvalues(lam: np.ndarray) -> float:
-    lam = np.clip(lam, 0.0, None)
-    lam = lam[lam > 0]
-    return float(-(lam * np.log2(lam)).sum())
-
-
 def von_neumann_entropy(rho: State) -> float:
     """S(ρ) = −Tr ρ log2 ρ, with drift eigenvalues clamped and 0·log 0 = 0."""
     if isinstance(rho, PureState):
         return 0.0
-    return _entropy_of_eigenvalues(np.linalg.eigvalsh(rho.matrix))
+    lam = np.clip(rho.spectrum, 0.0, None)
+    lam = lam[lam > 0]
+    return float(-(lam * np.log2(lam)).sum())
 
 
 def subset_entropy(state: State, labels: Labels) -> float:

@@ -17,7 +17,9 @@ from qmerge.applications import (
 )
 from qmerge.core import (
     ChannelSpec,
+    DensityOperator,
     DimensionCapError,
+    SubsystemLayout,
     stream_rng,
     tensor,
 )
@@ -288,6 +290,39 @@ class TestEntanglementOfPurification:
         with pytest.raises(ValueError, match="cover"):
             entanglement_of_purification(rho, "A", "U", cap_out=1, cap_env=1,
                                          rng=stream_rng(13))
+
+    @pytest.mark.parametrize("d_a, cap_out, cap_env, match", [
+        (2, 1000, 1000, "parameters"),   # 10^12 parameters
+        (2, 33, 32, "parameters"),       # 1056^2, just over 2^20
+        (8, 1024, 1, "density cap"),     # 2^20 parameters, output side 8192
+    ])
+    def test_caps_checked_before_any_draw(self, d_a, cap_out, cap_env, match):
+        rho = tensor(presets.maximally_mixed("A", d_a), presets.maximally_mixed("U", 2))
+        with pytest.raises(DimensionCapError, match=match):
+            entanglement_of_purification(rho, "A", "U", cap_out=cap_out, cap_env=cap_env,
+                                         rng=_NoDraws())
+
+    @pytest.mark.parametrize("i, value", [(0, 0.9905809476779285), (1, 0.8008994286057426)])
+    def test_seed11_benchmark_inputs_pinned(self, i, value):
+        # the benchmark's seed-11 inputs, drawn the same way: a rank-r
+        # Wishart rho_AU with A=2, U=3 from stream (11, i, 3), and the search
+        # stream (11, i, 3, 1)
+        rng = np.random.default_rng([11, i, 3])
+        rank = int(rng.integers(1, 7))
+        g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
+        m = g @ g.conj().T
+        rho = DensityOperator(SubsystemLayout((("A", 2), ("U", 3))), m / m.trace().real)
+        est = entanglement_of_purification(rho, "A", "U",
+                                           rng=np.random.default_rng([11, i, 3, 1]))
+        assert abs(est.value - value) < 1e-12
+        assert est.restarts_used == 4 and est.converged is False
+
+
+class _NoDraws:
+    """A stand-in generator that fails on any draw."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the cap check")
 
 
 class TestExpm:

@@ -251,6 +251,24 @@ class TestSideinfoCommand:
         _, second, _ = run_cli(capsys, *argv)
         assert first == second
 
+    def test_readme_example_pinned(self, capsys, tmp_path):
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(IDENTITY_CHANNEL))
+        code, out, _ = run_cli(capsys, "sideinfo", "--state", "cc-pure", "--channel", str(path),
+                               "--seed", "2", "--restarts", "4")
+        assert code == 0
+        ep = json.loads(out)["ep"]
+        assert abs(ep["value"] - 1.0) < 1e-12
+        assert ep["restarts_used"] == 4 and ep["converged"] is False
+
+    def test_search_over_the_cap_exits_3_before_drawing(self, capsys, tmp_path):
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(IDENTITY_CHANNEL))
+        code, out, err = run_cli(capsys, "sideinfo", "--state", "cc-pure", "--channel", str(path),
+                                 "--seed", "2", "--cap-out", "1000", "--cap-env", "1000")
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert "parameters" in err
+
 
 class TestErrorPaths:
     def test_unknown_preset_exits_2_with_empty_stdout(self, capsys):

@@ -1,5 +1,6 @@
 """State construction, composition, reduction, measurement and distances."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -44,6 +45,20 @@ class TestLayout:
         # |1⟩_A |0⟩_B sits at index 1*2 + 0 = 2
         psi = presets.basis_state((("A", 2), ("B", 2)), index=2)
         assert psi.tensor_view()[1, 0] == 1.0
+
+    def test_derived_fields_match_parts_and_are_frozen(self):
+        layout = SubsystemLayout((("A", 2), ("B", 3)))
+        assert (layout.labels, layout.dims, layout.dim) == (("A", "B"), (2, 3), 6)
+        for name in ("labels", "dims", "dim"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layout, name, None)
+
+    def test_equality_and_hash_use_parts_alone(self):
+        layout = SubsystemLayout((("A", 2), ("B", 3)))
+        same = SubsystemLayout([["A", 2], ["B", 3]])
+        assert layout == same and hash(layout) == hash(same) == hash((layout.parts,))
+        assert layout != SubsystemLayout((("B", 3), ("A", 2)))
+        assert repr(layout) == "SubsystemLayout(parts=(('A', 2), ('B', 3)))"
 
 
 class TestTensor:
@@ -343,6 +358,24 @@ class TestValidation:
         mat = np.diag([1.1, -0.1])
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityOperator(SubsystemLayout((("A", 2),)), mat)
+
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    def test_spectrum_is_the_read_only_eigvalsh(self, dim):
+        rho = random_density(np.random.default_rng(dim), (("A", dim),))
+        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.spectrum = np.zeros(dim)
+
+    def test_sqrt_is_read_only_and_computed_once(self):
+        rho = random_density(np.random.default_rng(3), (("A", 2), ("B", 2)), rank=2)
+        root = rho.sqrt
+        assert rho.sqrt is root
+        assert np.abs(root @ root - rho.matrix).max() < 1e-12
+        assert np.abs(root - root.conj().T).max() < 1e-12
+        with pytest.raises(ValueError):
+            root[0, 0] = 0
 
     def test_states_are_frozen(self):
         psi = presets.bell_pair()

@@ -151,6 +151,27 @@ class TestMergeTrials:
         shared = merge_trials(psi, plan, (stream_rng(11, n, t) for t in range(5)))
         assert shared == [run_merge(psi, plan, stream_rng(11, n, t)) for t in range(5)]
 
+    def test_reference_sigma_diagonalized_once_per_run(self, seed11_state, monkeypatch):
+        # every outcome's fidelity takes √ of the one shared I/L ⊗ ρ_R^⊗n
+        setups, eigh_inputs = [], []
+        setup, eigh = qmerge.merging._setup, np.linalg.eigh
+
+        def recording_setup(*args, **kwargs):
+            setups.append(setup(*args, **kwargs))
+            return setups[-1]
+
+        def recording_eigh(a, *args, **kwargs):
+            eigh_inputs.append(np.array(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(qmerge.merging, "_setup", recording_setup)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        plan = plan_merge(seed11_state, 3)
+        outs = run_merge_exhaustive(seed11_state, plan, unitary=hadamard_basis(plan.alice_dim))
+        assert len(outs) > 1 and len(setups) == 1
+        ref = setups[0][1].matrix
+        assert sum(a.shape == ref.shape and np.array_equal(a, ref) for a in eigh_inputs) == 1
+
 
 class TestMergeLayoutInvariance:
     # the subsystem order and the role labels of the input state must not
