@@ -36,7 +36,6 @@ from .merging import (
     MergeOutcome,
     MergePlan,
     ensemble_reference_check,
-    epr_boost,
     hadamard_basis,
     merge_trials,
     monte_carlo_merge,

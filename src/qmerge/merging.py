@@ -13,6 +13,14 @@ share (A before the measurement, A1 after), the reference parties of all
 copies, and Bob's side. The parts Bob cannot touch, (A1, R), lead, so
 splitting a state into its kept and Bob's halves, or reducing it to
 (A1, R), is a reshape and copies nothing.
+
+Bob's recovery target |Φ_L⟩ ⊗ ψ^⊗n is never built densely. Its Bob side
+(Φ_L's half plus Alice's and Bob's copies) has rank at most L·r^n with
+r = min(d_R, d_A·d_B), and one copy's thin SVD gives that support, so the
+target is written in that basis: a B part of side L·r^n instead of
+L·(d_A·d_B)^n. The recovery isometry maps Bob's post-measurement share into
+this basis, and the achieved fidelity is still the overlap of the recovered
+state with the target.
 """
 
 from __future__ import annotations
@@ -41,7 +49,7 @@ from .core import (
     reduced_density,
     split_matrix,
     stream_rng,
-    tensor,
+    tensor,  # noqa: F401  (bench/test_bench.py reads qmerge.merging.tensor)
     trace_distance,
 )
 from .entropy import conditional_entropy
@@ -126,24 +134,6 @@ def _ceil_bits(x: float) -> int:
     return max(0, math.ceil(x - 1e-9))
 
 
-def epr_boost(psi: PureState, k: int) -> PureState:
-    """Append k EPR pairs, one half to Alice's side and one to Bob's.
-
-    Each pair lowers the A-group/B-group conditional entropy by one bit; the
-    halves get the first free A0/B0, A1/B1, ... labels.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    taken, j = set(psi.layout.labels), 0
-    while k > 0:
-        ca, cb = f"A{j}", f"B{j}"
-        if ca not in taken and cb not in taken:
-            psi = tensor(psi, bell_pair(ca, cb))
-            k -= 1
-        j += 1
-    return psi
-
-
 def plan_merge(
     psi: PureState,
     n: int,
@@ -212,20 +202,26 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, scored: bool = True):
 
     Returns the prepared state ψ^⊗n ⊗ Φ_{2^k} (boost halves last on both
     sides), I/L ⊗ ρ_R^⊗n (a Kronecker power of the one-copy ρ_R) and Bob's
-    target |Φ_L⟩ ⊗ ψ^⊗n, whose B part holds Φ_L's half, then Alice's
-    copies, then Bob's. With ``scored`` false only the prepared state is
-    built and the target cap is not checked.
+    target |Φ_L⟩ ⊗ ψ^⊗n written in an orthonormal basis of its Bob-side
+    support. One copy as an (R × AB) matrix is U·S·Vh; Vh's r = min(d_R,
+    d_A·d_B) rows span the copy's Bob side, where its amplitudes are the
+    (R × r) matrix U·S (zero singular values give zero columns). The target
+    is |Φ_L⟩ ⊗ (U·S)^⊗n: kept parts (A1 = L, R = d_R^n, rows in the order
+    of the prepared state's R) and a B part of side L·r^n, Φ_L's half
+    first. With ``scored`` false only the prepared state is built and the
+    target cap is not checked.
     """
     pa, pb = psi.layout.position(plan.alice), psi.layout.position(plan.bob)
     others = [i for i in range(len(psi.layout)) if i not in (pa, pb)]
     one = psi.tensor_view().transpose([pa, *others, pb])
     one = one.reshape(one.shape[0], -1, one.shape[-1])
     boost, block = 2 ** plan.k_boost, plan.block_dim
+    rank = min(one.shape[1], one.shape[0] * one.shape[2])  # r = min(d_R, d_A·d_B)
     if psi.dim ** plan.n * boost ** 2 > dim_cap:
         raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
     if one.shape[0] ** plan.n * boost != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
-    if scored and block ** 2 * psi.dim ** plan.n > dim_cap:
+    if scored and block ** 2 * (one.shape[1] * rank) ** plan.n > dim_cap:
         raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
     copies = np.ones((1, 1, 1), dtype=complex)
     for _ in range(plan.n):
@@ -241,9 +237,11 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, scored: bool = True):
     rho_r = _trace_alice_bob(one)
     ref_sigma = DensityOperator(SubsystemLayout(kept),
                                 reduce(np.kron, [rho_r] * plan.n, np.eye(block) / block))
+    per_copy = one.transpose(1, 0, 2).reshape(one.shape[1], -1)  # one copy as (R, AB)
+    u, s, _ = np.linalg.svd(per_copy, full_matrices=False)
     phi = bell_pair(dim=block).tensor_view()
-    target = PureState(SubsystemLayout((*kept, ("B", block * d_a * d_b))),
-                       np.einsum("xy,arb->xrayb", phi, copies))
+    target = PureState(SubsystemLayout((*kept, ("B", block * rank ** plan.n))),
+                       np.einsum("xy,ri->xryi", phi, reduce(np.kron, [u * s] * plan.n)))
     return prepared, ref_sigma, target
 
 

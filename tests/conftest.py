@@ -5,7 +5,7 @@ import pytest
 
 import qmerge
 from qmerge import presets
-from qmerge.core import DensityOperator, PureState, SubsystemLayout
+from qmerge.core import DensityOperator, PureState, SubsystemLayout, tensor
 
 
 def random_pure_state(rng, labels_dims) -> PureState:
@@ -20,6 +20,24 @@ def random_density(rng, labels_dims, rank=None) -> DensityOperator:
     g = rng.standard_normal((layout.dim, r)) + 1j * rng.standard_normal((layout.dim, r))
     mat = g @ g.conj().T
     return DensityOperator(layout, mat / mat.trace())
+
+
+def epr_boost(psi: PureState, k: int) -> PureState:
+    """Append k EPR pairs, one half to Alice's side and one to Bob's.
+
+    Each pair lowers the A-group/B-group conditional entropy by one bit; the
+    halves get the first free A0/B0, A1/B1, ... labels.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    taken, j = set(psi.layout.labels), 0
+    while k > 0:
+        ca, cb = f"A{j}", f"B{j}"
+        if ca not in taken and cb not in taken:
+            psi = tensor(psi, presets.bell_pair(ca, cb))
+            k -= 1
+        j += 1
+    return psi
 
 
 def decoupling_test_state(seed=11, threshold=-0.3) -> PureState:

@@ -8,18 +8,22 @@ import pytest
 import qmerge
 from qmerge import presets
 from qmerge.core import (
+    DEFAULT_PURE_CAP,
     DimensionCapError,
+    PureState,
+    SubsystemLayout,
+    block_measure,
     fidelity,
     haar_unitary,
     permute_subsystems,
     reduced_density,
     stream_rng,
+    tensor,
 )
 from qmerge.entropy import conditional_entropy, mutual_information
 from qmerge.merging import (
     MergePlan,
     ensemble_reference_check,
-    epr_boost,
     hadamard_basis,
     merge_trials,
     monte_carlo_merge,
@@ -29,7 +33,38 @@ from qmerge.merging import (
     run_merge,
     run_merge_exhaustive,
 )
-from conftest import random_pure_state
+from conftest import epr_boost, random_pure_state
+
+KEEP = ("A1", "R")
+
+
+def trial_posts(psi, plan, seed, count):
+    """The shared setup and the post-measurement states of trials
+    0..count-1 on streams (seed, n, t), drawn as merge_trials draws them."""
+    setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
+    posts = []
+    for t in range(count):
+        rng = stream_rng(seed, plan.n, t)
+        basis = haar_unitary(plan.alice_dim, rng)
+        posts.append(block_measure(setup[0], "A", basis, plan.block_dim, rng, "A1")[1])
+    return setup, posts
+
+
+def dense_target(psi, plan):
+    """|Φ_L⟩ ⊗ ψ^⊗n built densely from tensor products: the kept parts are
+    A1 and the fused reference copies (copy 0 most significant); Bob holds
+    Φ_L's half, Alice's copies and Bob's copies."""
+    n = plan.n
+    state = presets.bell_pair("A1", "BL", dim=plan.block_dim)
+    for i in range(n):
+        state = tensor(state, presets.pure(
+            [(f"{label}_{i}", d) for label, d in psi.layout.parts], psi.amplitudes))
+    refs = [f"R_{i}" for i in range(n)]
+    bobs = ["BL", *[f"A_{i}" for i in range(n)], *[f"B_{i}" for i in range(n)]]
+    state = permute_subsystems(state, ("A1", *refs, *bobs))
+    layout = SubsystemLayout((("A1", plan.block_dim), ("R", state.layout.dim_of(refs)),
+                              ("B", state.layout.dim_of(bobs))))
+    return PureState(layout, state.amplitudes)
 
 
 class TestEprBoost:
@@ -125,7 +160,7 @@ class TestRunMerge:
 
     def test_boost_larger_than_target_side(self):
         # default slack adds a second boost pair: Bob's side (dim 8) exceeds
-        # the target side (dim 4) and recovery must route through junk
+        # the target's Bob side (L·r = 2) and recovery must route through junk
         psi = presets.random_pure((2, 2, 2), seed=11)
         assert conditional_entropy(psi, "A", "B") > 0
         plan = plan_merge(psi, 1, slack_bits=1.0)
@@ -140,8 +175,8 @@ class TestRunMerge:
 
 
 class TestMergeTrials:
-    # n=1 on the random state sends Bob's spent boost pairs to junk (his
-    # side is 8, the target's 4); n=2 has equal sides
+    # on the random state Bob's spent boost pairs go to junk: his side is
+    # 8 at n=1 and 16 at n=2, the target's Bob side L·r^n only 2 and 4
     @pytest.mark.parametrize("spec,n", [
         ("seed11", 3), ("random-pure:2x2x2:11", 1), ("random-pure:2x2x2:11", 2),
     ])
@@ -171,6 +206,57 @@ class TestMergeTrials:
         assert len(outs) > 1 and len(setups) == 1
         ref = setups[0][1].matrix
         assert sum(a.shape == ref.shape and np.array_equal(a, ref) for a in eigh_inputs) == 1
+
+
+class TestFactoredTarget:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ["seed11", "random-pure:2x2x2:11"])
+    def test_matches_dense_target_oracle(self, seed11_state, spec, n):
+        psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
+        plan = plan_merge(psi, n)
+        (_, _, target), (post,) = trial_posts(psi, plan, 11, 1)
+        out = run_merge(psi, plan, stream_rng(11, n, 0))
+        dense = dense_target(psi, plan)
+        oracle = recovered_overlap_sq(post, dense, KEEP, recovery_isometry(post, dense, KEEP))
+        assert abs(out.achieved_fidelity - oracle) <= 1e-12
+        d_a, d_b, d_r = (psi.layout.dim_of(label) for label in ("A", "B", "R"))
+        assert target.layout.dim_of("B") == plan.block_dim * min(d_r, d_a * d_b) ** n
+        if spec != "seed11":  # spent boost pairs: Bob's side outgrows the target's
+            assert post.layout.dim_of("B") > target.layout.dim_of("B")
+
+    def test_recovery_fitted_to_another_trial_falls_short(self, seed11_state):
+        # achieved_fidelity is a real recovery: a V fitted to the wrong post
+        # state must miss the Uhlmann optimum of the real one
+        plan = plan_merge(seed11_state, 3)
+        (_, _, target), (post, other) = trial_posts(seed11_state, plan, 11, 2)
+        out = run_merge(seed11_state, plan, stream_rng(11, 3, 0))
+        right = recovery_isometry(post, target, KEEP)
+        assert recovered_overlap_sq(post, target, KEEP, right) == out.achieved_fidelity
+        wrong = recovery_isometry(other, target, KEEP)
+        assert recovered_overlap_sq(post, target, KEEP, wrong) < out.uhlmann_fidelity - 1e-6
+
+    def test_l4_plan_at_n6_fits_the_cap(self):
+        # -2/3 < S(A|B) < -1/2 plans L=4 at n=6, whose dense target would
+        # need L²·8^6 = 2^22 amplitudes; the factored one needs 2^16
+        psi = presets.parse_state("random-pure:2x2x2:58")
+        assert -2 / 3 < conditional_entropy(psi, "A", "B") < -1 / 2
+        plan = plan_merge(psi, 6)
+        assert plan.block_dim == 4
+        assert plan.block_dim ** 2 * psi.dim ** 6 > DEFAULT_PURE_CAP
+        out = run_merge(psi, plan, stream_rng(17, 6, 0))
+        assert abs(out.achieved_fidelity - out.uhlmann_fidelity) <= 1e-6
+        with pytest.raises(DimensionCapError, match="prepared state"):
+            run_merge(psi, plan_merge(psi, 7), stream_rng(17, 7, 0))
+
+    def test_target_cap_counts_factored_amplitudes(self):
+        # EPR ⊗ |0⟩_R at n=2 plans L=4: the prepared state has 8² = 64
+        # amplitudes, the target L²·d_R²·r² = 256 (r = min(d_R, d_A·d_B) = 2)
+        psi = tensor(presets.bell_pair(), presets.basis_state((("R", 2),)))
+        plan = plan_merge(psi, 2, slack_bits=0.0)
+        assert plan.block_dim == 4
+        run_merge(psi, plan, stream_rng(18, 2, 0), dim_cap=256)
+        with pytest.raises(DimensionCapError, match="target state"):
+            run_merge(psi, plan, stream_rng(18, 2, 0), dim_cap=128)
 
 
 class TestMergeLayoutInvariance:
