@@ -16,7 +16,6 @@ from .core import (
     haar_unitary,
     partial_trace,
     permute_subsystems,
-    purify,
     reduced_density,
     stream_rng,
     tensor,

@@ -299,33 +299,6 @@ def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
     return DensityOperator(layout, m @ m.conj().T)
 
 
-def purify(rho: DensityOperator, new_label: str) -> PureState:
-    """Canonical purification with the purifier appended as ``new_label``.
-
-    Eigenvalues are taken in descending order and each eigenvector's first
-    nonzero component is rotated real positive, so the output is
-    reproducible. The purifier dimension equals the rank of ``rho``.
-    """
-    if new_label in rho.layout.labels:
-        raise ValueError(f"label {new_label!r} already present in layout")
-    lam, vecs = np.linalg.eigh(rho.matrix)
-    order = np.argsort(-lam, kind="stable")
-    lam, vecs = lam[order], vecs[:, order]
-    rank = max(1, int(np.sum(lam > RANK_TOL)))
-    lam = np.clip(lam[:rank], 0.0, None)
-    vecs = vecs[:, :rank]
-    for i in range(rank):
-        col = vecs[:, i]
-        nz = np.flatnonzero(np.abs(col) > RANK_TOL)
-        if nz.size:
-            col0 = col[nz[0]]
-            vecs[:, i] = col * (col0.conjugate() / abs(col0))
-    amps = (vecs * np.sqrt(lam)).reshape(-1)  # index = system * rank + purifier
-    layout = SubsystemLayout(rho.layout.parts + ((new_label, rank),))
-    amps = amps / np.linalg.norm(amps)
-    return PureState(layout, amps)
-
-
 def permute_subsystems(state: State, new_order: Sequence[str]) -> State:
     """Reorder the layout; all reduced operators are invariant."""
     layout = state.layout
@@ -361,10 +334,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _measurement_blocks(psi: PureState, party: str, unitary: np.ndarray, block_size: int):
-    """Check a coarse-grained measurement of ``party`` and return a generator
-    of its unnormalized branch tensors: the rotated state with the party's
-    axis cut to each block of ``block_size`` indices in turn."""
+def _measurement_blocks(psi: PureState, party: str, unitary: np.ndarray, block_size: int,
+                        new_label: str):
+    """Check a coarse-grained measurement of ``party`` and return its
+    unnormalized branch tensors, their Born probabilities (checked to sum to
+    1) and the post-measurement layout. The tensors are views of the rotated
+    state with the party's axis cut to each block of ``block_size`` indices
+    in turn."""
     pos = psi.layout.position(party)
     d = psi.layout.dims[pos]
     if d % block_size != 0:
@@ -376,10 +352,16 @@ def _measurement_blocks(psi: PureState, party: str, unitary: np.ndarray, block_s
         raise ValueError("measurement basis matrix is not unitary")
     rotated = np.tensordot(w, psi.tensor_view(), axes=([1], [pos]))
     rotated = np.moveaxis(rotated, 0, pos)
-    return (
-        np.take(rotated, range(k * block_size, (k + 1) * block_size), axis=pos)
-        for k in range(d // block_size)
-    )
+    lead = (slice(None),) * pos
+    blocks = [rotated[lead + (slice(k * block_size, (k + 1) * block_size),)]
+              for k in range(d // block_size)]
+    probs = [float(np.vdot(block, block).real) for block in blocks]
+    total = sum(probs)
+    if abs(total - 1.0) > 1e-10:
+        raise AssertionError(f"branch probabilities sum to {total!r}")
+    parts = list(psi.layout.parts)
+    parts[pos] = (new_label, block_size)
+    return blocks, probs, SubsystemLayout(tuple(parts))
 
 
 def block_branches(
@@ -393,22 +375,9 @@ def block_branches(
     sampling floor carry ``None``. The measured party is relabeled to
     ``new_label`` with dimension ``block_size``.
     """
-    blocks = _measurement_blocks(psi, party, unitary, block_size)
-    parts = list(psi.layout.parts)
-    parts[psi.layout.position(party)] = (new_label, block_size)
-    post_layout = SubsystemLayout(tuple(parts))
-    branches: list[tuple[int, float, PureState | None]] = []
-    for k, block in enumerate(blocks):
-        p = float(np.vdot(block, block).real)
-        if p < ZERO_PROB:
-            branches.append((k, max(p, 0.0), None))
-            continue
-        post = PureState(post_layout, (block / np.sqrt(p)).reshape(-1))
-        branches.append((k, p, post))
-    total = sum(p for _, p, _ in branches)
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError(f"branch probabilities sum to {total!r}")
-    return branches
+    blocks, probs, layout = _measurement_blocks(psi, party, unitary, block_size, new_label)
+    return [(k, p, None if p < ZERO_PROB else PureState(layout, block / np.sqrt(p)))
+            for k, (block, p) in enumerate(zip(blocks, probs))]
 
 
 def block_measure(
@@ -422,14 +391,14 @@ def block_measure(
     """Sample one outcome of the coarse-grained measurement (Born rule).
 
     Zero-probability branches are excluded from the sampling distribution and
-    the remaining probabilities renormalized.
+    the remaining probabilities renormalized. Only the sampled branch's
+    post-measurement state is built; it equals :func:`block_branches`' entry.
     """
-    branches = block_branches(psi, party, unitary, block_size, new_label)
-    live = [(k, p, post) for k, p, post in branches if post is not None]
-    probs = np.array([p for _, p, _ in live])
-    idx = rng.choice(len(live), p=probs / probs.sum())
-    k, p, post = live[int(idx)]
-    return k, post, p
+    blocks, probs, layout = _measurement_blocks(psi, party, unitary, block_size, new_label)
+    live = [k for k, p in enumerate(probs) if p >= ZERO_PROB]
+    weights = np.array([probs[k] for k in live])
+    k = live[int(rng.choice(len(live), p=weights / weights.sum()))]
+    return k, PureState(layout, blocks[k] / np.sqrt(probs[k])), probs[k]
 
 
 # ---------------------------------------------------------------------------

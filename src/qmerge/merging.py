@@ -21,6 +21,15 @@ target is written in that basis: a B part of side L·r^n instead of
 L·(d_A·d_B)^n. The recovery isometry maps Bob's post-measurement share into
 this basis, and the achieved fidelity is still the overlap of the recovered
 state with the target.
+
+Each outcome is scored against τ = I/L ⊗ ρ_R^⊗n in the reference's support,
+not on the full side L·d_R^n. Every branch satisfies p_k·σ_R^(k) ≤ ρ_R^⊗n
+(the branches average to ρ_R^⊗n), so σ(A1,R) and τ both live in
+C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n with r_R = rank ρ_R. In the eigenbasis
+of the one-copy ρ_R, τ is diagonal. σ = M·M† for the post state's (A1·R, B)
+matrix M, so the Uhlmann fidelity is ‖√τ·M‖₁², one SVD with no square root
+of σ. Recovery uses neither the projector nor √τ, so the achieved fidelity
+stays an independent check of that number.
 """
 
 from __future__ import annotations
@@ -35,6 +44,8 @@ import numpy as np
 
 from .core import (
     DEFAULT_PURE_CAP,
+    NORM_TOL,
+    RANK_TOL,
     DimensionCapError,
     DensityOperator,
     Labels,
@@ -44,9 +55,7 @@ from .core import (
     as_labels,
     block_branches,
     block_measure,
-    fidelity,
     haar_unitary,
-    reduced_density,
     split_matrix,
     stream_rng,
     tensor,  # noqa: F401  (bench/test_bench.py reads qmerge.merging.tensor)
@@ -201,9 +210,17 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, scored: bool = True):
     the kept (A1, R) parts lead and splitting off Bob's side is a reshape.
 
     Returns the prepared state ψ^⊗n ⊗ Φ_{2^k} (boost halves last on both
-    sides), I/L ⊗ ρ_R^⊗n (a Kronecker power of the one-copy ρ_R) and Bob's
-    target |Φ_L⟩ ⊗ ψ^⊗n written in an orthonormal basis of its Bob-side
-    support. One copy as an (R × AB) matrix is U·S·Vh; Vh's r = min(d_R,
+    sides), the reference support basis and Bob's target.
+
+    The support basis comes from one ``eigh`` of the one-copy ρ_R: its r_R
+    eigenvectors V above ``RANK_TOL``·λ_max give the copy-wise projector
+    P = (V†)^⊗n (r_R^n × d_R^n, copy 0 most significant like R), and
+    τ = I/L ⊗ diag(λ)^⊗n is a diagonal density operator on (A1 = L,
+    R = r_R^n). No operator of side L·d_R^n is built. P has no more entries
+    than the target, whose cap counts L²·d_R^n·r^n.
+
+    Bob's target |Φ_L⟩ ⊗ ψ^⊗n is written in an orthonormal basis of its
+    Bob-side support. One copy as an (R × AB) matrix is U·S·Vh; Vh's r = min(d_R,
     d_A·d_B) rows span the copy's Bob side, where its amplitudes are the
     (R × r) matrix U·S (zero singular values give zero columns). The target
     is |Φ_L⟩ ⊗ (U·S)^⊗n: kept parts (A1 = L, R = d_R^n, rows in the order
@@ -233,16 +250,20 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, scored: bool = True):
                          np.einsum("arb,xy->axrby", copies, phi))
     if not scored:
         return prepared, None, None
+    lam, vecs = np.linalg.eigh(_trace_alice_bob(one))  # the one-copy ρ_R
+    live = lam > RANK_TOL * lam[-1]
+    lam, vecs = lam[live], vecs[:, live]
+    proj = reduce(np.kron, [vecs.conj().T] * plan.n)
+    weights = np.kron(np.full(block, 1 / block), reduce(np.kron, [lam] * plan.n))
+    ref_tau = DensityOperator(
+        SubsystemLayout(((RESIDUAL_LABEL, block), ("R", lam.size ** plan.n))), np.diag(weights))
     kept = ((RESIDUAL_LABEL, block), ("R", d_r))
-    rho_r = _trace_alice_bob(one)
-    ref_sigma = DensityOperator(SubsystemLayout(kept),
-                                reduce(np.kron, [rho_r] * plan.n, np.eye(block) / block))
     per_copy = one.transpose(1, 0, 2).reshape(one.shape[1], -1)  # one copy as (R, AB)
     u, s, _ = np.linalg.svd(per_copy, full_matrices=False)
     phi = bell_pair(dim=block).tensor_view()
     target = PureState(SubsystemLayout((*kept, ("B", block * rank ** plan.n))),
                        np.einsum("xy,ri->xryi", phi, reduce(np.kron, [u * s] * plan.n)))
-    return prepared, ref_sigma, target
+    return prepared, (proj, ref_tau), target
 
 
 def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.ndarray:
@@ -296,14 +317,22 @@ def recovered_overlap_sq(
 
 
 def _outcome(index: int, prob: float, post: PureState, plan: MergePlan, setup) -> MergeOutcome:
-    _, ref_sigma, target = setup
-    sigma = reduced_density(post, _KEEP)
+    _, (proj, ref_tau), target = setup
+    m = (proj @ post.tensor_view()).reshape(ref_tau.dim, -1)  # (I_L ⊗ P)·M
+    lost = 1.0 - np.vdot(m, m).real
+    if lost > NORM_TOL:
+        raise ValueError(f"post-measurement reference has weight {lost!r} outside the "
+                         "support of ρ_R^⊗n")
+    sigma = DensityOperator(ref_tau.layout, m @ m.conj().T)
+    # Tr|√τ√σ| = ‖√τ·M‖₁, with √τ read off τ's diagonal
+    root = np.sqrt(ref_tau.matrix.diagonal().real)
+    nuclear = np.linalg.svd(root[:, None] * m, compute_uv=False).sum()
     v = recovery_isometry(post, target, _KEEP)
     return MergeOutcome(
         outcome_index=index,
         probability=prob,
-        decoupling_error=trace_distance(sigma, ref_sigma),
-        uhlmann_fidelity=fidelity(sigma, ref_sigma),
+        decoupling_error=trace_distance(sigma, ref_tau),
+        uhlmann_fidelity=float(min(1.0, nuclear ** 2)),
         achieved_fidelity=recovered_overlap_sq(post, target, _KEEP, v),
         epr_net_bits=math.log2(plan.block_dim) - plan.k_boost,
         cbits=math.log2(plan.outcome_count),
@@ -394,7 +423,7 @@ def ensemble_reference_check(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {max_outcomes}"
         )
     prepared = _setup(psi, plan, dim_cap, scored=False)[0]
-    blocks = _measurement_blocks(prepared, "A", unitary, plan.block_dim)
+    blocks = _measurement_blocks(prepared, "A", unitary, plan.block_dim, RESIDUAL_LABEL)[0]
     layout = SubsystemLayout((("R", prepared.layout.dims[1]),))
     rho_refs = DensityOperator(layout, _trace_alice_bob(prepared.tensor_view()))
     avg = sum(_trace_alice_bob(block) for block in blocks)  # blocks are (A1, R, B)

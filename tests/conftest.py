@@ -1,11 +1,12 @@
-"""Shared helpers: seeded random states and the fixed decoupling test state."""
+"""Shared helpers: seeded random states, a canonical purification, the EPR
+boost and the fixed decoupling test state."""
 
 import numpy as np
 import pytest
 
 import qmerge
 from qmerge import presets
-from qmerge.core import DensityOperator, PureState, SubsystemLayout, tensor
+from qmerge.core import RANK_TOL, DensityOperator, PureState, SubsystemLayout, tensor
 
 
 def random_pure_state(rng, labels_dims) -> PureState:
@@ -20,6 +21,33 @@ def random_density(rng, labels_dims, rank=None) -> DensityOperator:
     g = rng.standard_normal((layout.dim, r)) + 1j * rng.standard_normal((layout.dim, r))
     mat = g @ g.conj().T
     return DensityOperator(layout, mat / mat.trace())
+
+
+def purify(rho: DensityOperator, new_label: str) -> PureState:
+    """Canonical purification with the purifier appended as ``new_label``.
+
+    Eigenvalues are taken in descending order and each eigenvector's first
+    nonzero component is rotated real positive, so the output is
+    reproducible. The purifier dimension equals the rank of ``rho``.
+    """
+    if new_label in rho.layout.labels:
+        raise ValueError(f"label {new_label!r} already present in layout")
+    lam, vecs = np.linalg.eigh(rho.matrix)
+    order = np.argsort(-lam, kind="stable")
+    lam, vecs = lam[order], vecs[:, order]
+    rank = max(1, int(np.sum(lam > RANK_TOL)))
+    lam = np.clip(lam[:rank], 0.0, None)
+    vecs = vecs[:, :rank]
+    for i in range(rank):
+        col = vecs[:, i]
+        nz = np.flatnonzero(np.abs(col) > RANK_TOL)
+        if nz.size:
+            col0 = col[nz[0]]
+            vecs[:, i] = col * (col0.conjugate() / abs(col0))
+    amps = (vecs * np.sqrt(lam)).reshape(-1)  # index = system * rank + purifier
+    layout = SubsystemLayout(rho.layout.parts + ((new_label, rank),))
+    amps = amps / np.linalg.norm(amps)
+    return PureState(layout, amps)
 
 
 def epr_boost(psi: PureState, k: int) -> PureState:

@@ -19,12 +19,11 @@ from qmerge.core import (
     haar_unitary,
     partial_trace,
     permute_subsystems,
-    purify,
     reduced_density,
     tensor,
     trace_distance,
 )
-from conftest import random_density, random_pure_state
+from conftest import purify, random_density, random_pure_state
 
 
 def ket(*amps):
@@ -208,6 +207,23 @@ class TestBlockMeasure:
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="divide"):
             block_measure(presets.bell_pair(), "A", np.eye(2), 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("party,block", [("A", 2), ("B", 1), ("C", 2)])
+    def test_sampled_branch_equals_block_branches_entry(self, party, block):
+        # block_measure builds only the sampled branch; it must be the same
+        # outcome, probability and amplitudes block_branches gives, drawn by
+        # one Born-rule choice over the live branches in outcome order
+        rng = np.random.default_rng(10)
+        for seed in range(8):
+            psi = random_pure_state(rng, (("A", 4), ("B", 3), ("C", 4)))
+            w = haar_unitary(psi.layout.dim_of(party), rng)
+            k, post, p = block_measure(psi, party, w, block, np.random.default_rng(seed), "X")
+            live = [b for b in block_branches(psi, party, w, block, "X") if b[2] is not None]
+            probs = np.array([q for _, q, _ in live])
+            want = live[int(np.random.default_rng(seed).choice(len(live), p=probs / probs.sum()))]
+            assert (k, p) == want[:2]
+            assert post.layout == want[2].layout
+            np.testing.assert_array_equal(post.amplitudes, want[2].amplitudes)
 
     def test_zero_probability_branch_never_sampled(self):
         psi = presets.basis_state((("A", 2), ("B", 2)))  # branch 1 has p = 0

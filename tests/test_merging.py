@@ -1,6 +1,7 @@
 """Merge planning, the measurement/recovery loop, and resource accounting."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ import qmerge
 from qmerge import presets
 from qmerge.core import (
     DEFAULT_PURE_CAP,
+    DensityOperator,
     DimensionCapError,
     PureState,
     SubsystemLayout,
+    block_branches,
     block_measure,
     fidelity,
     haar_unitary,
@@ -19,6 +22,7 @@ from qmerge.core import (
     reduced_density,
     stream_rng,
     tensor,
+    trace_distance,
 )
 from qmerge.entropy import conditional_entropy, mutual_information
 from qmerge.merging import (
@@ -186,8 +190,9 @@ class TestMergeTrials:
         shared = merge_trials(psi, plan, (stream_rng(11, n, t) for t in range(5)))
         assert shared == [run_merge(psi, plan, stream_rng(11, n, t)) for t in range(5)]
 
-    def test_reference_sigma_diagonalized_once_per_run(self, seed11_state, monkeypatch):
-        # every outcome's fidelity takes √ of the one shared I/L ⊗ ρ_R^⊗n
+    def test_one_eigh_per_run_on_the_one_copy_reference(self, seed11_state, monkeypatch):
+        # τ = I/L ⊗ ρ_R^⊗n is diagonal in the eigenbasis of the one-copy ρ_R:
+        # one setup, one d_R×d_R eigh, and no outcome diagonalizes anything
         setups, eigh_inputs = [], []
         setup, eigh = qmerge.merging._setup, np.linalg.eigh
 
@@ -199,13 +204,68 @@ class TestMergeTrials:
             eigh_inputs.append(np.array(a))
             return eigh(a, *args, **kwargs)
 
+        plan = plan_merge(seed11_state, 3)
         monkeypatch.setattr(qmerge.merging, "_setup", recording_setup)
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-        plan = plan_merge(seed11_state, 3)
         outs = run_merge_exhaustive(seed11_state, plan, unitary=hadamard_basis(plan.alice_dim))
-        assert len(outs) > 1 and len(setups) == 1
-        ref = setups[0][1].matrix
-        assert sum(a.shape == ref.shape and np.array_equal(a, ref) for a in eigh_inputs) == 1
+        monkeypatch.undo()
+        assert len(outs) == plan.outcome_count > 1 and len(setups) == 1
+        assert len(eigh_inputs) == 1
+        rho_r = reduced_density(seed11_state, "R").matrix
+        assert eigh_inputs[0].shape == rho_r.shape == (2, 2)
+        np.testing.assert_allclose(eigh_inputs[0], rho_r, atol=1e-12)
+
+
+class TestReferenceSupportScoring:
+    # every outcome is scored in C^L ⊗ supp(ρ_R)^⊗n; the oracles below build
+    # the dense I/L ⊗ ρ_R^⊗n and score with core.fidelity / trace_distance
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_achieved_equals_uhlmann_seed11(self, seed11_state, n):
+        plan = plan_merge(seed11_state, n)
+        for out in merge_trials(seed11_state, plan, (stream_rng(11, n, t) for t in range(3))):
+            assert abs(out.achieved_fidelity - out.uhlmann_fidelity) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("spec", ["seed11", "cc-pure", "ghz:4", "random-pure:2x2x2:7"])
+    def test_matches_dense_reference_oracle(self, seed11_state, spec, n):
+        psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
+        plan = plan_merge(psi, n)
+        w = haar_unitary(plan.alice_dim, stream_rng(19, n))
+        outs = run_merge_exhaustive(psi, plan, unitary=w)
+        prepared = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP, scored=False)[0]
+        posts = {k: post for k, _, post in
+                 block_branches(prepared, "A", w, plan.block_dim, "A1") if post is not None}
+        assert [o.outcome_index for o in outs] == list(posts)
+        refs = [label for label in psi.layout.labels if label not in ("A", "B")]
+        rho_r = reduced_density(psi, refs).matrix if refs else np.eye(1)
+        dense = DensityOperator(
+            SubsystemLayout((("A1", plan.block_dim), ("R", rho_r.shape[0] ** n))),
+            reduce(np.kron, [rho_r] * n, np.eye(plan.block_dim) / plan.block_dim))
+        for out in outs:
+            sigma = reduced_density(posts[out.outcome_index], KEEP)
+            assert abs(out.uhlmann_fidelity - fidelity(sigma, dense)) <= 1e-8
+            assert abs(out.decoupling_error - trace_distance(sigma, dense)) <= 1e-8
+
+    def test_ghz4_exhaustive_n5(self):
+        psi = presets.parse_state("ghz:4")
+        plan = plan_merge(psi, 5)
+        outs = run_merge_exhaustive(psi, plan, stream_rng(1, 5))
+        assert len(outs) == plan.outcome_count == 32
+        for out in outs:
+            assert abs(out.achieved_fidelity - out.uhlmann_fidelity) <= 1e-12
+
+    def test_projector_dropping_a_live_eigenvector_raises(self, seed11_state):
+        plan = plan_merge(seed11_state, 2)
+        setup, (post,) = trial_posts(seed11_state, plan, 11, 1)
+        prepared, (_, tau), target = setup
+        qmerge.merging._outcome(0, 1.0, post, plan, setup)  # the intact projector
+        lam, vecs = np.linalg.eigh(reduced_density(seed11_state, "R").matrix)
+        assert lam[0] > 1e-3  # both eigenvectors of ρ_R carry weight
+        vecs[:, -1] = 0
+        short = reduce(np.kron, [vecs.conj().T] * plan.n)
+        with pytest.raises(ValueError, match="support"):
+            qmerge.merging._outcome(0, 1.0, post, plan, (prepared, (short, tau), target))
 
 
 class TestFactoredTarget:
