@@ -15,7 +15,6 @@ from .core import (
     fidelity,
     haar_unitary,
     partial_trace,
-    permute_subsystems,
     reduced_density,
     stream_rng,
     tensor,

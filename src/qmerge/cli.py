@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -34,7 +35,6 @@ from .core import (
 from .entropy import EntropyReport, conditional_entropy, subset_entropy, subsets_in_counting_order
 from .merging import (
     CurveRow,
-    MergeOutcome,
     MergePlan,
     hadamard_basis,
     merge_trials,
@@ -62,9 +62,12 @@ def _labels_arg(text: str) -> tuple[str, ...]:
 
 def _rates_arg(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in text.split(","))
+        rates = tuple(float(x) for x in text.split(","))
     except ValueError as err:
         raise argparse.ArgumentTypeError(f"bad rate vector {text!r}") from err
+    if not all(map(math.isfinite, rates)):
+        raise argparse.ArgumentTypeError(f"bad rate vector {text!r}, rates must be finite")
+    return rates
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -91,6 +94,7 @@ def _bounded_arg(convert, ok, what: str):
 
 
 _positive_int = _bounded_arg(int, lambda v: v >= 1, "an integer >= 1")
+_seed = _bounded_arg(int, lambda v: v >= 0, "an integer >= 0")
 _slack_bits = _bounded_arg(float, lambda v: math.isfinite(v) and v >= 0,
                            "a finite number >= 0")
 
@@ -117,27 +121,11 @@ def _plan_dict(plan: MergePlan) -> dict:
     }
 
 
-def _outcome_dict(out: MergeOutcome) -> dict:
-    return {
-        "outcome_index": out.outcome_index,
-        "probability": out.probability,
-        "decoupling_error": out.decoupling_error,
-        "uhlmann_fidelity": out.uhlmann_fidelity,
-        "achieved_fidelity": out.achieved_fidelity,
-        "epr_net_bits": out.epr_net_bits,
-        "cbits": out.cbits,
-    }
-
-
-_CURVE_FIELDS = (
-    "n", "trials", "block_dim", "outcome_count", "k_boost", "epr_net_bits",
-    "cbits", "fidelity_mean", "fidelity_median", "fidelity_min",
-    "decoupling_mean", "decoupling_median", "decoupling_min", "skipped",
-)
+_CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(CurveRow))
 
 
 def _curve_dict(row: CurveRow) -> dict:
-    return {key: _clean(getattr(row, key)) for key in _CURVE_FIELDS}
+    return {key: _clean(value) for key, value in dataclasses.asdict(row).items()}
 
 
 def _emit_json(obj) -> str:
@@ -234,7 +222,7 @@ def cmd_merge(args) -> str:
         rngs = (stream_rng(args.seed, args.n, t) for t in range(args.trials))
         outcomes = merge_trials(state, plan, rngs, unitary=unitary, dim_cap=cap)
     plan_d = _plan_dict(plan)
-    out_ds = [_outcome_dict(o) for o in outcomes]
+    out_ds = [dataclasses.asdict(o) for o in outcomes]
     header = tuple(plan_d.keys()) + tuple(out_ds[0].keys())
     rows = [tuple(plan_d.values()) + tuple(d.values()) for d in out_ds]
     return _emit(args, {"plan": plan_d, "outcomes": out_ds}, header, rows)
@@ -356,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="aggregate trials for each copy count in the range")
     p.add_argument("--slack", type=_slack_bits, default=1.0)
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="score every outcome of one measurement basis")
     p.add_argument("--basis", choices=("haar", "hadamard"), default="haar",
@@ -379,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="side-information rate pair for a helper channel")
     p.add_argument("--channel", required=True, help="path to a JSON channel file")
     p.add_argument("--restarts", type=_positive_int, default=4)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--cap-out", type=_positive_int, default=None)
     p.add_argument("--cap-env", type=_positive_int, default=None)
     p.set_defaults(func=cmd_sideinfo)

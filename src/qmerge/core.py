@@ -135,11 +135,6 @@ class PureState:
         """The rank-one projector |ψ⟩⟨ψ| as a density operator."""
         return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def relabeled(self, mapping: dict[str, str]) -> "PureState":
-        """Rename subsystems without touching amplitudes."""
-        parts = tuple((mapping.get(l, l), d) for l, d in self.layout.parts)
-        return PureState(SubsystemLayout(parts), self.amplitudes)
-
 
 @dataclass(frozen=True)
 class DensityOperator:
@@ -182,10 +177,6 @@ class DensityOperator:
         root = (vecs * np.sqrt(lam)) @ vecs.conj().T
         root.setflags(write=False)
         return root
-
-    def relabeled(self, mapping: dict[str, str]) -> "DensityOperator":
-        parts = tuple((mapping.get(l, l), d) for l, d in self.layout.parts)
-        return DensityOperator(SubsystemLayout(parts), self.matrix)
 
 
 @dataclass(frozen=True)
@@ -297,23 +288,6 @@ def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
     m = split_matrix(psi, kept)
     layout = SubsystemLayout(tuple((l, psi.layout.dim_of(l)) for l in kept))
     return DensityOperator(layout, m @ m.conj().T)
-
-
-def permute_subsystems(state: State, new_order: Sequence[str]) -> State:
-    """Reorder the layout; all reduced operators are invariant."""
-    layout = state.layout
-    if sorted(new_order) != sorted(layout.labels):
-        raise ValueError(f"{tuple(new_order)} is not a permutation of {layout.labels}")
-    perm = [layout.position(l) for l in new_order]
-    new_layout = _sub_layout(layout, perm)
-    n = len(layout)
-    if isinstance(state, PureState):
-        amps = state.tensor_view().transpose(perm).reshape(-1)
-        return PureState(new_layout, amps)
-    t = state.matrix.reshape(layout.dims + layout.dims)
-    t = t.transpose([*perm, *(n + i for i in perm)])
-    d = layout.dim
-    return DensityOperator(new_layout, t.reshape(d, d))
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,9 @@ def mutual_information(state: State, a: Labels, b: Labels) -> float:
     return EntropyReport(state).mutual(a, b)
 
 
-def coherent_information(state: State, a: Labels, b: Labels, legacy: bool = False) -> float:
+def coherent_information(state: State, a: Labels, b: Labels) -> float:
     """I(A⟩B); see :meth:`EntropyReport.coherent`."""
-    return EntropyReport(state).coherent(a, b, legacy)
+    return EntropyReport(state).coherent(a, b)
 
 
 def ssa_margin(state: State, a: Labels, b: Labels, c: Labels) -> float:
@@ -125,11 +125,6 @@ class EntropyReport:
         a_t, b_t = _disjoint(self.state, a, b)
         return self.entropy(a_t) + self.entropy(b_t) - self.entropy(a_t + b_t)
 
-    def coherent(self, a: Labels, b: Labels, legacy: bool = False) -> float:
-        """I(A⟩B) = −S(A|B), signed.
-
-        ``legacy=True`` returns the clamped variant max{S(B) − S(AB), 0} for
-        comparison with the older convention.
-        """
-        value = -self.conditional(a, b) + 0.0  # avoid -0.0
-        return max(value, 0.0) if legacy else value
+    def coherent(self, a: Labels, b: Labels) -> float:
+        """I(A⟩B) = −S(A|B), signed."""
+        return -self.conditional(a, b) + 0.0  # avoid -0.0

@@ -26,10 +26,12 @@ Each outcome is scored against τ = I/L ⊗ ρ_R^⊗n in the reference's support
 not on the full side L·d_R^n. Every branch satisfies p_k·σ_R^(k) ≤ ρ_R^⊗n
 (the branches average to ρ_R^⊗n), so σ(A1,R) and τ both live in
 C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n with r_R = rank ρ_R. In the eigenbasis
-of the one-copy ρ_R, τ is diagonal. σ = M·M† for the post state's (A1·R, B)
-matrix M, so the Uhlmann fidelity is ‖√τ·M‖₁², one SVD with no square root
-of σ. Recovery uses neither the projector nor √τ, so the achieved fidelity
-stays an independent check of that number.
+of the one-copy ρ_R, τ is diagonal and is kept as its weight vector w. With
+M the post state's (A1·R, B) matrix in that basis, σ = M·M†: the decoupling
+error is ½·Σ|eigvalsh(M·M† − diag w)| and the Uhlmann fidelity is
+‖√w·M‖₁², one SVD with no square root of σ. Recovery uses neither the
+projector nor w, so the achieved fidelity stays an independent check of that
+number.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .entropy import conditional_entropy
 from .presets import bell_pair
 
 DEFAULT_SLACK_BITS = 1.0
+_MAX_PLAN_BITS = 64     # log2 of the largest prepared state any plan may ask for
 RESIDUAL_LABEL = "A1"   # Alice's post-measurement share
 _KEEP = (RESIDUAL_LABEL, "R")   # the parts Bob's recovery cannot touch
 
@@ -156,6 +159,10 @@ def plan_merge(
     then targets rate −S(A|B) per copy, backed off by ``slack_bits`` and
     restricted to powers of the smallest prime factor of Alice's dimension
     so that blocks divide her space exactly.
+
+    A plan whose prepared state ψ^⊗n ⊗ Φ_{2^k} would exceed 2^64 amplitudes,
+    which no cap admits, raises :class:`DimensionCapError` before its
+    dimensions are formed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -165,7 +172,12 @@ def plan_merge(
         psi.layout.position(label)
     s = conditional_entropy(psi, alice, bob)
     d_a = psi.layout.dim_of(alice)
+    too_big = f"plan needs over 2^{_MAX_PLAN_BITS} prepared amplitudes"
+    if psi.dim ** min(n, _MAX_PLAN_BITS + 1) > 2 ** _MAX_PLAN_BITS:
+        raise DimensionCapError(too_big)
     k = _ceil_bits(n * s) + _ceil_bits(slack_bits) if s > 1e-9 else 0
+    if psi.dim ** n * 4 ** min(k, _MAX_PLAN_BITS) > 2 ** _MAX_PLAN_BITS:
+        raise DimensionCapError(too_big)
     d_total = d_a ** n * 2 ** k
     budget = k - n * s - slack_bits  # −n·S′(A|B) − slack, S′ per copy after boost
     clipped = budget < -1e-9
@@ -200,46 +212,26 @@ def _trace_alice_bob(t: np.ndarray) -> np.ndarray:
     return sum(m @ m.conj().T for m in t)
 
 
-def _setup(psi: PureState, plan: MergePlan, dim_cap: int, scored: bool = True):
-    """What every trial of one plan shares, built from one ψ^⊗n.
+def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
+    """One copy of ψ and the prepared state ψ^⊗n ⊗ Φ_{2^k}.
 
-    ψ^⊗n is built once as an (Alice, reference, Bob) array: Alice's n
-    copies fused with copy 0 most significant, every other party of every
-    copy fused into the reference R (dimension 1 when there is none), and
-    Bob's copies. Every state derived from it is laid out (A|A1, R, B), so
-    the kept (A1, R) parts lead and splitting off Bob's side is a reshape.
-
-    Returns the prepared state ψ^⊗n ⊗ Φ_{2^k} (boost halves last on both
-    sides), the reference support basis and Bob's target.
-
-    The support basis comes from one ``eigh`` of the one-copy ρ_R: its r_R
-    eigenvectors V above ``RANK_TOL``·λ_max give the copy-wise projector
-    P = (V†)^⊗n (r_R^n × d_R^n, copy 0 most significant like R), and
-    τ = I/L ⊗ diag(λ)^⊗n is a diagonal density operator on (A1 = L,
-    R = r_R^n). No operator of side L·d_R^n is built. P has no more entries
-    than the target, whose cap counts L²·d_R^n·r^n.
-
-    Bob's target |Φ_L⟩ ⊗ ψ^⊗n is written in an orthonormal basis of its
-    Bob-side support. One copy as an (R × AB) matrix is U·S·Vh; Vh's r = min(d_R,
-    d_A·d_B) rows span the copy's Bob side, where its amplitudes are the
-    (R × r) matrix U·S (zero singular values give zero columns). The target
-    is |Φ_L⟩ ⊗ (U·S)^⊗n: kept parts (A1 = L, R = d_R^n, rows in the order
-    of the prepared state's R) and a B part of side L·r^n, Φ_L's half
-    first. With ``scored`` false only the prepared state is built and the
-    target cap is not checked.
+    The copy is an (Alice, reference, Bob) array: every party other than
+    Alice and Bob is fused into the reference R (dimension 1 when there is
+    none). ψ^⊗n is built once from it with Alice's n copies fused, copy 0
+    most significant, and likewise R and Bob's copies; the boost halves go
+    last on both sides. The prepared state is laid out (A, R, B), so every
+    state derived from it keeps the (A1, R) parts leading and splitting off
+    Bob's side is a reshape.
     """
     pa, pb = psi.layout.position(plan.alice), psi.layout.position(plan.bob)
     others = [i for i in range(len(psi.layout)) if i not in (pa, pb)]
     one = psi.tensor_view().transpose([pa, *others, pb])
     one = one.reshape(one.shape[0], -1, one.shape[-1])
-    boost, block = 2 ** plan.k_boost, plan.block_dim
-    rank = min(one.shape[1], one.shape[0] * one.shape[2])  # r = min(d_R, d_A·d_B)
+    boost = 2 ** plan.k_boost
     if psi.dim ** plan.n * boost ** 2 > dim_cap:
         raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
     if one.shape[0] ** plan.n * boost != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
-    if scored and block ** 2 * (one.shape[1] * rank) ** plan.n > dim_cap:
-        raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
     copies = np.ones((1, 1, 1), dtype=complex)
     for _ in range(plan.n):
         shape = [c * d for c, d in zip(copies.shape, one.shape)]
@@ -248,22 +240,57 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, scored: bool = True):
     phi = bell_pair(dim=boost).tensor_view()
     prepared = PureState(SubsystemLayout((("A", d_a * boost), ("R", d_r), ("B", d_b * boost))),
                          np.einsum("arb,xy->axrby", copies, phi))
-    if not scored:
-        return prepared, None, None
+    return one, prepared
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """What every scored trial of one plan shares."""
+
+    prepared: PureState   # ψ^⊗n ⊗ Φ_{2^k}, laid out (A, R, B)
+    proj: np.ndarray      # P = (V†)^⊗n onto supp(ρ_R)^⊗n
+    weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) in P's basis
+    target: PureState     # |Φ_L⟩ ⊗ ψ^⊗n in its Bob-side support
+
+
+def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
+    """:func:`_prepare`'s state, the reference support, τ's weights and Bob's target.
+
+    The support basis comes from one ``eigh`` of the one-copy ρ_R: its r_R
+    eigenvectors V above ``RANK_TOL``·λ_max give the copy-wise projector
+    P = (V†)^⊗n (r_R^n × d_R^n, copy 0 most significant like R). In that
+    basis τ = I/L ⊗ ρ_R^⊗n is diagonal, and its weight vector
+    w = 1/L ⊗ λ^⊗n (side L·r_R^n, A1 most significant) is all that is kept.
+    No operator of side L·d_R^n is built. P has no more entries than the
+    target, whose cap counts L²·d_R^n·r^n.
+
+    Bob's target |Φ_L⟩ ⊗ ψ^⊗n is written in an orthonormal basis of its
+    Bob-side support. One copy as an (R × AB) matrix is U·S·Vh; Vh's r = min(d_R,
+    d_A·d_B) rows span the copy's Bob side, where its amplitudes are the
+    (R × r) matrix U·S (zero singular values give zero columns). The target
+    is |Φ_L⟩ ⊗ (U·S)^⊗n: kept parts (A1 = L, R = d_R^n, rows in the order
+    of the prepared state's R) and a B part of side L·r^n, Φ_L's half
+    first.
+    """
+    one, prepared = _prepare(psi, plan, dim_cap)
+    block, d_r = plan.block_dim, prepared.layout.dims[1]
+    rank = min(one.shape[1], one.shape[0] * one.shape[2])  # r = min(d_R, d_A·d_B)
+    if block ** 2 * (one.shape[1] * rank) ** plan.n > dim_cap:
+        raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
     lam, vecs = np.linalg.eigh(_trace_alice_bob(one))  # the one-copy ρ_R
     live = lam > RANK_TOL * lam[-1]
     lam, vecs = lam[live], vecs[:, live]
-    proj = reduce(np.kron, [vecs.conj().T] * plan.n)
-    weights = np.kron(np.full(block, 1 / block), reduce(np.kron, [lam] * plan.n))
-    ref_tau = DensityOperator(
-        SubsystemLayout(((RESIDUAL_LABEL, block), ("R", lam.size ** plan.n))), np.diag(weights))
-    kept = ((RESIDUAL_LABEL, block), ("R", d_r))
     per_copy = one.transpose(1, 0, 2).reshape(one.shape[1], -1)  # one copy as (R, AB)
     u, s, _ = np.linalg.svd(per_copy, full_matrices=False)
     phi = bell_pair(dim=block).tensor_view()
-    target = PureState(SubsystemLayout((*kept, ("B", block * rank ** plan.n))),
-                       np.einsum("xy,ri->xryi", phi, reduce(np.kron, [u * s] * plan.n)))
-    return prepared, (proj, ref_tau), target
+    kept = ((RESIDUAL_LABEL, block), ("R", d_r))
+    return _Setup(
+        prepared=prepared,
+        proj=reduce(np.kron, [vecs.conj().T] * plan.n),
+        weights=np.kron(np.full(block, 1 / block), reduce(np.kron, [lam] * plan.n)),
+        target=PureState(SubsystemLayout((*kept, ("B", block * rank ** plan.n))),
+                         np.einsum("xy,ri->xryi", phi, reduce(np.kron, [u * s] * plan.n))),
+    )
 
 
 def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.ndarray:
@@ -316,24 +343,25 @@ def recovered_overlap_sq(
     return float(min(1.0, (np.abs(overlaps) ** 2).sum()))
 
 
-def _outcome(index: int, prob: float, post: PureState, plan: MergePlan, setup) -> MergeOutcome:
-    _, (proj, ref_tau), target = setup
-    m = (proj @ post.tensor_view()).reshape(ref_tau.dim, -1)  # (I_L ⊗ P)·M
+def _outcome(index: int, prob: float, post: PureState, plan: MergePlan,
+             setup: _Setup) -> MergeOutcome:
+    w = setup.weights
+    m = (setup.proj @ post.tensor_view()).reshape(w.size, -1)  # (I_L ⊗ P)·M
     lost = 1.0 - np.vdot(m, m).real
     if lost > NORM_TOL:
         raise ValueError(f"post-measurement reference has weight {lost!r} outside the "
                          "support of ρ_R^⊗n")
-    sigma = DensityOperator(ref_tau.layout, m @ m.conj().T)
-    # Tr|√τ√σ| = ‖√τ·M‖₁, with √τ read off τ's diagonal
-    root = np.sqrt(ref_tau.matrix.diagonal().real)
-    nuclear = np.linalg.svd(root[:, None] * m, compute_uv=False).sum()
-    v = recovery_isometry(post, target, _KEEP)
+    # σ = M·M† is PSD by construction and the check above fixes its trace;
+    # ½‖σ − τ‖₁ from one eigvalsh, and Tr|√τ√σ| = ‖√w·M‖₁
+    lam = np.linalg.eigvalsh(m @ m.conj().T - np.diag(w))
+    nuclear = np.linalg.svd(np.sqrt(w)[:, None] * m, compute_uv=False).sum()
+    v = recovery_isometry(post, setup.target, _KEEP)
     return MergeOutcome(
         outcome_index=index,
         probability=prob,
-        decoupling_error=trace_distance(sigma, ref_tau),
+        decoupling_error=float(0.5 * np.abs(lam).sum()),
         uhlmann_fidelity=float(min(1.0, nuclear ** 2)),
-        achieved_fidelity=recovered_overlap_sq(post, target, _KEEP, v),
+        achieved_fidelity=recovered_overlap_sq(post, setup.target, _KEEP, v),
         epr_net_bits=math.log2(plan.block_dim) - plan.k_boost,
         cbits=math.log2(plan.outcome_count),
     )
@@ -365,7 +393,7 @@ def merge_trials(
     outcomes = []
     for rng in rngs:
         basis = _basis(plan, rng, unitary)
-        k, post, p = block_measure(setup[0], "A", basis, plan.block_dim, rng,
+        k, post, p = block_measure(setup.prepared, "A", basis, plan.block_dim, rng,
                                    RESIDUAL_LABEL)
         outcomes.append(_outcome(k, p, post, plan, setup))
     return outcomes
@@ -399,7 +427,7 @@ def run_merge_exhaustive(
         )
     setup = _setup(psi, plan, dim_cap)
     basis = _basis(plan, rng, unitary)
-    branches = block_branches(setup[0], "A", basis, plan.block_dim, RESIDUAL_LABEL)
+    branches = block_branches(setup.prepared, "A", basis, plan.block_dim, RESIDUAL_LABEL)
     return [_outcome(k, p, post, plan, setup) for k, p, post in branches if post is not None]
 
 
@@ -422,7 +450,7 @@ def ensemble_reference_check(
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {max_outcomes}"
         )
-    prepared = _setup(psi, plan, dim_cap, scored=False)[0]
+    prepared = _prepare(psi, plan, dim_cap)[1]
     blocks = _measurement_blocks(prepared, "A", unitary, plan.block_dim, RESIDUAL_LABEL)[0]
     layout = SubsystemLayout((("R", prepared.layout.dims[1]),))
     rho_refs = DensityOperator(layout, _trace_alice_bob(prepared.tensor_view()))

@@ -1,12 +1,22 @@
-"""Shared helpers: seeded random states, a canonical purification, the EPR
-boost and the fixed decoupling test state."""
+"""Shared helpers: seeded random states, a canonical purification, subsystem
+reordering and renaming, the EPR boost and the fixed decoupling test state."""
+
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 import qmerge
 from qmerge import presets
-from qmerge.core import RANK_TOL, DensityOperator, PureState, SubsystemLayout, tensor
+from qmerge.core import (
+    RANK_TOL,
+    DensityOperator,
+    PureState,
+    State,
+    SubsystemLayout,
+    _sub_layout,
+    tensor,
+)
 
 
 def random_pure_state(rng, labels_dims) -> PureState:
@@ -48,6 +58,29 @@ def purify(rho: DensityOperator, new_label: str) -> PureState:
     layout = SubsystemLayout(rho.layout.parts + ((new_label, rank),))
     amps = amps / np.linalg.norm(amps)
     return PureState(layout, amps)
+
+
+def permute_subsystems(state: State, new_order: Sequence[str]) -> State:
+    """Reorder the layout; all reduced operators are invariant."""
+    layout = state.layout
+    if sorted(new_order) != sorted(layout.labels):
+        raise ValueError(f"{tuple(new_order)} is not a permutation of {layout.labels}")
+    perm = [layout.position(l) for l in new_order]
+    new_layout = _sub_layout(layout, perm)
+    n = len(layout)
+    if isinstance(state, PureState):
+        amps = state.tensor_view().transpose(perm).reshape(-1)
+        return PureState(new_layout, amps)
+    t = state.matrix.reshape(layout.dims + layout.dims)
+    t = t.transpose([*perm, *(n + i for i in perm)])
+    d = layout.dim
+    return DensityOperator(new_layout, t.reshape(d, d))
+
+
+def relabeled(psi: PureState, mapping: dict[str, str]) -> PureState:
+    """``psi`` with subsystems renamed by ``mapping``; amplitudes untouched."""
+    parts = tuple((mapping.get(l, l), d) for l, d in psi.layout.parts)
+    return PureState(SubsystemLayout(parts), psi.amplitudes)
 
 
 def epr_boost(psi: PureState, k: int) -> PureState:

@@ -213,6 +213,16 @@ class TestRegionCommand:
         assert doc["point"]["contained"] is False
         assert "A" in doc["point"]["violations"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
+    def test_non_finite_point_rejected_naming_the_flag(self, capsys, rate, fmt):
+        with pytest.raises(SystemExit) as exc:
+            main(["region", "--state", "epr", f"--point={rate},1", "--format", fmt])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("qmerge region: error: argument --point: ")
+
     def test_mac_flag_infers_decoder_group(self, capsys):
         _, out, _ = run_cli(capsys, "region", "--state", "ghz:3", "--mac")
         doc = json.loads(out)
@@ -392,6 +402,19 @@ def test_usage_errors_are_one_line(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith(f"qmerge {argv[0]}: error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("merge", "--state", "epr", "-n", "1", "--seed", "-1"),
+    ("sideinfo", "--state", "cc-pure", "--channel", "c.json", "--seed", "-1"),
+])
+def test_negative_seed_rejected_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == (f"qmerge {argv[0]}: error: argument --seed: "
+                            "expected an integer >= 0, got '-1'\n")
 
 
 def test_cli_import_loads_no_scipy():

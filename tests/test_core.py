@@ -18,12 +18,11 @@ from qmerge.core import (
     fidelity,
     haar_unitary,
     partial_trace,
-    permute_subsystems,
     reduced_density,
     tensor,
     trace_distance,
 )
-from conftest import purify, random_density, random_pure_state
+from conftest import permute_subsystems, purify, random_density, random_pure_state
 
 
 def ket(*amps):

@@ -9,7 +9,6 @@ from qmerge import presets
 from qmerge.core import (
     DensityOperator,
     haar_unitary,
-    permute_subsystems,
     tensor,
 )
 from qmerge.entropy import (
@@ -22,7 +21,7 @@ from qmerge.entropy import (
     subsets_in_counting_order,
     von_neumann_entropy,
 )
-from conftest import random_density, random_pure_state
+from conftest import permute_subsystems, random_density, random_pure_state
 
 
 def h2(p):
@@ -80,7 +79,6 @@ class TestCoherentInformation:
     def test_example1_signed_vs_legacy(self):
         rho = presets.example1()
         assert abs(coherent_information(rho, "A", "B") + 1.0) < 1e-12
-        assert coherent_information(rho, "A", "B", legacy=True) == 0.0
 
     def test_classically_correlated(self):
         assert abs(coherent_information(presets.classically_correlated(), "A", "B")) < 1e-12

@@ -1,5 +1,6 @@
 """Merge planning, the measurement/recovery loop, and resource accounting."""
 
+import dataclasses
 import math
 from functools import reduce
 
@@ -18,7 +19,6 @@ from qmerge.core import (
     block_measure,
     fidelity,
     haar_unitary,
-    permute_subsystems,
     reduced_density,
     stream_rng,
     tensor,
@@ -37,7 +37,7 @@ from qmerge.merging import (
     run_merge,
     run_merge_exhaustive,
 )
-from conftest import epr_boost, random_pure_state
+from conftest import epr_boost, permute_subsystems, random_pure_state, relabeled
 
 KEEP = ("A1", "R")
 
@@ -50,7 +50,7 @@ def trial_posts(psi, plan, seed, count):
     for t in range(count):
         rng = stream_rng(seed, plan.n, t)
         basis = haar_unitary(plan.alice_dim, rng)
-        posts.append(block_measure(setup[0], "A", basis, plan.block_dim, rng, "A1")[1])
+        posts.append(block_measure(setup.prepared, "A", basis, plan.block_dim, rng, "A1")[1])
     return setup, posts
 
 
@@ -95,6 +95,16 @@ class TestEprBoost:
 
 
 class TestPlanMerge:
+    @pytest.mark.parametrize("spec,n,slack", [
+        ("epr", 33, 1.0),                  # 4^33 amplitudes before any boost
+        ("epr", 10 ** 400, 1.0),           # never formed as 2^n
+        ("example1-pure", 1, 31.0),        # 8·4^32: the boost carries the slack
+        ("example1-pure", 1, 1e300),
+    ])
+    def test_plans_no_cap_admits_raise_before_forming_dimensions(self, spec, n, slack):
+        with pytest.raises(DimensionCapError, match="2\\^64"):
+            plan_merge(presets.parse_state(spec), n, slack_bits=slack)
+
     def test_bell_three_copies(self):
         plan = plan_merge(presets.bell_pair(), 3, slack_bits=0.0)
         assert (plan.k_boost, plan.block_dim, plan.outcome_count) == (0, 8, 1)
@@ -215,6 +225,23 @@ class TestMergeTrials:
         assert eigh_inputs[0].shape == rho_r.shape == (2, 2)
         np.testing.assert_allclose(eigh_inputs[0], rho_r, atol=1e-12)
 
+    def test_one_eigvalsh_per_outcome(self, seed11_state, monkeypatch):
+        # σ is never validated as a DensityOperator: its decoupling error is
+        # the only spectrum an outcome takes, and τ needs none
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        plan = plan_merge(seed11_state, 3)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        outs = run_merge_exhaustive(seed11_state, plan, unitary=hadamard_basis(plan.alice_dim))
+        monkeypatch.undo()
+        assert len(outs) == plan.outcome_count > 1
+        side = plan.block_dim * 2 ** 3  # L·r_R^n with r_R = 2
+        assert calls == [(side, side)] * plan.outcome_count
+
 
 class TestReferenceSupportScoring:
     # every outcome is scored in C^L ⊗ supp(ρ_R)^⊗n; the oracles below build
@@ -233,7 +260,7 @@ class TestReferenceSupportScoring:
         plan = plan_merge(psi, n)
         w = haar_unitary(plan.alice_dim, stream_rng(19, n))
         outs = run_merge_exhaustive(psi, plan, unitary=w)
-        prepared = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP, scored=False)[0]
+        prepared = qmerge.merging._prepare(psi, plan, DEFAULT_PURE_CAP)[1]
         posts = {k: post for k, _, post in
                  block_branches(prepared, "A", w, plan.block_dim, "A1") if post is not None}
         assert [o.outcome_index for o in outs] == list(posts)
@@ -258,14 +285,13 @@ class TestReferenceSupportScoring:
     def test_projector_dropping_a_live_eigenvector_raises(self, seed11_state):
         plan = plan_merge(seed11_state, 2)
         setup, (post,) = trial_posts(seed11_state, plan, 11, 1)
-        prepared, (_, tau), target = setup
         qmerge.merging._outcome(0, 1.0, post, plan, setup)  # the intact projector
         lam, vecs = np.linalg.eigh(reduced_density(seed11_state, "R").matrix)
         assert lam[0] > 1e-3  # both eigenvectors of ρ_R carry weight
         vecs[:, -1] = 0
         short = reduce(np.kron, [vecs.conj().T] * plan.n)
         with pytest.raises(ValueError, match="support"):
-            qmerge.merging._outcome(0, 1.0, post, plan, (prepared, (short, tau), target))
+            qmerge.merging._outcome(0, 1.0, post, plan, dataclasses.replace(setup, proj=short))
 
 
 class TestFactoredTarget:
@@ -274,7 +300,8 @@ class TestFactoredTarget:
     def test_matches_dense_target_oracle(self, seed11_state, spec, n):
         psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
         plan = plan_merge(psi, n)
-        (_, _, target), (post,) = trial_posts(psi, plan, 11, 1)
+        setup, (post,) = trial_posts(psi, plan, 11, 1)
+        target = setup.target
         out = run_merge(psi, plan, stream_rng(11, n, 0))
         dense = dense_target(psi, plan)
         oracle = recovered_overlap_sq(post, dense, KEEP, recovery_isometry(post, dense, KEEP))
@@ -288,7 +315,8 @@ class TestFactoredTarget:
         # achieved_fidelity is a real recovery: a V fitted to the wrong post
         # state must miss the Uhlmann optimum of the real one
         plan = plan_merge(seed11_state, 3)
-        (_, _, target), (post, other) = trial_posts(seed11_state, plan, 11, 2)
+        setup, (post, other) = trial_posts(seed11_state, plan, 11, 2)
+        target = setup.target
         out = run_merge(seed11_state, plan, stream_rng(11, 3, 0))
         right = recovery_isometry(post, target, KEEP)
         assert recovered_overlap_sq(post, target, KEEP, right) == out.achieved_fidelity
@@ -327,7 +355,7 @@ class TestMergeLayoutInvariance:
         if variant == "permuted":
             psi, roles = permute_subsystems(seed11_state, ("R", "B", "A")), {}
         else:
-            psi, roles = seed11_state.relabeled({"A": "X", "B": "Y"}), {"alice": "X", "bob": "Y"}
+            psi, roles = relabeled(seed11_state, {"A": "X", "B": "Y"}), {"alice": "X", "bob": "Y"}
         base = merge_trials(seed11_state, plan_merge(seed11_state, 2),
                             (stream_rng(11, 2, t) for t in range(5)))
         moved = merge_trials(psi, plan_merge(psi, 2, **roles),
@@ -360,7 +388,7 @@ class TestRecoveryIsometry:
     def test_worked_example_conditional_correction(self):
         # Bob turns |φ−⟩_BR into the A′BR purification with a local isometry
         phi_minus = presets.pure((("B", 2), ("R", 2)), np.array([1, 0, 0, -1]) / np.sqrt(2))
-        target = presets.cc_purification().relabeled({"A": "A'"})
+        target = relabeled(presets.cc_purification(), {"A": "A'"})
         v = recovery_isometry(phi_minus, target, keep=("R",))
         overlap = recovered_overlap_sq(phi_minus, target, ("R",), v)
         assert abs(overlap - 1.0) < 1e-9
