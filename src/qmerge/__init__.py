@@ -10,9 +10,6 @@ from .core import (
     PureState,
     SubsystemLayout,
     apply_channel,
-    block_branches,
-    block_measure,
-    fidelity,
     haar_unitary,
     partial_trace,
     reduced_density,

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -22,7 +21,6 @@ HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-10
 EIG_FLOOR = -1e-9          # eigenvalues in [EIG_FLOOR, 0] are treated as 0
 RANK_TOL = 1e-12
-ZERO_PROB = 1e-12          # measurement branches below this are never sampled
 
 DEFAULT_PURE_CAP = 2 ** 20      # max amplitudes of any pure state we build
 DEFAULT_DENSITY_CAP = 2 ** 12   # max side length of any density matrix
@@ -153,14 +151,14 @@ class DensityOperator:
         d = self.layout.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
-        if np.abs(mat - mat.conj().T).max() > HERMITIAN_TOL:
+        if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
         tr = mat.trace()
         if not abs(tr - 1.0) <= 1e-10:
             raise ValueError(f"trace {tr!r} is not 1 within 1e-10")
         spectrum = np.linalg.eigvalsh(mat)
         spectrum.setflags(write=False)
-        if spectrum[0] < EIG_FLOOR:
+        if not spectrum[0] >= EIG_FLOOR:
             raise ValueError(f"minimum eigenvalue {spectrum[0]!r} below {EIG_FLOOR}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "spectrum", spectrum)
@@ -168,15 +166,6 @@ class DensityOperator:
     @property
     def dim(self) -> int:
         return self.layout.dim
-
-    @cached_property
-    def sqrt(self) -> np.ndarray:
-        """The PSD square root √ρ, computed on first use and then kept."""
-        lam, vecs = np.linalg.eigh(self.matrix)
-        lam = np.clip(lam, 0.0, None)
-        root = (vecs * np.sqrt(lam)) @ vecs.conj().T
-        root.setflags(write=False)
-        return root
 
 
 @dataclass(frozen=True)
@@ -202,7 +191,7 @@ class ChannelSpec:
                 f"{self.out_dim * self.env_dim}"
             )
         gram = iso.conj().T @ iso
-        if np.abs(gram - np.eye(iso.shape[1])).max() > HERMITIAN_TOL:
+        if not np.abs(gram - np.eye(iso.shape[1])).max() <= HERMITIAN_TOL:
             raise ValueError("isometry columns are not orthonormal within 1e-10")
         object.__setattr__(self, "isometry", iso)
 
@@ -271,27 +260,18 @@ def partial_trace(rho: DensityOperator, keep: Labels) -> DensityOperator:
     return DensityOperator(_sub_layout(rho.layout, keep_pos), reduced)
 
 
-def split_matrix(psi: PureState, keep: Labels) -> np.ndarray:
-    """Amplitudes as a (keep, rest) matrix: rows index ``keep`` in the given
-    order, columns the other subsystems in layout order."""
-    keep_t = as_labels(keep)
-    psi.layout.check_subset(keep_t, "keep")
-    keep_pos = [psi.layout.position(l) for l in keep_t]
-    rest = [i for i in range(len(psi.layout)) if i not in keep_pos]
-    t = psi.tensor_view().transpose(keep_pos + rest)
-    return t.reshape(psi.layout.dim_of(keep_t), -1)
-
-
 def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
-    """Reduced density operator of a pure state, without forming |ψ⟩⟨ψ|."""
-    kept = psi.layout.check_subset(keep, "keep")
-    m = split_matrix(psi, kept)
-    layout = SubsystemLayout(tuple((l, psi.layout.dim_of(l)) for l in kept))
+    """Reduced density operator of a pure state, without forming |ψ⟩⟨ψ|;
+    kept labels stay in layout order."""
+    keep_pos = [psi.layout.position(l) for l in psi.layout.check_subset(keep, "keep")]
+    rest = [i for i in range(len(psi.layout)) if i not in keep_pos]
+    layout = _sub_layout(psi.layout, keep_pos)
+    m = psi.tensor_view().transpose(keep_pos + rest).reshape(layout.dim, -1)
     return DensityOperator(layout, m @ m.conj().T)
 
 
 # ---------------------------------------------------------------------------
-# randomness and measurement
+# randomness
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -308,73 +288,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def _measurement_blocks(psi: PureState, party: str, unitary: np.ndarray, block_size: int,
-                        new_label: str):
-    """Check a coarse-grained measurement of ``party`` and return its
-    unnormalized branch tensors, their Born probabilities (checked to sum to
-    1) and the post-measurement layout. The tensors are views of the rotated
-    state with the party's axis cut to each block of ``block_size`` indices
-    in turn."""
-    pos = psi.layout.position(party)
-    d = psi.layout.dims[pos]
-    if d % block_size != 0:
-        raise ValueError(f"block size {block_size} does not divide party dimension {d}")
-    w = np.asarray(unitary)
-    if w.shape != (d, d):
-        raise ValueError(f"unitary shape {w.shape} does not match party dimension {d}")
-    if not np.abs(w.conj().T @ w - np.eye(d)).max() <= 1e-9:
-        raise ValueError("measurement basis matrix is not unitary")
-    rotated = np.tensordot(w, psi.tensor_view(), axes=([1], [pos]))
-    rotated = np.moveaxis(rotated, 0, pos)
-    lead = (slice(None),) * pos
-    blocks = [rotated[lead + (slice(k * block_size, (k + 1) * block_size),)]
-              for k in range(d // block_size)]
-    probs = [float(np.vdot(block, block).real) for block in blocks]
-    total = sum(probs)
-    if abs(total - 1.0) > 1e-10:
-        raise AssertionError(f"branch probabilities sum to {total!r}")
-    parts = list(psi.layout.parts)
-    parts[pos] = (new_label, block_size)
-    return blocks, probs, SubsystemLayout(tuple(parts))
-
-
-def block_branches(
-    psi: PureState, party: str, unitary: np.ndarray, block_size: int, new_label: str = "A1"
-) -> list[tuple[int, float, PureState | None]]:
-    """All branches of a coarse-grained measurement on one party.
-
-    Rotates the party by ``unitary`` and projects onto consecutive blocks of
-    ``block_size`` computational indices. Returns ``(outcome, probability,
-    post-state)`` for every block; branches with probability below the
-    sampling floor carry ``None``. The measured party is relabeled to
-    ``new_label`` with dimension ``block_size``.
-    """
-    blocks, probs, layout = _measurement_blocks(psi, party, unitary, block_size, new_label)
-    return [(k, p, None if p < ZERO_PROB else PureState(layout, block / np.sqrt(p)))
-            for k, (block, p) in enumerate(zip(blocks, probs))]
-
-
-def block_measure(
-    psi: PureState,
-    party: str,
-    unitary: np.ndarray,
-    block_size: int,
-    rng: np.random.Generator,
-    new_label: str = "A1",
-) -> tuple[int, PureState, float]:
-    """Sample one outcome of the coarse-grained measurement (Born rule).
-
-    Zero-probability branches are excluded from the sampling distribution and
-    the remaining probabilities renormalized. Only the sampled branch's
-    post-measurement state is built; it equals :func:`block_branches`' entry.
-    """
-    blocks, probs, layout = _measurement_blocks(psi, party, unitary, block_size, new_label)
-    live = [k for k, p in enumerate(probs) if p >= ZERO_PROB]
-    weights = np.array([probs[k] for k in live])
-    k = live[int(rng.choice(len(live), p=weights / weights.sum()))]
-    return k, PureState(layout, blocks[k] / np.sqrt(probs[k])), probs[k]
-
-
 # ---------------------------------------------------------------------------
 # distance measures and channels
 
@@ -384,13 +297,6 @@ def _check_same_layout(rho: DensityOperator, sigma: DensityOperator):
         raise ValueError(
             f"layout mismatch: {rho.layout.parts} vs {sigma.layout.parts}"
         )
-
-
-def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Uhlmann fidelity ``(Tr |√ρ √σ|)²`` in the squared convention."""
-    _check_same_layout(rho, sigma)
-    s = np.linalg.svd(rho.sqrt @ sigma.sqrt, compute_uv=False)
-    return float(min(1.0, s.sum() ** 2))
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:

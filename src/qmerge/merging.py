@@ -8,19 +8,23 @@ reconstructs the global state while the reference stays untouched. Resources
 are tallied in ebits (log2 L net of the boost) and cbits (log2 of the
 outcome count).
 
-Every state of a run is laid out as three fused parts (A|A1, R, B): Alice's
-share (A before the measurement, A1 after), the reference parties of all
-copies, and Bob's side. The parts Bob cannot touch, (A1, R), lead, so
-splitting a state into its kept and Bob's halves, or reducing it to
-(A1, R), is a reshape and copies nothing.
+Every state of a run is a plain array of three fused axes (A|A1, R, B):
+Alice's share (A before the measurement, A1 after), the reference parties
+of all copies, and Bob's side. The parts Bob cannot touch, (A1, R), lead,
+so splitting a state into its kept and Bob's halves is a reshape and copies
+nothing. The input ψ is validated once, as the caller's :class:`PureState`;
+no state derived from it is wrapped in one again. Alice's measurement
+(:func:`_branches`, the only code that measures a block) checks its basis
+and that the Born probabilities sum to 1, which is the prepared state's norm
+check.
 
 Bob's recovery target |Φ_L⟩ ⊗ ψ^⊗n is never built densely. Its Bob side
 (Φ_L's half plus Alice's and Bob's copies) has rank at most L·r^n with
 r = min(d_R, d_A·d_B), and one copy's thin SVD gives that support, so the
-target is written in that basis: a B part of side L·r^n instead of
-L·(d_A·d_B)^n. The recovery isometry maps Bob's post-measurement share into
-this basis, and the achieved fidelity is still the overlap of the recovered
-state with the target.
+target is kept as its (A1·R, L·r^n) matrix in that basis instead of
+(A1·R, L·(d_A·d_B)^n). The recovery isometry maps Bob's post-measurement
+share into this basis, and the achieved fidelity is still the overlap of the
+recovered state with the target.
 
 Each outcome is scored against τ = I/L ⊗ ρ_R^⊗n in the reference's support,
 not on the full side L·d_R^n. Every branch satisfies p_k·σ_R^(k) ≤ ρ_R^⊗n
@@ -50,26 +54,18 @@ from .core import (
     RANK_TOL,
     DimensionCapError,
     DensityOperator,
-    Labels,
     PureState,
     SubsystemLayout,
-    _measurement_blocks,
-    as_labels,
-    block_branches,
-    block_measure,
     haar_unitary,
-    split_matrix,
     stream_rng,
     tensor,  # noqa: F401  (bench/test_bench.py reads qmerge.merging.tensor)
     trace_distance,
 )
 from .entropy import conditional_entropy
-from .presets import bell_pair
 
 DEFAULT_SLACK_BITS = 1.0
 _MAX_PLAN_BITS = 64     # log2 of the largest prepared state any plan may ask for
-RESIDUAL_LABEL = "A1"   # Alice's post-measurement share
-_KEEP = (RESIDUAL_LABEL, "R")   # the parts Bob's recovery cannot touch
+ZERO_PROB = 1e-12       # measurement branches below this are never sampled or scored
 
 
 @dataclass(frozen=True)
@@ -170,11 +166,11 @@ def plan_merge(
         raise ValueError("slack_bits must be >= 0")
     for label in (alice, bob):
         psi.layout.position(label)
-    s = conditional_entropy(psi, alice, bob)
-    d_a = psi.layout.dim_of(alice)
     too_big = f"plan needs over 2^{_MAX_PLAN_BITS} prepared amplitudes"
     if psi.dim ** min(n, _MAX_PLAN_BITS + 1) > 2 ** _MAX_PLAN_BITS:
         raise DimensionCapError(too_big)
+    s = conditional_entropy(psi, alice, bob)
+    d_a = psi.layout.dim_of(alice)
     k = _ceil_bits(n * s) + _ceil_bits(slack_bits) if s > 1e-9 else 0
     if psi.dim ** n * 4 ** min(k, _MAX_PLAN_BITS) > 2 ** _MAX_PLAN_BITS:
         raise DimensionCapError(too_big)
@@ -213,15 +209,15 @@ def _trace_alice_bob(t: np.ndarray) -> np.ndarray:
 
 
 def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
-    """One copy of ψ and the prepared state ψ^⊗n ⊗ Φ_{2^k}.
+    """One copy of ψ and the prepared state ψ^⊗n ⊗ Φ_{2^k}, as arrays.
 
     The copy is an (Alice, reference, Bob) array: every party other than
     Alice and Bob is fused into the reference R (dimension 1 when there is
     none). ψ^⊗n is built once from it with Alice's n copies fused, copy 0
     most significant, and likewise R and Bob's copies; the boost halves go
-    last on both sides. The prepared state is laid out (A, R, B), so every
-    state derived from it keeps the (A1, R) parts leading and splitting off
-    Bob's side is a reshape.
+    last on both sides. The prepared state is a read-only (A, R, B) array,
+    so every branch cut from it keeps the (A1, R) axes leading and splitting
+    off Bob's side is a reshape.
     """
     pa, pb = psi.layout.position(plan.alice), psi.layout.position(plan.bob)
     others = [i for i in range(len(psi.layout)) if i not in (pa, pb)]
@@ -237,9 +233,10 @@ def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
         shape = [c * d for c, d in zip(copies.shape, one.shape)]
         copies = np.einsum("arb,xyz->axrybz", copies, one).reshape(shape)
     d_a, d_r, d_b = copies.shape
-    phi = bell_pair(dim=boost).tensor_view()
-    prepared = PureState(SubsystemLayout((("A", d_a * boost), ("R", d_r), ("B", d_b * boost))),
-                         np.einsum("arb,xy->axrby", copies, phi))
+    phi = np.eye(boost) / math.sqrt(boost)  # Φ_{2^k} as a matrix of amplitudes
+    prepared = np.einsum("arb,xy->axrby", copies, phi)
+    prepared = prepared.reshape(d_a * boost, d_r, d_b * boost)
+    prepared.setflags(write=False)
     return one, prepared
 
 
@@ -247,10 +244,10 @@ def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
 class _Setup:
     """What every scored trial of one plan shares."""
 
-    prepared: PureState   # ψ^⊗n ⊗ Φ_{2^k}, laid out (A, R, B)
+    prepared: np.ndarray  # ψ^⊗n ⊗ Φ_{2^k} as a read-only (A, R, B) array
     proj: np.ndarray      # P = (V†)^⊗n onto supp(ρ_R)^⊗n
     weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) in P's basis
-    target: PureState     # |Φ_L⟩ ⊗ ψ^⊗n in its Bob-side support
+    target: np.ndarray    # |Φ_L⟩ ⊗ ψ^⊗n as its (A1·R, Bob-side support) matrix
 
 
 def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
@@ -268,12 +265,12 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
     Bob-side support. One copy as an (R × AB) matrix is U·S·Vh; Vh's r = min(d_R,
     d_A·d_B) rows span the copy's Bob side, where its amplitudes are the
     (R × r) matrix U·S (zero singular values give zero columns). The target
-    is |Φ_L⟩ ⊗ (U·S)^⊗n: kept parts (A1 = L, R = d_R^n, rows in the order
-    of the prepared state's R) and a B part of side L·r^n, Φ_L's half
-    first.
+    is |Φ_L⟩ ⊗ (U·S)^⊗n, kept as a matrix: rows are the kept parts (A1 = L
+    most significant, then R = d_R^n in the order of the prepared state's R),
+    columns a Bob side of L·r^n, Φ_L's half first.
     """
     one, prepared = _prepare(psi, plan, dim_cap)
-    block, d_r = plan.block_dim, prepared.layout.dims[1]
+    block, d_r = plan.block_dim, prepared.shape[1]
     rank = min(one.shape[1], one.shape[0] * one.shape[2])  # r = min(d_R, d_A·d_B)
     if block ** 2 * (one.shape[1] * rank) ** plan.n > dim_cap:
         raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
@@ -282,26 +279,64 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
     lam, vecs = lam[live], vecs[:, live]
     per_copy = one.transpose(1, 0, 2).reshape(one.shape[1], -1)  # one copy as (R, AB)
     u, s, _ = np.linalg.svd(per_copy, full_matrices=False)
-    phi = bell_pair(dim=block).tensor_view()
-    kept = ((RESIDUAL_LABEL, block), ("R", d_r))
+    phi = np.eye(block) / math.sqrt(block)
+    target = np.einsum("xy,ri->xryi", phi, reduce(np.kron, [u * s] * plan.n))
     return _Setup(
         prepared=prepared,
         proj=reduce(np.kron, [vecs.conj().T] * plan.n),
         weights=np.kron(np.full(block, 1 / block), reduce(np.kron, [lam] * plan.n)),
-        target=PureState(SubsystemLayout((*kept, ("B", block * rank ** plan.n))),
-                         np.einsum("xy,ri->xryi", phi, reduce(np.kron, [u * s] * plan.n))),
+        target=target.reshape(block * d_r, -1),
     )
 
 
-def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.ndarray:
+def _branches(prepared: np.ndarray, basis: np.ndarray, block: int):
+    """Alice's coarse-grained measurement of an (A, R, B) array.
+
+    Rotates A by ``basis`` and cuts it into consecutive blocks of ``block``
+    indices. Returns each branch as an unnormalized (A1, R, B) view of the
+    rotated array, and its Born probability. Raises unless ``basis`` is a
+    unitary on A and ``block`` divides A's dimension, and unless the
+    probabilities sum to 1, i.e. unless ``prepared`` is normalized.
+    """
+    d = prepared.shape[0]
+    if d % block != 0:
+        raise ValueError(f"block size {block} does not divide Alice's dimension {d}")
+    w = np.asarray(basis)
+    if w.shape != (d, d):
+        raise ValueError(f"unitary shape {w.shape} does not match Alice's dimension {d}")
+    if not np.abs(w.conj().T @ w - np.eye(d)).max() <= 1e-9:
+        raise ValueError("measurement basis matrix is not unitary")
+    rotated = np.tensordot(w, prepared, axes=([1], [0]))
+    blocks = [rotated[k * block:(k + 1) * block] for k in range(d // block)]
+    probs = [float(np.vdot(b, b).real) for b in blocks]
+    total = sum(probs)
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"branch probabilities sum to {total!r}")
+    return blocks, probs
+
+
+def _sample(prepared: np.ndarray, basis: np.ndarray, block: int, rng: np.random.Generator):
+    """Born-sample one branch of :func:`_branches`, renormalized over those at
+    or above ``ZERO_PROB``. Returns its index, its probability and its
+    normalized (A1, R, B) state, a copy, so the rotated array is freed on
+    return."""
+    blocks, probs = _branches(prepared, basis, block)
+    live = [k for k, p in enumerate(probs) if p >= ZERO_PROB]
+    weights = np.array([probs[k] for k in live])
+    k = live[int(rng.choice(len(live), p=weights / weights.sum()))]
+    return k, probs[k], blocks[k] / np.sqrt(probs[k])
+
+
+def recovery_isometry(post: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Bob's optimal recovery isometry.
 
-    ``keep`` names the subsystems Bob cannot touch (Alice's residual and the
-    reference); everything else is his. The isometry maps his share of
-    ``post`` into his share of ``target`` and maximizes the global overlap,
-    via the polar part of the cross-overlap operator; by Uhlmann's theorem
-    the achieved overlap² equals the fidelity of the two reduced states on
-    ``keep``.
+    ``post`` and ``target`` are (kept, Bob) amplitude matrices: rows index
+    the parts Bob cannot touch (Alice's residual and the reference), the
+    same for both; columns are his. The isometry maps his share of ``post``
+    into his share of ``target`` and maximizes the global overlap, via the
+    polar part of the cross-overlap operator; by Uhlmann's theorem the
+    achieved overlap² equals the fidelity of the two reduced states on the
+    kept parts.
 
     When his input outgrows the target's side (spent EPR boost pairs leave
     him extra systems) the isometry lands in target ⊗ junk: row blocks of
@@ -309,17 +344,10 @@ def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.nd
     extra slices sit in the cross operator's null space so the achieved
     fidelity is still the Uhlmann optimum.
     """
-    keep_t = as_labels(keep)
-    post_keep = tuple(post.layout.parts[post.layout.position(l)] for l in keep_t)
-    target_keep = tuple(target.layout.parts[target.layout.position(l)] for l in keep_t)
-    if post_keep != target_keep:
-        raise ValueError(
-            f"kept subsystems differ: {post_keep} vs {target_keep}"
-        )
-    p = split_matrix(post, keep_t)
-    t = split_matrix(target, keep_t)
-    bp, bt = p.shape[1], t.shape[1]
-    cross = p.T @ t.conj()  # (bob_post, bob_target) overlap operator
+    if post.shape[0] != target.shape[0]:
+        raise ValueError(f"kept dimensions differ: {post.shape[0]} vs {target.shape[0]} rows")
+    bp, bt = post.shape[1], target.shape[1]
+    cross = post.T @ target.conj()  # (bob_post, bob_target) overlap operator
     u, _, vh = np.linalg.svd(cross, full_matrices=bp > bt)
     # the polar part fills the first target-sized slice; the rest of Bob's
     # input space (u's columns past bt) goes to junk indices >= 1
@@ -329,24 +357,23 @@ def recovery_isometry(post: PureState, target: PureState, keep: Labels) -> np.nd
     return out
 
 
-def recovered_overlap_sq(
-    post: PureState, target: PureState, keep: Labels, isometry: np.ndarray
-) -> float:
+def recovered_overlap_sq(post: np.ndarray, target: np.ndarray, isometry: np.ndarray) -> float:
     """Fidelity of Bob's reconstruction with the target: |⟨target|(I ⊗ V)
-    |post⟩|², summed over the discarded junk basis when V carries one."""
-    p = split_matrix(post, keep)
-    t = split_matrix(target, keep)
-    recon = p @ isometry.T  # (keep, target_bob * junk)
-    junk = recon.shape[1] // t.shape[1]
-    recon = recon.reshape(recon.shape[0], junk, t.shape[1])
-    overlaps = np.tensordot(t.conj(), recon, axes=([0, 1], [0, 2]))
+    |post⟩|², summed over the discarded junk basis when V carries one. Both
+    states are (kept, Bob) matrices as in :func:`recovery_isometry`."""
+    recon = post @ isometry.T  # (keep, target_bob * junk)
+    junk = recon.shape[1] // target.shape[1]
+    recon = recon.reshape(recon.shape[0], junk, target.shape[1])
+    overlaps = np.tensordot(target.conj(), recon, axes=([0, 1], [0, 2]))
     return float(min(1.0, (np.abs(overlaps) ** 2).sum()))
 
 
-def _outcome(index: int, prob: float, post: PureState, plan: MergePlan,
+def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
              setup: _Setup) -> MergeOutcome:
+    """Score one branch, given as its normalized (A1, R, B) state."""
+    kept = post.reshape(-1, post.shape[-1])
     w = setup.weights
-    m = (setup.proj @ post.tensor_view()).reshape(w.size, -1)  # (I_L ⊗ P)·M
+    m = (setup.proj @ post).reshape(w.size, -1)  # (I_L ⊗ P)·M
     lost = 1.0 - np.vdot(m, m).real
     if lost > NORM_TOL:
         raise ValueError(f"post-measurement reference has weight {lost!r} outside the "
@@ -355,13 +382,13 @@ def _outcome(index: int, prob: float, post: PureState, plan: MergePlan,
     # ½‖σ − τ‖₁ from one eigvalsh, and Tr|√τ√σ| = ‖√w·M‖₁
     lam = np.linalg.eigvalsh(m @ m.conj().T - np.diag(w))
     nuclear = np.linalg.svd(np.sqrt(w)[:, None] * m, compute_uv=False).sum()
-    v = recovery_isometry(post, setup.target, _KEEP)
+    v = recovery_isometry(kept, setup.target)
     return MergeOutcome(
         outcome_index=index,
         probability=prob,
         decoupling_error=float(0.5 * np.abs(lam).sum()),
         uhlmann_fidelity=float(min(1.0, nuclear ** 2)),
-        achieved_fidelity=recovered_overlap_sq(post, setup.target, _KEEP, v),
+        achieved_fidelity=recovered_overlap_sq(kept, setup.target, v),
         epr_net_bits=math.log2(plan.block_dim) - plan.k_boost,
         cbits=math.log2(plan.outcome_count),
     )
@@ -387,14 +414,13 @@ def merge_trials(
 
     Each trial draws a fresh Haar basis from its generator unless an
     explicit ``unitary`` is injected (test hook), then Born-samples an
-    outcome from the same generator and scores it.
+    outcome from the same generator (:func:`_sample`) and scores that branch
+    alone.
     """
     setup = _setup(psi, plan, dim_cap)
     outcomes = []
     for rng in rngs:
-        basis = _basis(plan, rng, unitary)
-        k, post, p = block_measure(setup.prepared, "A", basis, plan.block_dim, rng,
-                                   RESIDUAL_LABEL)
+        k, p, post = _sample(setup.prepared, _basis(plan, rng, unitary), plan.block_dim, rng)
         outcomes.append(_outcome(k, p, post, plan, setup))
     return outcomes
 
@@ -420,15 +446,16 @@ def run_merge_exhaustive(
     dim_cap: int = DEFAULT_PURE_CAP,
     max_outcomes: int = 256,
 ) -> list[MergeOutcome]:
-    """Score every outcome of one measurement basis instead of sampling."""
+    """Score every outcome of one measurement basis at or above ``ZERO_PROB``
+    instead of sampling."""
     if plan.outcome_count > max_outcomes:
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the exhaustive cap {max_outcomes}"
         )
     setup = _setup(psi, plan, dim_cap)
-    basis = _basis(plan, rng, unitary)
-    branches = block_branches(setup.prepared, "A", basis, plan.block_dim, RESIDUAL_LABEL)
-    return [_outcome(k, p, post, plan, setup) for k, p, post in branches if post is not None]
+    blocks, probs = _branches(setup.prepared, _basis(plan, rng, unitary), plan.block_dim)
+    return [_outcome(k, p, block / np.sqrt(p), plan, setup)
+            for k, (block, p) in enumerate(zip(blocks, probs)) if p >= ZERO_PROB]
 
 
 def ensemble_reference_check(
@@ -451,9 +478,9 @@ def ensemble_reference_check(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {max_outcomes}"
         )
     prepared = _prepare(psi, plan, dim_cap)[1]
-    blocks = _measurement_blocks(prepared, "A", unitary, plan.block_dim, RESIDUAL_LABEL)[0]
-    layout = SubsystemLayout((("R", prepared.layout.dims[1]),))
-    rho_refs = DensityOperator(layout, _trace_alice_bob(prepared.tensor_view()))
+    blocks = _branches(prepared, unitary, plan.block_dim)[0]
+    layout = SubsystemLayout((("R", prepared.shape[1]),))
+    rho_refs = DensityOperator(layout, _trace_alice_bob(prepared))
     avg = sum(_trace_alice_bob(block) for block in blocks)  # blocks are (A1, R, B)
     return trace_distance(DensityOperator(layout, avg), rho_refs)
 

@@ -17,6 +17,7 @@ for ``"kind": "mixed"``), ordered with the first label most significant.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -142,6 +143,8 @@ def parse_state(
             _, dims_part, seed_part = source.split(":")
             dims = tuple(int(d) for d in dims_part.split("x"))
             seed = int(seed_part)
+            if min(dims) < 1 or seed < 0:
+                raise ValueError
         except ValueError:
             raise ValueError(
                 f"bad preset {source!r}, expected random-pure:d1xd2x...:seed"
@@ -169,73 +172,91 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix ``path`` to any usage or cap error raised while reading the file."""
+    try:
+        yield
+    except (ValueError, DimensionCapError) as err:
+        raise type(err)(f"{path}: {err}") from None
+
+
 def _is_count(value) -> bool:
     """A JSON integer >= 1 (``true`` and ``2.0`` are not)."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
-def _complex_array(doc: dict, path: str) -> np.ndarray:
+def _is_entry(value) -> bool:
+    """A JSON number (not ``true``, ``"0.5"`` or ``[1]``) no larger in modulus
+    than any entry of a normalized state, density matrix or isometry can be."""
+    return type(value) in (int, float) and abs(value) <= 1 + FILE_NORM_TOL
+
+
+def _complex_array(doc: dict) -> np.ndarray:
     re, im = doc.get("re"), doc.get("im")
-    if not (isinstance(re, list) and isinstance(im, list) and len(re) == len(im)):
-        raise ValueError(f"{path}: 're' and 'im' must be parallel arrays")
-    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError(f"{path}: 're' and 'im' must hold finite numbers")
-    return re + 1j * im
+    if not (isinstance(re, list) and isinstance(im, list) and len(re) == len(im) and re):
+        raise ValueError("'re' and 'im' must be non-empty parallel arrays")
+    if not all(map(_is_entry, re + im)):
+        raise ValueError("'re' and 'im' must hold finite numbers in [-1, 1]")
+    return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
 
 
 def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
                     density_cap: int = DEFAULT_DENSITY_CAP) -> State:
     doc = _load_json(path)
-    for field in ("labels", "dims", "kind"):
-        if field not in doc:
-            raise ValueError(f"{path}: missing field {field!r}")
-    labels, dims = doc["labels"], doc["dims"]
-    if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
-        raise ValueError(f"{path}: 'labels' must be a list of strings")
-    if not (isinstance(dims, list) and all(_is_count(d) for d in dims)):
-        raise ValueError(f"{path}: 'dims' must be a list of integers >= 1")
-    if len(labels) != len(dims):
-        raise ValueError(f"{path}: 'labels' and 'dims' differ in length")
-    layout = SubsystemLayout(tuple(zip(labels, dims)))
-    data = _complex_array(doc, path)
-    d = layout.dim
-    if doc["kind"] == "pure":
-        if d > pure_cap:
-            raise DimensionCapError(f"{path}: pure dimension {d} exceeds cap {pure_cap}")
-        if data.shape != (d,):
-            raise ValueError(f"{path}: expected {d} amplitudes, got {data.shape[0]}")
-        norm = np.linalg.norm(data)
-        if not abs(norm - 1.0) <= FILE_NORM_TOL:
-            raise ValueError(f"{path}: norm {norm} violates 1 beyond {FILE_NORM_TOL}")
-        return PureState(layout, data / norm)
-    if doc["kind"] == "mixed":
-        if d > density_cap:
-            raise DimensionCapError(f"{path}: matrix side {d} exceeds cap {density_cap}")
-        if data.shape != (d * d,):
-            raise ValueError(f"{path}: expected {d * d} matrix entries, got {data.shape[0]}")
-        mat = data.reshape(d, d)
-        tr = mat.trace()
-        if not abs(tr - 1.0) <= FILE_NORM_TOL:
-            raise ValueError(f"{path}: trace {tr} violates 1 beyond {FILE_NORM_TOL}")
-        mat = (mat + mat.conj().T) / 2 / tr.real  # absorb tolerated drift
-        return DensityOperator(layout, mat)
-    raise ValueError(f"{path}: kind must be 'pure' or 'mixed', got {doc['kind']!r}")
+    with _naming(path):
+        for field in ("labels", "dims", "kind"):
+            if field not in doc:
+                raise ValueError(f"missing field {field!r}")
+        labels, dims = doc["labels"], doc["dims"]
+        if not (isinstance(labels, list) and all(isinstance(l, str) for l in labels)):
+            raise ValueError("'labels' must be a list of strings")
+        if not (isinstance(dims, list) and all(_is_count(d) for d in dims)):
+            raise ValueError("'dims' must be a list of integers >= 1")
+        if len(labels) != len(dims):
+            raise ValueError("'labels' and 'dims' differ in length")
+        layout = SubsystemLayout(tuple(zip(labels, dims)))
+        data = _complex_array(doc)
+        d = layout.dim
+        if doc["kind"] == "pure":
+            if d > pure_cap:
+                raise DimensionCapError(f"pure dimension {d} exceeds cap {pure_cap}")
+            if data.shape != (d,):
+                raise ValueError(f"expected {d} amplitudes, got {data.shape[0]}")
+            norm = np.linalg.norm(data)
+            if not abs(norm - 1.0) <= FILE_NORM_TOL:
+                raise ValueError(f"norm {norm} violates 1 beyond {FILE_NORM_TOL}")
+            return PureState(layout, data / norm)
+        if doc["kind"] == "mixed":
+            if d > density_cap:
+                raise DimensionCapError(f"matrix side {d} exceeds cap {density_cap}")
+            if data.shape != (d * d,):
+                raise ValueError(f"expected {d * d} matrix entries, got {data.shape[0]}")
+            mat = data.reshape(d, d)
+            tr = mat.trace()
+            if not abs(tr - 1.0) <= FILE_NORM_TOL:
+                raise ValueError(f"trace {tr} violates 1 beyond {FILE_NORM_TOL}")
+            mat = (mat + mat.conj().T) / 2 / tr.real  # absorb tolerated drift
+            return DensityOperator(layout, mat)
+        raise ValueError(f"kind must be 'pure' or 'mixed', got {doc['kind']!r}")
 
 
 def load_channel_file(path: str) -> ChannelSpec:
     """Channel file: Stinespring isometry in column-major order, columns
     indexed by the input basis."""
     doc = _load_json(path)
-    for field in ("input", "output", "out_dim", "env_dim"):
-        if field not in doc:
-            raise ValueError(f"{path}: missing field {field!r}")
-    out_dim, env_dim = doc["out_dim"], doc["env_dim"]
-    if not (_is_count(out_dim) and _is_count(env_dim)):
-        raise ValueError(f"{path}: 'out_dim' and 'env_dim' must be integers >= 1")
-    data = _complex_array(doc, path)
-    rows = out_dim * env_dim
-    if len(data) % rows != 0:
-        raise ValueError(f"{path}: isometry length {len(data)} not divisible by {rows}")
-    iso = data.reshape(-1, rows).T
-    return ChannelSpec(doc["input"], iso, doc["output"], out_dim, env_dim)
+    with _naming(path):
+        for field in ("input", "output", "out_dim", "env_dim"):
+            if field not in doc:
+                raise ValueError(f"missing field {field!r}")
+        if not all(isinstance(doc[f], str) and doc[f] for f in ("input", "output")):
+            raise ValueError("'input' and 'output' must be non-empty strings")
+        out_dim, env_dim = doc["out_dim"], doc["env_dim"]
+        if not (_is_count(out_dim) and _is_count(env_dim)):
+            raise ValueError("'out_dim' and 'env_dim' must be integers >= 1")
+        data = _complex_array(doc)
+        rows = out_dim * env_dim
+        if len(data) % rows != 0:
+            raise ValueError(f"isometry length {len(data)} not divisible by {rows}")
+        iso = data.reshape(-1, rows).T
+        return ChannelSpec(doc["input"], iso, doc["output"], out_dim, env_dim)

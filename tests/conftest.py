@@ -1,5 +1,6 @@
-"""Shared helpers: seeded random states, a canonical purification, subsystem
-reordering and renaming, the EPR boost and the fixed decoupling test state."""
+"""Shared helpers: seeded random states, a canonical purification, the
+Uhlmann fidelity oracle, subsystem reordering and renaming, the EPR boost and
+the fixed decoupling test state."""
 
 from typing import Sequence
 
@@ -14,6 +15,7 @@ from qmerge.core import (
     PureState,
     State,
     SubsystemLayout,
+    _check_same_layout,
     _sub_layout,
     tensor,
 )
@@ -58,6 +60,18 @@ def purify(rho: DensityOperator, new_label: str) -> PureState:
     layout = SubsystemLayout(rho.layout.parts + ((new_label, rank),))
     amps = amps / np.linalg.norm(amps)
     return PureState(layout, amps)
+
+
+def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
+    lam, vecs = np.linalg.eigh(mat)
+    return (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
+
+
+def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """Uhlmann fidelity ``(Tr |√ρ √σ|)²`` in the squared convention."""
+    _check_same_layout(rho, sigma)
+    s = np.linalg.svd(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix), compute_uv=False)
+    return float(min(1.0, s.sum() ** 2))
 
 
 def permute_subsystems(state: State, new_order: Sequence[str]) -> State:

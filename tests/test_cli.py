@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +94,7 @@ class TestParseState:
 
     @pytest.mark.parametrize("source", [
         "random-pure:2x2", "random-pure:2xa:1", "random-pure:2x2:s", "random-pure:2x2:1:2",
+        "random-pure:0x2:1", "random-pure:-2x-2:1", "random-pure:2x2:-1",
     ])
     def test_malformed_random_pure_names_the_form(self, source):
         with pytest.raises(ValueError, match=re.escape("random-pure:d1xd2x...:seed")):
@@ -353,6 +355,24 @@ class TestFileShapes:
         ("channel", {"out_dim": "2"}),
         ("channel", {"out_dim": 2.0}),
         ("channel", {"env_dim": 0}),
+        # entries must be JSON numbers, and no larger than 1: every entry
+        # of a normalized state, density matrix or isometry is
+        ("state", {"re": [{}, 0, 0, 0.7071067811865476]}),
+        ("state", {"re": [[1], 0, 0, 0]}),
+        ("state", {"re": ["0.7071067811865476", 0, 0, "0.7071067811865476"]}),
+        ("state", {"re": [True, 0, 0, 0]}),
+        ("state", {"re": [1e308, 0, 0, 1e308]}),
+        ("state", {"re": [0.5, 10 ** 400, 0, 0.5]}),
+        ("state", {"labels": ["A"], "dims": [2], "kind": "mixed",
+                   "re": [0.5, 1e308, 1e308, 0.5], "im": [0, 0, 0, 0]}),
+        ("channel", {"re": [1e308, 0, 0, 1e308]}),
+        ("channel", {"re": [], "im": []}),
+        ("channel", {"input": ["B"]}),
+        ("channel", {"output": ["U"]}),
+        ("channel", {"output": ""}),
+        # errors of the state types name the file too
+        ("state", {"labels": ["A", ""]}),
+        ("state", {"labels": ["A", "A"]}),
     ])
     def test_bad_shape_exits_2_with_one_line(self, capsys, tmp_path, kind, fields):
         base = PURE_EPR if kind == "state" else IDENTITY_CHANNEL
@@ -363,7 +383,9 @@ class TestFileShapes:
         else:
             argv = ("sideinfo", "--state", "cc-pure", "--channel", str(path),
                     "--seed", "1", "--restarts", "1")
-        code, out, err = run_cli(capsys, *argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning lines before the error
+            code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and path.name in err
 

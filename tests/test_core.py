@@ -13,16 +13,20 @@ from qmerge.core import (
     PureState,
     SubsystemLayout,
     apply_channel,
-    block_branches,
-    block_measure,
-    fidelity,
     haar_unitary,
     partial_trace,
     reduced_density,
+    stream_rng,
     tensor,
     trace_distance,
 )
-from conftest import permute_subsystems, purify, random_density, random_pure_state
+from qmerge.merging import (
+    _branches,
+    merge_trials,
+    plan_merge,
+    run_merge_exhaustive,
+)
+from conftest import fidelity, permute_subsystems, purify, random_density, random_pure_state
 
 
 def ket(*amps):
@@ -172,65 +176,87 @@ class TestHaarUnitary:
 
 
 class TestBlockMeasure:
+    # Alice's coarse-grained measurement in merging: an (A, R, B) array is
+    # rotated on A and cut into blocks of L indices
+    BELL = np.eye(2).reshape(2, 1, 2) / np.sqrt(2)
+
     def test_product_state_identity_basis(self):
-        psi = presets.basis_state((("A", 2), ("B", 2)))
-        k, post, p = block_measure(psi, "A", np.eye(2), 1, np.random.default_rng(0))
-        assert (k, p) == (0, 1.0)
-        assert post.layout.parts == (("A1", 1), ("B", 2))
-        np.testing.assert_allclose(post.amplitudes, [1, 0])
+        psi = np.eye(2)[0].reshape(2, 1, 1) * np.eye(2)[0]  # |0⟩_A |0⟩_B
+        blocks, probs = _branches(psi, np.eye(2), 1)
+        assert probs == [1.0, 0.0]
+        np.testing.assert_array_equal(blocks[0], [[[1, 0]]])
 
     def test_full_rank_block_is_no_measurement(self):
-        psi = presets.bell_pair()
-        k, post, p = block_measure(psi, "A", np.eye(2), 2, np.random.default_rng(0))
-        assert k == 0 and abs(p - 1) < 1e-12
-        np.testing.assert_allclose(post.amplitudes, psi.amplitudes, atol=1e-12)
+        blocks, probs = _branches(self.BELL, haar_unitary(2, np.random.default_rng(0)), 2)
+        assert len(blocks) == 1 and abs(probs[0] - 1) < 1e-12
 
     def test_bell_complete_measurement(self):
         # hand computation: outcomes 0/1 each with p = 1/2, post = |k⟩_B
-        branches = block_branches(presets.bell_pair(), "A", np.eye(2), 1)
-        assert len(branches) == 2
-        for k, p, post in branches:
+        blocks, probs = _branches(self.BELL, np.eye(2), 1)
+        assert len(blocks) == 2
+        for k, (block, p) in enumerate(zip(blocks, probs)):
             assert abs(p - 0.5) < 1e-12
-            expected = np.zeros(2)
-            expected[k] = 1
-            np.testing.assert_allclose(post.amplitudes, expected, atol=1e-12)
+            np.testing.assert_allclose(block.reshape(-1) / np.sqrt(p), np.eye(2)[k], atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
+        # each branch is a slice of the rotated array, with its squared norm
         rng = np.random.default_rng(6)
-        psi = random_pure_state(rng, (("A", 6), ("B", 2)))
+        psi = random_pure_state(rng, (("A", 6), ("R", 2), ("B", 3))).tensor_view()
         for block in (1, 2, 3, 6):
-            branches = block_branches(psi, "A", haar_unitary(6, rng), block)
-            total = sum(p for _, p, _ in branches)
-            assert abs(total - 1) < 1e-10
+            w = haar_unitary(6, rng)
+            blocks, probs = _branches(psi, w, block)
+            rotated = (w @ psi.reshape(6, -1)).reshape(psi.shape)
+            assert len(blocks) == len(probs) == 6 // block
+            for k, (b, p) in enumerate(zip(blocks, probs)):
+                want = rotated[k * block:(k + 1) * block]
+                np.testing.assert_allclose(b, want, atol=1e-12)
+                assert abs(p - np.vdot(want, want).real) < 1e-12
+            assert abs(sum(probs) - 1) < 1e-10
 
     def test_rejects_non_divisor(self):
         with pytest.raises(ValueError, match="divide"):
-            block_measure(presets.bell_pair(), "A", np.eye(2), 3, np.random.default_rng(0))
+            _branches(self.BELL, np.eye(2), 3)
 
-    @pytest.mark.parametrize("party,block", [("A", 2), ("B", 1), ("C", 2)])
-    def test_sampled_branch_equals_block_branches_entry(self, party, block):
-        # block_measure builds only the sampled branch; it must be the same
-        # outcome, probability and amplitudes block_branches gives, drawn by
-        # one Born-rule choice over the live branches in outcome order
-        rng = np.random.default_rng(10)
+    @pytest.mark.parametrize("basis,match", [
+        (np.eye(3), "shape"),
+        (np.ones((2, 2)), "not unitary"),
+        (np.full((2, 2), math.nan), "not unitary"),
+    ])
+    def test_rejects_bad_basis(self, basis, match):
+        with pytest.raises(ValueError, match=match):
+            _branches(self.BELL, basis, 1)
+
+    def test_unnormalized_state_rejected(self):
+        # the Born sum is the only norm check a prepared state gets
+        with pytest.raises(ValueError, match="sum to"):
+            _branches(1.001 * self.BELL, np.eye(2), 1)
+
+    @pytest.mark.parametrize("spec,n", [
+        ("random-pure:2x2x2:11", 3), ("random-pure:2x2x2:11", 2), ("ghz:4", 2),
+    ])
+    def test_sampled_outcome_is_the_exhaustive_entry(self, spec, n):
+        # a trial scores the branch it draws exactly as the exhaustive scan
+        # scores it, drawn by one Born-rule choice over the live branches
+        psi = presets.parse_state(spec)
+        plan = plan_merge(psi, n)
+        w = haar_unitary(plan.alice_dim, stream_rng(23, n))
+        live = run_merge_exhaustive(psi, plan, unitary=w)
+        probs = np.array([o.probability for o in live])
+        assert len(live) > 1
         for seed in range(8):
-            psi = random_pure_state(rng, (("A", 4), ("B", 3), ("C", 4)))
-            w = haar_unitary(psi.layout.dim_of(party), rng)
-            k, post, p = block_measure(psi, party, w, block, np.random.default_rng(seed), "X")
-            live = [b for b in block_branches(psi, party, w, block, "X") if b[2] is not None]
-            probs = np.array([q for _, q, _ in live])
-            want = live[int(np.random.default_rng(seed).choice(len(live), p=probs / probs.sum()))]
-            assert (k, p) == want[:2]
-            assert post.layout == want[2].layout
-            np.testing.assert_array_equal(post.amplitudes, want[2].amplitudes)
+            (out,) = merge_trials(psi, plan, [np.random.default_rng(seed)], unitary=w)
+            drawn = np.random.default_rng(seed).choice(len(live), p=probs / probs.sum())
+            assert out == live[int(drawn)]
 
     def test_zero_probability_branch_never_sampled(self):
-        psi = presets.basis_state((("A", 2), ("B", 2)))  # branch 1 has p = 0
-        rng = np.random.default_rng(8)
-        for _ in range(64):
-            k, post, p = block_measure(psi, "A", np.eye(2), 1, rng)
-            assert k == 0
-            assert np.isfinite(post.amplitudes).all()
+        # |0⟩_A ⊗ Φ_BR measured in A's computational basis: branch 1 has p = 0
+        psi = tensor(presets.basis_state((("A", 2),)), presets.bell_pair("B", "R"))
+        plan = plan_merge(psi, 1, slack_bits=0.0)
+        assert (plan.block_dim, plan.outcome_count) == (1, 2)
+        rngs = (np.random.default_rng(seed) for seed in range(64))
+        outs = merge_trials(psi, plan, rngs, unitary=np.eye(2))
+        assert {o.outcome_index for o in outs} == {0}
+        assert [o.outcome_index for o in run_merge_exhaustive(psi, plan, unitary=np.eye(2))] == [0]
 
 
 class TestDistances:
@@ -323,6 +349,10 @@ class TestApplyChannel:
         with pytest.raises(ValueError, match="orthonormal"):
             ChannelSpec("B", np.ones((2, 2)), "B", 2, 1)
 
+    def test_nan_isometry_rejected(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            ChannelSpec("B", np.array([[math.nan, 0.0], [0.0, 1.0]]), "B", 2, 1)
+
 
 class TestPermuteAndFuse:
     def test_identity_permutation(self):
@@ -369,6 +399,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="Hermitian"):
             DensityOperator(SubsystemLayout((("A", 2),)), mat)
 
+    def test_nan_density_rejected(self):
+        # the trace is 1, so only the Hermitian check can see the NaNs
+        mat = np.array([[0.5, math.nan], [math.nan, 0.5]])
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityOperator(SubsystemLayout((("A", 2),)), mat)
+
     def test_density_positivity_enforced(self):
         mat = np.diag([1.1, -0.1])
         with pytest.raises(ValueError, match="eigenvalue"):
@@ -382,15 +418,6 @@ class TestValidation:
             rho.spectrum[0] = 0
         with pytest.raises(dataclasses.FrozenInstanceError):
             rho.spectrum = np.zeros(dim)
-
-    def test_sqrt_is_read_only_and_computed_once(self):
-        rho = random_density(np.random.default_rng(3), (("A", 2), ("B", 2)), rank=2)
-        root = rho.sqrt
-        assert rho.sqrt is root
-        assert np.abs(root @ root - rho.matrix).max() < 1e-12
-        assert np.abs(root - root.conj().T).max() < 1e-12
-        with pytest.raises(ValueError):
-            root[0, 0] = 0
 
     def test_states_are_frozen(self):
         psi = presets.bell_pair()

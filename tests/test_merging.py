@@ -1,8 +1,12 @@
 """Merge planning, the measurement/recovery loop, and resource accounting."""
 
+import contextlib
 import dataclasses
+import io
 import math
+import re
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,9 +19,6 @@ from qmerge.core import (
     DimensionCapError,
     PureState,
     SubsystemLayout,
-    block_branches,
-    block_measure,
-    fidelity,
     haar_unitary,
     reduced_density,
     stream_rng,
@@ -26,6 +27,7 @@ from qmerge.core import (
 )
 from qmerge.entropy import conditional_entropy, mutual_information
 from qmerge.merging import (
+    ZERO_PROB,
     MergePlan,
     ensemble_reference_check,
     hadamard_basis,
@@ -37,38 +39,56 @@ from qmerge.merging import (
     run_merge,
     run_merge_exhaustive,
 )
-from conftest import epr_boost, permute_subsystems, random_pure_state, relabeled
-
-KEEP = ("A1", "R")
+from conftest import (
+    epr_boost,
+    fidelity,
+    permute_subsystems,
+    random_pure_state,
+    relabeled,
+)
 
 
 def trial_posts(psi, plan, seed, count):
-    """The shared setup and the post-measurement states of trials
-    0..count-1 on streams (seed, n, t), drawn as merge_trials draws them."""
+    """The shared setup and the normalized (A1, R, B) post-measurement arrays
+    of trials 0..count-1 on streams (seed, n, t), drawn as merge_trials draws
+    them."""
     setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
     posts = []
     for t in range(count):
         rng = stream_rng(seed, plan.n, t)
         basis = haar_unitary(plan.alice_dim, rng)
-        posts.append(block_measure(setup.prepared, "A", basis, plan.block_dim, rng, "A1")[1])
+        posts.append(qmerge.merging._sample(setup.prepared, basis, plan.block_dim, rng)[2])
     return setup, posts
 
 
+def kept_matrix(post):
+    """An (A1, R, B) array as its (A1·R, B) matrix."""
+    return post.reshape(-1, post.shape[-1])
+
+
 def dense_target(psi, plan):
-    """|Φ_L⟩ ⊗ ψ^⊗n built densely from tensor products: the kept parts are
-    A1 and the fused reference copies (copy 0 most significant); Bob holds
-    Φ_L's half, Alice's copies and Bob's copies."""
+    """|Φ_L⟩ ⊗ ψ^⊗n built densely from tensor products, as a (kept, Bob)
+    matrix: the kept parts are A1 and the fused reference copies (copy 0
+    most significant); Bob holds Φ_L's half, Alice's copies and Bob's copies."""
     n = plan.n
     state = presets.bell_pair("A1", "BL", dim=plan.block_dim)
     for i in range(n):
         state = tensor(state, presets.pure(
             [(f"{label}_{i}", d) for label, d in psi.layout.parts], psi.amplitudes))
-    refs = [f"R_{i}" for i in range(n)]
+    kept = ("A1", *[f"R_{i}" for i in range(n)])
     bobs = ["BL", *[f"A_{i}" for i in range(n)], *[f"B_{i}" for i in range(n)]]
-    state = permute_subsystems(state, ("A1", *refs, *bobs))
-    layout = SubsystemLayout((("A1", plan.block_dim), ("R", state.layout.dim_of(refs)),
-                              ("B", state.layout.dim_of(bobs))))
-    return PureState(layout, state.amplitudes)
+    state = permute_subsystems(state, (*kept, *bobs))
+    return state.amplitudes.reshape(state.layout.dim_of(kept), -1)
+
+
+def random_unit_matrix(rng, rows, cols):
+    """A random pure state as a (kept, Bob) amplitude matrix."""
+    return random_pure_state(rng, (("K", rows), ("B", cols))).tensor_view()
+
+
+def kept_density(m):
+    """The reduced state M·M† on the kept rows of a (kept, Bob) matrix."""
+    return DensityOperator(SubsystemLayout((("K", m.shape[0]),)), m @ m.conj().T)
 
 
 class TestEprBoost:
@@ -200,6 +220,22 @@ class TestMergeTrials:
         shared = merge_trials(psi, plan, (stream_rng(11, n, t) for t in range(5)))
         assert shared == [run_merge(psi, plan, stream_rng(11, n, t)) for t in range(5)]
 
+    def test_trials_build_no_pure_state(self, seed11_state, monkeypatch):
+        # ψ is validated once, as the caller's PureState; the prepared state,
+        # the target and every branch of a run stay plain arrays
+        plan = plan_merge(seed11_state, 3)
+        built, init = [], PureState.__post_init__
+
+        def counting_init(self):
+            built.append(self.layout.parts)
+            init(self)
+
+        monkeypatch.setattr(PureState, "__post_init__", counting_init)
+        outs = merge_trials(seed11_state, plan, (stream_rng(11, 3, t) for t in range(4)))
+        outs += run_merge_exhaustive(seed11_state, plan, stream_rng(11, 3))
+        monkeypatch.undo()
+        assert len(outs) == 4 + plan.outcome_count and built == []
+
     def test_one_eigh_per_run_on_the_one_copy_reference(self, seed11_state, monkeypatch):
         # τ = I/L ⊗ ρ_R^⊗n is diagonal in the eigenbasis of the one-copy ρ_R:
         # one setup, one d_R×d_R eigh, and no outcome diagonalizes anything
@@ -260,17 +296,25 @@ class TestReferenceSupportScoring:
         plan = plan_merge(psi, n)
         w = haar_unitary(plan.alice_dim, stream_rng(19, n))
         outs = run_merge_exhaustive(psi, plan, unitary=w)
+        # the branches by hand: rotate Alice's axis, cut it into blocks of L
         prepared = qmerge.merging._prepare(psi, plan, DEFAULT_PURE_CAP)[1]
-        posts = {k: post for k, _, post in
-                 block_branches(prepared, "A", w, plan.block_dim, "A1") if post is not None}
-        assert [o.outcome_index for o in outs] == list(posts)
+        rotated = (w @ prepared.reshape(plan.alice_dim, -1)).reshape(prepared.shape)
+        branches = {}
+        for k in range(plan.outcome_count):
+            m = kept_matrix(rotated[k * plan.block_dim:(k + 1) * plan.block_dim])
+            p = np.vdot(m, m).real
+            if p >= ZERO_PROB:
+                branches[k] = p, m / np.sqrt(p)
+        assert [o.outcome_index for o in outs] == list(branches)
         refs = [label for label in psi.layout.labels if label not in ("A", "B")]
         rho_r = reduced_density(psi, refs).matrix if refs else np.eye(1)
         dense = DensityOperator(
-            SubsystemLayout((("A1", plan.block_dim), ("R", rho_r.shape[0] ** n))),
+            SubsystemLayout((("K", plan.block_dim * rho_r.shape[0] ** n),)),
             reduce(np.kron, [rho_r] * n, np.eye(plan.block_dim) / plan.block_dim))
         for out in outs:
-            sigma = reduced_density(posts[out.outcome_index], KEEP)
+            p, m = branches[out.outcome_index]
+            assert abs(out.probability - p) <= 1e-12
+            sigma = kept_density(m)
             assert abs(out.uhlmann_fidelity - fidelity(sigma, dense)) <= 1e-8
             assert abs(out.decoupling_error - trace_distance(sigma, dense)) <= 1e-8
 
@@ -301,27 +345,26 @@ class TestFactoredTarget:
         psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
         plan = plan_merge(psi, n)
         setup, (post,) = trial_posts(psi, plan, 11, 1)
-        target = setup.target
         out = run_merge(psi, plan, stream_rng(11, n, 0))
-        dense = dense_target(psi, plan)
-        oracle = recovered_overlap_sq(post, dense, KEEP, recovery_isometry(post, dense, KEEP))
+        dense, m = dense_target(psi, plan), kept_matrix(post)
+        oracle = recovered_overlap_sq(m, dense, recovery_isometry(m, dense))
         assert abs(out.achieved_fidelity - oracle) <= 1e-12
         d_a, d_b, d_r = (psi.layout.dim_of(label) for label in ("A", "B", "R"))
-        assert target.layout.dim_of("B") == plan.block_dim * min(d_r, d_a * d_b) ** n
+        assert setup.target.shape[1] == plan.block_dim * min(d_r, d_a * d_b) ** n
         if spec != "seed11":  # spent boost pairs: Bob's side outgrows the target's
-            assert post.layout.dim_of("B") > target.layout.dim_of("B")
+            assert post.shape[-1] > setup.target.shape[1]
 
     def test_recovery_fitted_to_another_trial_falls_short(self, seed11_state):
         # achieved_fidelity is a real recovery: a V fitted to the wrong post
         # state must miss the Uhlmann optimum of the real one
         plan = plan_merge(seed11_state, 3)
-        setup, (post, other) = trial_posts(seed11_state, plan, 11, 2)
-        target = setup.target
+        setup, posts = trial_posts(seed11_state, plan, 11, 2)
+        (post, other), target = map(kept_matrix, posts), setup.target
         out = run_merge(seed11_state, plan, stream_rng(11, 3, 0))
-        right = recovery_isometry(post, target, KEEP)
-        assert recovered_overlap_sq(post, target, KEEP, right) == out.achieved_fidelity
-        wrong = recovery_isometry(other, target, KEEP)
-        assert recovered_overlap_sq(post, target, KEEP, wrong) < out.uhlmann_fidelity - 1e-6
+        right = recovery_isometry(post, target)
+        assert recovered_overlap_sq(post, target, right) == out.achieved_fidelity
+        wrong = recovery_isometry(other, target)
+        assert recovered_overlap_sq(post, target, wrong) < out.uhlmann_fidelity - 1e-6
 
     def test_l4_plan_at_n6_fits_the_cap(self):
         # -2/3 < S(A|B) < -1/2 plans L=4 at n=6, whose dense target would
@@ -378,55 +421,52 @@ class TestMergeLayoutInvariance:
 
 
 class TestRecoveryIsometry:
+    # post and target are (kept, Bob) amplitude matrices
     def test_post_equals_target_gives_identity_embedding(self):
-        rng = np.random.default_rng(5)
-        psi = random_pure_state(rng, (("A1", 2), ("B", 3), ("R", 2)))
-        v = recovery_isometry(psi, psi, keep=("A1", "R"))
+        psi = random_unit_matrix(np.random.default_rng(5), 4, 3)
+        v = recovery_isometry(psi, psi)
         np.testing.assert_allclose(v, np.eye(3), atol=1e-9)
-        assert abs(recovered_overlap_sq(psi, psi, ("A1", "R"), v) - 1.0) < 1e-12
+        assert abs(recovered_overlap_sq(psi, psi, v) - 1.0) < 1e-12
 
     def test_worked_example_conditional_correction(self):
-        # Bob turns |φ−⟩_BR into the A′BR purification with a local isometry
-        phi_minus = presets.pure((("B", 2), ("R", 2)), np.array([1, 0, 0, -1]) / np.sqrt(2))
-        target = relabeled(presets.cc_purification(), {"A": "A'"})
-        v = recovery_isometry(phi_minus, target, keep=("R",))
-        overlap = recovered_overlap_sq(phi_minus, target, ("R",), v)
-        assert abs(overlap - 1.0) < 1e-9
+        # Bob turns |φ−⟩ on (R, B) into the cc purification (|000⟩+|111⟩)/√2,
+        # kept part R and Bob's part A′B, with a local isometry
+        phi_minus = np.diag([1.0, -1.0]) / np.sqrt(2)
+        target = np.zeros((2, 4))
+        target[0, 0] = target[1, 3] = 1 / np.sqrt(2)
+        v = recovery_isometry(phi_minus, target)
+        assert abs(recovered_overlap_sq(phi_minus, target, v) - 1.0) < 1e-9
 
     def test_uhlmann_oracle_on_random_pairs(self):
         # overlap² must equal the fidelity of the kept reductions (Uhlmann)
         rng = np.random.default_rng(3)
         for _ in range(20):
-            post = random_pure_state(rng, (("A1", 2), ("B", 2), ("R", 2)))
-            target = random_pure_state(rng, (("A1", 2), ("B", 4), ("R", 2)))
-            v = recovery_isometry(post, target, keep=("A1", "R"))
+            post = random_unit_matrix(rng, 4, 2)
+            target = random_unit_matrix(rng, 4, 4)
+            v = recovery_isometry(post, target)
             assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-9
-            overlap = recovered_overlap_sq(post, target, ("A1", "R"), v)
-            expected = fidelity(reduced_density(post, ("A1", "R")),
-                                reduced_density(target, ("A1", "R")))
-            assert abs(overlap - expected) < 1e-6
+            overlap = recovered_overlap_sq(post, target, v)
+            assert abs(overlap - fidelity(kept_density(post), kept_density(target))) < 1e-6
 
     def test_kept_layout_mismatch_rejected(self):
         rng = np.random.default_rng(6)
-        post = random_pure_state(rng, (("A1", 2), ("B", 4)))
-        target = random_pure_state(rng, (("A1", 3), ("B", 2)))
+        post = random_unit_matrix(rng, 2, 4)
+        target = random_unit_matrix(rng, 3, 2)
         with pytest.raises(ValueError, match="differ"):
-            recovery_isometry(post, target, keep=("A1",))
+            recovery_isometry(post, target)
 
     def test_oversized_bob_side_lands_in_junk(self):
         # Bob's input can outgrow the target side (spent boost pairs); the
         # junk-extended isometry still hits the Uhlmann optimum
         rng = np.random.default_rng(21)
         for _ in range(10):
-            post = random_pure_state(rng, (("A1", 2), ("B", 8), ("R", 2)))
-            target = random_pure_state(rng, (("A1", 2), ("B", 3), ("R", 2)))
-            v = recovery_isometry(post, target, keep=("A1", "R"))
+            post = random_unit_matrix(rng, 4, 8)
+            target = random_unit_matrix(rng, 4, 3)
+            v = recovery_isometry(post, target)
             assert v.shape == (9, 8)  # 3 junk slices of size 3
             assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-9
-            overlap = recovered_overlap_sq(post, target, ("A1", "R"), v)
-            expected = fidelity(reduced_density(post, ("A1", "R")),
-                                reduced_density(target, ("A1", "R")))
-            assert abs(overlap - expected) < 1e-6
+            overlap = recovered_overlap_sq(post, target, v)
+            assert abs(overlap - fidelity(kept_density(post), kept_density(target))) < 1e-6
 
 
 class TestEnsembleReference:
@@ -539,3 +579,13 @@ class TestDecouplingTrend:
         medians = [r.fidelity_median for r in rows]
         for earlier, later in zip(medians, medians[1:]):
             assert later >= earlier - 0.02
+
+
+def test_readme_library_block_prints_its_comments():
+    # the README's Library example runs as written and prints what it says
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"```python\n(.*?)```", text, re.S)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    assert out.getvalue().splitlines() == ["3.0 0.0 1.0", "1.0"]

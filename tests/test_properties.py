@@ -1,5 +1,6 @@
-"""Property tests: every string given to a numeric CLI flag ends in exit 0, 2
-or 3 with one stderr line and no traceback, and partial traces commute with
+"""Property tests: every string given to a numeric CLI flag, every state or
+channel file and every ``ghz:``/``random-pure:`` preset ends in exit 0, 2 or 3
+with one stderr line and no traceback, and partial traces commute with
 reordering subsystems.
 
 Examples are derandomized, so every run checks the same inputs.
@@ -9,6 +10,8 @@ import contextlib
 import csv
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
@@ -36,7 +39,9 @@ def _reject_constant(name):
     raise ValueError(f"non-strict JSON constant {name}")
 
 
-def check_outcome(argv):
+def check_outcome(argv, names=""):
+    """The exit, stdout and stderr contract; a failure's one line must
+    contain ``names``."""
     code, out, err = run_cli(argv)
     assert code in (0, 2, 3), (argv, code, err)
     if code == 0:
@@ -50,6 +55,8 @@ def check_outcome(argv):
         assert out == ""
         assert len(err.splitlines()) == 1 and err.endswith("\n"), err
         assert "error: " in err and "Traceback" not in err
+        assert names in err, err
+    return code
 
 
 # the characters numbers are written with, plus separators, letters, an
@@ -103,6 +110,110 @@ def test_seed_strings(text, fmt):
 def test_copy_count_strings(text, fmt):
     check_outcome([*SMALL_MERGE, "--state", "epr", "--seed", "1", f"-n={text}",
                    "--format", fmt])
+
+
+# any JSON value, nested a little, and the numbers a file entry could hold
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=4)
+ENTRIES = st.one_of(st.sampled_from([0, 1, -1, 0.5, 1 + 1e-3, 1e308, -1e-320, "0.5"]),
+                    st.integers(), st.floats(), JSON)
+
+
+def mutate(draw, doc, count):
+    """Make ``count`` changes: drop a field, replace it by any JSON value,
+    shorten a list field or replace one of its entries; the 're' and 'im'
+    entries most often."""
+    for _ in range(count):
+        key = draw(st.sampled_from([*doc, "re", "im", "re", "im"]))
+        how = draw(st.sampled_from(["drop", "value", "entry", "entry", "truncate"]))
+        if key not in doc:
+            continue
+        if how == "drop":
+            del doc[key]
+        elif how == "value" or not (isinstance(doc[key], list) and doc[key]):
+            doc[key] = draw(JSON)
+        elif how == "entry":
+            doc[key][draw(st.integers(0, len(doc[key]) - 1))] = draw(ENTRIES)
+        else:
+            doc[key] = doc[key][:-1]
+    return doc
+
+
+@st.composite
+def state_docs(draw):
+    """A pure or mixed state file of up to three parts, and whether it was
+    left valid."""
+    parts = [(f"P{i}", draw(st.integers(1, 3))) for i in range(draw(st.integers(1, 3)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["pure", "mixed"]))
+    if kind == "pure":
+        data = random_pure_state(rng, parts).amplitudes
+    else:
+        data = random_density(rng, parts).matrix.reshape(-1)
+    doc = {"labels": [label for label, _ in parts], "dims": [d for _, d in parts],
+           "kind": kind, "re": data.real.tolist(), "im": data.imag.tolist()}
+    count = draw(st.integers(0, 2))
+    return mutate(draw, doc, count), count == 0
+
+
+@st.composite
+def channel_docs(draw):
+    """A channel file for cc-pure's B (dimension 2), mostly mutated: a valid
+    one runs a whole EP search."""
+    out_dim, env_dim = draw(st.sampled_from([(2, 1), (1, 2), (2, 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = out_dim * env_dim
+    g = rng.standard_normal((rows, 2)) + 1j * rng.standard_normal((rows, 2))
+    data = np.linalg.qr(g)[0].T.reshape(-1)  # column-major, columns by input
+    doc = {"input": "B", "output": "U", "out_dim": out_dim, "env_dim": env_dim,
+           "re": data.real.tolist(), "im": data.imag.tolist()}
+    return mutate(draw, doc, draw(st.sampled_from([0] + [1] * 7 + [2] * 4)))
+
+
+def check_file(doc, argv):
+    """Write ``doc`` as JSON and run ``argv`` on it; errors must name the file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        return check_outcome([arg.replace("FILE", path) for arg in argv], "input.json")
+
+
+FILES = settings(FIXED, max_examples=150)
+
+
+@FILES
+@given(state_docs())
+def test_state_files(case):
+    doc, valid = case
+    code = check_file(doc, ["report", "--state", "FILE", "--dim-cap", "64"])
+    assert code == 0 or not valid
+
+
+@settings(FIXED, max_examples=100)  # a valid channel costs a whole EP search
+@given(channel_docs())
+def test_channel_files(doc):
+    check_file(doc, ["sideinfo", "--state", "cc-pure", "--channel", "FILE", "--seed", "1",
+                     "--restarts", "1"])
+
+
+def preset_strings():
+    """``ghz:``/``random-pure:`` followed by free text or the grammar's shape."""
+    text = st.text("0123456789x:-+ _.١", max_size=12)
+    dims = st.lists(st.integers(-1, 5).map(str), min_size=1, max_size=4).map("x".join)
+    random_pure = st.builds("{}:{}".format, dims, st.integers(-1, 2 ** 70))
+    return st.one_of(st.builds("ghz:{}".format, st.one_of(text, st.integers(-2, 12))),
+                     st.builds("random-pure:{}".format, st.one_of(text, random_pure)))
+
+
+# the cap keeps accepted states at 64 amplitudes, so reports stay cheap
+@FIXED
+@given(preset_strings())
+def test_preset_strings(source):
+    check_outcome(["report", "--state", source, "--max-subset", "1", "--dim-cap", "64"])
 
 
 @st.composite
