@@ -21,7 +21,9 @@ from qmerge.core import (
     trace_distance,
 )
 from qmerge.merging import (
+    ZERO_PROB,
     _branches,
+    _sample,
     merge_trials,
     plan_merge,
     run_merge_exhaustive,
@@ -230,6 +232,25 @@ class TestBlockMeasure:
         # the Born sum is the only norm check a prepared state gets
         with pytest.raises(ValueError, match="sum to"):
             _branches(1.001 * self.BELL, np.eye(2), 1)
+
+    @pytest.mark.parametrize("party,block", [("A", 2), ("B", 1), ("C", 2)])
+    def test_sampled_branch_equals_block_branches_entry(self, party, block):
+        # with ``party`` as the measured side, _sample returns the outcome,
+        # probability and normalized amplitudes of the _branches entry drawn
+        # by one Born-rule choice over the live branches in outcome order
+        rng = np.random.default_rng(10)
+        axis = "ABC".index(party)
+        for seed in range(8):
+            psi = random_pure_state(rng, (("A", 4), ("B", 3), ("C", 4)))
+            arr = np.moveaxis(psi.tensor_view(), axis, 0)
+            w = haar_unitary(arr.shape[0], rng)
+            k, p, post = _sample(arr, w, block, np.random.default_rng(seed))
+            blocks, probs = _branches(arr, w, block)
+            live = [j for j, q in enumerate(probs) if q >= ZERO_PROB]
+            weights = np.array([probs[j] for j in live])
+            want = live[int(np.random.default_rng(seed).choice(len(live), p=weights / weights.sum()))]
+            assert (k, p) == (want, probs[want])
+            np.testing.assert_array_equal(post, blocks[want] / np.sqrt(probs[want]))
 
     @pytest.mark.parametrize("spec,n", [
         ("random-pure:2x2x2:11", 3), ("random-pure:2x2x2:11", 2), ("ghz:4", 2),
