@@ -22,6 +22,7 @@ from .core import (
     apply_channel,
     as_labels,
     partial_trace,
+    phase_fixed_qr,
     stream_rng,
 )
 from .entropy import (
@@ -174,23 +175,85 @@ class EpEstimate:
     converged: bool
 
 
-def _hermitian_from(theta: np.ndarray, m: int, iu: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """The m×m Hermitian matrix with diagonal ``theta[:m]`` and the real then
-    imaginary parts of its upper triangle ``iu = np.triu_indices(m, 1)``
-    from ``theta[m:]``."""
-    h = np.zeros((m, m), dtype=complex)
-    off = theta[m:].reshape(2, -1)
-    np.fill_diagonal(h, theta[:m])
-    h[iu] = off[0] + 1j * off[1]
-    h[(iu[1], iu[0])] = off[0] - 1j * off[1]
-    return h
-
-
 def expm(a: np.ndarray) -> np.ndarray:
     """exp(a) for anti-Hermitian ``a`` = iH: V·diag(e^{iλ})·V† from the
     eigendecomposition H = V·diag(λ)·V†."""
     lam, vecs = np.linalg.eigh(-1j * a)
     return (vecs * np.exp(1j * lam)) @ vecs.conj().T
+
+
+EP_GRAD_TOL = 1e-6     # Riemannian gradient norm at which a restart has converged
+EP_LOG_FLOOR = 1e-14   # eigenvalue floor inside log2 ρ′ for the gradient
+_ARMIJO = 1e-4         # sufficient-decrease fraction of the first-order model
+_MAX_HALVINGS = 40
+
+
+def _ep_objective(rho: DensityOperator, u_label: str, out: int, env: int):
+    """f(V) = S(Tr_env[(I⊗V⊗I)·ρ·(I⊗V⊗I)†]) in bits and its Euclidean
+    gradient, on plain arrays: V is an (out·env × d_U) matrix with rows
+    ``o * env + e``, as in :class:`ChannelSpec`.
+
+    The gradient G satisfies df = Re Tr(G†·dV) for any dV, from
+    dS = −Tr[(log₂ρ′ + 1/ln 2)·dρ′] with dρ′ = Tr_env[dV·ρ·V† + V·ρ·dV†];
+    it reuses the product V·ρ that builds ρ′.
+    """
+    pos = rho.layout.position(u_label)
+    dims = rho.layout.dims
+    lo, d_in, hi = math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])
+    side = lo * out * hi
+    r = rho.matrix.reshape(lo, d_in, -1)
+    inv_ln2 = 1.0 / math.log(2.0)
+
+    def value_and_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
+        # W = (I⊗V⊗I)·ρ with rows (a, o, b, a', b') and columns (e, i)
+        w = (v @ r).reshape(lo, out, env, hi, lo, d_in, hi)
+        w = w.transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, env * d_in)
+        rho_out = (w @ v.conj().reshape(out, env * d_in).T).reshape(lo, out, hi, lo, hi, out)
+        lam, vecs = np.linalg.eigh(rho_out.transpose(0, 1, 2, 3, 5, 4).reshape(side, side))
+        pos_lam = lam[lam > 0]
+        f = float(-(pos_lam * np.log2(pos_lam)).sum())
+        # −(log₂ρ′ + 1/ln 2) contracted with W over everything but (o; e, i)
+        g_op = (vecs * -(np.log2(np.maximum(lam, EP_LOG_FLOOR)) + inv_ln2)) @ vecs.conj().T
+        g_op = g_op.reshape(lo, out, hi, lo * out * hi).transpose(1, 3, 0, 2).reshape(out, -1)
+        return f, 2.0 * (g_op @ w).reshape(out * env, d_in)
+
+    return value_and_grad
+
+
+def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Project G onto the tangent space of the isometries at V."""
+    vg = v.conj().T @ g
+    return g - v @ ((vg + vg.conj().T) / 2)
+
+
+def _descend(value_and_grad, v: np.ndarray, max_iters: int) -> tuple[np.ndarray, bool]:
+    """Riemannian gradient descent over isometries from V: Barzilai–Borwein
+    trial steps, long and short in turn, Armijo backtracking, and retraction
+    by phase-fixed QR. Stops when ‖ξ‖ < ``EP_GRAD_TOL`` (converged), after
+    ``max_iters`` steps, or when no step decreases f. Returns the last V and
+    whether it converged."""
+    f, g = value_and_grad(v)
+    xi = _tangent(v, g)
+    t = 1.0
+    for k in range(max_iters):
+        norm2 = float(np.vdot(xi, xi).real)
+        if norm2 < EP_GRAD_TOL ** 2:
+            return v, True
+        for _ in range(_MAX_HALVINGS):
+            cand = phase_fixed_qr(v - t * xi)
+            fc, gc = value_and_grad(cand)
+            if fc <= f - _ARMIJO * t * norm2:
+                break
+            t /= 2
+        else:
+            return v, False
+        xi_c = _tangent(cand, gc)
+        s, y = cand - v, xi_c - xi
+        sy = abs(float(np.vdot(s, y).real))
+        num, den = (float(np.vdot(s, s).real), sy) if k % 2 else (sy, float(np.vdot(y, y).real))
+        t = num / den if sy > 0 else 1.0
+        v, f, xi = cand, fc, xi_c
+    return v, False
 
 
 def entanglement_of_purification(
@@ -204,16 +267,23 @@ def entanglement_of_purification(
     rng: np.random.Generator | None = None,
     max_iters: int = 400,
 ) -> EpEstimate:
-    """Upper-bound min_Λ S(A, Λ(U)) by derivative-free local search.
+    """Upper-bound min_Λ S(A, Λ(U)) by Riemannian gradient descent over the
+    Stinespring isometries V: C^{d_U} → C^{cap_out} ⊗ C^{cap_env}.
 
-    The Stinespring isometry is the first d_U columns of exp(iH) on the
-    capped output ⊗ environment space, H parameterized by a real vector.
-    Random restarts; a restart converges when 50 consecutive iterations
-    improve by less than 1e-7. The identity and full-trace channels are
-    always scored as baselines, so the estimate never exceeds S(AU).
-    Raises :class:`DimensionCapError`, before allocating anything, when the
-    m² parameters (m = cap_out·cap_env) exceed the pure-state cap or the
-    output side exceeds the density cap.
+    Each restart starts at the phase-fixed QR of one complex Gaussian
+    matrix drawn from ``rng`` and draws nothing else, so restart r starts at
+    the same point whatever ``restarts`` is. The descent works on plain
+    arrays with the exact entropy gradient; each restart's final isometry
+    is scored again through the checked :class:`ChannelSpec` →
+    :func:`apply_channel` path, so the returned value is the entropy of the
+    returned channel. The identity and full-trace channels are always
+    scored as baselines, so the estimate never exceeds S(AU).
+    ``converged`` is True when every restart stopped with its Riemannian
+    gradient norm below ``EP_GRAD_TOL``; a restart also stops after
+    ``max_iters`` steps or when no step decreases the entropy.
+    Raises :class:`DimensionCapError`, before drawing anything, when
+    (cap_out·cap_env)² exceeds the pure-state cap or the output side
+    exceeds the density cap.
     """
     a = rho.layout.check_subset(alice, "alice")
     if u_label in set(a):
@@ -235,12 +305,7 @@ def entanglement_of_purification(
     if side > DEFAULT_DENSITY_CAP:
         raise DimensionCapError(
             f"EP search output side {side} exceeds the {DEFAULT_DENSITY_CAP} density cap")
-    iu = np.triu_indices(m, k=1)
     rng = rng if rng is not None else stream_rng(0)
-
-    def channel_at(theta: np.ndarray) -> ChannelSpec:
-        g = expm(1j * _hermitian_from(theta, m, iu))
-        return ChannelSpec(u_label, g[:, :d_u], u_label, cap_out, cap_env)
 
     def value_of(ch: ChannelSpec) -> float:
         return von_neumann_entropy(apply_channel(rho, ch))
@@ -257,32 +322,16 @@ def entanglement_of_purification(
         if v < best:
             best, best_ch = v, ch
 
+    value_and_grad = _ep_objective(rho, u_label, cap_out, cap_env)
     all_converged = True
     for _ in range(restarts):
-        theta = rng.standard_normal(n_params) * 0.5
-        f = value_of(channel_at(theta))
-        step = 0.4
-        history = [f]
-        converged = False
-        for _ in range(max_iters):
-            direction = rng.standard_normal(n_params)
-            moved = False
-            for sign in (1.0, -1.0):
-                cand = theta + sign * step * direction
-                fc = value_of(channel_at(cand))
-                if fc < f - 1e-12:
-                    theta, f = cand, fc
-                    moved = True
-                    break
-            step = min(step * 1.4, 2.0) if moved else max(step * 0.8, 1e-6)
-            history.append(f)
-            if len(history) > 50 and history[-51] - f < 1e-7:
-                converged = True
-                break
+        z = rng.standard_normal((2, m, d_u))
+        v, converged = _descend(value_and_grad, phase_fixed_qr(z[0] + 1j * z[1]), max_iters)
         all_converged = all_converged and converged
+        ch = ChannelSpec(u_label, v, u_label, cap_out, cap_env)
+        f = value_of(ch)
         if f < best:
-            best = f
-            best_ch = channel_at(theta)
+            best, best_ch = f, ch
     return EpEstimate(best, best_ch, restarts, all_converged)
 
 

@@ -116,9 +116,10 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.shape[0]}, layout needs {self.layout.dim}"
             )
-        norm = np.linalg.norm(amps)
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state vector norm {norm!r} is not 1 within {NORM_TOL}")
+        # the squared norm is the trace of |ψ⟩⟨ψ|, which DensityOperator checks
+        norm_sq = float(np.vdot(amps, amps).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(f"state vector squared norm {norm_sq!r} is not 1 within {NORM_TOL}")
         object.__setattr__(self, "amplitudes", amps)
 
     @property
@@ -274,18 +275,22 @@ def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
 # randomness
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample a Haar-distributed unitary.
-
-    QR of a complex standard-Gaussian matrix with the column phases fixed so
-    the triangular factor has a positive real diagonal.
-    """
-    if dim < 1:
-        raise ValueError("dim must be >= 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
+    """The Q factor of a full-column-rank ``z`` with its column phases fixed
+    so the triangular factor has a positive real diagonal, which makes it
+    unique."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample a Haar-distributed unitary: the phase-fixed QR of a complex
+    standard-Gaussian matrix."""
+    if dim < 1:
+        raise ValueError("dim must be >= 1")
+    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    return phase_fixed_qr(z)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,10 @@ def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
             if data.shape != (d * d,):
                 raise ValueError(f"expected {d * d} matrix entries, got {data.shape[0]}")
             mat = data.reshape(d, d)
+            skew = np.abs(mat - mat.conj().T).max()
+            if not skew <= FILE_NORM_TOL:
+                raise ValueError(f"matrix is not Hermitian within {FILE_NORM_TOL} "
+                                 f"(max |M - M^H| = {skew})")
             tr = mat.trace()
             if not abs(tr - 1.0) <= FILE_NORM_TOL:
                 raise ValueError(f"trace {tr} violates 1 beyond {FILE_NORM_TOL}")

@@ -271,7 +271,7 @@ class TestSideinfoCommand:
         assert code == 0
         ep = json.loads(out)["ep"]
         assert abs(ep["value"] - 1.0) < 1e-12
-        assert ep["restarts_used"] == 4 and ep["converged"] is False
+        assert ep["restarts_used"] == 4 and ep["converged"] is True
 
     def test_search_over_the_cap_exits_3_before_drawing(self, capsys, tmp_path):
         path = tmp_path / "chan.json"
@@ -373,6 +373,9 @@ class TestFileShapes:
         # errors of the state types name the file too
         ("state", {"labels": ["A", ""]}),
         ("state", {"labels": ["A", "A"]}),
+        # a mixed matrix must be Hermitian within the file tolerance
+        ("state", {"labels": ["A"], "dims": [2], "kind": "mixed",
+                   "re": [0.5, 0.4, -0.4, 0.5], "im": [0, 0, 0, 0]}),
     ])
     def test_bad_shape_exits_2_with_one_line(self, capsys, tmp_path, kind, fields):
         base = PURE_EPR if kind == "state" else IDENTITY_CHANNEL

@@ -411,6 +411,18 @@ class TestValidation:
         with pytest.raises(ValueError, match="norm"):
             PureState(SubsystemLayout((("A", 2),)), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("scale, accepted", [(1 + 0.4e-10, True), (1 + 0.9e-10, False)])
+    def test_pure_state_tolerance_matches_density_trace(self, scale, accepted):
+        # |ψ|^2 = Tr|ψ><ψ|, so a state passes exactly when its projector does
+        base = presets.parse_state("random-pure:2x2x2:11")
+        if not accepted:
+            with pytest.raises(ValueError, match="norm"):
+                PureState(base.layout, base.amplitudes * scale)
+            return
+        psi = PureState(base.layout, base.amplitudes * scale)
+        assert psi.density().dim == 8
+        assert plan_merge(psi, n=1, slack_bits=0.0).n == 1
+
     def test_density_trace_enforced(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(SubsystemLayout((("A", 2),)), np.eye(2))

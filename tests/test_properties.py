@@ -1,7 +1,8 @@
 """Property tests: every string given to a numeric CLI flag, every state or
 channel file and every ``ghz:``/``random-pure:`` preset ends in exit 0, 2 or 3
-with one stderr line and no traceback, and partial traces commute with
-reordering subsystems.
+with one stderr line and no traceback; partial traces commute with
+reordering subsystems; complementary parts of a pure state have equal
+entropy; and strong subadditivity holds.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from qmerge.cli import main
 from qmerge.core import partial_trace
+from qmerge.entropy import ssa_margin, subset_entropy, von_neumann_entropy
 from conftest import permute_subsystems, random_density, random_pure_state
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -242,3 +244,35 @@ def test_partial_trace_commutes_with_reordering(case):
                                       [label for label in order if label in keep])
     assert traced_after.layout == traced_first.layout
     np.testing.assert_allclose(traced_after.matrix, traced_first.matrix, atol=1e-12)
+
+
+@st.composite
+def bipartitions(draw):
+    m = draw(st.integers(2, 4))
+    parts = [(f"P{i}", draw(st.integers(1, 3))) for i in range(m)]
+    labels = [label for label, _ in parts]
+    side = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=m - 1, unique=True))
+    return parts, side, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@FIXED
+@given(bipartitions())
+def test_purification_duality(case):
+    parts, side, seed = case
+    psi = random_pure_state(np.random.default_rng(seed), parts)
+    rest = [label for label, _ in parts if label not in side]
+    rho = psi.density()
+    # each side reduced from the full projector, so neither borrows the other
+    s_side = von_neumann_entropy(partial_trace(rho, side))
+    s_rest = von_neumann_entropy(partial_trace(rho, rest))
+    assert abs(s_side - s_rest) <= 1e-9
+    assert abs(subset_entropy(psi, side) - s_side) <= 1e-9
+
+
+@FIXED
+@given(st.lists(st.integers(1, 3), min_size=3, max_size=3), st.integers(1, 27),
+       st.integers(0, 2 ** 32 - 1))
+def test_strong_subadditivity(dims, rank, seed):
+    parts = list(zip("ABC", dims))
+    rho = random_density(np.random.default_rng(seed), parts, rank=rank)
+    assert ssa_margin(rho, "A", "B", "C") >= -1e-9
