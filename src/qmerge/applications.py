@@ -23,6 +23,7 @@ from .core import (
     as_labels,
     partial_trace,
     phase_fixed_qr,
+    stinespring_contract,
     stream_rng,
 )
 from .entropy import (
@@ -195,21 +196,16 @@ def _ep_objective(rho: DensityOperator, u_label: str, out: int, env: int):
 
     The gradient G satisfies df = Re Tr(G†·dV) for any dV, from
     dS = −Tr[(log₂ρ′ + 1/ln 2)·dρ′] with dρ′ = Tr_env[dV·ρ·V† + V·ρ·dV†];
-    it reuses the product V·ρ that builds ρ′.
+    it reuses the product W = V·ρ that builds ρ′ (:func:`stinespring_contract`).
     """
     pos = rho.layout.position(u_label)
     dims = rho.layout.dims
     lo, d_in, hi = math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])
-    side = lo * out * hi
-    r = rho.matrix.reshape(lo, d_in, -1)
     inv_ln2 = 1.0 / math.log(2.0)
 
     def value_and_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
-        # W = (I⊗V⊗I)·ρ with rows (a, o, b, a', b') and columns (e, i)
-        w = (v @ r).reshape(lo, out, env, hi, lo, d_in, hi)
-        w = w.transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, env * d_in)
-        rho_out = (w @ v.conj().reshape(out, env * d_in).T).reshape(lo, out, hi, lo, hi, out)
-        lam, vecs = np.linalg.eigh(rho_out.transpose(0, 1, 2, 3, 5, 4).reshape(side, side))
+        w, rho_out = stinespring_contract(rho.matrix, v, lo, hi, out, env)
+        lam, vecs = np.linalg.eigh(rho_out)
         pos_lam = lam[lam > 0]
         f = float(-(pos_lam * np.log2(pos_lam)).sum())
         # −(log₂ρ′ + 1/ln 2) contracted with W over everything but (o; e, i)
@@ -270,6 +266,10 @@ def entanglement_of_purification(
     """Upper-bound min_Λ S(A, Λ(U)) by Riemannian gradient descent over the
     Stinespring isometries V: C^{d_U} → C^{cap_out} ⊗ C^{cap_env}.
 
+    The minimum is E_p(ρ_{AR′}), the entanglement of purification of A and
+    the system R′ that purifies ρ_AU, not E_p(ρ_AU). Parties of ``rho``
+    outside ``alice`` and ``u_label`` are traced out first.
+
     Each restart starts at the phase-fixed QR of one complex Gaussian
     matrix drawn from ``rng`` and draws nothing else, so restart r starts at
     the same point whatever ``restarts`` is. The descent works on plain
@@ -281,14 +281,18 @@ def entanglement_of_purification(
     ``converged`` is True when every restart stopped with its Riemannian
     gradient norm below ``EP_GRAD_TOL``; a restart also stops after
     ``max_iters`` steps or when no step decreases the entropy.
-    Raises :class:`DimensionCapError`, before drawing anything, when
-    (cap_out·cap_env)² exceeds the pure-state cap or the output side
-    exceeds the density cap.
+    Raises :class:`DimensionCapError`, before drawing anything, when one of
+    the two arrays each objective evaluation allocates is over its cap: the
+    product V·ρ, with (dim ρ_AU / d_U)·cap_out·cap_env·dim ρ_AU entries,
+    against the pure-state cap, and ρ′, of side (dim ρ_AU / d_U)·cap_out,
+    against the density cap.
     """
     a = rho.layout.check_subset(alice, "alice")
     if u_label in set(a):
         raise ValueError("u_label cannot be part of the alice group")
     d_u = rho.layout.dim_of(u_label)
+    if len(rho.layout) > len(a) + 1:
+        rho = partial_trace(rho, a + (u_label,))
     cap_out = d_u if cap_out is None else int(cap_out)
     cap_env = d_u if cap_env is None else int(cap_env)
     if cap_out < 1 or cap_env < 1 or restarts < 1:
@@ -296,10 +300,10 @@ def entanglement_of_purification(
     if cap_out * cap_env < d_u:
         raise ValueError("cap_out * cap_env must cover the input dimension")
     m = cap_out * cap_env
-    n_params = m * m
-    if n_params > DEFAULT_PURE_CAP:
+    entries = rho.dim // d_u * m * rho.dim
+    if entries > DEFAULT_PURE_CAP:
         raise DimensionCapError(
-            f"EP search needs (cap_out*cap_env)^2 = {n_params} parameters, "
+            f"EP search needs a V*rho product of {entries} entries, "
             f"over the {DEFAULT_PURE_CAP} cap")
     side = rho.dim // d_u * cap_out
     if side > DEFAULT_DENSITY_CAP:
@@ -360,8 +364,7 @@ def side_info_rates(
     rho = apply_channel(psi.density(), ch)
     u = ch.output_label
     r_a = conditional_entropy(rho, a, u)
-    rho_au = partial_trace(rho, a + (u,))
     ep = entanglement_of_purification(
-        rho_au, a, u, cap_out=cap_out, cap_env=cap_env, restarts=restarts, rng=rng
+        rho, a, u, cap_out=cap_out, cap_env=cap_env, restarts=restarts, rng=rng
     )
     return SideInfoResult(r_a, ep.value - r_a, ep)

@@ -106,19 +106,11 @@ def _clean(value):
 
 
 def _plan_dict(plan: MergePlan) -> dict:
-    return {
-        "n": plan.n,
-        "block_dim": plan.block_dim,
-        "outcome_count": plan.outcome_count,
-        "k_boost": plan.k_boost,
-        "alice_dim": plan.alice_dim,
-        "cond_entropy": plan.cond_entropy,
-        "slack_bits": plan.slack_bits,
-        "rate_clipped": plan.rate_clipped,
-        "predicted_epr_bits": plan.predicted_epr_bits,
-        "predicted_cbits": plan.predicted_cbits,
-        "target_rate": plan.target_rate,
-    }
+    d = dataclasses.asdict(plan)
+    del d["alice"], d["bob"]
+    for key in ("predicted_epr_bits", "predicted_cbits", "target_rate"):
+        d[key] = getattr(plan, key)
+    return d
 
 
 _CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(CurveRow))
@@ -249,7 +241,6 @@ def cmd_region(args) -> str:
     else:
         region = compression_region(state)
     obj = _region_dict(region)
-    point_satisfied = {}
     if args.point is not None:
         contained, violated = region.contains(args.point)
         obj["point"] = {
@@ -257,13 +248,12 @@ def cmd_region(args) -> str:
             "contained": contained,
             "violations": [",".join(c.subset) for c in violated],
         }
-        point_satisfied = {c.subset: c not in violated for c in region.constraints}
     header = ("subset", "bound") + (("satisfied",) if args.point is not None else ())
     rows = []
     for c in region.constraints:
         row = (",".join(c.subset), c.bound)
         if args.point is not None:
-            row += (point_satisfied[c.subset],)
+            row += (c not in violated,)
         rows.append(row)
     return _emit(args, obj, header, rows)
 

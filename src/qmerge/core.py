@@ -311,6 +311,20 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(0.5 * np.abs(lam).sum())
 
 
+def stinespring_contract(rho: np.ndarray, v: np.ndarray, lo: int, hi: int,
+                         out: int, env: int) -> tuple[np.ndarray, np.ndarray]:
+    """Σ_e V_e ρ V_e† on plain arrays: ``v`` (out·env × d_in, rows ``o * env + e``
+    as in :class:`ChannelSpec`) acts on the middle factor of the (lo·d_in·hi)-
+    square ``rho``. Returns W = (I⊗V⊗I)·ρ, with rows (a, o, b, a', b') and
+    columns (e, i), and ρ′, from V* on W's bra side in one product over e."""
+    d_in = v.shape[1]
+    w = (v @ rho.reshape(lo, d_in, -1)).reshape(lo, out, env, hi, lo, d_in, hi)
+    w = w.transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, env * d_in)
+    rho_out = (w @ v.conj().reshape(out, env * d_in).T).reshape(lo, out, hi, lo, hi, out)
+    side = lo * out * hi
+    return w, rho_out.transpose(0, 1, 2, 3, 5, 4).reshape(side, side)
+
+
 def apply_channel(rho: DensityOperator, ch: ChannelSpec) -> DensityOperator:
     """Apply the channel's isometry to its input subsystem, discard the
     environment, and relabel the output."""
@@ -324,14 +338,7 @@ def apply_channel(rho: DensityOperator, ch: ChannelSpec) -> DensityOperator:
     if ch.output_label != ch.input_label and ch.output_label in rho.layout.labels:
         raise ValueError(f"output label {ch.output_label!r} already present")
     lo, hi = math.prod(rho.layout.dims[:pos]), math.prod(rho.layout.dims[pos + 1:])
-    out, env, v = ch.out_dim, ch.env_dim, ch.isometry
-    # Σ_e K_e ρ K_e† with K_e = V[:, e, :]: V on the ket-side input axis,
-    # then V* on the bra side in one product that also sums over e
-    t = v @ rho.matrix.reshape(lo, d_in, -1)
-    t = t.reshape(lo, out, env, hi, lo, d_in, hi).transpose(0, 1, 3, 4, 6, 2, 5)
-    t = t.reshape(-1, env * d_in) @ v.conj().reshape(out, env * d_in).T
-    t = t.reshape(lo, out, hi, lo, hi, out).transpose(0, 1, 2, 3, 5, 4)
+    rho_out = stinespring_contract(rho.matrix, ch.isometry, lo, hi, ch.out_dim, ch.env_dim)[1]
     parts = list(rho.layout.parts)
-    parts[pos] = (ch.output_label, out)
-    layout = SubsystemLayout(tuple(parts))
-    return DensityOperator(layout, t.reshape(layout.dim, layout.dim))
+    parts[pos] = (ch.output_label, ch.out_dim)
+    return DensityOperator(SubsystemLayout(tuple(parts)), rho_out)

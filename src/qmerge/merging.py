@@ -18,9 +18,14 @@ no state derived from it is wrapped in one again. Alice's measurement
 and that the Born probabilities sum to 1, which is the prepared state's norm
 check.
 
+Every n-copy array is an ``np.kron`` power of one copy, copy 0 most
+significant on each axis. Bob's target, the reference support and τ's
+weights come from one thin SVD U·S·Vh of the copy; ρ_R = U·S²·U† is never
+diagonalized.
+
 Bob's recovery target |Φ_L⟩ ⊗ ψ^⊗n is never built densely. Its Bob side
 (Φ_L's half plus Alice's and Bob's copies) has rank at most L·r^n with
-r = min(d_R, d_A·d_B), and one copy's thin SVD gives that support, so the
+r = min(d_R, d_A·d_B), and the copy's SVD gives that support, so the
 target is kept as its (A1·R, L·r^n) matrix in that basis instead of
 (A1·R, L·(d_A·d_B)^n). The recovery isometry maps Bob's post-measurement
 share into this basis, and the achieved fidelity is still the overlap of the
@@ -29,8 +34,8 @@ recovered state with the target.
 Each outcome is scored against τ = I/L ⊗ ρ_R^⊗n in the reference's support,
 not on the full side L·d_R^n. Every branch satisfies p_k·σ_R^(k) ≤ ρ_R^⊗n
 (the branches average to ρ_R^⊗n), so σ(A1,R) and τ both live in
-C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n with r_R = rank ρ_R. In the eigenbasis
-of the one-copy ρ_R, τ is diagonal and is kept as its weight vector w. With
+C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n with r_R = rank ρ_R. In the basis of
+U's live columns, τ is diagonal and is kept as its weight vector w. With
 M the post state's (A1·R, B) matrix in that basis, σ = M·M†: the decoupling
 error is ½·Σ|eigvalsh(M·M† − diag w)| and the Uhlmann fidelity is
 ‖√w·M‖₁², one SVD with no square root of σ. Recovery uses neither the
@@ -66,6 +71,8 @@ from .entropy import conditional_entropy
 DEFAULT_SLACK_BITS = 1.0
 _MAX_PLAN_BITS = 64     # log2 of the largest prepared state any plan may ask for
 ZERO_PROB = 1e-12       # measurement branches below this are never sampled or scored
+MAX_EXHAUSTIVE_OUTCOMES = 256   # most outcomes run_merge_exhaustive scores
+MAX_ENSEMBLE_OUTCOMES = 4096    # most outcomes ensemble_reference_check sums
 
 
 @dataclass(frozen=True)
@@ -208,12 +215,18 @@ def _trace_alice_bob(t: np.ndarray) -> np.ndarray:
     return sum(m @ m.conj().T for m in t)
 
 
+def _kron_power(one: np.ndarray, n: int) -> np.ndarray:
+    """one^⊗n by ``np.kron``, which fuses each axis with copy 0 most
+    significant; an all-ones array of one entry for n = 0."""
+    return reduce(np.kron, [one] * n) if n else np.ones((1,) * one.ndim, one.dtype)
+
+
 def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
     """One copy of ψ and the prepared state ψ^⊗n ⊗ Φ_{2^k}, as arrays.
 
     The copy is an (Alice, reference, Bob) array: every party other than
     Alice and Bob is fused into the reference R (dimension 1 when there is
-    none). ψ^⊗n is built once from it with Alice's n copies fused, copy 0
+    none). ψ^⊗n is its Kronecker power, so Alice's n copies are fused copy 0
     most significant, and likewise R and Bob's copies; the boost halves go
     last on both sides. The prepared state is a read-only (A, R, B) array,
     so every branch cut from it keeps the (A1, R) axes leading and splitting
@@ -228,14 +241,8 @@ def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
         raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
     if one.shape[0] ** plan.n * boost != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
-    copies = np.ones((1, 1, 1), dtype=complex)
-    for _ in range(plan.n):
-        shape = [c * d for c, d in zip(copies.shape, one.shape)]
-        copies = np.einsum("arb,xyz->axrybz", copies, one).reshape(shape)
-    d_a, d_r, d_b = copies.shape
-    phi = np.eye(boost) / math.sqrt(boost)  # Φ_{2^k} as a matrix of amplitudes
-    prepared = np.einsum("arb,xy->axrby", copies, phi)
-    prepared = prepared.reshape(d_a * boost, d_r, d_b * boost)
+    phi = np.eye(boost)[:, None, :] / math.sqrt(boost)  # Φ_{2^k} as an (A, R, B) array
+    prepared = np.kron(_kron_power(one, plan.n), phi)
     prepared.setflags(write=False)
     return one, prepared
 
@@ -245,7 +252,7 @@ class _Setup:
     """What every scored trial of one plan shares."""
 
     prepared: np.ndarray  # ψ^⊗n ⊗ Φ_{2^k} as a read-only (A, R, B) array
-    proj: np.ndarray      # P = (V†)^⊗n onto supp(ρ_R)^⊗n
+    proj: np.ndarray      # P = (U_live†)^⊗n onto supp(ρ_R)^⊗n
     weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) in P's basis
     target: np.ndarray    # |Φ_L⟩ ⊗ ψ^⊗n as its (A1·R, Bob-side support) matrix
 
@@ -253,39 +260,35 @@ class _Setup:
 def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
     """:func:`_prepare`'s state, the reference support, τ's weights and Bob's target.
 
-    The support basis comes from one ``eigh`` of the one-copy ρ_R: its r_R
-    eigenvectors V above ``RANK_TOL``·λ_max give the copy-wise projector
-    P = (V†)^⊗n (r_R^n × d_R^n, copy 0 most significant like R). In that
-    basis τ = I/L ⊗ ρ_R^⊗n is diagonal, and its weight vector
-    w = 1/L ⊗ λ^⊗n (side L·r_R^n, A1 most significant) is all that is kept.
+    The rest comes from one thin SVD of one copy as an (R × AB) matrix,
+    U·S·Vh, and Kronecker powers of its factors, copy 0 most significant
+    like R. As ρ_R = U·S²·U†, the r_R columns U_live of U whose S² is above
+    ``RANK_TOL``·S₀² span its support: P = (U_live†)^⊗n (r_R^n × d_R^n)
+    projects onto supp(ρ_R)^⊗n, where τ = I/L ⊗ ρ_R^⊗n is diagonal with
+    weights w = 1/L ⊗ (S_live²)^⊗n (side L·r_R^n, A1 most significant).
     No operator of side L·d_R^n is built. P has no more entries than the
     target, whose cap counts L²·d_R^n·r^n.
 
     Bob's target |Φ_L⟩ ⊗ ψ^⊗n is written in an orthonormal basis of its
-    Bob-side support. One copy as an (R × AB) matrix is U·S·Vh; Vh's r = min(d_R,
-    d_A·d_B) rows span the copy's Bob side, where its amplitudes are the
-    (R × r) matrix U·S (zero singular values give zero columns). The target
-    is |Φ_L⟩ ⊗ (U·S)^⊗n, kept as a matrix: rows are the kept parts (A1 = L
-    most significant, then R = d_R^n in the order of the prepared state's R),
-    columns a Bob side of L·r^n, Φ_L's half first.
+    Bob-side support. Vh's r = min(d_R, d_A·d_B) rows span the copy's Bob
+    side, where its amplitudes are the (R × r) matrix U·S (zero singular
+    values give zero columns). The target is Φ_L ⊗ (U·S)^⊗n as a matrix:
+    rows are the kept parts (A1 = L most significant, then R = d_R^n in the
+    order of the prepared state's R), columns a Bob side of L·r^n, Φ_L's
+    half first.
     """
     one, prepared = _prepare(psi, plan, dim_cap)
-    block, d_r = plan.block_dim, prepared.shape[1]
-    rank = min(one.shape[1], one.shape[0] * one.shape[2])  # r = min(d_R, d_A·d_B)
-    if block ** 2 * (one.shape[1] * rank) ** plan.n > dim_cap:
+    block, n = plan.block_dim, plan.n
+    u, s, _ = np.linalg.svd(one.transpose(1, 0, 2).reshape(one.shape[1], -1),
+                            full_matrices=False)
+    if block ** 2 * (one.shape[1] * s.size) ** n > dim_cap:
         raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
-    lam, vecs = np.linalg.eigh(_trace_alice_bob(one))  # the one-copy ρ_R
-    live = lam > RANK_TOL * lam[-1]
-    lam, vecs = lam[live], vecs[:, live]
-    per_copy = one.transpose(1, 0, 2).reshape(one.shape[1], -1)  # one copy as (R, AB)
-    u, s, _ = np.linalg.svd(per_copy, full_matrices=False)
-    phi = np.eye(block) / math.sqrt(block)
-    target = np.einsum("xy,ri->xryi", phi, reduce(np.kron, [u * s] * plan.n))
+    live = s ** 2 > RANK_TOL * s[0] ** 2
     return _Setup(
         prepared=prepared,
-        proj=reduce(np.kron, [vecs.conj().T] * plan.n),
-        weights=np.kron(np.full(block, 1 / block), reduce(np.kron, [lam] * plan.n)),
-        target=target.reshape(block * d_r, -1),
+        proj=_kron_power(u[:, live].conj().T, n),
+        weights=np.kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, n)),
+        target=np.kron(np.eye(block) / math.sqrt(block), _kron_power(u * s, n)),
     )
 
 
@@ -444,13 +447,12 @@ def run_merge_exhaustive(
     *,
     unitary: np.ndarray | None = None,
     dim_cap: int = DEFAULT_PURE_CAP,
-    max_outcomes: int = 256,
 ) -> list[MergeOutcome]:
     """Score every outcome of one measurement basis at or above ``ZERO_PROB``
     instead of sampling."""
-    if plan.outcome_count > max_outcomes:
+    if plan.outcome_count > MAX_EXHAUSTIVE_OUTCOMES:
         raise DimensionCapError(
-            f"{plan.outcome_count} outcomes exceed the exhaustive cap {max_outcomes}"
+            f"{plan.outcome_count} outcomes exceed the exhaustive cap {MAX_EXHAUSTIVE_OUTCOMES}"
         )
     setup = _setup(psi, plan, dim_cap)
     blocks, probs = _branches(setup.prepared, _basis(plan, rng, unitary), plan.block_dim)
@@ -464,7 +466,6 @@ def ensemble_reference_check(
     unitary: np.ndarray,
     *,
     dim_cap: int = DEFAULT_PURE_CAP,
-    max_outcomes: int = 4096,
 ) -> float:
     """Trace distance between Σ_k p_k σ_R^(k) and ρ_R^⊗n.
 
@@ -473,9 +474,9 @@ def ensemble_reference_check(
     outcomes using unnormalized branches, so vanishing-probability outcomes
     contribute exactly.
     """
-    if plan.outcome_count > max_outcomes:
+    if plan.outcome_count > MAX_ENSEMBLE_OUTCOMES:
         raise DimensionCapError(
-            f"{plan.outcome_count} outcomes exceed the enumeration cap {max_outcomes}"
+            f"{plan.outcome_count} outcomes exceed the enumeration cap {MAX_ENSEMBLE_OUTCOMES}"
         )
     prepared = _prepare(psi, plan, dim_cap)[1]
     blocks = _branches(prepared, unitary, plan.block_dim)[0]
@@ -561,8 +562,4 @@ def hadamard_basis(dim: int) -> np.ndarray:
     m = dim.bit_length() - 1
     if 2 ** m != dim:
         raise ValueError(f"Hadamard basis needs a power-of-2 dimension, got {dim}")
-    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-    out = np.eye(1, dtype=complex)
-    for _ in range(m):
-        out = np.kron(out, h)
-    return out
+    return _kron_power(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), m)

@@ -21,6 +21,7 @@ from qmerge.core import (
     DensityOperator,
     DimensionCapError,
     SubsystemLayout,
+    partial_trace,
     stream_rng,
     tensor,
 )
@@ -97,6 +98,15 @@ def oracle_ep_grid(rho_au_mat, d_a):
             out = out + lifted @ rho_au_mat @ lifted.conj().T
         best = min(best, oracle_entropy(out))
     return best
+
+
+def oracle_half_mutual_information(rho_au_mat, d_a, d_u):
+    """I(A:R′)/2 = (S(A) + S(AU) − S(U))/2, with R′ purifying ρ_AU: a lower
+    bound on E_p(ρ_AR′). Partial traces by reshaping, raw numpy throughout."""
+    t = rho_au_mat.reshape(d_a, d_u, d_a, d_u)
+    s_a = oracle_entropy(np.einsum("iuju->ij", t))
+    s_u = oracle_entropy(np.einsum("aiaj->ij", t))
+    return (s_a + oracle_entropy(rho_au_mat) - s_u) / 2
 
 
 def oracle_channel_entropy(rho_mat, parts, v, out, env):
@@ -307,15 +317,30 @@ class TestEntanglementOfPurification:
                                          rng=stream_rng(13))
 
     @pytest.mark.parametrize("d_a, cap_out, cap_env, match", [
-        (2, 1000, 1000, "parameters"),   # 10^12 parameters
-        (2, 33, 32, "parameters"),       # 1056^2, just over 2^20
-        (8, 1024, 1, "density cap"),     # 2^20 parameters, output side 8192
+        (2, 1000, 1000, "entries"),      # V·ρ has 2·10^6·4 entries, over 2^20
+        (8, 1024, 1, "density cap"),     # V·ρ has 2^17 entries, output side 8192
     ])
     def test_caps_checked_before_any_draw(self, d_a, cap_out, cap_env, match):
         rho = tensor(presets.maximally_mixed("A", d_a), presets.maximally_mixed("U", 2))
         with pytest.raises(DimensionCapError, match=match):
             entanglement_of_purification(rho, "A", "U", cap_out=cap_out, cap_env=cap_env,
                                          rng=_NoDraws())
+
+    def test_search_runs_past_old_parameter_count(self):
+        # (33·32)² is just over 2^20, but V·ρ has 2·1056·4 = 8448 entries
+        # and ρ′ side 66; S(A, Λ(U)) ≥ S(A) = 1 on I/2 ⊗ I/2, which the
+        # full trace attains
+        rho = tensor(presets.maximally_mixed("A", 2), presets.maximally_mixed("U", 2))
+        est = entanglement_of_purification(rho, "A", "U", cap_out=33, cap_env=32, restarts=1,
+                                           rng=stream_rng(14), max_iters=3)
+        assert est.restarts_used == 1 and abs(est.value - 1.0) <= 1e-9
+
+    def test_parties_outside_alice_and_u_are_traced_out(self):
+        rho = presets.random_pure((2, 2, 2), 5, labels=("A", "U", "X")).density()
+        three = entanglement_of_purification(rho, "A", "U", rng=stream_rng(1))
+        two = entanglement_of_purification(partial_trace(rho, ("A", "U")), "A", "U",
+                                           rng=stream_rng(1))
+        assert three.value == two.value > 0.5
 
     @pytest.mark.parametrize("i, value", [(0, 0.9905809476779285), (1, 0.7637898791092144)])
     def test_seed11_benchmark_inputs_pinned(self, i, value):
@@ -324,9 +349,12 @@ class TestEntanglementOfPurification:
         assert est.restarts_used == 4 and est.converged is True
 
     def test_seed11_benchmark_inputs_not_above_derivative_free_search(self):
-        # values of the derivative-free random-direction search this one replaced
+        # values of the derivative-free random-direction search this one
+        # replaced; each value is also at least the I(A:R′)/2 oracle bound
         for i, old in enumerate(DERIVATIVE_FREE_SEED11):
-            assert seed11_search(i).value <= old
+            value = seed11_search(i).value
+            assert value <= old
+            assert value >= oracle_half_mutual_information(seed11_input(i).matrix, 2, 3) - 1e-9
 
     def test_criterion_11_inputs_not_above_grid_oracle(self):
         rng = np.random.default_rng(110)
@@ -335,6 +363,7 @@ class TestEntanglementOfPurification:
             est = entanglement_of_purification(rho, "A", "U", restarts=2,
                                                rng=stream_rng(110), max_iters=150)
             assert est.value <= oracle_ep_grid(rho.matrix, 2) + 1e-9
+            assert est.value >= oracle_half_mutual_information(rho.matrix, 2, 2) - 1e-9
 
     @pytest.mark.parametrize("parts, out, env", [
         ((("A", 2), ("U", 3)), 2, 3),
@@ -371,17 +400,20 @@ class TestEntanglementOfPurification:
         assert seed11_search(1, max_iters=5).converged is False
 
 
-def seed11_search(i, **kwargs):
-    """The search on the benchmark's seed-11 input i, drawn the same way: a
-    rank-r Wishart rho_AU with A=2, U=3 from stream (11, i, 3), and the
-    search stream (11, i, 3, 1)."""
+def seed11_input(i):
+    """The benchmark's seed-11 input i, drawn the same way: a rank-r
+    Wishart rho_AU with A=2, U=3 from stream (11, i, 3)."""
     rng = np.random.default_rng([11, i, 3])
     rank = int(rng.integers(1, 7))
     g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
     m = g @ g.conj().T
-    rho = DensityOperator(SubsystemLayout((("A", 2), ("U", 3))), m / m.trace().real)
-    return entanglement_of_purification(rho, "A", "U", rng=np.random.default_rng([11, i, 3, 1]),
-                                        **kwargs)
+    return DensityOperator(SubsystemLayout((("A", 2), ("U", 3))), m / m.trace().real)
+
+
+def seed11_search(i, **kwargs):
+    """The search on :func:`seed11_input` i with the search stream (11, i, 3, 1)."""
+    return entanglement_of_purification(seed11_input(i), "A", "U",
+                                        rng=np.random.default_rng([11, i, 3, 1]), **kwargs)
 
 
 DERIVATIVE_FREE_SEED11 = (

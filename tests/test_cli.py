@@ -279,7 +279,7 @@ class TestSideinfoCommand:
         code, out, err = run_cli(capsys, "sideinfo", "--state", "cc-pure", "--channel", str(path),
                                  "--seed", "2", "--cap-out", "1000", "--cap-env", "1000")
         assert code == 3 and out == "" and len(err.splitlines()) == 1
-        assert "parameters" in err
+        assert "entries" in err
 
 
 class TestErrorPaths:

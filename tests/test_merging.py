@@ -236,30 +236,35 @@ class TestMergeTrials:
         monkeypatch.undo()
         assert len(outs) == 4 + plan.outcome_count and built == []
 
-    def test_one_eigh_per_run_on_the_one_copy_reference(self, seed11_state, monkeypatch):
-        # τ = I/L ⊗ ρ_R^⊗n is diagonal in the eigenbasis of the one-copy ρ_R:
-        # one setup, one d_R×d_R eigh, and no outcome diagonalizes anything
-        setups, eigh_inputs = [], []
-        setup, eigh = qmerge.merging._setup, np.linalg.eigh
+    def test_no_eigh_and_one_svd_of_the_one_copy_per_run(self, seed11_state, monkeypatch):
+        # τ = I/L ⊗ ρ_R^⊗n is diagonal in the basis of the one-copy SVD's
+        # left factor, as ρ_R = U·S²·U†: one setup, whose one SVD is of the
+        # one-copy (R, AB) matrix, and no eigh anywhere in the run
+        setups, setup_svds, calls = [], [], {"eigh": [], "svd": []}
+        setup = qmerge.merging._setup
 
         def recording_setup(*args, **kwargs):
+            start = len(calls["svd"])
             setups.append(setup(*args, **kwargs))
+            setup_svds.append(calls["svd"][start:])
             return setups[-1]
 
-        def recording_eigh(a, *args, **kwargs):
-            eigh_inputs.append(np.array(a))
-            return eigh(a, *args, **kwargs)
+        def recording(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls[name].append(np.array(a))
+                return fn(a, *args, **kwargs)
+            return wrapped
 
         plan = plan_merge(seed11_state, 3)
         monkeypatch.setattr(qmerge.merging, "_setup", recording_setup)
-        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
         outs = run_merge_exhaustive(seed11_state, plan, unitary=hadamard_basis(plan.alice_dim))
         monkeypatch.undo()
         assert len(outs) == plan.outcome_count > 1 and len(setups) == 1
-        assert len(eigh_inputs) == 1
-        rho_r = reduced_density(seed11_state, "R").matrix
-        assert eigh_inputs[0].shape == rho_r.shape == (2, 2)
-        np.testing.assert_allclose(eigh_inputs[0], rho_r, atol=1e-12)
+        assert calls["eigh"] == [] and len(setup_svds[0]) == 1
+        one_copy = seed11_state.tensor_view().transpose(2, 0, 1).reshape(2, 4)  # (R, AB)
+        np.testing.assert_array_equal(setup_svds[0][0], one_copy)
 
     def test_one_eigvalsh_per_outcome(self, seed11_state, monkeypatch):
         # σ is never validated as a DensityOperator: its decoupling error is
@@ -336,6 +341,59 @@ class TestReferenceSupportScoring:
         short = reduce(np.kron, [vecs.conj().T] * plan.n)
         with pytest.raises(ValueError, match="support"):
             qmerge.merging._outcome(0, 1.0, post, plan, dataclasses.replace(setup, proj=short))
+
+
+class TestSetupCopyOrder:
+    # oracles for _setup's copy order that share no code with it: flat
+    # amplitude vectors, an explicit axis transpose, and reduced_density
+
+    @staticmethod
+    def state(spec, seed11_state):
+        if spec == "seed11":
+            return seed11_state
+        if spec == "seed11:RBA":
+            return permute_subsystems(seed11_state, ("R", "B", "A"))
+        if spec == "epr+R0":  # ρ_R = |0⟩⟨0| has rank 1 on d_R = 2
+            return tensor(presets.bell_pair(), presets.basis_state((("R", 2),)))
+        return presets.parse_state(spec)
+
+    @pytest.mark.parametrize("spec,n,k", [
+        ("seed11", 2, 0), ("seed11:RBA", 2, 0), ("epr+R0", 2, 0),
+        ("example1-pure", 1, 2), ("random-pure:2x2x2:11", 2, 2),
+        ("random-pure:2x2x2x2:1", 2, 2),
+    ])
+    def test_setup_matches_flat_kron_oracle(self, seed11_state, spec, n, k):
+        psi = self.state(spec, seed11_state)
+        plan = plan_merge(psi, n)
+        assert plan.k_boost == k
+        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
+        boost, block, parts = 2 ** k, plan.block_dim, len(psi.layout)
+        # ψ^⊗n ⊗ Φ_{2^k} as one flat vector: copy 0's parties first, the
+        # boost halves (A side, B side) last
+        flat = reduce(np.kron, [psi.amplitudes] * n + [np.eye(boost).reshape(-1)])
+        flat = flat / math.sqrt(boost)
+        pa, pb = psi.layout.position("A"), psi.layout.position("B")
+        refs = [i for i in range(parts) if i not in (pa, pb)]
+        axes = ([c * parts + pa for c in range(n)] + [n * parts]
+                + [c * parts + r for c in range(n) for r in refs]
+                + [c * parts + pb for c in range(n)] + [n * parts + 1])
+        d_a, d_b = psi.layout.dims[pa], psi.layout.dims[pb]
+        d_r = psi.dim // (d_a * d_b)
+        expected = flat.reshape(psi.layout.dims * n + (boost, boost)).transpose(axes)
+        expected = expected.reshape(d_a ** n * boost, d_r ** n, d_b ** n * boost)
+        np.testing.assert_allclose(setup.prepared, expected, rtol=0, atol=1e-15)
+        # Bob's target reduces to τ = I/L ⊗ ρ_R^⊗n on the kept parts
+        ref_labels = [psi.layout.labels[i] for i in refs]
+        rho_r = reduced_density(psi, ref_labels).matrix if refs else np.eye(1)
+        tau = reduce(np.kron, [rho_r] * n, np.eye(block) / block)
+        np.testing.assert_allclose(setup.target @ setup.target.conj().T, tau,
+                                   rtol=0, atol=1e-12)
+        # τ is diagonal with weights w in the projector's basis
+        lift = np.kron(np.eye(block), setup.proj)
+        np.testing.assert_allclose(lift @ tau @ lift.conj().T, np.diag(setup.weights),
+                                   rtol=0, atol=1e-12)
+        if spec == "epr+R0":
+            assert setup.proj.shape == (1, 4)
 
 
 class TestFactoredTarget:
@@ -497,10 +555,12 @@ class TestEnsembleReference:
         assert ensemble_reference_check(psi, plan, w) < 1e-12
 
     def test_outcome_cap(self):
-        psi = presets.cc_purification()
-        plan = plan_merge(psi, 2, slack_bits=0.0)
-        with pytest.raises(DimensionCapError):
-            ensemble_reference_check(psi, plan, hadamard_basis(4), max_outcomes=2)
+        psi = presets.parse_state("ghz:4")
+        plan = plan_merge(psi, 13)
+        assert plan.outcome_count == 8192
+        # the cap is checked before the basis is read
+        with pytest.raises(DimensionCapError, match="enumeration cap"):
+            ensemble_reference_check(psi, plan, np.eye(1))
 
 
 class TestMonteCarlo:
