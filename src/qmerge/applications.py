@@ -23,6 +23,7 @@ from .core import (
     as_labels,
     partial_trace,
     phase_fixed_qr,
+    reduced_density,
     stinespring_contract,
     stream_rng,
 )
@@ -357,11 +358,23 @@ def side_info_rates(
     rng: np.random.Generator | None = None,
 ) -> SideInfoResult:
     """Achievable side-information corner for one choice of the helper
-    channel: R_a = S(A|U) and R_b = E_p estimate − S(A|U)."""
+    channel: R_a = S(A|U) and R_b = E_p estimate − S(A|U).
+
+    ψ is reduced to Alice and the channel's input before the channel acts,
+    so |ψ⟩⟨ψ| is never formed. Raises :class:`DimensionCapError`, before
+    forming anything, when ρ over Alice and the input or ρ′ over Alice and
+    the output has a side over the density cap.
+    """
     a = psi.layout.check_subset(alice, "alice")
     if ch.input_label in set(a):
         raise ValueError("the side-information channel must not act on Alice")
-    rho = apply_channel(psi.density(), ch)
+    d_a = psi.layout.dim_of(a)
+    for side in (d_a * psi.layout.dim_of(ch.input_label), d_a * ch.out_dim):
+        if side > DEFAULT_DENSITY_CAP:
+            raise DimensionCapError(
+                f"sideinfo needs a density matrix of side {side}, "
+                f"over the {DEFAULT_DENSITY_CAP} cap")
+    rho = apply_channel(reduced_density(psi, a + (ch.input_label,)), ch)
     u = ch.output_label
     r_a = conditional_entropy(rho, a, u)
     ep = entanglement_of_purification(

@@ -19,28 +19,22 @@ and that the Born probabilities sum to 1, which is the prepared state's norm
 check.
 
 Every n-copy array is an ``np.kron`` power of one copy, copy 0 most
-significant on each axis. Bob's target, the reference support and τ's
-weights come from one thin SVD U·S·Vh of the copy; ρ_R = U·S²·U† is never
-diagonalized.
+significant on each axis, and the copy's reference axis is in its Schmidt
+basis: one thin SVD U·S·Vh of the copy as an (R × AB) matrix gives
+ρ_R = U·S²·U†, and R is rotated by U_live†, where U_live are the r_R
+columns of U that span supp(ρ_R). Nothing in a run acts on R, and by
+Uhlmann's theorem Bob may aim at any purification of I/L ⊗ ρ_R^⊗n, so the
+basis R is written in changes no score.
 
-Bob's recovery target |Φ_L⟩ ⊗ ψ^⊗n is never built densely. Its Bob side
-(Φ_L's half plus Alice's and Bob's copies) has rank at most L·r^n with
-r = min(d_R, d_A·d_B), and the copy's SVD gives that support, so the
-target is kept as its (A1·R, L·r^n) matrix in that basis instead of
-(A1·R, L·(d_A·d_B)^n). The recovery isometry maps Bob's post-measurement
-share into this basis, and the achieved fidelity is still the overlap of the
-recovered state with the target.
-
-Each outcome is scored against τ = I/L ⊗ ρ_R^⊗n in the reference's support,
-not on the full side L·d_R^n. Every branch satisfies p_k·σ_R^(k) ≤ ρ_R^⊗n
-(the branches average to ρ_R^⊗n), so σ(A1,R) and τ both live in
-C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n with r_R = rank ρ_R. In the basis of
-U's live columns, τ is diagonal and is kept as its weight vector w. With
-M the post state's (A1·R, B) matrix in that basis, σ = M·M†: the decoupling
-error is ½·Σ|eigvalsh(M·M† − diag w)| and the Uhlmann fidelity is
-‖√w·M‖₁², one SVD with no square root of σ. Recovery uses neither the
-projector nor w, so the achieved fidelity stays an independent check of that
-number.
+The kept part (A1, R) of every branch therefore lives in
+C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n, where τ = I/L ⊗ ρ_R^⊗n is diag(w)
+with w = 1/L ⊗ (S_live²)^⊗n, and Bob's recovery target is τ's canonical
+purification diag(√w) as an (A1·R, Bob) matrix. With M a branch's
+(A1·R, B) matrix, σ(A1,R) = M·M†: the decoupling error is
+½·Σ|eigvalsh(M·M† − diag w)| and the Uhlmann fidelity is ‖√w·M‖₁², one SVD
+with no square root of σ. The achieved fidelity is the overlap with the
+target that the recovery isometry, built and applied to Bob's share,
+actually reaches, so it checks that nuclear-norm formula.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_PURE_CAP,
-    NORM_TOL,
     RANK_TOL,
     DimensionCapError,
     DensityOperator,
@@ -222,13 +215,17 @@ def _kron_power(one: np.ndarray, n: int) -> np.ndarray:
 
 
 def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
-    """One copy of ψ and the prepared state ψ^⊗n ⊗ Φ_{2^k}, as arrays.
+    """The copy's reference weights and the prepared state ψ^⊗n ⊗ Φ_{2^k}.
 
     The copy is an (Alice, reference, Bob) array: every party other than
     Alice and Bob is fused into the reference R (dimension 1 when there is
-    none). ψ^⊗n is its Kronecker power, so Alice's n copies are fused copy 0
-    most significant, and likewise R and Bob's copies; the boost halves go
-    last on both sides. The prepared state is a read-only (A, R, B) array,
+    none). Its thin SVD as an (R × AB) matrix, U·S·Vh, gives ρ_R = U·S²·U†;
+    the r_R columns U_live of U whose S² is above ``RANK_TOL``·S₀² span
+    supp(ρ_R). R is rotated by U_live† and cut to those r_R rows, so the
+    copy's reference state is diag(S_live²). ψ^⊗n is the Kronecker power of
+    that copy, so Alice's n copies are fused copy 0 most significant, and
+    likewise R and Bob's copies; the boost halves go last on both sides.
+    Returns S_live² and the prepared state as a read-only (A, R, B) array,
     so every branch cut from it keeps the (A1, R) axes leading and splitting
     off Bob's side is a reshape.
     """
@@ -241,10 +238,13 @@ def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
         raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
     if one.shape[0] ** plan.n * boost != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
+    u, s, _ = np.linalg.svd(one.transpose(1, 0, 2).reshape(one.shape[1], -1),
+                            full_matrices=False)
+    live = s ** 2 > RANK_TOL * s[0] ** 2
     phi = np.eye(boost)[:, None, :] / math.sqrt(boost)  # Φ_{2^k} as an (A, R, B) array
-    prepared = np.kron(_kron_power(one, plan.n), phi)
+    prepared = np.kron(_kron_power(u[:, live].conj().T @ one, plan.n), phi)
     prepared.setflags(write=False)
-    return one, prepared
+    return s[live] ** 2, prepared
 
 
 @dataclass(frozen=True)
@@ -252,44 +252,30 @@ class _Setup:
     """What every scored trial of one plan shares."""
 
     prepared: np.ndarray  # ψ^⊗n ⊗ Φ_{2^k} as a read-only (A, R, B) array
-    proj: np.ndarray      # P = (U_live†)^⊗n onto supp(ρ_R)^⊗n
-    weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) in P's basis
-    target: np.ndarray    # |Φ_L⟩ ⊗ ψ^⊗n as its (A1·R, Bob-side support) matrix
+    weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) on the (A1, R) rows
+    target: np.ndarray    # diag(√w): τ's canonical purification, (A1·R, Bob)
 
 
 def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
-    """:func:`_prepare`'s state, the reference support, τ's weights and Bob's target.
+    """:func:`_prepare`'s state, τ's weights and Bob's target.
 
-    The rest comes from one thin SVD of one copy as an (R × AB) matrix,
-    U·S·Vh, and Kronecker powers of its factors, copy 0 most significant
-    like R. As ρ_R = U·S²·U†, the r_R columns U_live of U whose S² is above
-    ``RANK_TOL``·S₀² span its support: P = (U_live†)^⊗n (r_R^n × d_R^n)
-    projects onto supp(ρ_R)^⊗n, where τ = I/L ⊗ ρ_R^⊗n is diagonal with
-    weights w = 1/L ⊗ (S_live²)^⊗n (side L·r_R^n, A1 most significant).
-    No operator of side L·d_R^n is built. P has no more entries than the
-    target, whose cap counts L²·d_R^n·r^n.
+    In the prepared state's basis τ = I/L ⊗ ρ_R^⊗n is diagonal, with weights
+    w = 1/L ⊗ (S_live²)^⊗n on side L·r_R^n, A1 most significant. Bob's
+    target |Φ_L⟩ ⊗ ψ^⊗n, up to an isometry on his side, is τ's canonical
+    purification diag(√w): his side is a copy of the (A1, R) index. No
+    operator of side L·d_R^n is built.
 
-    Bob's target |Φ_L⟩ ⊗ ψ^⊗n is written in an orthonormal basis of its
-    Bob-side support. Vh's r = min(d_R, d_A·d_B) rows span the copy's Bob
-    side, where its amplitudes are the (R × r) matrix U·S (zero singular
-    values give zero columns). The target is Φ_L ⊗ (U·S)^⊗n as a matrix:
-    rows are the kept parts (A1 = L most significant, then R = d_R^n in the
-    order of the prepared state's R), columns a Bob side of L·r^n, Φ_L's
-    half first.
+    The target cap counts L²·d_R^n·r^n amplitudes, r = min(d_R, d_A·d_B):
+    the size of Bob's target in the reference's own basis, which bounds the
+    (L·r_R^n)² entries of diag(√w).
     """
-    one, prepared = _prepare(psi, plan, dim_cap)
+    s2, prepared = _prepare(psi, plan, dim_cap)
     block, n = plan.block_dim, plan.n
-    u, s, _ = np.linalg.svd(one.transpose(1, 0, 2).reshape(one.shape[1], -1),
-                            full_matrices=False)
-    if block ** 2 * (one.shape[1] * s.size) ** n > dim_cap:
+    d_r = psi.dim // (psi.layout.dim_of(plan.alice) * psi.layout.dim_of(plan.bob))
+    if block ** 2 * (d_r * min(d_r, psi.dim // d_r)) ** n > dim_cap:
         raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
-    live = s ** 2 > RANK_TOL * s[0] ** 2
-    return _Setup(
-        prepared=prepared,
-        proj=_kron_power(u[:, live].conj().T, n),
-        weights=np.kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, n)),
-        target=np.kron(np.eye(block) / math.sqrt(block), _kron_power(u * s, n)),
-    )
+    weights = np.kron(np.full(block, 1 / block), _kron_power(s2, n))
+    return _Setup(prepared=prepared, weights=weights, target=np.diag(np.sqrt(weights)))
 
 
 def _branches(prepared: np.ndarray, basis: np.ndarray, block: int):
@@ -374,24 +360,19 @@ def recovered_overlap_sq(post: np.ndarray, target: np.ndarray, isometry: np.ndar
 def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
              setup: _Setup) -> MergeOutcome:
     """Score one branch, given as its normalized (A1, R, B) state."""
-    kept = post.reshape(-1, post.shape[-1])
+    m = post.reshape(-1, post.shape[-1])
     w = setup.weights
-    m = (setup.proj @ post).reshape(w.size, -1)  # (I_L ⊗ P)·M
-    lost = 1.0 - np.vdot(m, m).real
-    if lost > NORM_TOL:
-        raise ValueError(f"post-measurement reference has weight {lost!r} outside the "
-                         "support of ρ_R^⊗n")
-    # σ = M·M† is PSD by construction and the check above fixes its trace;
-    # ½‖σ − τ‖₁ from one eigvalsh, and Tr|√τ√σ| = ‖√w·M‖₁
+    # σ = M·M† is PSD by construction; ½‖σ − τ‖₁ from one eigvalsh, and
+    # Tr|√τ√σ| = ‖√w·M‖₁
     lam = np.linalg.eigvalsh(m @ m.conj().T - np.diag(w))
     nuclear = np.linalg.svd(np.sqrt(w)[:, None] * m, compute_uv=False).sum()
-    v = recovery_isometry(kept, setup.target)
+    v = recovery_isometry(m, setup.target)
     return MergeOutcome(
         outcome_index=index,
         probability=prob,
         decoupling_error=float(0.5 * np.abs(lam).sum()),
         uhlmann_fidelity=float(min(1.0, nuclear ** 2)),
-        achieved_fidelity=recovered_overlap_sq(kept, setup.target, v),
+        achieved_fidelity=recovered_overlap_sq(m, setup.target, v),
         epr_net_bits=math.log2(plan.block_dim) - plan.k_boost,
         cbits=math.log2(plan.outcome_count),
     )
@@ -472,7 +453,8 @@ def ensemble_reference_check(
     Local operations cannot change the unconditioned reference state, so
     this is zero up to roundoff for every basis; the sum runs over all
     outcomes using unnormalized branches, so vanishing-probability outcomes
-    contribute exactly.
+    contribute exactly. Both states are taken from the prepared array, in
+    its Schmidt basis of supp(ρ_R)^⊗n, not from τ's weights.
     """
     if plan.outcome_count > MAX_ENSEMBLE_OUTCOMES:
         raise DimensionCapError(

@@ -13,7 +13,7 @@ import pytest
 
 import qmerge
 from qmerge.cli import _emit_json, main
-from qmerge.core import DimensionCapError, partial_trace
+from qmerge.core import DimensionCapError, PureState, partial_trace
 from qmerge.presets import load_channel_file, parse_state
 
 
@@ -281,6 +281,38 @@ class TestSideinfoCommand:
         assert code == 3 and out == "" and len(err.splitlines()) == 1
         assert "entries" in err
 
+
+    def test_many_qubit_state_never_forms_its_density(self, capsys, tmp_path, monkeypatch):
+        # 13 qubits: |ψ⟩⟨ψ| would have side 8192, over the 4096 density cap,
+        # while ρ over A and B has side 4
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(IDENTITY_CHANNEL))
+
+        def no_density(psi):
+            raise AssertionError(f"|ψ⟩⟨ψ| of side {psi.dim} formed")
+
+        monkeypatch.setattr(PureState, "density", no_density)
+        code, out, _ = run_cli(capsys, "sideinfo", "--state", "random-pure:" + "x".join("2" * 13)
+                               + ":1", "--channel", str(path), "--seed", "2", "--restarts", "1")
+        assert code == 0 and json.loads(out)["ep"]["restarts_used"] == 1
+
+    def test_output_over_the_density_cap_exits_3_before_contracting(
+            self, capsys, tmp_path, monkeypatch):
+        # B has dimension 1 on random-pure:2x1x2: an out_dim of 4096 makes ρ′
+        # over A and U of side 8192, over the 4096 density cap
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps({"input": "B", "output": "U", "out_dim": 4096, "env_dim": 1,
+                                    "re": [1.0] + [0.0] * 4095, "im": [0.0] * 4096}))
+
+        def no_contraction(*args, **kwargs):
+            raise AssertionError("channel contracted")
+
+        monkeypatch.setattr(qmerge.core, "stinespring_contract", no_contraction)
+        monkeypatch.setattr(qmerge.applications, "stinespring_contract", no_contraction)
+        code, out, err = run_cli(capsys, "sideinfo", "--state", "random-pure:2x1x2:1",
+                                 "--channel", str(path), "--seed", "2")
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert "side 8192" in err
 
 class TestErrorPaths:
     def test_unknown_preset_exits_2_with_empty_stdout(self, capsys):

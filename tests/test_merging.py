@@ -1,7 +1,6 @@
 """Merge planning, the measurement/recovery loop, and resource accounting."""
 
 import contextlib
-import dataclasses
 import io
 import math
 import re
@@ -81,14 +80,62 @@ def dense_target(psi, plan):
     return state.amplitudes.reshape(state.layout.dim_of(kept), -1)
 
 
+def flat_prepared(psi, n, k):
+    """ψ^⊗n ⊗ Φ_{2^k} in ψ's own basis as an (A, R, B) array, from one flat
+    ``np.kron`` vector and an explicit axis transpose: copy 0's parties
+    first, the boost halves (A side, B side) last."""
+    boost, parts = 2 ** k, len(psi.layout)
+    flat = reduce(np.kron, [psi.amplitudes] * n + [np.eye(boost).reshape(-1)])
+    flat = flat / math.sqrt(boost)
+    pa, pb = psi.layout.position("A"), psi.layout.position("B")
+    refs = [i for i in range(parts) if i not in (pa, pb)]
+    axes = ([c * parts + pa for c in range(n)] + [n * parts]
+            + [c * parts + r for c in range(n) for r in refs]
+            + [c * parts + pb for c in range(n)] + [n * parts + 1])
+    d_a, d_b = psi.layout.dims[pa], psi.layout.dims[pb]
+    out = flat.reshape(psi.layout.dims * n + (boost, boost)).transpose(axes)
+    return out.reshape(d_a ** n * boost, -1, d_b ** n * boost)
+
+
+def hand_branches(prepared, basis, block):
+    """Alice's measurement by hand: rotate her axis, cut it into blocks of
+    ``block``, and keep each block at or above ZERO_PROB as its probability
+    and normalized (A1·R, B) matrix."""
+    d = prepared.shape[0]
+    rotated = (basis @ prepared.reshape(d, -1)).reshape(prepared.shape)
+    branches = {}
+    for k in range(d // block):
+        m = kept_matrix(rotated[k * block:(k + 1) * block])
+        p = np.vdot(m, m).real
+        if p >= ZERO_PROB:
+            branches[k] = p, m / np.sqrt(p)
+    return branches
+
+
+def reference_tau(psi, plan):
+    """The dense τ = I/L ⊗ ρ_R^⊗n in ψ's own reference basis, ρ_R from
+    reduced_density."""
+    refs = [label for label in psi.layout.labels if label not in ("A", "B")]
+    rho_r = reduced_density(psi, refs).matrix if refs else np.eye(1)
+    block = plan.block_dim
+    return DensityOperator(
+        SubsystemLayout((("K", block * rho_r.shape[0] ** plan.n),)),
+        reduce(np.kron, [rho_r] * plan.n, np.eye(block) / block))
+
+
 def random_unit_matrix(rng, rows, cols):
     """A random pure state as a (kept, Bob) amplitude matrix."""
     return random_pure_state(rng, (("K", rows), ("B", cols))).tensor_view()
 
 
+def gram(m):
+    """M·M†."""
+    return m @ m.conj().T
+
+
 def kept_density(m):
     """The reduced state M·M† on the kept rows of a (kept, Bob) matrix."""
-    return DensityOperator(SubsystemLayout((("K", m.shape[0]),)), m @ m.conj().T)
+    return DensityOperator(SubsystemLayout((("K", m.shape[0]),)), gram(m))
 
 
 class TestEprBoost:
@@ -301,21 +348,9 @@ class TestReferenceSupportScoring:
         plan = plan_merge(psi, n)
         w = haar_unitary(plan.alice_dim, stream_rng(19, n))
         outs = run_merge_exhaustive(psi, plan, unitary=w)
-        # the branches by hand: rotate Alice's axis, cut it into blocks of L
-        prepared = qmerge.merging._prepare(psi, plan, DEFAULT_PURE_CAP)[1]
-        rotated = (w @ prepared.reshape(plan.alice_dim, -1)).reshape(prepared.shape)
-        branches = {}
-        for k in range(plan.outcome_count):
-            m = kept_matrix(rotated[k * plan.block_dim:(k + 1) * plan.block_dim])
-            p = np.vdot(m, m).real
-            if p >= ZERO_PROB:
-                branches[k] = p, m / np.sqrt(p)
+        branches = hand_branches(flat_prepared(psi, n, plan.k_boost), w, plan.block_dim)
         assert [o.outcome_index for o in outs] == list(branches)
-        refs = [label for label in psi.layout.labels if label not in ("A", "B")]
-        rho_r = reduced_density(psi, refs).matrix if refs else np.eye(1)
-        dense = DensityOperator(
-            SubsystemLayout((("K", plan.block_dim * rho_r.shape[0] ** n),)),
-            reduce(np.kron, [rho_r] * n, np.eye(plan.block_dim) / plan.block_dim))
+        dense = reference_tau(psi, plan)
         for out in outs:
             p, m = branches[out.outcome_index]
             assert abs(out.probability - p) <= 1e-12
@@ -331,21 +366,12 @@ class TestReferenceSupportScoring:
         for out in outs:
             assert abs(out.achieved_fidelity - out.uhlmann_fidelity) <= 1e-12
 
-    def test_projector_dropping_a_live_eigenvector_raises(self, seed11_state):
-        plan = plan_merge(seed11_state, 2)
-        setup, (post,) = trial_posts(seed11_state, plan, 11, 1)
-        qmerge.merging._outcome(0, 1.0, post, plan, setup)  # the intact projector
-        lam, vecs = np.linalg.eigh(reduced_density(seed11_state, "R").matrix)
-        assert lam[0] > 1e-3  # both eigenvectors of ρ_R carry weight
-        vecs[:, -1] = 0
-        short = reduce(np.kron, [vecs.conj().T] * plan.n)
-        with pytest.raises(ValueError, match="support"):
-            qmerge.merging._outcome(0, 1.0, post, plan, dataclasses.replace(setup, proj=short))
-
 
 class TestSetupCopyOrder:
     # oracles for _setup's copy order that share no code with it: flat
-    # amplitude vectors, an explicit axis transpose, and reduced_density
+    # amplitude vectors, an explicit axis transpose, and reduced_density.
+    # _setup writes R in its Schmidt basis, so only what a unitary on R
+    # leaves alone is compared with the oracle
 
     @staticmethod
     def state(spec, seed11_state):
@@ -361,56 +387,68 @@ class TestSetupCopyOrder:
         ("seed11", 2, 0), ("seed11:RBA", 2, 0), ("epr+R0", 2, 0),
         ("example1-pure", 1, 2), ("random-pure:2x2x2:11", 2, 2),
         ("random-pure:2x2x2x2:1", 2, 2),
+        ("ghz:4", 5, 0),  # ρ_{C1C2} has rank 2 of 4: R^n shrinks from 4^5 to 2^5
+        ("random-pure:4x4x2:9", 2, 0),  # L = 2 over a non-flat ρ_R: w's order shows
     ])
     def test_setup_matches_flat_kron_oracle(self, seed11_state, spec, n, k):
         psi = self.state(spec, seed11_state)
         plan = plan_merge(psi, n)
         assert plan.k_boost == k
+        if spec == "random-pure:4x4x2:9":
+            assert plan.block_dim == 2
         setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
-        boost, block, parts = 2 ** k, plan.block_dim, len(psi.layout)
-        # ψ^⊗n ⊗ Φ_{2^k} as one flat vector: copy 0's parties first, the
-        # boost halves (A side, B side) last
-        flat = reduce(np.kron, [psi.amplitudes] * n + [np.eye(boost).reshape(-1)])
-        flat = flat / math.sqrt(boost)
-        pa, pb = psi.layout.position("A"), psi.layout.position("B")
-        refs = [i for i in range(parts) if i not in (pa, pb)]
-        axes = ([c * parts + pa for c in range(n)] + [n * parts]
-                + [c * parts + r for c in range(n) for r in refs]
-                + [c * parts + pb for c in range(n)] + [n * parts + 1])
-        d_a, d_b = psi.layout.dims[pa], psi.layout.dims[pb]
-        d_r = psi.dim // (d_a * d_b)
-        expected = flat.reshape(psi.layout.dims * n + (boost, boost)).transpose(axes)
-        expected = expected.reshape(d_a ** n * boost, d_r ** n, d_b ** n * boost)
-        np.testing.assert_allclose(setup.prepared, expected, rtol=0, atol=1e-15)
-        # Bob's target reduces to τ = I/L ⊗ ρ_R^⊗n on the kept parts
-        ref_labels = [psi.layout.labels[i] for i in refs]
-        rho_r = reduced_density(psi, ref_labels).matrix if refs else np.eye(1)
-        tau = reduce(np.kron, [rho_r] * n, np.eye(block) / block)
-        np.testing.assert_allclose(setup.target @ setup.target.conj().T, tau,
+        expected, got, block = flat_prepared(psi, n, k), setup.prepared, plan.block_dim
+        # the (A, B)-side Gram matrix does not see R's basis
+        def ab_gram(t):
+            return gram(t.transpose(0, 2, 1).reshape(-1, t.shape[1]))
+
+        assert got.shape[::2] == expected.shape[::2]
+        np.testing.assert_allclose(ab_gram(got), ab_gram(expected), rtol=0, atol=1e-12)
+        # R keeps only supp(ρ_R)^⊗n, on which its reduced state is diagonal
+        # with the spectrum of ρ_R^⊗n and equals w's reference factor
+        refs = [label for label in psi.layout.labels if label not in ("A", "B")]
+        lam = np.linalg.eigvalsh(reduced_density(psi, refs).matrix) if refs else np.ones(1)
+        lam = lam[lam > 1e-12]
+        assert got.shape[1] == lam.size ** n
+        rho_r = gram(got.transpose(1, 0, 2).reshape(got.shape[1], -1))
+        np.testing.assert_allclose(np.sort(np.diag(rho_r).real),
+                                   np.sort(reduce(np.kron, [lam] * n)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(rho_r, np.diag(setup.weights.reshape(block, -1).sum(0)),
                                    rtol=0, atol=1e-12)
-        # τ is diagonal with weights w in the projector's basis
-        lift = np.kron(np.eye(block), setup.proj)
-        np.testing.assert_allclose(lift @ tau @ lift.conj().T, np.diag(setup.weights),
+        # τ = I/L ⊗ ρ_R^⊗n: A1 most significant and flat, and Bob's target
+        # purifies it
+        np.testing.assert_allclose(setup.weights.reshape(block, -1),
+                                   np.tile(np.diag(rho_r).real / block, (block, 1)),
                                    rtol=0, atol=1e-12)
-        if spec == "epr+R0":
-            assert setup.proj.shape == (1, 4)
+        np.testing.assert_allclose(gram(setup.target), np.diag(setup.weights),
+                                   rtol=0, atol=1e-12)
 
 
 class TestFactoredTarget:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("spec", ["seed11", "random-pure:2x2x2:11"])
     def test_matches_dense_target_oracle(self, seed11_state, spec, n):
+        # one trial by hand in ψ's own basis: draw the basis and the outcome
+        # from the trial's stream as merge_trials does, recover against the
+        # dense |Φ_L⟩ ⊗ ψ^⊗n
         psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
         plan = plan_merge(psi, n)
-        setup, (post,) = trial_posts(psi, plan, 11, 1)
         out = run_merge(psi, plan, stream_rng(11, n, 0))
-        dense, m = dense_target(psi, plan), kept_matrix(post)
+        rng = stream_rng(11, n, 0)
+        basis = haar_unitary(plan.alice_dim, rng)
+        branches = hand_branches(flat_prepared(psi, n, plan.k_boost), basis, plan.block_dim)
+        probs = np.array([p for p, _ in branches.values()])
+        assert out.outcome_index == list(branches)[rng.choice(len(probs), p=probs / probs.sum())]
+        p, m = branches[out.outcome_index]
+        assert abs(out.probability - p) <= 1e-12
+        dense = dense_target(psi, plan)
         oracle = recovered_overlap_sq(m, dense, recovery_isometry(m, dense))
         assert abs(out.achieved_fidelity - oracle) <= 1e-12
-        d_a, d_b, d_r = (psi.layout.dim_of(label) for label in ("A", "B", "R"))
-        assert setup.target.shape[1] == plan.block_dim * min(d_r, d_a * d_b) ** n
+        sigma = kept_density(m)
+        assert abs(out.uhlmann_fidelity - fidelity(sigma, kept_density(dense))) <= 1e-8
+        assert abs(out.decoupling_error - trace_distance(sigma, reference_tau(psi, plan))) <= 1e-8
         if spec != "seed11":  # spent boost pairs: Bob's side outgrows the target's
-            assert post.shape[-1] > setup.target.shape[1]
+            assert m.shape[1] > plan.block_dim * 2 ** n  # L·r_R^n, rank ρ_R = 2
 
     def test_recovery_fitted_to_another_trial_falls_short(self, seed11_state):
         # achieved_fidelity is a real recovery: a V fitted to the wrong post
