@@ -35,8 +35,6 @@ from .merging import (
     merge_trials,
     monte_carlo_merge,
     plan_merge,
-    recovered_overlap_sq,
-    recovery_isometry,
     run_merge,
     run_merge_exhaustive,
 )

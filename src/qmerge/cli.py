@@ -196,10 +196,10 @@ def cmd_report(args) -> str:
 
 def cmd_merge(args) -> str:
     state = _require_pure(_load_state(args), "merge")
-    cap = _pure_cap(args)
+    cap, trials = _pure_cap(args), args.trials or 1
     if args.curve:
         rows = monte_carlo_merge(
-            state, range(args.curve[0], args.curve[1] + 1), args.trials,
+            state, range(args.curve[0], args.curve[1] + 1), trials,
             args.slack, args.seed, dim_cap=cap,
         )
         dicts = [_curve_dict(r) for r in rows]
@@ -211,7 +211,7 @@ def cmd_merge(args) -> str:
         rng = None if unitary is not None else stream_rng(args.seed, args.n, 0)
         outcomes = run_merge_exhaustive(state, plan, rng, unitary=unitary, dim_cap=cap)
     else:
-        rngs = (stream_rng(args.seed, args.n, t) for t in range(args.trials))
+        rngs = (stream_rng(args.seed, args.n, t) for t in range(trials))
         outcomes = merge_trials(state, plan, rngs, unitary=unitary, dim_cap=cap)
     plan_d = _plan_dict(plan)
     out_ds = [dataclasses.asdict(o) for o in outcomes]
@@ -333,7 +333,7 @@ def _build_parser() -> argparse.ArgumentParser:
     copies.add_argument("--curve", type=_range_arg, metavar="N1..N2",
                         help="aggregate trials for each copy count in the range")
     p.add_argument("--slack", type=_slack_bits, default=1.0)
-    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--trials", type=_positive_int, default=None)  # unset: 1 trial
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="score every outcome of one measurement basis")
@@ -369,6 +369,8 @@ def main(argv=None) -> int:
     if args.command == "merge" and args.curve and (args.exhaustive or args.basis != "haar"):
         args.parser.error("--curve draws a Haar basis per trial; "
                           "--exhaustive and --basis hadamard need -n")
+    if args.command == "merge" and args.exhaustive and args.trials is not None:
+        args.parser.error("--exhaustive scores every outcome of one basis; it takes no --trials")
     try:
         text = args.func(args)
     except DimensionCapError as err:

@@ -29,12 +29,13 @@ basis R is written in changes no score.
 The kept part (A1, R) of every branch therefore lives in
 C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n, where τ = I/L ⊗ ρ_R^⊗n is diag(w)
 with w = 1/L ⊗ (S_live²)^⊗n, and Bob's recovery target is τ's canonical
-purification diag(√w) as an (A1·R, Bob) matrix. With M a branch's
-(A1·R, B) matrix, σ(A1,R) = M·M†: the decoupling error is
-½·Σ|eigvalsh(M·M† − diag w)| and the Uhlmann fidelity is ‖√w·M‖₁², one SVD
-with no square root of σ. The achieved fidelity is the overlap with the
-target that the recovery isometry, built and applied to Bob's share,
-actually reaches, so it checks that nuclear-norm formula.
+purification diag(√w) as an (A1·R, Bob) matrix, never built. With M a
+branch's (A1·R, B) matrix, σ(A1,R) = M·M†: the decoupling error is
+½·Σ|eigvalsh(M·M† − diag w)|. One SVD √w·M = X·S·Yh gives the other two
+scores: the Uhlmann fidelity (ΣS)², with no square root of σ, and Bob's
+recovery isometry (:func:`_recovery`), whose overlap with the target,
+applied to his share, is the achieved fidelity. Both come from the one
+decomposition, so their agreement checks the isometry's construction.
 """
 
 from __future__ import annotations
@@ -249,33 +250,33 @@ def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
 
 @dataclass(frozen=True)
 class _Setup:
-    """What every scored trial of one plan shares."""
+    """What every scored trial of one plan shares: the prepared state, and
+    the weights that fix both τ and Bob's recovery target."""
 
     prepared: np.ndarray  # ψ^⊗n ⊗ Φ_{2^k} as a read-only (A, R, B) array
     weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) on the (A1, R) rows
-    target: np.ndarray    # diag(√w): τ's canonical purification, (A1·R, Bob)
 
 
 def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
-    """:func:`_prepare`'s state, τ's weights and Bob's target.
+    """:func:`_prepare`'s state and τ's weights.
 
     In the prepared state's basis τ = I/L ⊗ ρ_R^⊗n is diagonal, with weights
     w = 1/L ⊗ (S_live²)^⊗n on side L·r_R^n, A1 most significant. Bob's
     target |Φ_L⟩ ⊗ ψ^⊗n, up to an isometry on his side, is τ's canonical
-    purification diag(√w): his side is a copy of the (A1, R) index. No
-    operator of side L·d_R^n is built.
+    purification diag(√w): his side is a copy of the (A1, R) index. So
+    scoring needs only w, and no target array is built.
 
     The target cap counts L²·d_R^n·r^n amplitudes, r = min(d_R, d_A·d_B):
-    the size of Bob's target in the reference's own basis, which bounds the
-    (L·r_R^n)² entries of diag(√w).
+    the size of Bob's target in the reference's own basis. Scoring builds
+    nothing that large; the count fixes which plans exit with code 3.
     """
     s2, prepared = _prepare(psi, plan, dim_cap)
     block, n = plan.block_dim, plan.n
     d_r = psi.dim // (psi.layout.dim_of(plan.alice) * psi.layout.dim_of(plan.bob))
     if block ** 2 * (d_r * min(d_r, psi.dim // d_r)) ** n > dim_cap:
         raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
-    weights = np.kron(np.full(block, 1 / block), _kron_power(s2, n))
-    return _Setup(prepared=prepared, weights=weights, target=np.diag(np.sqrt(weights)))
+    return _Setup(prepared=prepared,
+                  weights=np.kron(np.full(block, 1 / block), _kron_power(s2, n)))
 
 
 def _branches(prepared: np.ndarray, basis: np.ndarray, block: int):
@@ -316,45 +317,25 @@ def _sample(prepared: np.ndarray, basis: np.ndarray, block: int, rng: np.random.
     return k, probs[k], blocks[k] / np.sqrt(probs[k])
 
 
-def recovery_isometry(post: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Bob's optimal recovery isometry.
+def _recovery(m: np.ndarray, w: np.ndarray):
+    """Bob's Uhlmann-optimal recovery of an (A1·R, B) branch matrix ``m``
+    onto τ's canonical purification diag(√w), from one SVD √w·M = X·S·Yh.
 
-    ``post`` and ``target`` are (kept, Bob) amplitude matrices: rows index
-    the parts Bob cannot touch (Alice's residual and the reference), the
-    same for both; columns are his. The isometry maps his share of ``post``
-    into his share of ``target`` and maximizes the global overlap, via the
-    polar part of the cross-overlap operator; by Uhlmann's theorem the
-    achieved overlap² equals the fidelity of the two reduced states on the
-    kept parts.
-
-    When his input outgrows the target's side (spent EPR boost pairs leave
-    him extra systems) the isometry lands in target ⊗ junk: row blocks of
-    size ``target_dim`` index the junk basis, the junk is discarded, and the
-    extra slices sit in the cross operator's null space so the achieved
-    fidelity is still the Uhlmann optimum.
+    Returns S, whose sum is Tr|√τ√σ|, and Bob's isometry V, which maps his
+    side into target ⊗ junk: row blocks of the kept side K = L·r_R^n index
+    the junk basis, which is discarded. With r = min(K, Bob's side) singular
+    values, the target slice is conj(X·Yh[:r]), the polar part of the cross
+    operator Mᵀ·diag(√w) = (√w·M)ᵀ. When his side outgrows K (spent EPR
+    boost pairs leave him extra systems), the rest of it, conj(Yh[r:]),
+    lies in that operator's null space and fills the junk slices, so the
+    overlap V reaches is still the Uhlmann optimum.
     """
-    if post.shape[0] != target.shape[0]:
-        raise ValueError(f"kept dimensions differ: {post.shape[0]} vs {target.shape[0]} rows")
-    bp, bt = post.shape[1], target.shape[1]
-    cross = post.T @ target.conj()  # (bob_post, bob_target) overlap operator
-    u, _, vh = np.linalg.svd(cross, full_matrices=bp > bt)
-    # the polar part fills the first target-sized slice; the rest of Bob's
-    # input space (u's columns past bt) goes to junk indices >= 1
-    out = np.zeros((bt * -(-bp // bt), bp), dtype=complex)
-    out[:bt] = vh.conj().T @ u[:, :bt].conj().T
-    out[bt:bp] = u[:, bt:].conj().T
-    return out
-
-
-def recovered_overlap_sq(post: np.ndarray, target: np.ndarray, isometry: np.ndarray) -> float:
-    """Fidelity of Bob's reconstruction with the target: |⟨target|(I ⊗ V)
-    |post⟩|², summed over the discarded junk basis when V carries one. Both
-    states are (kept, Bob) matrices as in :func:`recovery_isometry`."""
-    recon = post @ isometry.T  # (keep, target_bob * junk)
-    junk = recon.shape[1] // target.shape[1]
-    recon = recon.reshape(recon.shape[0], junk, target.shape[1])
-    overlaps = np.tensordot(target.conj(), recon, axes=([0, 1], [0, 2]))
-    return float(min(1.0, (np.abs(overlaps) ** 2).sum()))
+    kept, bob = m.shape
+    x, s, yh = np.linalg.svd(np.sqrt(w)[:, None] * m, full_matrices=bob > kept)
+    v = np.zeros((kept * -(-bob // kept), bob), dtype=complex)
+    v[:kept] = (x @ yh[:s.size]).conj()
+    v[kept:bob] = yh[s.size:].conj()
+    return s, v
 
 
 def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
@@ -362,17 +343,18 @@ def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
     """Score one branch, given as its normalized (A1, R, B) state."""
     m = post.reshape(-1, post.shape[-1])
     w = setup.weights
-    # σ = M·M† is PSD by construction; ½‖σ − τ‖₁ from one eigvalsh, and
-    # Tr|√τ√σ| = ‖√w·M‖₁
+    # σ = M·M† is PSD by construction; ½‖σ − τ‖₁ from one eigvalsh
     lam = np.linalg.eigvalsh(m @ m.conj().T - np.diag(w))
-    nuclear = np.linalg.svd(np.sqrt(w)[:, None] * m, compute_uv=False).sum()
-    v = recovery_isometry(m, setup.target)
+    s, v = _recovery(m, w)
+    # ⟨diag(√w)|(I ⊗ V)|M⟩ per junk index j: Σ_k √w_k·(M·Vᵀ)[k, j, k]
+    recon = (m @ v.T).reshape(m.shape[0], -1, m.shape[0])
+    overlaps = recon.diagonal(0, 0, 2) @ np.sqrt(w)
     return MergeOutcome(
         outcome_index=index,
         probability=prob,
         decoupling_error=float(0.5 * np.abs(lam).sum()),
-        uhlmann_fidelity=float(min(1.0, nuclear ** 2)),
-        achieved_fidelity=recovered_overlap_sq(m, setup.target, v),
+        uhlmann_fidelity=float(min(1.0, s.sum() ** 2)),
+        achieved_fidelity=float(min(1.0, (np.abs(overlaps) ** 2).sum())),
         epr_net_bits=math.log2(plan.block_dim) - plan.k_boost,
         cbits=math.log2(plan.outcome_count),
     )

@@ -1,6 +1,7 @@
 """Shared helpers: seeded random states, a canonical purification, the
-Uhlmann fidelity oracle, subsystem reordering and renaming, the EPR boost and
-the fixed decoupling test state."""
+Uhlmann fidelity oracle, a recovery oracle against a general target,
+subsystem reordering and renaming, the EPR boost and the fixed decoupling
+test state."""
 
 from typing import Sequence
 
@@ -72,6 +73,47 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     _check_same_layout(rho, sigma)
     s = np.linalg.svd(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix), compute_uv=False)
     return float(min(1.0, s.sum() ** 2))
+
+
+def recovery_isometry(post: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Bob's optimal recovery isometry.
+
+    ``post`` and ``target`` are (kept, Bob) amplitude matrices: rows index
+    the parts Bob cannot touch (Alice's residual and the reference), the
+    same for both; columns are his. The isometry maps his share of ``post``
+    into his share of ``target`` and maximizes the global overlap, via the
+    polar part of the cross-overlap operator; by Uhlmann's theorem the
+    achieved overlap² equals the fidelity of the two reduced states on the
+    kept parts.
+
+    When his input outgrows the target's side (spent EPR boost pairs leave
+    him extra systems) the isometry lands in target ⊗ junk: row blocks of
+    size ``target_dim`` index the junk basis, the junk is discarded, and the
+    extra slices sit in the cross operator's null space so the achieved
+    fidelity is still the Uhlmann optimum.
+    """
+    if post.shape[0] != target.shape[0]:
+        raise ValueError(f"kept dimensions differ: {post.shape[0]} vs {target.shape[0]} rows")
+    bp, bt = post.shape[1], target.shape[1]
+    cross = post.T @ target.conj()  # (bob_post, bob_target) overlap operator
+    u, _, vh = np.linalg.svd(cross, full_matrices=bp > bt)
+    # the polar part fills the first target-sized slice; the rest of Bob's
+    # input space (u's columns past bt) goes to junk indices >= 1
+    out = np.zeros((bt * -(-bp // bt), bp), dtype=complex)
+    out[:bt] = vh.conj().T @ u[:, :bt].conj().T
+    out[bt:bp] = u[:, bt:].conj().T
+    return out
+
+
+def recovered_overlap_sq(post: np.ndarray, target: np.ndarray, isometry: np.ndarray) -> float:
+    """Fidelity of Bob's reconstruction with the target: |⟨target|(I ⊗ V)
+    |post⟩|², summed over the discarded junk basis when V carries one. Both
+    states are (kept, Bob) matrices as in :func:`recovery_isometry`."""
+    recon = post @ isometry.T  # (keep, target_bob * junk)
+    junk = recon.shape[1] // target.shape[1]
+    recon = recon.reshape(recon.shape[0], junk, target.shape[1])
+    overlaps = np.tensordot(target.conj(), recon, axes=([0, 1], [0, 2]))
+    return float(min(1.0, (np.abs(overlaps) ** 2).sum()))
 
 
 def permute_subsystems(state: State, new_order: Sequence[str]) -> State:

@@ -352,6 +352,7 @@ class TestErrorPaths:
         ("--curve", "1..2", "--exhaustive"),
         ("--curve", "1..2", "--basis", "hadamard"),
         ("--curve", "1..2", "--basis", "hadamard", "--exhaustive"),
+        ("-n", "1", "--exhaustive", "--trials", "3"),
     ])
     def test_bad_merge_flags_rejected_at_parse_time(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:

@@ -33,8 +33,6 @@ from qmerge.merging import (
     merge_trials,
     monte_carlo_merge,
     plan_merge,
-    recovered_overlap_sq,
-    recovery_isometry,
     run_merge,
     run_merge_exhaustive,
 )
@@ -43,6 +41,8 @@ from conftest import (
     fidelity,
     permute_subsystems,
     random_pure_state,
+    recovered_overlap_sq,
+    recovery_isometry,
     relabeled,
 )
 
@@ -268,8 +268,8 @@ class TestMergeTrials:
         assert shared == [run_merge(psi, plan, stream_rng(11, n, t)) for t in range(5)]
 
     def test_trials_build_no_pure_state(self, seed11_state, monkeypatch):
-        # ψ is validated once, as the caller's PureState; the prepared state,
-        # the target and every branch of a run stay plain arrays
+        # ψ is validated once, as the caller's PureState; the prepared state
+        # and every branch of a run stay plain arrays
         plan = plan_merge(seed11_state, 3)
         built, init = [], PureState.__post_init__
 
@@ -286,8 +286,11 @@ class TestMergeTrials:
     def test_no_eigh_and_one_svd_of_the_one_copy_per_run(self, seed11_state, monkeypatch):
         # τ = I/L ⊗ ρ_R^⊗n is diagonal in the basis of the one-copy SVD's
         # left factor, as ρ_R = U·S²·U†: one setup, whose one SVD is of the
-        # one-copy (R, AB) matrix, and no eigh anywhere in the run
-        setups, setup_svds, calls = [], [], {"eigh": [], "svd": []}
+        # one-copy (R, AB) matrix, and no eigh anywhere in the run. Each
+        # outcome then takes one SVD, of √w·M, for both its Uhlmann
+        # fidelity and Bob's recovery, and one eigvalsh
+        setups, setup_svds = [], []
+        calls = {"eigh": [], "svd": [], "eigvalsh": []}
         setup = qmerge.merging._setup
 
         def recording_setup(*args, **kwargs):
@@ -312,6 +315,8 @@ class TestMergeTrials:
         assert calls["eigh"] == [] and len(setup_svds[0]) == 1
         one_copy = seed11_state.tensor_view().transpose(2, 0, 1).reshape(2, 4)  # (R, AB)
         np.testing.assert_array_equal(setup_svds[0][0], one_copy)
+        assert len(calls["svd"]) == 1 + len(outs)
+        assert len(calls["eigvalsh"]) == len(outs)
 
     def test_one_eigvalsh_per_outcome(self, seed11_state, monkeypatch):
         # σ is never validated as a DensityOperator: its decoupling error is
@@ -415,12 +420,9 @@ class TestSetupCopyOrder:
                                    np.sort(reduce(np.kron, [lam] * n)), rtol=0, atol=1e-12)
         np.testing.assert_allclose(rho_r, np.diag(setup.weights.reshape(block, -1).sum(0)),
                                    rtol=0, atol=1e-12)
-        # τ = I/L ⊗ ρ_R^⊗n: A1 most significant and flat, and Bob's target
-        # purifies it
+        # τ = I/L ⊗ ρ_R^⊗n: A1 most significant and flat
         np.testing.assert_allclose(setup.weights.reshape(block, -1),
                                    np.tile(np.diag(rho_r).real / block, (block, 1)),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(gram(setup.target), np.diag(setup.weights),
                                    rtol=0, atol=1e-12)
 
 
@@ -455,10 +457,11 @@ class TestFactoredTarget:
         # state must miss the Uhlmann optimum of the real one
         plan = plan_merge(seed11_state, 3)
         setup, posts = trial_posts(seed11_state, plan, 11, 2)
-        (post, other), target = map(kept_matrix, posts), setup.target
+        post, other = map(kept_matrix, posts)
+        target = np.diag(np.sqrt(setup.weights))  # τ's canonical purification
         out = run_merge(seed11_state, plan, stream_rng(11, 3, 0))
         right = recovery_isometry(post, target)
-        assert recovered_overlap_sq(post, target, right) == out.achieved_fidelity
+        assert abs(recovered_overlap_sq(post, target, right) - out.achieved_fidelity) <= 1e-12
         wrong = recovery_isometry(other, target)
         assert recovered_overlap_sq(post, target, wrong) < out.uhlmann_fidelity - 1e-6
 
@@ -517,52 +520,68 @@ class TestMergeLayoutInvariance:
 
 
 class TestRecoveryIsometry:
-    # post and target are (kept, Bob) amplitude matrices
+    # merging._recovery on a (kept, Bob) matrix M and weights w, scored by
+    # merging._outcome; the oracles are conftest's fidelity and its
+    # general-target overlap against the dense diag(√w)
+
+    @staticmethod
+    def score(m, w):
+        """_outcome on a bare (kept, Bob) matrix under τ = diag(w)."""
+        plan = MergePlan(n=1, block_dim=1, outcome_count=1, k_boost=0, alice_dim=1,
+                         cond_entropy=0.0, slack_bits=0.0, rate_clipped=False)
+        setup = qmerge.merging._Setup(prepared=None, weights=w)
+        return qmerge.merging._outcome(0, 1.0, m, plan, setup)
+
     def test_post_equals_target_gives_identity_embedding(self):
-        psi = random_unit_matrix(np.random.default_rng(5), 4, 3)
-        v = recovery_isometry(psi, psi)
-        np.testing.assert_allclose(v, np.eye(3), atol=1e-9)
-        assert abs(recovered_overlap_sq(psi, psi, v) - 1.0) < 1e-12
+        w = np.array([0.4, 0.3, 0.2, 0.1])
+        target = np.diag(np.sqrt(w))
+        s, v = qmerge.merging._recovery(target, w)
+        np.testing.assert_allclose(v, np.eye(4), atol=1e-9)
+        assert abs(s.sum() ** 2 - 1.0) < 1e-12
+        assert abs(recovered_overlap_sq(target, target, v) - 1.0) < 1e-12
 
     def test_worked_example_conditional_correction(self):
-        # Bob turns |φ−⟩ on (R, B) into the cc purification (|000⟩+|111⟩)/√2,
-        # kept part R and Bob's part A′B, with a local isometry
+        # Bob turns |φ−⟩ on (R, B) into |φ+⟩, the canonical purification of
+        # τ = I/2, with the local phase flip Z
         phi_minus = np.diag([1.0, -1.0]) / np.sqrt(2)
-        target = np.zeros((2, 4))
-        target[0, 0] = target[1, 3] = 1 / np.sqrt(2)
-        v = recovery_isometry(phi_minus, target)
-        assert abs(recovered_overlap_sq(phi_minus, target, v) - 1.0) < 1e-9
+        w = np.full(2, 0.5)
+        _, v = qmerge.merging._recovery(phi_minus, w)
+        np.testing.assert_allclose(v, np.diag([1.0, -1.0]), atol=1e-9)
+        out = self.score(phi_minus, w)
+        assert abs(out.achieved_fidelity - 1.0) < 1e-9 and out.decoupling_error < 1e-12
 
     def test_uhlmann_oracle_on_random_pairs(self):
-        # overlap² must equal the fidelity of the kept reductions (Uhlmann)
+        # overlap² must equal the fidelity of the kept reductions (Uhlmann),
+        # whether Bob's side is smaller than, equal to or larger than the
+        # kept side L·r_R^n
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            post = random_unit_matrix(rng, 4, 2)
-            target = random_unit_matrix(rng, 4, 4)
-            v = recovery_isometry(post, target)
-            assert np.abs(v.conj().T @ v - np.eye(v.shape[1])).max() < 1e-9
-            overlap = recovered_overlap_sq(post, target, v)
-            assert abs(overlap - fidelity(kept_density(post), kept_density(target))) < 1e-6
-
-    def test_kept_layout_mismatch_rejected(self):
-        rng = np.random.default_rng(6)
-        post = random_unit_matrix(rng, 2, 4)
-        target = random_unit_matrix(rng, 3, 2)
-        with pytest.raises(ValueError, match="differ"):
-            recovery_isometry(post, target)
+        for bob in (2, 4, 7) * 7:
+            m = random_unit_matrix(rng, 4, bob)
+            w = rng.dirichlet(np.ones(4))
+            _, v = qmerge.merging._recovery(m, w)
+            assert v.shape == (4 * -(-bob // 4), bob)
+            assert np.abs(v.conj().T @ v - np.eye(bob)).max() < 1e-9
+            out = self.score(m, w)
+            uhlmann = fidelity(kept_density(m), kept_density(np.diag(np.sqrt(w))))
+            assert abs(out.uhlmann_fidelity - uhlmann) < 1e-6
+            assert abs(out.achieved_fidelity - uhlmann) < 1e-6
+            overlap = recovered_overlap_sq(m, np.diag(np.sqrt(w)), v)
+            assert abs(overlap - uhlmann) < 1e-6
 
     def test_oversized_bob_side_lands_in_junk(self):
         # Bob's input can outgrow the target side (spent boost pairs); the
         # junk-extended isometry still hits the Uhlmann optimum
         rng = np.random.default_rng(21)
         for _ in range(10):
-            post = random_unit_matrix(rng, 4, 8)
-            target = random_unit_matrix(rng, 4, 3)
-            v = recovery_isometry(post, target)
+            m = random_unit_matrix(rng, 3, 8)
+            w = rng.dirichlet(np.ones(3))
+            _, v = qmerge.merging._recovery(m, w)
             assert v.shape == (9, 8)  # 3 junk slices of size 3
             assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-9
-            overlap = recovered_overlap_sq(post, target, v)
-            assert abs(overlap - fidelity(kept_density(post), kept_density(target))) < 1e-6
+            out = self.score(m, w)
+            uhlmann = fidelity(kept_density(m), kept_density(np.diag(np.sqrt(w))))
+            assert abs(out.achieved_fidelity - uhlmann) < 1e-6
+            assert abs(out.uhlmann_fidelity - uhlmann) < 1e-6
 
 
 class TestEnsembleReference:
