@@ -30,6 +30,7 @@ from .core import (
 from .entropy import (
     EntropyReport,
     conditional_entropy,
+    subset_entropy,
     subsets_in_counting_order,
     von_neumann_entropy,
 )
@@ -169,12 +170,18 @@ def eoa(psi: PureState, alice: Labels = "A", bob: Labels = "B") -> EoAResult:
 
 @dataclass(frozen=True)
 class EpEstimate:
-    """Best upper bound found for min over channels on U of S(A, Λ(U))."""
+    """Best upper bound found for min over channels on U of S(A, Λ(U)),
+    which is E_p(ρ_AR′), with the bracket [lower, upper] on E_p(ρ_AR′) and
+    the spread of the restarts' final values."""
 
     value: float
     channel: ChannelSpec
     restarts_used: int
     converged: bool
+    lower: float         # I(A:R′)/2 = (S(A) + S(AU) − S(U))/2
+    upper: float         # min(S(A), S(AU)) = min(S(A), S(R′))
+    restart_min: float   # least final value of a restart
+    restart_max: float   # greatest final value of a restart
 
 
 def expm(a: np.ndarray) -> np.ndarray:
@@ -281,7 +288,10 @@ def entanglement_of_purification(
     scored as baselines, so the estimate never exceeds S(AU).
     ``converged`` is True when every restart stopped with its Riemannian
     gradient norm below ``EP_GRAD_TOL``; a restart also stops after
-    ``max_iters`` steps or when no step decreases the entropy.
+    ``max_iters`` steps or when no step decreases the entropy. The bracket
+    comes from the entropies of ρ_AU alone, not from the search: E_p is at
+    least half the mutual information I(A:R′) (Terhal, Horodecki, Leung &
+    DiVincenzo 2002) and at most min(S(A), S(R′)), with S(R′) = S(AU).
     Raises :class:`DimensionCapError`, before drawing anything, when one of
     the two arrays each objective evaluation allocates is over its cap: the
     product V·ρ, with (dim ρ_AU / d_U)·cap_out·cap_env·dim ρ_AU entries,
@@ -329,15 +339,19 @@ def entanglement_of_purification(
 
     value_and_grad = _ep_objective(rho, u_label, cap_out, cap_env)
     all_converged = True
+    finals = []
     for _ in range(restarts):
         z = rng.standard_normal((2, m, d_u))
         v, converged = _descend(value_and_grad, phase_fixed_qr(z[0] + 1j * z[1]), max_iters)
         all_converged = all_converged and converged
         ch = ChannelSpec(u_label, v, u_label, cap_out, cap_env)
-        f = value_of(ch)
-        if f < best:
-            best, best_ch = f, ch
-    return EpEstimate(best, best_ch, restarts, all_converged)
+        finals.append(value_of(ch))
+        if finals[-1] < best:
+            best, best_ch = finals[-1], ch
+    s_a, s_au = subset_entropy(rho, a), von_neumann_entropy(rho)
+    return EpEstimate(best, best_ch, restarts, all_converged,
+                      lower=(s_a + s_au - subset_entropy(rho, u_label)) / 2,
+                      upper=min(s_a, s_au), restart_min=min(finals), restart_max=max(finals))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from .entropy import EntropyReport, conditional_entropy, subset_entropy, subsets
 from .merging import (
     CurveRow,
     MergePlan,
+    check_caps,
     hadamard_basis,
     merge_trials,
     monte_carlo_merge,
@@ -206,7 +207,10 @@ def cmd_merge(args) -> str:
         return _emit(args, {"curve": dicts}, _CURVE_FIELDS,
                      [tuple(d.values()) for d in dicts])
     plan = plan_merge(state, args.n, args.slack)
-    unitary = hadamard_basis(plan.alice_dim) if args.basis == "hadamard" else None
+    unitary = None
+    if args.basis == "hadamard":
+        check_caps(state, plan, cap)  # before the D×D basis is built
+        unitary = hadamard_basis(plan.alice_dim)
     if args.exhaustive:
         rng = None if unitary is not None else stream_rng(args.seed, args.n, 0)
         outcomes = run_merge_exhaustive(state, plan, rng, unitary=unitary, dim_cap=cap)
@@ -281,18 +285,19 @@ def cmd_sideinfo(args) -> str:
         state, channel, restarts=args.restarts, rng=stream_rng(args.seed),
         cap_out=args.cap_out, cap_env=args.cap_env,
     )
-    obj = {
-        "r_a": result.r_a,
-        "r_b": result.r_b,
-        "ep": {
-            "value": result.ep.value,
-            "restarts_used": result.ep.restarts_used,
-            "converged": result.ep.converged,
-        },
+    ep = {
+        "value": result.ep.value,
+        "restarts_used": result.ep.restarts_used,
+        "converged": result.ep.converged,
+        "lower": result.ep.lower,
+        "upper": result.ep.upper,
+        "restart_min": result.ep.restart_min,
+        "restart_max": result.ep.restart_max,
     }
-    rows = [(result.r_a, result.r_b, result.ep.value,
-             result.ep.restarts_used, result.ep.converged)]
-    return _emit(args, obj, ("r_a", "r_b", "ep_value", "ep_restarts", "ep_converged"), rows)
+    header = ("r_a", "r_b", "ep_value", "ep_restarts", "ep_converged",
+              "ep_lower", "ep_upper", "ep_restart_min", "ep_restart_max")
+    return _emit(args, {"r_a": result.r_a, "r_b": result.r_b, "ep": ep}, header,
+                 [(result.r_a, result.r_b, *ep.values())])
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,18 +13,24 @@ Alice's share (A before the measurement, A1 after), the reference parties
 of all copies, and Bob's side. The parts Bob cannot touch, (A1, R), lead,
 so splitting a state into its kept and Bob's halves is a reshape and copies
 nothing. The input ψ is validated once, as the caller's :class:`PureState`;
-no state derived from it is wrapped in one again. Alice's measurement
-(:func:`_branches`, the only code that measures a block) checks its basis
-and that the Born probabilities sum to 1, which is the prepared state's norm
-check.
+no state derived from it is wrapped in one again.
 
-Every n-copy array is an ``np.kron`` power of one copy, copy 0 most
-significant on each axis, and the copy's reference axis is in its Schmidt
-basis: one thin SVD U·S·Vh of the copy as an (R × AB) matrix gives
-ρ_R = U·S²·U†, and R is rotated by U_live†, where U_live are the r_R
-columns of U that span supp(ρ_R). Nothing in a run acts on R, and by
-Uhlmann's theorem Bob may aim at any purification of I/L ⊗ ρ_R^⊗n, so the
-basis R is written in changes no score.
+No n-copy state is built. A run keeps one copy of ψ as an (A, R, B) array,
+Alice's marginal ρ_A^⊗n ⊗ I/2^k of the prepared state ψ^⊗n ⊗ Φ_{2^k}
+(D×D), and τ's weights (:func:`_setup`). Alice measures a basis W cut into
+blocks of L rows. The Born probability of block k depends only on her
+marginal, p_k = Σ_{i ∈ block k} (W·ρ_A^⊗n ⊗ I/2^k·W†)_ii
+(:func:`_probabilities`, which checks the basis and that the probabilities
+sum to 1, which is ψ's norm check). A trial draws k from them and builds
+that branch alone, W_k·(ψ^⊗n ⊗ Φ_{2^k}), contracted one copy at a time
+(:func:`_rotated`), copy 0 most significant on each axis.
+
+The copy's reference axis is in its Schmidt basis: one thin SVD U·S·Vh of
+the copy as an (R × AB) matrix gives ρ_R = U·S²·U†, and R is rotated by
+U_live†, where U_live are the r_R columns of U that span supp(ρ_R).
+Nothing in a run acts on R, and by Uhlmann's theorem Bob may aim at any
+purification of I/L ⊗ ρ_R^⊗n, so the basis R is written in changes no
+score.
 
 The kept part (A1, R) of every branch therefore lives in
 C^L ⊗ supp(ρ_R)^⊗n, of side L·r_R^n, where τ = I/L ⊗ ρ_R^⊗n is diag(w)
@@ -215,80 +221,119 @@ def _kron_power(one: np.ndarray, n: int) -> np.ndarray:
     return reduce(np.kron, [one] * n) if n else np.ones((1,) * one.ndim, one.dtype)
 
 
-def _prepare(psi: PureState, plan: MergePlan, dim_cap: int):
-    """The copy's reference weights and the prepared state ψ^⊗n ⊗ Φ_{2^k}.
+def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
+    """Raise before a run of ``plan`` on ψ builds or draws anything.
+
+    :class:`DimensionCapError` when one of three counts exceeds ``dim_cap``,
+    checked in this order: the prepared state ψ^⊗n ⊗ Φ_{2^k},
+    dim(ψ)^n·4^k amplitudes; Bob's target in the reference's own basis,
+    L²·d_R^n·r^n amplitudes with r = min(d_R, d_A·d_B); and Alice's D×D
+    arrays, her measurement basis and her marginal ρ_A^⊗n ⊗ I/2^k, D²
+    entries. The run builds neither the prepared state nor the target; their
+    counts fix which plans exit with code 3. ``ValueError`` when the plan
+    does not fit the state's dimensions.
+    """
+    boost = 2 ** plan.k_boost
+    if psi.dim ** plan.n * boost ** 2 > dim_cap:
+        raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
+    d_a, d_b = psi.layout.dim_of(plan.alice), psi.layout.dim_of(plan.bob)
+    if d_a ** plan.n * boost != plan.alice_dim:
+        raise ValueError("plan is inconsistent with the state's dimensions")
+    d_r = psi.dim // (d_a * d_b)
+    if plan.block_dim ** 2 * (d_r * min(d_r, psi.dim // d_r)) ** plan.n > dim_cap:
+        raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
+    if plan.alice_dim ** 2 > dim_cap:
+        raise DimensionCapError(
+            f"Alice's {plan.alice_dim}x{plan.alice_dim} measurement arrays would exceed "
+            f"the {dim_cap}-amplitude cap")
+
+
+@dataclass(frozen=True)
+class _Setup:
+    """What every scored trial of one plan shares: one copy of ψ, Alice's
+    marginal, and the weights that fix both τ and Bob's recovery target."""
+
+    copy: np.ndarray      # one copy as a read-only (A, R, B) array, R in its Schmidt basis
+    n: int                # copies
+    boost: int            # 2^k, the side of each half of Φ_{2^k}
+    rho_a: np.ndarray     # ρ_A^⊗n ⊗ I/2^k, Alice's marginal of ψ^⊗n ⊗ Φ_{2^k}: D×D
+    weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) on the (A1, R) rows
+
+
+def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
+    """The copy, Alice's marginal and τ's weights, after :func:`check_caps`.
 
     The copy is an (Alice, reference, Bob) array: every party other than
     Alice and Bob is fused into the reference R (dimension 1 when there is
     none). Its thin SVD as an (R × AB) matrix, U·S·Vh, gives ρ_R = U·S²·U†;
     the r_R columns U_live of U whose S² is above ``RANK_TOL``·S₀² span
     supp(ρ_R). R is rotated by U_live† and cut to those r_R rows, so the
-    copy's reference state is diag(S_live²). ψ^⊗n is the Kronecker power of
-    that copy, so Alice's n copies are fused copy 0 most significant, and
-    likewise R and Bob's copies; the boost halves go last on both sides.
-    Returns S_live² and the prepared state as a read-only (A, R, B) array,
-    so every branch cut from it keeps the (A1, R) axes leading and splitting
-    off Bob's side is a reshape.
+    copy's reference state is diag(S_live²).
+
+    In that basis τ = I/L ⊗ ρ_R^⊗n is diagonal, with weights
+    w = 1/L ⊗ (S_live²)^⊗n on side L·r_R^n, A1 most significant. Bob's
+    target |Φ_L⟩ ⊗ ψ^⊗n, up to an isometry on his side, is τ's canonical
+    purification diag(√w): his side is a copy of the (A1, R) index. So
+    scoring needs only w, and no target array is built. Nor is ψ^⊗n: its
+    Born probabilities need only Alice's marginal, and each branch is
+    contracted from the copy (:func:`_rotated`).
     """
+    check_caps(psi, plan, dim_cap)
     pa, pb = psi.layout.position(plan.alice), psi.layout.position(plan.bob)
     others = [i for i in range(len(psi.layout)) if i not in (pa, pb)]
     one = psi.tensor_view().transpose([pa, *others, pb])
     one = one.reshape(one.shape[0], -1, one.shape[-1])
-    boost = 2 ** plan.k_boost
-    if psi.dim ** plan.n * boost ** 2 > dim_cap:
-        raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
-    if one.shape[0] ** plan.n * boost != plan.alice_dim:
-        raise ValueError("plan is inconsistent with the state's dimensions")
     u, s, _ = np.linalg.svd(one.transpose(1, 0, 2).reshape(one.shape[1], -1),
                             full_matrices=False)
     live = s ** 2 > RANK_TOL * s[0] ** 2
-    phi = np.eye(boost)[:, None, :] / math.sqrt(boost)  # Φ_{2^k} as an (A, R, B) array
-    prepared = np.kron(_kron_power(u[:, live].conj().T @ one, plan.n), phi)
-    prepared.setflags(write=False)
-    return s[live] ** 2, prepared
+    copy = u[:, live].conj().T @ one
+    copy.setflags(write=False)
+    flat = copy.reshape(copy.shape[0], -1)
+    boost = 2 ** plan.k_boost
+    rho_a = np.kron(_kron_power(flat @ flat.conj().T, plan.n), np.eye(boost) / boost)
+    rho_a.setflags(write=False)
+    block = plan.block_dim
+    return _Setup(copy=copy, n=plan.n, boost=boost, rho_a=rho_a,
+                  weights=np.kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, plan.n)))
 
 
-@dataclass(frozen=True)
-class _Setup:
-    """What every scored trial of one plan shares: the prepared state, and
-    the weights that fix both τ and Bob's recovery target."""
+def _rotated(rows: np.ndarray, setup: _Setup) -> np.ndarray:
+    """rows·(ψ^⊗n ⊗ Φ_{2^k}) for (m × D) rows of Alice's basis, as an
+    unnormalized (m, R, B) array, contracted one copy at a time.
 
-    prepared: np.ndarray  # ψ^⊗n ⊗ Φ_{2^k} as a read-only (A, R, B) array
-    weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) on the (A1, R) rows
-
-
-def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
-    """:func:`_prepare`'s state and τ's weights.
-
-    In the prepared state's basis τ = I/L ⊗ ρ_R^⊗n is diagonal, with weights
-    w = 1/L ⊗ (S_live²)^⊗n on side L·r_R^n, A1 most significant. Bob's
-    target |Φ_L⟩ ⊗ ψ^⊗n, up to an isometry on his side, is τ's canonical
-    purification diag(√w): his side is a copy of the (A1, R) index. So
-    scoring needs only w, and no target array is built.
-
-    The target cap counts L²·d_R^n·r^n amplitudes, r = min(d_R, d_A·d_B):
-    the size of Bob's target in the reference's own basis. Scoring builds
-    nothing that large; the count fixes which plans exit with code 3.
+    Each row is read as a (d_A, …, d_A, 2^k) tensor, copy 0 most significant.
+    Each step contracts its leading Alice axis with the copy, as one matrix
+    product per row, and appends the copy's reference axis to R and its Bob
+    axis to B. The boost axis is left, and Φ_{2^k} = Σ_e |e⟩|e⟩/√2^k makes
+    it Bob's last; its factor 1/√2^k scales the rows before the first step.
+    The largest array is the rows or the output, of
+    m·r_R^n·d_B^n·2^k amplitudes. Each row's arithmetic does not depend on
+    the other rows, so a block of rows gives the same bits as the same
+    block cut from all of them.
     """
-    s2, prepared = _prepare(psi, plan, dim_cap)
-    block, n = plan.block_dim, plan.n
-    d_r = psi.dim // (psi.layout.dim_of(plan.alice) * psi.layout.dim_of(plan.bob))
-    if block ** 2 * (d_r * min(d_r, psi.dim // d_r)) ** n > dim_cap:
-        raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
-    return _Setup(prepared=prepared,
-                  weights=np.kron(np.full(block, 1 / block), _kron_power(s2, n)))
+    d_a, r, d_b = setup.copy.shape
+    pair = setup.copy.reshape(d_a, r * d_b)
+    m = rows.shape[0]
+    # (m, Alice's copies left and boost, R so far, B so far)
+    x = (rows * (1 / math.sqrt(setup.boost))).reshape(m, -1, 1, 1)
+    for _ in range(setup.n):
+        _, left, rs, bs = x.shape
+        x = x.reshape(m, d_a, -1).transpose(0, 2, 1) @ pair
+        x = x.reshape(m, left // d_a, rs, bs, r, d_b).transpose(0, 1, 2, 4, 3, 5)
+        x = x.reshape(m, left // d_a, rs * r, bs * d_b)
+    return x.transpose(0, 2, 3, 1).reshape(m, x.shape[2], -1)
 
 
-def _branches(prepared: np.ndarray, basis: np.ndarray, block: int):
-    """Alice's coarse-grained measurement of an (A, R, B) array.
+def _probabilities(basis: np.ndarray, setup: _Setup, block: int) -> np.ndarray:
+    """Born probabilities of Alice's coarse-grained measurement.
 
-    Rotates A by ``basis`` and cuts it into consecutive blocks of ``block``
-    indices. Returns each branch as an unnormalized (A1, R, B) view of the
-    rotated array, and its Born probability. Raises unless ``basis`` is a
-    unitary on A and ``block`` divides A's dimension, and unless the
-    probabilities sum to 1, i.e. unless ``prepared`` is normalized.
+    Her basis ``basis`` is cut into consecutive blocks of ``block`` rows;
+    outcome k has p_k = Σ_{i ∈ block k} (W·ρ·W†)_ii with ρ her marginal,
+    which is the squared norm of that block of :func:`_rotated`. Raises
+    unless ``basis`` is a unitary on A and ``block`` divides A's dimension,
+    and unless the probabilities sum to 1, i.e. unless tr ρ = 1.
     """
-    d = prepared.shape[0]
+    d = setup.rho_a.shape[0]
     if d % block != 0:
         raise ValueError(f"block size {block} does not divide Alice's dimension {d}")
     w = np.asarray(basis)
@@ -296,25 +341,24 @@ def _branches(prepared: np.ndarray, basis: np.ndarray, block: int):
         raise ValueError(f"unitary shape {w.shape} does not match Alice's dimension {d}")
     if not np.abs(w.conj().T @ w - np.eye(d)).max() <= 1e-9:
         raise ValueError("measurement basis matrix is not unitary")
-    rotated = np.tensordot(w, prepared, axes=([1], [0]))
-    blocks = [rotated[k * block:(k + 1) * block] for k in range(d // block)]
-    probs = [float(np.vdot(b, b).real) for b in blocks]
-    total = sum(probs)
+    # (W·ρ·W†)_ii as the row sums of (W·ρ)∘W̄: one D×D product
+    probs = ((w @ setup.rho_a) * w.conj()).real.sum(axis=1).reshape(-1, block).sum(axis=1)
+    total = float(probs.sum())
     if not abs(total - 1.0) <= 1e-10:
         raise ValueError(f"branch probabilities sum to {total!r}")
-    return blocks, probs
+    return probs
 
 
-def _sample(prepared: np.ndarray, basis: np.ndarray, block: int, rng: np.random.Generator):
-    """Born-sample one branch of :func:`_branches`, renormalized over those at
-    or above ``ZERO_PROB``. Returns its index, its probability and its
-    normalized (A1, R, B) state, a copy, so the rotated array is freed on
-    return."""
-    blocks, probs = _branches(prepared, basis, block)
-    live = [k for k, p in enumerate(probs) if p >= ZERO_PROB]
-    weights = np.array([probs[k] for k in live])
-    k = live[int(rng.choice(len(live), p=weights / weights.sum()))]
-    return k, probs[k], blocks[k] / np.sqrt(probs[k])
+def _sample(setup: _Setup, basis: np.ndarray, block: int, rng: np.random.Generator):
+    """Born-sample one outcome of :func:`_probabilities`, renormalized over
+    those at or above ``ZERO_PROB``, and build that branch alone. Returns
+    its index, its probability and its normalized (A1, R, B) state."""
+    probs = _probabilities(basis, setup, block)
+    live = np.flatnonzero(probs >= ZERO_PROB)
+    weights = probs[live]
+    k = int(live[int(rng.choice(len(live), p=weights / weights.sum()))])
+    p = float(probs[k])
+    return k, p, _rotated(np.asarray(basis)[k * block:(k + 1) * block], setup) * (1 / math.sqrt(p))
 
 
 def _recovery(m: np.ndarray, w: np.ndarray):
@@ -386,7 +430,7 @@ def merge_trials(
     setup = _setup(psi, plan, dim_cap)
     outcomes = []
     for rng in rngs:
-        k, p, post = _sample(setup.prepared, _basis(plan, rng, unitary), plan.block_dim, rng)
+        k, p, post = _sample(setup, _basis(plan, rng, unitary), plan.block_dim, rng)
         outcomes.append(_outcome(k, p, post, plan, setup))
     return outcomes
 
@@ -418,9 +462,12 @@ def run_merge_exhaustive(
             f"{plan.outcome_count} outcomes exceed the exhaustive cap {MAX_EXHAUSTIVE_OUTCOMES}"
         )
     setup = _setup(psi, plan, dim_cap)
-    blocks, probs = _branches(setup.prepared, _basis(plan, rng, unitary), plan.block_dim)
-    return [_outcome(k, p, block / np.sqrt(p), plan, setup)
-            for k, (block, p) in enumerate(zip(blocks, probs)) if p >= ZERO_PROB]
+    basis, block = _basis(plan, rng, unitary), plan.block_dim
+    probs = _probabilities(basis, setup, block)
+    rotated = _rotated(np.asarray(basis), setup)
+    return [_outcome(k, float(p), rotated[k * block:(k + 1) * block] * (1 / math.sqrt(p)),
+                     plan, setup)
+            for k, p in enumerate(probs) if p >= ZERO_PROB]
 
 
 def ensemble_reference_check(
@@ -435,18 +482,23 @@ def ensemble_reference_check(
     Local operations cannot change the unconditioned reference state, so
     this is zero up to roundoff for every basis; the sum runs over all
     outcomes using unnormalized branches, so vanishing-probability outcomes
-    contribute exactly. Both states are taken from the prepared array, in
-    its Schmidt basis of supp(ρ_R)^⊗n, not from τ's weights.
+    contribute exactly. Both states come from :func:`_rotated`, in the
+    Schmidt basis of supp(ρ_R)^⊗n, not from τ's weights: the branches from
+    the rows of ``unitary``, ρ_R^⊗n from the rows of the identity.
     """
     if plan.outcome_count > MAX_ENSEMBLE_OUTCOMES:
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {MAX_ENSEMBLE_OUTCOMES}"
         )
-    prepared = _prepare(psi, plan, dim_cap)[1]
-    blocks = _branches(prepared, unitary, plan.block_dim)[0]
+    setup = _setup(psi, plan, dim_cap)
+    block = plan.block_dim
+    _probabilities(unitary, setup, block)  # checks the basis, L | D and Σp = 1
+    rotated = _rotated(np.asarray(unitary), setup)
+    prepared = _rotated(np.eye(plan.alice_dim), setup)
     layout = SubsystemLayout((("R", prepared.shape[1]),))
     rho_refs = DensityOperator(layout, _trace_alice_bob(prepared))
-    avg = sum(_trace_alice_bob(block) for block in blocks)  # blocks are (A1, R, B)
+    avg = sum(_trace_alice_bob(rotated[k * block:(k + 1) * block])  # (A1, R, B) branches
+              for k in range(plan.outcome_count))
     return trace_distance(DensityOperator(layout, avg), rho_refs)
 
 

@@ -1,8 +1,10 @@
 """Shared helpers: seeded random states, a canonical purification, the
 Uhlmann fidelity oracle, a recovery oracle against a general target,
-subsystem reordering and renaming, the EPR boost and the fixed decoupling
-test state."""
+subsystem reordering and renaming, the EPR boost, a dense prepared state and
+Alice's measurement of it by hand, and the fixed decoupling test state."""
 
+import math
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from qmerge.core import (
     _sub_layout,
     tensor,
 )
+from qmerge.merging import ZERO_PROB
 
 
 def random_pure_state(rng, labels_dims) -> PureState:
@@ -155,6 +158,44 @@ def epr_boost(psi: PureState, k: int) -> PureState:
             k -= 1
         j += 1
     return psi
+
+
+def kept_matrix(post):
+    """An (A1, R, B) array as its (A1·R, B) matrix."""
+    return post.reshape(-1, post.shape[-1])
+
+
+def flat_prepared(psi, n, k):
+    """ψ^⊗n ⊗ Φ_{2^k} in ψ's own basis as an (A, R, B) array, from one flat
+    ``np.kron`` vector and an explicit axis transpose: copy 0's parties
+    first, the boost halves (A side, B side) last."""
+    boost, parts = 2 ** k, len(psi.layout)
+    flat = reduce(np.kron, [psi.amplitudes] * n + [np.eye(boost).reshape(-1)])
+    flat = flat / math.sqrt(boost)
+    pa, pb = psi.layout.position("A"), psi.layout.position("B")
+    refs = [i for i in range(parts) if i not in (pa, pb)]
+    axes = ([c * parts + pa for c in range(n)] + [n * parts]
+            + [c * parts + r for c in range(n) for r in refs]
+            + [c * parts + pb for c in range(n)] + [n * parts + 1])
+    d_a, d_b = psi.layout.dims[pa], psi.layout.dims[pb]
+    out = flat.reshape(psi.layout.dims * n + (boost, boost)).transpose(axes)
+    return out.reshape(d_a ** n * boost, -1, d_b ** n * boost)
+
+
+def hand_branches(prepared, basis, block):
+    """Alice's measurement by hand: rotate her axis, cut it into blocks of
+    ``block``, and keep each block at or above ZERO_PROB as its probability
+    and normalized (A1·R, B) matrix."""
+    d = prepared.shape[0]
+    rotated = (basis @ prepared.reshape(d, -1)).reshape(prepared.shape)
+    branches = {}
+    for k in range(d // block):
+        m = kept_matrix(rotated[k * block:(k + 1) * block])
+        p = np.vdot(m, m).real
+        if p >= ZERO_PROB:
+            branches[k] = p, m / np.sqrt(p)
+    return branches
+
 
 
 def decoupling_test_state(seed=11, threshold=-0.3) -> PureState:

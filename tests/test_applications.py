@@ -348,6 +348,17 @@ class TestEntanglementOfPurification:
         assert abs(est.value - value) < 1e-12
         assert est.restarts_used == 4 and est.converged is True
 
+    @pytest.mark.parametrize("i", [0, 1])
+    def test_bracket_and_restart_spread(self, i):
+        # the bracket comes from ρ_AU's entropies, checked against raw-numpy
+        # oracles; the value is the least of the baselines and the restarts
+        rho, est = seed11_input(i), seed11_search(i)
+        s_a = oracle_entropy(np.einsum("iuju->ij", rho.matrix.reshape(2, 3, 2, 3)))
+        assert abs(est.lower - oracle_half_mutual_information(rho.matrix, 2, 3)) <= 1e-12
+        assert abs(est.upper - min(s_a, oracle_entropy(rho.matrix))) <= 1e-12
+        assert est.lower - 1e-9 <= est.value <= est.restart_min <= est.restart_max
+        assert est.value <= est.upper + 1e-12
+
     def test_seed11_benchmark_inputs_not_above_derivative_free_search(self):
         # values of the derivative-free random-direction search this one
         # replaced; each value is also at least the I(A:R′)/2 oracle bound

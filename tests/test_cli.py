@@ -195,6 +195,21 @@ class TestMergeCommand:
                              "--seed", "1", "--dim-cap", "1048576")
         assert code == 0
 
+    @pytest.mark.parametrize("basis", ["haar", "hadamard"])
+    def test_alice_basis_over_the_cap_exits_3_before_building_it(
+            self, capsys, monkeypatch, basis):
+        # the prepared state has 2^20 amplitudes, within the cap, but Alice's
+        # basis and marginal are 2^20 x 2^20; neither basis may be formed
+        def no_basis(dim, *_):
+            raise AssertionError(f"{dim}x{dim} basis formed")
+
+        monkeypatch.setattr(qmerge.merging, "haar_unitary", no_basis)
+        monkeypatch.setattr(qmerge.cli, "hadamard_basis", no_basis)
+        code, out, err = run_cli(capsys, "merge", "--state", "random-pure:1024x1x1:1", "-n", "2",
+                                 "--seed", "1", "--basis", basis)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert "1048576x1048576" in err
+
 
 class TestRegionCommand:
     def test_epr_region_constraints(self, capsys):
@@ -272,6 +287,22 @@ class TestSideinfoCommand:
         ep = json.loads(out)["ep"]
         assert abs(ep["value"] - 1.0) < 1e-12
         assert ep["restarts_used"] == 4 and ep["converged"] is True
+        # ρ_AU = cc: S(A) = S(U) = S(AU) = 1 bit
+        assert abs(ep["lower"] - 0.5) < 1e-12 and abs(ep["upper"] - 1.0) < 1e-12
+        assert ep["value"] <= ep["restart_min"] <= ep["restart_max"] < 1 + 1e-9
+
+    def test_csv_appends_the_bracket_after_the_json_order(self, capsys, tmp_path):
+        path = tmp_path / "chan.json"
+        path.write_text(json.dumps(IDENTITY_CHANNEL))
+        argv = ("sideinfo", "--state", "cc-pure", "--channel", str(path), "--seed", "2",
+                "--restarts", "1")
+        _, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        header, row = out.splitlines()
+        assert header == ("r_a,r_b,ep_value,ep_restarts,ep_converged,"
+                          "ep_lower,ep_upper,ep_restart_min,ep_restart_max")
+        _, out, _ = run_cli(capsys, *argv)
+        doc = json.loads(out)
+        assert row.split(",")[5:] == [str(v) for v in list(doc["ep"].values())[3:]]
 
     def test_search_over_the_cap_exits_3_before_drawing(self, capsys, tmp_path):
         path = tmp_path / "chan.json"

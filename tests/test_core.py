@@ -22,8 +22,10 @@ from qmerge.core import (
 )
 from qmerge.merging import (
     ZERO_PROB,
-    _branches,
+    _probabilities,
+    _rotated,
     _sample,
+    _Setup,
     merge_trials,
     plan_merge,
     run_merge_exhaustive,
@@ -177,6 +179,22 @@ class TestHaarUnitary:
         assert abs(mean - 0.5) < 0.02
 
 
+def one_copy(arr):
+    """merging's setup for an (A, R, B) array taken as the only copy, with
+    Alice's marginal formed densely."""
+    rows = arr.reshape(arr.shape[0], -1)
+    return _Setup(copy=arr, n=1, boost=1, rho_a=rows @ rows.conj().T, weights=None)
+
+
+def _branches(arr, basis, block):
+    """Every branch of Alice's measurement of ``arr``, as unnormalized
+    (A1, R, B) arrays, and the Born probabilities from her marginal."""
+    setup = one_copy(arr)
+    probs = list(_probabilities(basis, setup, block))
+    rotated = _rotated(basis, setup)
+    return [rotated[k * block:(k + 1) * block] for k in range(len(probs))], probs
+
+
 class TestBlockMeasure:
     # Alice's coarse-grained measurement in merging: an (A, R, B) array is
     # rotated on A and cut into blocks of L indices
@@ -229,7 +247,7 @@ class TestBlockMeasure:
             _branches(self.BELL, basis, 1)
 
     def test_unnormalized_state_rejected(self):
-        # the Born sum is the only norm check a prepared state gets
+        # the Born sum is the only norm check ψ^⊗n gets
         with pytest.raises(ValueError, match="sum to"):
             _branches(1.001 * self.BELL, np.eye(2), 1)
 
@@ -244,7 +262,7 @@ class TestBlockMeasure:
             psi = random_pure_state(rng, (("A", 4), ("B", 3), ("C", 4)))
             arr = np.moveaxis(psi.tensor_view(), axis, 0)
             w = haar_unitary(arr.shape[0], rng)
-            k, p, post = _sample(arr, w, block, np.random.default_rng(seed))
+            k, p, post = _sample(one_copy(arr), w, block, np.random.default_rng(seed))
             blocks, probs = _branches(arr, w, block)
             live = [j for j, q in enumerate(probs) if q >= ZERO_PROB]
             weights = np.array([probs[j] for j in live])

@@ -1,9 +1,11 @@
 """Merge planning, the measurement/recovery loop, and resource accounting."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import re
+import tracemalloc
 from functools import reduce
 from pathlib import Path
 
@@ -39,6 +41,9 @@ from qmerge.merging import (
 from conftest import (
     epr_boost,
     fidelity,
+    flat_prepared,
+    hand_branches,
+    kept_matrix,
     permute_subsystems,
     random_pure_state,
     recovered_overlap_sq,
@@ -56,13 +61,8 @@ def trial_posts(psi, plan, seed, count):
     for t in range(count):
         rng = stream_rng(seed, plan.n, t)
         basis = haar_unitary(plan.alice_dim, rng)
-        posts.append(qmerge.merging._sample(setup.prepared, basis, plan.block_dim, rng)[2])
+        posts.append(qmerge.merging._sample(setup, basis, plan.block_dim, rng)[2])
     return setup, posts
-
-
-def kept_matrix(post):
-    """An (A1, R, B) array as its (A1·R, B) matrix."""
-    return post.reshape(-1, post.shape[-1])
 
 
 def dense_target(psi, plan):
@@ -78,38 +78,6 @@ def dense_target(psi, plan):
     bobs = ["BL", *[f"A_{i}" for i in range(n)], *[f"B_{i}" for i in range(n)]]
     state = permute_subsystems(state, (*kept, *bobs))
     return state.amplitudes.reshape(state.layout.dim_of(kept), -1)
-
-
-def flat_prepared(psi, n, k):
-    """ψ^⊗n ⊗ Φ_{2^k} in ψ's own basis as an (A, R, B) array, from one flat
-    ``np.kron`` vector and an explicit axis transpose: copy 0's parties
-    first, the boost halves (A side, B side) last."""
-    boost, parts = 2 ** k, len(psi.layout)
-    flat = reduce(np.kron, [psi.amplitudes] * n + [np.eye(boost).reshape(-1)])
-    flat = flat / math.sqrt(boost)
-    pa, pb = psi.layout.position("A"), psi.layout.position("B")
-    refs = [i for i in range(parts) if i not in (pa, pb)]
-    axes = ([c * parts + pa for c in range(n)] + [n * parts]
-            + [c * parts + r for c in range(n) for r in refs]
-            + [c * parts + pb for c in range(n)] + [n * parts + 1])
-    d_a, d_b = psi.layout.dims[pa], psi.layout.dims[pb]
-    out = flat.reshape(psi.layout.dims * n + (boost, boost)).transpose(axes)
-    return out.reshape(d_a ** n * boost, -1, d_b ** n * boost)
-
-
-def hand_branches(prepared, basis, block):
-    """Alice's measurement by hand: rotate her axis, cut it into blocks of
-    ``block``, and keep each block at or above ZERO_PROB as its probability
-    and normalized (A1·R, B) matrix."""
-    d = prepared.shape[0]
-    rotated = (basis @ prepared.reshape(d, -1)).reshape(prepared.shape)
-    branches = {}
-    for k in range(d // block):
-        m = kept_matrix(rotated[k * block:(k + 1) * block])
-        p = np.vdot(m, m).real
-        if p >= ZERO_PROB:
-            branches[k] = p, m / np.sqrt(p)
-    return branches
 
 
 def reference_tau(psi, plan):
@@ -131,6 +99,11 @@ def random_unit_matrix(rng, rows, cols):
 def gram(m):
     """M·M†."""
     return m @ m.conj().T
+
+
+def ab_gram(t):
+    """The (A·B)-side Gram matrix of an (A, R, B) array, blind to R's basis."""
+    return gram(t.transpose(0, 2, 1).reshape(-1, t.shape[1]))
 
 
 def kept_density(m):
@@ -283,6 +256,20 @@ class TestMergeTrials:
         monkeypatch.undo()
         assert len(outs) == 4 + plan.outcome_count and built == []
 
+    def test_one_trial_peak_memory(self, seed11_state):
+        # a seed-11 n=6 trial (L=2, N=32) builds neither ψ^⊗n, 2^18 amplitudes
+        # (4 MB), nor its rotation: the drawn branch, 2·2^6·2^6 amplitudes
+        # (128 kB), is contracted from one copy
+        plan = plan_merge(seed11_state, 6)
+        run_merge(seed11_state, plan, stream_rng(11, 6, 0))
+        tracemalloc.start()
+        try:
+            run_merge(seed11_state, plan, stream_rng(11, 6, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
+
     def test_no_eigh_and_one_svd_of_the_one_copy_per_run(self, seed11_state, monkeypatch):
         # τ = I/L ⊗ ρ_R^⊗n is diagonal in the basis of the one-copy SVD's
         # left factor, as ρ_R = U·S²·U†: one setup, whose one SVD is of the
@@ -402,13 +389,15 @@ class TestSetupCopyOrder:
         if spec == "random-pure:4x4x2:9":
             assert plan.block_dim == 2
         setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
-        expected, got, block = flat_prepared(psi, n, k), setup.prepared, plan.block_dim
-        # the (A, B)-side Gram matrix does not see R's basis
-        def ab_gram(t):
-            return gram(t.transpose(0, 2, 1).reshape(-1, t.shape[1]))
-
+        # the prepared state is never stored: the identity's rows, contracted
+        # copy by copy, give it
+        d, block = plan.alice_dim, plan.block_dim
+        expected, got = flat_prepared(psi, n, k), qmerge.merging._rotated(np.eye(d), setup)
         assert got.shape[::2] == expected.shape[::2]
         np.testing.assert_allclose(ab_gram(got), ab_gram(expected), rtol=0, atol=1e-12)
+        # Alice's marginal ρ_A^⊗n ⊗ I/2^k, which fixes every Born probability
+        np.testing.assert_allclose(setup.rho_a, gram(expected.reshape(d, -1)),
+                                   rtol=0, atol=1e-12)
         # R keeps only supp(ρ_R)^⊗n, on which its reduced state is diagonal
         # with the spectrum of ρ_R^⊗n and equals w's reference factor
         refs = [label for label in psi.layout.labels if label not in ("A", "B")]
@@ -424,6 +413,52 @@ class TestSetupCopyOrder:
         np.testing.assert_allclose(setup.weights.reshape(block, -1),
                                    np.tile(np.diag(rho_r).real / block, (block, 1)),
                                    rtol=0, atol=1e-12)
+
+
+class TestSampler:
+    # _sample against Alice's measurement done by hand on the dense ψ^⊗n ⊗
+    # Φ_{2^k} in ψ's own basis (conftest's flat_prepared and hand_branches).
+    # The sampler writes R in its Schmidt basis, so a branch is compared
+    # through its (A1·B)-side Gram matrix, which no unitary on R changes
+
+    @staticmethod
+    def case(spec, seed11_state):
+        if spec.startswith("seed11"):
+            return permute_subsystems(seed11_state, spec.split(":")[1])
+        return presets.parse_state(spec)
+
+    @pytest.mark.parametrize("spec,n,block,k", [
+        ("seed11:ABR", 3, None, 0),   # Alice first
+        ("seed11:BAR", 2, 2, 0),      # Alice in the middle
+        ("seed11:RBA", 3, 4, 0),      # Alice last
+        ("random-pure:2x2x2:11", 2, None, 2),  # L = 1 with a boost
+        ("random-pure:2x2x2:11", 1, 8, 2),     # L = 8 with a boost
+        ("random-pure:2x2x2x2:1", 2, 2, 2),    # two reference parties
+        ("random-pure:3x2x2:5", 2, 3, 2),      # Alice of dimension 3, D = 36
+        ("random-pure:4x2x2:6", 2, 4, 0),      # Alice of dimension 4
+    ])
+    def test_matches_dense_rotation(self, seed11_state, spec, n, block, k):
+        psi = self.case(spec, seed11_state)
+        plan = plan_merge(psi, n)
+        assert plan.k_boost == k
+        if block is not None:
+            plan = dataclasses.replace(plan, block_dim=block,
+                                       outcome_count=plan.alice_dim // block)
+        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
+        basis = haar_unitary(plan.alice_dim, stream_rng(29, n))
+        dense = hand_branches(flat_prepared(psi, n, k), basis, plan.block_dim)
+        probs = qmerge.merging._probabilities(basis, setup, plan.block_dim)
+        assert list(np.flatnonzero(probs >= ZERO_PROB)) == list(dense)
+        np.testing.assert_allclose([probs[j] for j in dense], [p for p, _ in dense.values()],
+                                   rtol=0, atol=1e-12)
+        live = np.array([p for p, _ in dense.values()])
+        for seed in range(6):
+            j, p, post = qmerge.merging._sample(setup, basis, plan.block_dim,
+                                                np.random.default_rng(seed))
+            want = list(dense)[np.random.default_rng(seed).choice(len(live), p=live / live.sum())]
+            assert j == want and abs(p - dense[j][0]) <= 1e-12
+            m = dense[j][1].reshape(plan.block_dim, -1, post.shape[-1])
+            np.testing.assert_allclose(ab_gram(post), ab_gram(m), rtol=0, atol=1e-12)
 
 
 class TestFactoredTarget:
@@ -529,7 +564,7 @@ class TestRecoveryIsometry:
         """_outcome on a bare (kept, Bob) matrix under τ = diag(w)."""
         plan = MergePlan(n=1, block_dim=1, outcome_count=1, k_boost=0, alice_dim=1,
                          cond_entropy=0.0, slack_bits=0.0, rate_clipped=False)
-        setup = qmerge.merging._Setup(prepared=None, weights=w)
+        setup = qmerge.merging._Setup(copy=None, n=1, boost=1, rho_a=None, weights=w)
         return qmerge.merging._outcome(0, 1.0, m, plan, setup)
 
     def test_post_equals_target_gives_identity_embedding(self):
