@@ -230,19 +230,19 @@ def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - v @ ((vg + vg.conj().T) / 2)
 
 
-def _descend(value_and_grad, v: np.ndarray, max_iters: int) -> tuple[np.ndarray, bool]:
+def _descend(value_and_grad, v: np.ndarray, max_iters: int) -> tuple[np.ndarray, float, bool]:
     """Riemannian gradient descent over isometries from V: Barzilai–Borwein
     trial steps, long and short in turn, Armijo backtracking, and retraction
     by phase-fixed QR. Stops when ‖ξ‖ < ``EP_GRAD_TOL`` (converged), after
-    ``max_iters`` steps, or when no step decreases f. Returns the last V and
-    whether it converged."""
+    ``max_iters`` steps, or when no step decreases f. Returns the last V,
+    f(V) and whether it converged."""
     f, g = value_and_grad(v)
     xi = _tangent(v, g)
     t = 1.0
     for k in range(max_iters):
         norm2 = float(np.vdot(xi, xi).real)
         if norm2 < EP_GRAD_TOL ** 2:
-            return v, True
+            return v, f, True
         for _ in range(_MAX_HALVINGS):
             cand = phase_fixed_qr(v - t * xi)
             fc, gc = value_and_grad(cand)
@@ -250,14 +250,14 @@ def _descend(value_and_grad, v: np.ndarray, max_iters: int) -> tuple[np.ndarray,
                 break
             t /= 2
         else:
-            return v, False
+            return v, f, False
         xi_c = _tangent(cand, gc)
         s, y = cand - v, xi_c - xi
         sy = abs(float(np.vdot(s, y).real))
         num, den = (float(np.vdot(s, s).real), sy) if k % 2 else (sy, float(np.vdot(y, y).real))
         t = num / den if sy > 0 else 1.0
         v, f, xi = cand, fc, xi_c
-    return v, False
+    return v, f, False
 
 
 def entanglement_of_purification(
@@ -281,11 +281,13 @@ def entanglement_of_purification(
     Each restart starts at the phase-fixed QR of one complex Gaussian
     matrix drawn from ``rng`` and draws nothing else, so restart r starts at
     the same point whatever ``restarts`` is. The descent works on plain
-    arrays with the exact entropy gradient; each restart's final isometry
-    is scored again through the checked :class:`ChannelSpec` →
-    :func:`apply_channel` path, so the returned value is the entropy of the
-    returned channel. The identity and full-trace channels are always
-    scored as baselines, so the estimate never exceeds S(AU).
+    arrays with the exact entropy gradient, and each restart is scored by
+    the objective's value at its last isometry, with no state built again.
+    Only a restart that improves on the best so far is wrapped in a
+    :class:`ChannelSpec`, whose constructor checks the isometry, so the
+    returned value is the entropy of the returned channel. The identity
+    and full-trace channels are always scored as baselines, through
+    :func:`apply_channel`, so the estimate never exceeds S(AU).
     ``converged`` is True when every restart stopped with its Riemannian
     gradient norm below ``EP_GRAD_TOL``; a restart also stops after
     ``max_iters`` steps or when no step decreases the entropy. The bracket
@@ -322,9 +324,6 @@ def entanglement_of_purification(
             f"EP search output side {side} exceeds the {DEFAULT_DENSITY_CAP} density cap")
     rng = rng if rng is not None else stream_rng(0)
 
-    def value_of(ch: ChannelSpec) -> float:
-        return von_neumann_entropy(apply_channel(rho, ch))
-
     best_ch = ChannelSpec.identity(u_label, d_u)
     best = math.inf
     candidates = []
@@ -333,7 +332,7 @@ def entanglement_of_purification(
     if cap_env >= d_u:
         candidates.append(ChannelSpec.full_trace(u_label, d_u))
     for ch in candidates:
-        v = value_of(ch)
+        v = von_neumann_entropy(apply_channel(rho, ch))
         if v < best:
             best, best_ch = v, ch
 
@@ -342,12 +341,11 @@ def entanglement_of_purification(
     finals = []
     for _ in range(restarts):
         z = rng.standard_normal((2, m, d_u))
-        v, converged = _descend(value_and_grad, phase_fixed_qr(z[0] + 1j * z[1]), max_iters)
+        v, f, converged = _descend(value_and_grad, phase_fixed_qr(z[0] + 1j * z[1]), max_iters)
         all_converged = all_converged and converged
-        ch = ChannelSpec(u_label, v, u_label, cap_out, cap_env)
-        finals.append(value_of(ch))
-        if finals[-1] < best:
-            best, best_ch = finals[-1], ch
+        finals.append(f)
+        if f < best:
+            best, best_ch = f, ChannelSpec(u_label, v, u_label, cap_out, cap_env)
     s_a, s_au = subset_entropy(rho, a), von_neumann_entropy(rho)
     return EpEstimate(best, best_ch, restarts, all_converged,
                       lower=(s_a + s_au - subset_entropy(rho, u_label)) / 2,

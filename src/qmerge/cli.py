@@ -34,6 +34,7 @@ from .core import (
 )
 from .entropy import EntropyReport, conditional_entropy, subset_entropy, subsets_in_counting_order
 from .merging import (
+    _MAX_PLAN_BITS,
     CurveRow,
     MergePlan,
     check_caps,
@@ -78,6 +79,9 @@ def _range_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, expected n1..n2") from err
     if min(lo, hi) < 1:
         raise argparse.ArgumentTypeError(f"bad range {text!r}, copy counts must be >= 1")
+    if max(lo, hi) > _MAX_PLAN_BITS:  # plan_merge's copy limit; a curve emits a row per n
+        raise argparse.ArgumentTypeError(
+            f"bad range {text!r}, copy counts must be <= {_MAX_PLAN_BITS}")
     return lo, hi  # n1 > n2 is an empty curve
 
 

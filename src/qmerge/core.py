@@ -97,8 +97,9 @@ class SubsystemLayout:
         return tuple(l for l in self.labels if l in set(wanted))
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
+def _freeze(arr: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """A read-only complex copy of ``arr`` divided by ``scale``."""
+    out = np.divide(arr, scale, dtype=complex)
     out.setflags(write=False)
     return out
 
@@ -111,7 +112,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = _freeze(np.asarray(self.amplitudes).reshape(-1))
+        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
         if amps.shape != (self.layout.dim,):
             raise ValueError(
                 f"amplitude vector has length {amps.shape[0]}, layout needs {self.layout.dim}"
@@ -120,7 +121,7 @@ class PureState:
         norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector squared norm {norm_sq!r} is not 1 within {NORM_TOL}")
-        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "amplitudes", _freeze(amps, math.sqrt(norm_sq)))
 
     @property
     def dim(self) -> int:
@@ -148,15 +149,16 @@ class DensityOperator:
     spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mat = _freeze(np.asarray(self.matrix))
+        mat = np.asarray(self.matrix, dtype=complex)
         d = self.layout.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} does not match layout dimension {d}")
         if not np.abs(mat - mat.conj().T).max() <= HERMITIAN_TOL:
             raise ValueError(f"matrix is not Hermitian within {HERMITIAN_TOL}")
-        tr = mat.trace()
-        if not abs(tr - 1.0) <= 1e-10:
-            raise ValueError(f"trace {tr!r} is not 1 within 1e-10")
+        tr = complex(mat.trace())
+        if not abs(tr - 1.0) <= NORM_TOL:
+            raise ValueError(f"trace {tr.real!r} is not 1 within {NORM_TOL}")
+        mat = _freeze(mat, tr.real)
         spectrum = np.linalg.eigvalsh(mat)
         spectrum.setflags(write=False)
         if not spectrum[0] >= EIG_FLOOR:

@@ -12,18 +12,25 @@ Every state of a run is a plain array of three fused axes (A|A1, R, B):
 Alice's share (A before the measurement, A1 after), the reference parties
 of all copies, and Bob's side. The parts Bob cannot touch, (A1, R), lead,
 so splitting a state into its kept and Bob's halves is a reshape and copies
-nothing. The input ψ is validated once, as the caller's :class:`PureState`;
-no state derived from it is wrapped in one again.
+nothing.
+
+Inputs are checked at the door and trusted after it. ψ is the caller's
+:class:`PureState`, stored normalized, and no state derived from it is
+wrapped in one again. The plan's L·N = D and :func:`check_caps`'
+D = d_A^n·2^k make L divide Alice's dimension. An injected basis is
+checked to be unitary once per call, before any draw (:func:`_checked`);
+a Haar draw is unitary by construction. So the loops over trials and
+outcomes check no input again.
 
 No n-copy state is built. A run keeps one copy of ψ as an (A, R, B) array,
 Alice's marginal ρ_A^⊗n ⊗ I/2^k of the prepared state ψ^⊗n ⊗ Φ_{2^k}
 (D×D), and τ's weights (:func:`_setup`). Alice measures a basis W cut into
 blocks of L rows. The Born probability of block k depends only on her
 marginal, p_k = Σ_{i ∈ block k} (W·ρ_A^⊗n ⊗ I/2^k·W†)_ii
-(:func:`_probabilities`, which checks the basis and that the probabilities
-sum to 1, which is ψ's norm check). A trial draws k from them and builds
-that branch alone, W_k·(ψ^⊗n ⊗ Φ_{2^k}), contracted one copy at a time
-(:func:`_rotated`), copy 0 most significant on each axis.
+(:func:`_probabilities`); they sum to 1 up to roundoff, since ψ is stored
+normalized. A trial draws k from them and builds that branch alone,
+W_k·(ψ^⊗n ⊗ Φ_{2^k}), contracted one copy at a time (:func:`_rotated`),
+copy 0 most significant on each axis.
 
 The copy's reference axis is in its Schmidt basis: one thin SVD U·S·Vh of
 the copy as an (R × AB) matrix gives ρ_R = U·S²·U†, and R is rotated by
@@ -58,13 +65,10 @@ from .core import (
     DEFAULT_PURE_CAP,
     RANK_TOL,
     DimensionCapError,
-    DensityOperator,
     PureState,
-    SubsystemLayout,
     haar_unitary,
     stream_rng,
     tensor,  # noqa: F401  (bench/test_bench.py reads qmerge.merging.tensor)
-    trace_distance,
 )
 from .entropy import conditional_entropy
 
@@ -165,7 +169,8 @@ def plan_merge(
 
     A plan whose prepared state ψ^⊗n ⊗ Φ_{2^k} would exceed 2^64 amplitudes,
     which no cap admits, raises :class:`DimensionCapError` before its
-    dimensions are formed.
+    dimensions are formed. Every ψ of dimension ≥ 2 meets that check
+    beyond 64 copies; for a one-dimensional ψ, n > 64 raises ``ValueError``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -176,6 +181,8 @@ def plan_merge(
     too_big = f"plan needs over 2^{_MAX_PLAN_BITS} prepared amplitudes"
     if psi.dim ** min(n, _MAX_PLAN_BITS + 1) > 2 ** _MAX_PLAN_BITS:
         raise DimensionCapError(too_big)
+    if n > _MAX_PLAN_BITS:
+        raise ValueError(f"n must be <= {_MAX_PLAN_BITS}")
     s = conditional_entropy(psi, alice, bob)
     d_a = psi.layout.dim_of(alice)
     k = _ceil_bits(n * s) + _ceil_bits(slack_bits) if s > 1e-9 else 0
@@ -325,40 +332,31 @@ def _rotated(rows: np.ndarray, setup: _Setup) -> np.ndarray:
 
 
 def _probabilities(basis: np.ndarray, setup: _Setup, block: int) -> np.ndarray:
-    """Born probabilities of Alice's coarse-grained measurement.
+    """Born probabilities of Alice's coarse-grained measurement; arithmetic
+    only, with no checks.
 
-    Her basis ``basis`` is cut into consecutive blocks of ``block`` rows;
+    Her D×D basis W is cut into consecutive blocks of ``block`` rows;
     outcome k has p_k = Σ_{i ∈ block k} (W·ρ·W†)_ii with ρ her marginal,
-    which is the squared norm of that block of :func:`_rotated`. Raises
-    unless ``basis`` is a unitary on A and ``block`` divides A's dimension,
-    and unless the probabilities sum to 1, i.e. unless tr ρ = 1.
+    which is the squared norm of that block of :func:`_rotated`. W is
+    unitary, as a Haar draw or an injected basis that passed
+    :func:`_checked`, and the plan makes ``block`` divide D. The p_k sum to
+    tr ρ = 1 up to roundoff, since ψ is stored normalized.
     """
-    d = setup.rho_a.shape[0]
-    if d % block != 0:
-        raise ValueError(f"block size {block} does not divide Alice's dimension {d}")
-    w = np.asarray(basis)
-    if w.shape != (d, d):
-        raise ValueError(f"unitary shape {w.shape} does not match Alice's dimension {d}")
-    if not np.abs(w.conj().T @ w - np.eye(d)).max() <= 1e-9:
-        raise ValueError("measurement basis matrix is not unitary")
     # (W·ρ·W†)_ii as the row sums of (W·ρ)∘W̄: one D×D product
-    probs = ((w @ setup.rho_a) * w.conj()).real.sum(axis=1).reshape(-1, block).sum(axis=1)
-    total = float(probs.sum())
-    if not abs(total - 1.0) <= 1e-10:
-        raise ValueError(f"branch probabilities sum to {total!r}")
-    return probs
+    return ((basis @ setup.rho_a) * basis.conj()).real.sum(axis=1).reshape(-1, block).sum(axis=1)
 
 
 def _sample(setup: _Setup, basis: np.ndarray, block: int, rng: np.random.Generator):
     """Born-sample one outcome of :func:`_probabilities`, renormalized over
-    those at or above ``ZERO_PROB``, and build that branch alone. Returns
-    its index, its probability and its normalized (A1, R, B) state."""
+    those at or above ``ZERO_PROB``, and build that branch alone from its
+    block of rows of the unitary ``basis``. Returns its index, its
+    probability and its normalized (A1, R, B) state. It checks nothing."""
     probs = _probabilities(basis, setup, block)
     live = np.flatnonzero(probs >= ZERO_PROB)
     weights = probs[live]
     k = int(live[int(rng.choice(len(live), p=weights / weights.sum()))])
     p = float(probs[k])
-    return k, p, _rotated(np.asarray(basis)[k * block:(k + 1) * block], setup) * (1 / math.sqrt(p))
+    return k, p, _rotated(basis[k * block:(k + 1) * block], setup) * (1 / math.sqrt(p))
 
 
 def _recovery(m: np.ndarray, w: np.ndarray):
@@ -404,6 +402,18 @@ def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
     )
 
 
+def _checked(unitary, d: int) -> np.ndarray:
+    """An injected measurement basis as an array, checked once per call and
+    before any draw: raises unless it is a D×D unitary within 1e-9. Haar
+    draws are unitary by construction and are not checked."""
+    w = np.asarray(unitary)
+    if w.shape != (d, d):
+        raise ValueError(f"unitary shape {w.shape} does not match Alice's dimension {d}")
+    if not np.abs(w.conj().T @ w - np.eye(d)).max() <= 1e-9:
+        raise ValueError("measurement basis matrix is not unitary")
+    return w
+
+
 def _basis(plan: MergePlan, rng, unitary):
     if unitary is not None:
         return unitary
@@ -428,6 +438,8 @@ def merge_trials(
     alone.
     """
     setup = _setup(psi, plan, dim_cap)
+    if unitary is not None:
+        unitary = _checked(unitary, plan.alice_dim)
     outcomes = []
     for rng in rngs:
         k, p, post = _sample(setup, _basis(plan, rng, unitary), plan.block_dim, rng)
@@ -462,9 +474,11 @@ def run_merge_exhaustive(
             f"{plan.outcome_count} outcomes exceed the exhaustive cap {MAX_EXHAUSTIVE_OUTCOMES}"
         )
     setup = _setup(psi, plan, dim_cap)
+    if unitary is not None:
+        unitary = _checked(unitary, plan.alice_dim)
     basis, block = _basis(plan, rng, unitary), plan.block_dim
     probs = _probabilities(basis, setup, block)
-    rotated = _rotated(np.asarray(basis), setup)
+    rotated = _rotated(basis, setup)
     return [_outcome(k, float(p), rotated[k * block:(k + 1) * block] * (1 / math.sqrt(p)),
                      plan, setup)
             for k, p in enumerate(probs) if p >= ZERO_PROB]
@@ -492,14 +506,13 @@ def ensemble_reference_check(
         )
     setup = _setup(psi, plan, dim_cap)
     block = plan.block_dim
-    _probabilities(unitary, setup, block)  # checks the basis, L | D and Σp = 1
-    rotated = _rotated(np.asarray(unitary), setup)
+    rotated = _rotated(_checked(unitary, plan.alice_dim), setup)
     prepared = _rotated(np.eye(plan.alice_dim), setup)
-    layout = SubsystemLayout((("R", prepared.shape[1]),))
-    rho_refs = DensityOperator(layout, _trace_alice_bob(prepared))
     avg = sum(_trace_alice_bob(rotated[k * block:(k + 1) * block])  # (A1, R, B) branches
               for k in range(plan.outcome_count))
-    return trace_distance(DensityOperator(layout, avg), rho_refs)
+    # on the raw sums, not on states renormalized by their constructor, so
+    # a lost share of the trace counts too
+    return float(0.5 * np.abs(np.linalg.eigvalsh(avg - _trace_alice_bob(prepared))).sum())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
-"""Shared helpers: seeded random states, a canonical purification, the
-Uhlmann fidelity oracle, a recovery oracle against a general target,
-subsystem reordering and renaming, the EPR boost, a dense prepared state and
-Alice's measurement of it by hand, and the fixed decoupling test state."""
+"""Shared helpers: a generator that refuses draws, seeded random states, a
+canonical purification, the Uhlmann fidelity oracle, a recovery oracle
+against a general target, subsystem reordering and renaming, the EPR boost,
+a dense prepared state and Alice's measurement of it by hand, and the fixed
+decoupling test state."""
 
 import math
 from functools import reduce
@@ -23,6 +24,14 @@ from qmerge.core import (
     tensor,
 )
 from qmerge.merging import ZERO_PROB
+
+
+class NoDraws:
+    """A stand-in generator that fails on any draw, for checks that must
+    come before the first one."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"rng.{name} used before the input checks")
 
 
 def random_pure_state(rng, labels_dims) -> PureState:

@@ -26,7 +26,7 @@ from qmerge.core import (
     tensor,
 )
 from qmerge.entropy import coherent_information, subset_entropy, von_neumann_entropy
-from conftest import random_density, random_pure_state
+from conftest import NoDraws, random_density, random_pure_state
 
 
 # --- independent oracles ----------------------------------------------------
@@ -324,7 +324,7 @@ class TestEntanglementOfPurification:
         rho = tensor(presets.maximally_mixed("A", d_a), presets.maximally_mixed("U", 2))
         with pytest.raises(DimensionCapError, match=match):
             entanglement_of_purification(rho, "A", "U", cap_out=cap_out, cap_env=cap_env,
-                                         rng=_NoDraws())
+                                         rng=NoDraws())
 
     def test_search_runs_past_old_parameter_count(self):
         # (33·32)² is just over 2^20, but V·ρ has 2·1056·4 = 8448 entries
@@ -431,13 +431,6 @@ DERIVATIVE_FREE_SEED11 = (
     0.9905809476779285, 0.8008994286057441, 7.823020577131956e-15, 1.325656204820137e-14,
     0.7447479770434892, 0.8997401776049061, 0.9622566058055066, 0.9630100457308537,
 )
-
-
-class _NoDraws:
-    """A stand-in generator that fails on any draw."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"rng.{name} used before the cap check")
 
 
 class TestExpm:

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +211,21 @@ class TestMergeCommand:
         assert code == 3 and out == "" and len(err.splitlines()) == 1
         assert "1048576x1048576" in err
 
+    @pytest.mark.parametrize("state,n,code,match", [
+        ("random-pure:1x1:0", "64", 0, ""),
+        ("random-pure:1x1:0", "65", 2, "n must be <= 64"),
+        ("random-pure:1x1:0", "1000000000", 2, "n must be <= 64"),
+        ("epr", "65", 3, "2^64"),
+    ])
+    def test_copy_counts_bounded_at_64(self, capsys, state, n, code, match):
+        # a one-dimensional state passes the 2^64-amplitude check at any n
+        got, out, err = run_cli(capsys, "merge", "--state", state, "-n", n, "--seed", "1")
+        assert got == code
+        if code:
+            assert out == "" and len(err.splitlines()) == 1 and match in err
+        else:
+            assert json.loads(out)["plan"]["n"] == 64
+
 
 class TestRegionCommand:
     def test_epr_region_constraints(self, capsys):
@@ -290,6 +306,29 @@ class TestSideinfoCommand:
         # ρ_AU = cc: S(A) = S(U) = S(AU) = 1 bit
         assert abs(ep["lower"] - 0.5) < 1e-12 and abs(ep["upper"] - 1.0) < 1e-12
         assert ep["value"] <= ep["restart_min"] <= ep["restart_max"] < 1 + 1e-9
+
+    def test_readme_example_output(self, capsys, tmp_path):
+        # the README's sideinfo command, on its channel, prints its JSON block
+        text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        (argv,) = re.findall(r"^qmerge (sideinfo .*)$", text, re.M)
+        (channel,) = re.findall(r'`(\{"input".*?\})`', text)
+        block = re.search(r"For the `sideinfo`.*?```json\n(.*?)```", text, re.S).group(1)
+        path = tmp_path / "chan.json"
+        path.write_text(channel)
+        code, out, _ = run_cli(capsys, *argv.replace("chan.json", str(path)).split())
+        assert code == 0
+
+        def match(got, want):
+            if isinstance(want, dict):
+                assert list(got) == list(want)
+                for key in want:
+                    match(got[key], want[key])
+            elif isinstance(want, float):
+                assert abs(got - want) <= 1e-12, (got, want)
+            else:
+                assert got == want
+
+        match(json.loads(out), json.loads(block))
 
     def test_csv_appends_the_bracket_after_the_json_order(self, capsys, tmp_path):
         path = tmp_path / "chan.json"
@@ -384,6 +423,8 @@ class TestErrorPaths:
         ("--curve", "1..2", "--basis", "hadamard"),
         ("--curve", "1..2", "--basis", "hadamard", "--exhaustive"),
         ("-n", "1", "--exhaustive", "--trials", "3"),
+        ("--curve", "1..65"),
+        ("--curve", "65..1"),
     ])
     def test_bad_merge_flags_rejected_at_parse_time(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:

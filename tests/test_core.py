@@ -26,11 +26,14 @@ from qmerge.merging import (
     _rotated,
     _sample,
     _Setup,
+    ensemble_reference_check,
     merge_trials,
     plan_merge,
+    run_merge,
     run_merge_exhaustive,
 )
-from conftest import fidelity, permute_subsystems, purify, random_density, random_pure_state
+from conftest import (NoDraws, fidelity, permute_subsystems, purify, random_density,
+                      random_pure_state)
 
 
 def ket(*amps):
@@ -233,23 +236,20 @@ class TestBlockMeasure:
                 assert abs(p - np.vdot(want, want).real) < 1e-12
             assert abs(sum(probs) - 1) < 1e-10
 
-    def test_rejects_non_divisor(self):
-        with pytest.raises(ValueError, match="divide"):
-            _branches(self.BELL, np.eye(2), 3)
-
     @pytest.mark.parametrize("basis,match", [
         (np.eye(3), "shape"),
         (np.ones((2, 2)), "not unitary"),
         (np.full((2, 2), math.nan), "not unitary"),
     ])
     def test_rejects_bad_basis(self, basis, match):
-        with pytest.raises(ValueError, match=match):
-            _branches(self.BELL, basis, 1)
-
-    def test_unnormalized_state_rejected(self):
-        # the Born sum is the only norm check ψ^⊗n gets
-        with pytest.raises(ValueError, match="sum to"):
-            _branches(1.001 * self.BELL, np.eye(2), 1)
+        # an injected basis is checked once per call, before anything is drawn
+        psi = presets.bell_pair()
+        plan = plan_merge(psi, 1, slack_bits=0.0)
+        for call in (lambda: run_merge(psi, plan, NoDraws(), unitary=basis),
+                     lambda: run_merge_exhaustive(psi, plan, NoDraws(), unitary=basis),
+                     lambda: ensemble_reference_check(psi, plan, basis)):
+            with pytest.raises(ValueError, match=match):
+                call()
 
     @pytest.mark.parametrize("party,block", [("A", 2), ("B", 1), ("C", 2)])
     def test_sampled_branch_equals_block_branches_entry(self, party, block):
@@ -442,8 +442,36 @@ class TestValidation:
         assert plan_merge(psi, n=1, slack_bits=0.0).n == 1
 
     def test_density_trace_enforced(self):
-        with pytest.raises(ValueError, match="trace"):
+        with pytest.raises(ValueError, match=r"^trace 2\.0 is not 1 within 1e-10$"):
             DensityOperator(SubsystemLayout((("A", 2),)), np.eye(2))
+
+    def test_edge_norm_state_merges_at_every_n(self):
+        # stored normalized, so ‖ψ‖² = 1 + 0.9e-10 does not grow as ‖ψ‖^{2n}
+        base = presets.parse_state("random-pure:2x2x2:11")
+        psi = PureState(base.layout, base.amplitudes * math.sqrt(1 + 0.9e-10))
+        assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1) < 1e-15
+        for n in range(1, 5):
+            plan = plan_merge(psi, n)
+            got, want = (run_merge(s, plan, stream_rng(1, n, 0)) for s in (psi, base))
+            assert got.outcome_index == want.outcome_index
+            assert abs(got.achieved_fidelity - want.achieved_fidelity) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["pure", "mixed"])
+    def test_tensor_of_edge_norm_states(self, kind):
+        # each factor passes at 1 + 0.9e-10; their product would be at 1 + 1.8e-10
+        def edge(label):
+            rng = np.random.default_rng(3)
+            if kind == "pure":
+                psi = random_pure_state(rng, ((label, 2),))
+                return PureState(psi.layout, psi.amplitudes * math.sqrt(1 + 0.9e-10))
+            rho = random_density(rng, ((label, 2),))
+            return DensityOperator(rho.layout, rho.matrix * (1 + 0.9e-10))
+
+        joint = tensor(edge("A"), edge("B"))
+        assert joint.dim == 4
+        total = (np.vdot(joint.amplitudes, joint.amplitudes) if kind == "pure"
+                 else joint.matrix.trace())
+        assert abs(total - 1) < 1e-15
 
     def test_density_hermiticity_enforced(self):
         mat = np.array([[0.5, 0.5], [0.0, 0.5]])

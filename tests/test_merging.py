@@ -256,6 +256,26 @@ class TestMergeTrials:
         monkeypatch.undo()
         assert len(outs) == 4 + plan.outcome_count and built == []
 
+    def test_bases_checked_once_per_call_not_per_trial(self, monkeypatch):
+        # a Haar draw is unitary by construction, so one off by 1e-7 is used
+        # as drawn; an injected basis is checked once for all its trials
+        psi = presets.parse_state("random-pure:2x2x2:11")
+        plan = plan_merge(psi, 2)
+        want = merge_trials(psi, plan, (stream_rng(5, 2, t) for t in range(4)))
+        checks, checked = [], qmerge.merging._checked
+        monkeypatch.setattr(qmerge.merging, "_checked",
+                            lambda w, d: checks.append(d) or checked(w, d))
+        monkeypatch.setattr(qmerge.merging, "haar_unitary",
+                            lambda d, rng: haar_unitary(d, rng) * (1 + 1e-7))
+        got = merge_trials(psi, plan, (stream_rng(5, 2, t) for t in range(4)))
+        assert checks == []
+        assert [o.outcome_index for o in got] == [o.outcome_index for o in want]
+        for o, w in zip(got, want):
+            assert abs(o.achieved_fidelity - w.achieved_fidelity) < 1e-12
+        merge_trials(psi, plan, (stream_rng(5, 2, t) for t in range(4)),
+                     unitary=hadamard_basis(plan.alice_dim))
+        assert checks == [plan.alice_dim]
+
     def test_one_trial_peak_memory(self, seed11_state):
         # a seed-11 n=6 trial (L=2, N=32) builds neither ψ^⊗n, 2^18 amplitudes
         # (4 MB), nor its rotation: the drawn branch, 2·2^6·2^6 amplitudes
