@@ -15,7 +15,6 @@ from .core import (
     reduced_density,
     stream_rng,
     tensor,
-    trace_distance,
 )
 from .entropy import (
     EntropyReport,

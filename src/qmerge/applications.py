@@ -37,6 +37,7 @@ from .entropy import (
 
 MAX_PARTIES = 16
 MAX_HELPERS = 12
+MAX_RESTARTS = 1_000   # most restarts of one EP search and of `sideinfo --restarts`
 
 
 @dataclass(frozen=True)
@@ -280,7 +281,8 @@ def entanglement_of_purification(
 
     Each restart starts at the phase-fixed QR of one complex Gaussian
     matrix drawn from ``rng`` and draws nothing else, so restart r starts at
-    the same point whatever ``restarts`` is. The descent works on plain
+    the same point whatever ``restarts`` is, which must lie in
+    1..``MAX_RESTARTS``. The descent works on plain
     arrays with the exact entropy gradient, and each restart is scored by
     the objective's value at its last isometry, with no state built again.
     Only a restart that improves on the best so far is wrapped in a
@@ -310,6 +312,8 @@ def entanglement_of_purification(
     cap_env = d_u if cap_env is None else int(cap_env)
     if cap_out < 1 or cap_env < 1 or restarts < 1:
         raise ValueError("caps and restarts must be >= 1")
+    if restarts > MAX_RESTARTS:
+        raise ValueError(f"restarts must be <= {MAX_RESTARTS}")
     if cap_out * cap_env < d_u:
         raise ValueError("cap_out * cap_env must cover the input dimension")
     m = cap_out * cap_env

@@ -19,6 +19,7 @@ import os
 import sys
 
 from .applications import (
+    MAX_RESTARTS,
     RateRegion,
     compression_region,
     eoa,
@@ -35,6 +36,7 @@ from .core import (
 from .entropy import EntropyReport, conditional_entropy, subset_entropy, subsets_in_counting_order
 from .merging import (
     _MAX_PLAN_BITS,
+    MAX_TRIALS,
     CurveRow,
     MergePlan,
     check_caps,
@@ -100,6 +102,9 @@ def _bounded_arg(convert, ok, what: str):
 
 _positive_int = _bounded_arg(int, lambda v: v >= 1, "an integer >= 1")
 _seed = _bounded_arg(int, lambda v: v >= 0, "an integer >= 0")
+_trials = _bounded_arg(int, lambda v: 1 <= v <= MAX_TRIALS, f"an integer in 1..{MAX_TRIALS}")
+_restarts = _bounded_arg(int, lambda v: 1 <= v <= MAX_RESTARTS,
+                         f"an integer in 1..{MAX_RESTARTS}")
 _slack_bits = _bounded_arg(float, lambda v: math.isfinite(v) and v >= 0,
                            "a finite number >= 0")
 
@@ -342,7 +347,7 @@ def _build_parser() -> argparse.ArgumentParser:
     copies.add_argument("--curve", type=_range_arg, metavar="N1..N2",
                         help="aggregate trials for each copy count in the range")
     p.add_argument("--slack", type=_slack_bits, default=1.0)
-    p.add_argument("--trials", type=_positive_int, default=None)  # unset: 1 trial
+    p.add_argument("--trials", type=_trials, default=None)  # unset: 1 trial
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--exhaustive", action="store_true",
                    help="score every outcome of one measurement basis")
@@ -365,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sideinfo", parents=[common],
                        help="side-information rate pair for a helper channel")
     p.add_argument("--channel", required=True, help="path to a JSON channel file")
-    p.add_argument("--restarts", type=_positive_int, default=4)
+    p.add_argument("--restarts", type=_restarts, default=4)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--cap-out", type=_positive_int, default=None)
     p.add_argument("--cap-env", type=_positive_int, default=None)

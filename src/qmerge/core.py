@@ -296,21 +296,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# distance measures and channels
-
-
-def _check_same_layout(rho: DensityOperator, sigma: DensityOperator):
-    if rho.layout != sigma.layout:
-        raise ValueError(
-            f"layout mismatch: {rho.layout.parts} vs {sigma.layout.parts}"
-        )
-
-
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Half the trace norm of ρ − σ."""
-    _check_same_layout(rho, sigma)
-    lam = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(0.5 * np.abs(lam).sum())
+# channels
 
 
 def stinespring_contract(rho: np.ndarray, v: np.ndarray, lo: int, hi: int,

@@ -14,13 +14,14 @@ of all copies, and Bob's side. The parts Bob cannot touch, (A1, R), lead,
 so splitting a state into its kept and Bob's halves is a reshape and copies
 nothing.
 
-Inputs are checked at the door and trusted after it. ψ is the caller's
-:class:`PureState`, stored normalized, and no state derived from it is
-wrapped in one again. The plan's L·N = D and :func:`check_caps`'
-D = d_A^n·2^k make L divide Alice's dimension. An injected basis is
-checked to be unitary once per call, before any draw (:func:`_checked`);
-a Haar draw is unitary by construction. So the loops over trials and
-outcomes check no input again.
+Inputs are checked at the door and trusted after it. Every entry point
+enters through :func:`_setup`, the one door: it runs :func:`check_caps`
+and checks an injected basis to be unitary once per call, before any draw
+(:func:`_checked`); a Haar draw is unitary by construction. ψ is the
+caller's :class:`PureState`, stored normalized, and no state derived from
+it is wrapped in one again. The plan's L·N = D and :func:`check_caps`'
+D = d_A^n·2^k make L divide Alice's dimension. So the loops over trials
+and outcomes check no input again.
 
 No n-copy state is built. A run keeps one copy of ψ as an (A, R, B) array,
 Alice's marginal ρ_A^⊗n ⊗ I/2^k of the prepared state ψ^⊗n ⊗ Φ_{2^k}
@@ -28,9 +29,10 @@ Alice's marginal ρ_A^⊗n ⊗ I/2^k of the prepared state ψ^⊗n ⊗ Φ_{2^k}
 blocks of L rows. The Born probability of block k depends only on her
 marginal, p_k = Σ_{i ∈ block k} (W·ρ_A^⊗n ⊗ I/2^k·W†)_ii
 (:func:`_probabilities`); they sum to 1 up to roundoff, since ψ is stored
-normalized. A trial draws k from them and builds that branch alone,
-W_k·(ψ^⊗n ⊗ Φ_{2^k}), contracted one copy at a time (:func:`_rotated`),
-copy 0 most significant on each axis.
+normalized. Branch k, W_k·(ψ^⊗n ⊗ Φ_{2^k}) / √p_k, is built from block k's
+rows alone (:func:`_branch`), contracted one copy at a time
+(:func:`_rotated`), copy 0 most significant on each axis. A trial builds
+the one branch it draws; the exhaustive scan builds one branch at a time.
 
 The copy's reference axis is in its Schmidt basis: one thin SVD U·S·Vh of
 the copy as an (R × AB) matrix gives ρ_R = U·S²·U†, and R is rotated by
@@ -77,6 +79,7 @@ _MAX_PLAN_BITS = 64     # log2 of the largest prepared state any plan may ask fo
 ZERO_PROB = 1e-12       # measurement branches below this are never sampled or scored
 MAX_EXHAUSTIVE_OUTCOMES = 256   # most outcomes run_merge_exhaustive scores
 MAX_ENSEMBLE_OUTCOMES = 4096    # most outcomes ensemble_reference_check sums
+MAX_TRIALS = 10_000             # most trials monte_carlo_merge and `merge --trials` run
 
 
 @dataclass(frozen=True)
@@ -258,17 +261,22 @@ def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
 @dataclass(frozen=True)
 class _Setup:
     """What every scored trial of one plan shares: one copy of ψ, Alice's
-    marginal, and the weights that fix both τ and Bob's recovery target."""
+    marginal, the weights that fix both τ and Bob's recovery target, the
+    block size and an injected basis."""
 
     copy: np.ndarray      # one copy as a read-only (A, R, B) array, R in its Schmidt basis
     n: int                # copies
     boost: int            # 2^k, the side of each half of Φ_{2^k}
     rho_a: np.ndarray     # ρ_A^⊗n ⊗ I/2^k, Alice's marginal of ψ^⊗n ⊗ Φ_{2^k}: D×D
     weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) on the (A1, R) rows
+    block: int            # L: rows of Alice's basis per outcome
+    basis: np.ndarray | None   # the injected basis, checked; None: a Haar draw per trial
 
 
-def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
-    """The copy, Alice's marginal and τ's weights, after :func:`check_caps`.
+def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary=None) -> _Setup:
+    """The merge's one door: :func:`check_caps`, then an injected
+    ``unitary`` checked once by :func:`_checked`, then the copy, Alice's
+    marginal and τ's weights. Nothing after it checks an input again.
 
     The copy is an (Alice, reference, Bob) array: every party other than
     Alice and Bob is fused into the reference R (dimension 1 when there is
@@ -283,9 +291,10 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
     purification diag(√w): his side is a copy of the (A1, R) index. So
     scoring needs only w, and no target array is built. Nor is ψ^⊗n: its
     Born probabilities need only Alice's marginal, and each branch is
-    contracted from the copy (:func:`_rotated`).
+    contracted from the copy (:func:`_branch`).
     """
     check_caps(psi, plan, dim_cap)
+    basis = None if unitary is None else _checked(unitary, plan.alice_dim)
     pa, pb = psi.layout.position(plan.alice), psi.layout.position(plan.bob)
     others = [i for i in range(len(psi.layout)) if i not in (pa, pb)]
     one = psi.tensor_view().transpose([pa, *others, pb])
@@ -301,7 +310,8 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int) -> _Setup:
     rho_a.setflags(write=False)
     block = plan.block_dim
     return _Setup(copy=copy, n=plan.n, boost=boost, rho_a=rho_a,
-                  weights=np.kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, plan.n)))
+                  weights=np.kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, plan.n)),
+                  block=block, basis=basis)
 
 
 def _rotated(rows: np.ndarray, setup: _Setup) -> np.ndarray:
@@ -314,9 +324,8 @@ def _rotated(rows: np.ndarray, setup: _Setup) -> np.ndarray:
     axis to B. The boost axis is left, and Φ_{2^k} = Σ_e |e⟩|e⟩/√2^k makes
     it Bob's last; its factor 1/√2^k scales the rows before the first step.
     The largest array is the rows or the output, of
-    m·r_R^n·d_B^n·2^k amplitudes. Each row's arithmetic does not depend on
-    the other rows, so a block of rows gives the same bits as the same
-    block cut from all of them.
+    m·r_R^n·d_B^n·2^k amplitudes: one branch's worth for the L rows of a
+    block (:func:`_branch`).
     """
     d_a, r, d_b = setup.copy.shape
     pair = setup.copy.reshape(d_a, r * d_b)
@@ -331,32 +340,40 @@ def _rotated(rows: np.ndarray, setup: _Setup) -> np.ndarray:
     return x.transpose(0, 2, 3, 1).reshape(m, x.shape[2], -1)
 
 
-def _probabilities(basis: np.ndarray, setup: _Setup, block: int) -> np.ndarray:
+def _probabilities(setup: _Setup, basis: np.ndarray) -> np.ndarray:
     """Born probabilities of Alice's coarse-grained measurement; arithmetic
     only, with no checks.
 
-    Her D×D basis W is cut into consecutive blocks of ``block`` rows;
-    outcome k has p_k = Σ_{i ∈ block k} (W·ρ·W†)_ii with ρ her marginal,
-    which is the squared norm of that block of :func:`_rotated`. W is
+    Her D×D basis W is cut into consecutive blocks of L rows; outcome k has
+    p_k = Σ_{i ∈ block k} (W·ρ·W†)_ii with ρ her marginal, which is the
+    squared norm of :func:`_branch` k before it is normalized. W is
     unitary, as a Haar draw or an injected basis that passed
-    :func:`_checked`, and the plan makes ``block`` divide D. The p_k sum to
+    :func:`_setup`, and the plan makes L divide D. The p_k sum to
     tr ρ = 1 up to roundoff, since ψ is stored normalized.
     """
     # (W·ρ·W†)_ii as the row sums of (W·ρ)∘W̄: one D×D product
-    return ((basis @ setup.rho_a) * basis.conj()).real.sum(axis=1).reshape(-1, block).sum(axis=1)
+    return ((basis @ setup.rho_a) * basis.conj()).real.sum(1).reshape(-1, setup.block).sum(1)
 
 
-def _sample(setup: _Setup, basis: np.ndarray, block: int, rng: np.random.Generator):
+def _branch(setup: _Setup, basis: np.ndarray, k: int, p: float) -> np.ndarray:
+    """Branch k of Alice's measurement in ``basis``, of probability p > 0:
+    block k's L rows through :func:`_rotated`, normalized, as an
+    (A1, R, B) array. The only place a block's rows are cut."""
+    rows = basis[k * setup.block:(k + 1) * setup.block]
+    return _rotated(rows, setup) * (1 / math.sqrt(p))
+
+
+def _sample(setup: _Setup, basis: np.ndarray, rng: np.random.Generator):
     """Born-sample one outcome of :func:`_probabilities`, renormalized over
-    those at or above ``ZERO_PROB``, and build that branch alone from its
-    block of rows of the unitary ``basis``. Returns its index, its
-    probability and its normalized (A1, R, B) state. It checks nothing."""
-    probs = _probabilities(basis, setup, block)
+    those at or above ``ZERO_PROB``, and build that branch alone
+    (:func:`_branch`). Returns its index, its probability and its
+    normalized (A1, R, B) state. It checks nothing."""
+    probs = _probabilities(setup, basis)
     live = np.flatnonzero(probs >= ZERO_PROB)
     weights = probs[live]
     k = int(live[int(rng.choice(len(live), p=weights / weights.sum()))])
     p = float(probs[k])
-    return k, p, _rotated(basis[k * block:(k + 1) * block], setup) * (1 / math.sqrt(p))
+    return k, p, _branch(setup, basis, k, p)
 
 
 def _recovery(m: np.ndarray, w: np.ndarray):
@@ -403,9 +420,10 @@ def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
 
 
 def _checked(unitary, d: int) -> np.ndarray:
-    """An injected measurement basis as an array, checked once per call and
-    before any draw: raises unless it is a D×D unitary within 1e-9. Haar
-    draws are unitary by construction and are not checked."""
+    """An injected measurement basis as an array, checked by :func:`_setup`
+    once per call and before any draw: raises unless it is a D×D unitary
+    within 1e-9. Haar draws are unitary by construction and are not
+    checked."""
     w = np.asarray(unitary)
     if w.shape != (d, d):
         raise ValueError(f"unitary shape {w.shape} does not match Alice's dimension {d}")
@@ -414,12 +432,13 @@ def _checked(unitary, d: int) -> np.ndarray:
     return w
 
 
-def _basis(plan: MergePlan, rng, unitary):
-    if unitary is not None:
-        return unitary
+def _basis(setup: _Setup, rng) -> np.ndarray:
+    """The setup's injected basis, else a Haar draw from ``rng``."""
+    if setup.basis is not None:
+        return setup.basis
     if rng is None:
         raise ValueError("provide either rng or an explicit measurement unitary")
-    return haar_unitary(plan.alice_dim, rng)
+    return haar_unitary(setup.rho_a.shape[0], rng)
 
 
 def merge_trials(
@@ -437,12 +456,10 @@ def merge_trials(
     outcome from the same generator (:func:`_sample`) and scores that branch
     alone.
     """
-    setup = _setup(psi, plan, dim_cap)
-    if unitary is not None:
-        unitary = _checked(unitary, plan.alice_dim)
+    setup = _setup(psi, plan, dim_cap, unitary)
     outcomes = []
     for rng in rngs:
-        k, p, post = _sample(setup, _basis(plan, rng, unitary), plan.block_dim, rng)
+        k, p, post = _sample(setup, _basis(setup, rng), rng)
         outcomes.append(_outcome(k, p, post, plan, setup))
     return outcomes
 
@@ -468,20 +485,15 @@ def run_merge_exhaustive(
     dim_cap: int = DEFAULT_PURE_CAP,
 ) -> list[MergeOutcome]:
     """Score every outcome of one measurement basis at or above ``ZERO_PROB``
-    instead of sampling."""
+    instead of sampling, building one branch at a time."""
     if plan.outcome_count > MAX_EXHAUSTIVE_OUTCOMES:
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the exhaustive cap {MAX_EXHAUSTIVE_OUTCOMES}"
         )
-    setup = _setup(psi, plan, dim_cap)
-    if unitary is not None:
-        unitary = _checked(unitary, plan.alice_dim)
-    basis, block = _basis(plan, rng, unitary), plan.block_dim
-    probs = _probabilities(basis, setup, block)
-    rotated = _rotated(basis, setup)
-    return [_outcome(k, float(p), rotated[k * block:(k + 1) * block] * (1 / math.sqrt(p)),
-                     plan, setup)
-            for k, p in enumerate(probs) if p >= ZERO_PROB]
+    setup = _setup(psi, plan, dim_cap, unitary)
+    basis = _basis(setup, rng)
+    return [_outcome(k, float(p), _branch(setup, basis, k, p), plan, setup)
+            for k, p in enumerate(_probabilities(setup, basis)) if p >= ZERO_PROB]
 
 
 def ensemble_reference_check(
@@ -496,23 +508,22 @@ def ensemble_reference_check(
     Local operations cannot change the unconditioned reference state, so
     this is zero up to roundoff for every basis; the sum runs over all
     outcomes using unnormalized branches, so vanishing-probability outcomes
-    contribute exactly. Both states come from :func:`_rotated`, in the
-    Schmidt basis of supp(ρ_R)^⊗n, not from τ's weights: the branches from
-    the rows of ``unitary``, ρ_R^⊗n from the rows of the identity.
+    contribute exactly. Σ_k p_k σ_R^(k) is the reference block of all D
+    rows of ``unitary`` through :func:`_rotated`, taken at once, since
+    grouping rows into blocks does not change that sum; ρ_R^⊗n is the same
+    block for the rows of the identity. Both are in the Schmidt basis of
+    supp(ρ_R)^⊗n, not from τ's weights.
     """
     if plan.outcome_count > MAX_ENSEMBLE_OUTCOMES:
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {MAX_ENSEMBLE_OUTCOMES}"
         )
-    setup = _setup(psi, plan, dim_cap)
-    block = plan.block_dim
-    rotated = _rotated(_checked(unitary, plan.alice_dim), setup)
-    prepared = _rotated(np.eye(plan.alice_dim), setup)
-    avg = sum(_trace_alice_bob(rotated[k * block:(k + 1) * block])  # (A1, R, B) branches
-              for k in range(plan.outcome_count))
+    setup = _setup(psi, plan, dim_cap, unitary)
+    avg = _trace_alice_bob(_rotated(_basis(setup, None), setup))
+    prepared = _trace_alice_bob(_rotated(np.eye(plan.alice_dim), setup))
     # on the raw sums, not on states renormalized by their constructor, so
     # a lost share of the trace counts too
-    return float(0.5 * np.abs(np.linalg.eigvalsh(avg - _trace_alice_bob(prepared))).sum())
+    return float(0.5 * np.abs(np.linalg.eigvalsh(avg - prepared)).sum())
 
 
 @dataclass(frozen=True)
@@ -547,9 +558,11 @@ def monte_carlo_merge(
     dim_cap: int = DEFAULT_PURE_CAP,
 ) -> list[CurveRow]:
     """Independent merge trials for each copy count, with per-trial streams
-    keyed by (seed, n, trial) so adding trials never perturbs earlier ones."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    keyed by (seed, n, trial) so adding trials never perturbs earlier ones.
+    ``trials`` must lie in 1..``MAX_TRIALS``, checked before any plan or
+    draw."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
     rows = []
     for n in n_values:
         try:

@@ -43,13 +43,6 @@ def pure(labels_dims, amplitudes) -> PureState:
     return PureState(SubsystemLayout(tuple(labels_dims)), np.asarray(amplitudes, dtype=complex))
 
 
-def basis_state(labels_dims, index: int = 0) -> PureState:
-    layout = SubsystemLayout(tuple(labels_dims))
-    amps = np.zeros(layout.dim, dtype=complex)
-    amps[index] = 1.0
-    return PureState(layout, amps)
-
-
 def bell_pair(label_a: str = "A", label_b: str = "B", dim: int = 2) -> PureState:
     """The maximally entangled state Σ|ii⟩/√d on two d-dimensional parts."""
     amps = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
@@ -63,10 +56,6 @@ def ghz(m: int) -> PureState:
     amps = np.zeros(2 ** m, dtype=complex)
     amps[0] = amps[-1] = 1 / math.sqrt(2)
     return pure(tuple((l, 2) for l in labels), amps)
-
-
-def maximally_mixed(label: str, dim: int) -> DensityOperator:
-    return DensityOperator(SubsystemLayout(((label, dim),)), np.eye(dim) / dim)
 
 
 def classically_correlated() -> DensityOperator:

@@ -1,8 +1,9 @@
-"""Shared helpers: a generator that refuses draws, seeded random states, a
-canonical purification, the Uhlmann fidelity oracle, a recovery oracle
-against a general target, subsystem reordering and renaming, the EPR boost,
-a dense prepared state and Alice's measurement of it by hand, and the fixed
-decoupling test state."""
+"""Shared helpers: a generator that refuses draws, basis and maximally mixed
+states, seeded random states, a canonical purification, the Uhlmann
+fidelity and trace distance oracles, a recovery oracle against a general
+target, subsystem reordering and renaming, the EPR boost, a dense prepared
+state and Alice's measurement of it by hand, and the fixed decoupling test
+state."""
 
 import math
 from functools import reduce
@@ -19,7 +20,6 @@ from qmerge.core import (
     PureState,
     State,
     SubsystemLayout,
-    _check_same_layout,
     _sub_layout,
     tensor,
 )
@@ -32,6 +32,18 @@ class NoDraws:
 
     def __getattr__(self, name):
         raise AssertionError(f"rng.{name} used before the input checks")
+
+
+def basis_state(labels_dims, index: int = 0) -> PureState:
+    """The computational basis state ``index``, first label most significant."""
+    layout = SubsystemLayout(tuple(labels_dims))
+    amps = np.zeros(layout.dim, dtype=complex)
+    amps[index] = 1.0
+    return PureState(layout, amps)
+
+
+def maximally_mixed(label: str, dim: int) -> DensityOperator:
+    return DensityOperator(SubsystemLayout(((label, dim),)), np.eye(dim) / dim)
 
 
 def random_pure_state(rng, labels_dims) -> PureState:
@@ -78,6 +90,20 @@ def purify(rho: DensityOperator, new_label: str) -> PureState:
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
     lam, vecs = np.linalg.eigh(mat)
     return (vecs * np.sqrt(np.clip(lam, 0.0, None))) @ vecs.conj().T
+
+
+def _check_same_layout(rho: DensityOperator, sigma: DensityOperator):
+    if rho.layout != sigma.layout:
+        raise ValueError(
+            f"layout mismatch: {rho.layout.parts} vs {sigma.layout.parts}"
+        )
+
+
+def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
+    """Half the trace norm of ρ − σ."""
+    _check_same_layout(rho, sigma)
+    lam = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
+    return float(0.5 * np.abs(lam).sum())
 
 
 def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:

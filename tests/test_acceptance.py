@@ -36,7 +36,8 @@ from qmerge.merging import (
     run_merge,
     run_merge_exhaustive,
 )
-from conftest import decoupling_test_state, random_density, random_pure_state
+from conftest import (basis_state, decoupling_test_state, maximally_mixed, random_density,
+                      random_pure_state)
 from test_applications import (
     oracle_compression_bounds,
     oracle_eoa,
@@ -170,7 +171,7 @@ def test_criterion_08_rate_regions():
 def test_criterion_09_mac_bounds():
     with criterion(9, "multiple-access bounds (1, -1, 0) with a negative sender", 1.0):
         rho = tensor(presets.bell_pair("A", "C").density(),
-                     presets.maximally_mixed("B", 2))
+                     maximally_mixed("B", 2))
         bounds = [c.bound for c in mac_region(rho).constraints]
         assert abs(bounds[0] - 1.0) <= 1e-9
         assert abs(bounds[1] + 1.0) <= 1e-9
@@ -196,8 +197,8 @@ def test_criterion_11_ep_estimator_soundness():
             est = entanglement_of_purification(rho, "A", "U", restarts=2,
                                                rng=stream_rng(110), max_iters=150)
             assert est.value <= von_neumann_entropy(rho) + 1e-9
-        trivial = tensor(presets.maximally_mixed("A", 2),
-                         presets.basis_state((("U", 1),)).density())
+        trivial = tensor(maximally_mixed("A", 2),
+                         basis_state((("U", 1),)).density())
         est = entanglement_of_purification(trivial, "A", "U", restarts=2,
                                            rng=stream_rng(111))
         assert abs(est.value - subset_entropy(trivial, "A")) <= 1e-6

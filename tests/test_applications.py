@@ -8,6 +8,7 @@ import pytest
 
 from qmerge import applications, presets
 from qmerge.applications import (
+    MAX_RESTARTS,
     _ep_objective,
     compression_region,
     entanglement_of_purification,
@@ -26,7 +27,7 @@ from qmerge.core import (
     tensor,
 )
 from qmerge.entropy import coherent_information, subset_entropy, von_neumann_entropy
-from conftest import NoDraws, random_density, random_pure_state
+from conftest import NoDraws, basis_state, maximally_mixed, random_density, random_pure_state
 
 
 # --- independent oracles ----------------------------------------------------
@@ -141,7 +142,7 @@ class TestCompressionRegion:
         assert abs(bounds[("A", "B")]) < 1e-9
 
     def test_product_pure_all_zero(self):
-        psi = presets.basis_state((("A", 2), ("B", 2)))
+        psi = basis_state((("A", 2), ("B", 2)))
         region = compression_region(psi)
         assert all(abs(c.bound) < 1e-9 for c in region.constraints)
 
@@ -210,14 +211,14 @@ class TestMacRegion:
         np.testing.assert_allclose(bounds, [1.0, 1.0, 2.0], atol=1e-9)
 
     def test_negative_single_sender_bound(self):
-        rho = tensor(presets.bell_pair("A", "C").density(), presets.maximally_mixed("B", 2))
+        rho = tensor(presets.bell_pair("A", "C").density(), maximally_mixed("B", 2))
         region = mac_region(rho)
         bounds = [c.bound for c in region.constraints]
         np.testing.assert_allclose(bounds, [1.0, -1.0, 0.0], atol=1e-9)
 
     def test_product_maximally_mixed(self):
-        rho = tensor(tensor(presets.maximally_mixed("A", 2), presets.maximally_mixed("B", 2)),
-                     presets.maximally_mixed("C", 2))
+        rho = tensor(tensor(maximally_mixed("A", 2), maximally_mixed("B", 2)),
+                     maximally_mixed("C", 2))
         region = mac_region(rho)
         bounds = [c.bound for c in region.constraints]
         np.testing.assert_allclose(bounds, [-1.0, -1.0, -2.0], atol=1e-9)
@@ -252,11 +253,11 @@ class TestEoa:
         assert result.argmin_cut == ()  # first cut in counting order on ties
 
     def test_uncorrelated_helper(self):
-        psi = tensor(presets.bell_pair(), presets.basis_state((("C1", 2),)))
+        psi = tensor(presets.bell_pair(), basis_state((("C1", 2),)))
         assert abs(eoa(psi).value - 1.0) < 1e-9
 
     def test_unentangled_alice(self):
-        psi = tensor(presets.basis_state((("A", 2),)), presets.bell_pair("B", "C1"))
+        psi = tensor(basis_state((("A", 2),)), presets.bell_pair("B", "C1"))
         assert eoa(psi).value < 1e-9
 
     def test_matches_bruteforce_oracle(self):
@@ -281,8 +282,7 @@ class TestEoa:
 
 class TestEntanglementOfPurification:
     def test_trivial_u_returns_alice_entropy(self):
-        rho = tensor(presets.maximally_mixed("A", 2),
-                     presets.basis_state((("U", 1),)).density())
+        rho = tensor(maximally_mixed("A", 2), basis_state((("U", 1),)).density())
         est = entanglement_of_purification(rho, "A", "U", rng=stream_rng(7), restarts=2)
         assert abs(est.value - 1.0) < 1e-6
 
@@ -321,16 +321,30 @@ class TestEntanglementOfPurification:
         (8, 1024, 1, "density cap"),     # V·ρ has 2^17 entries, output side 8192
     ])
     def test_caps_checked_before_any_draw(self, d_a, cap_out, cap_env, match):
-        rho = tensor(presets.maximally_mixed("A", d_a), presets.maximally_mixed("U", 2))
+        rho = tensor(maximally_mixed("A", d_a), maximally_mixed("U", 2))
         with pytest.raises(DimensionCapError, match=match):
             entanglement_of_purification(rho, "A", "U", cap_out=cap_out, cap_env=cap_env,
                                          rng=NoDraws())
+
+    def test_restarts_bounded_before_any_draw(self):
+        # MAX_RESTARTS bounds the work at the door; at the bound itself the
+        # search starts and meets the refused draw
+        assert MAX_RESTARTS == 1000
+        rho = tensor(maximally_mixed("A", 2), maximally_mixed("U", 2))
+        psi, ch = presets.cc_purification(), ChannelSpec.identity("B", 2, "U")
+        for restarts in (MAX_RESTARTS + 1, 10 ** 9):
+            with pytest.raises(ValueError, match="^restarts must be <= 1000$"):
+                entanglement_of_purification(rho, "A", "U", restarts=restarts, rng=NoDraws())
+            with pytest.raises(ValueError, match="^restarts must be <= 1000$"):
+                side_info_rates(psi, ch, restarts=restarts, rng=NoDraws())
+        with pytest.raises(AssertionError, match="rng.standard_normal"):
+            entanglement_of_purification(rho, "A", "U", restarts=MAX_RESTARTS, rng=NoDraws())
 
     def test_search_runs_past_old_parameter_count(self):
         # (33·32)² is just over 2^20, but V·ρ has 2·1056·4 = 8448 entries
         # and ρ′ side 66; S(A, Λ(U)) ≥ S(A) = 1 on I/2 ⊗ I/2, which the
         # full trace attains
-        rho = tensor(presets.maximally_mixed("A", 2), presets.maximally_mixed("U", 2))
+        rho = tensor(maximally_mixed("A", 2), maximally_mixed("U", 2))
         est = entanglement_of_purification(rho, "A", "U", cap_out=33, cap_env=32, restarts=1,
                                            rng=stream_rng(14), max_iters=3)
         assert est.restarts_used == 1 and abs(est.value - 1.0) <= 1e-9

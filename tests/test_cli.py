@@ -425,6 +425,7 @@ class TestErrorPaths:
         ("-n", "1", "--exhaustive", "--trials", "3"),
         ("--curve", "1..65"),
         ("--curve", "65..1"),
+        ("--curve", "1..2", "--trials", "10001"),
     ])
     def test_bad_merge_flags_rejected_at_parse_time(self, capsys, flags):
         with pytest.raises(SystemExit) as exc:
@@ -545,6 +546,27 @@ def test_negative_seed_rejected_naming_the_flag(capsys, argv):
     assert exc.value.code == 2 and captured.out == ""
     assert captured.err == (f"qmerge {argv[0]}: error: argument --seed: "
                             "expected an integer >= 0, got '-1'\n")
+
+
+@pytest.mark.parametrize("argv,flag,limit", [
+    (("merge", "--state", "epr", "-n", "1", "--seed", "1", "--trials", "10001"),
+     "--trials", "1..10000"),
+    (("sideinfo", "--state", "cc-pure", "--channel", "c.json", "--seed", "2",
+      "--restarts", "1001"), "--restarts", "1..1000"),
+])
+def test_work_bounds_rejected_by_the_parser(capsys, monkeypatch, argv, flag, limit):
+    # the parser refuses the count before any state is loaded or work begins
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("parse_state", "merge_trials", "monte_carlo_merge", "side_info_rates"):
+        monkeypatch.setattr(qmerge.cli, name, refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err == (f"qmerge {argv[0]}: error: argument {flag}: "
+                            f"expected an integer in {limit}, got '{argv[-1]}'\n")
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,4 +1,4 @@
-"""State construction, composition, reduction, measurement and distances."""
+"""State construction, composition, reduction, validation and distances."""
 
 import dataclasses
 import math
@@ -18,22 +18,10 @@ from qmerge.core import (
     reduced_density,
     stream_rng,
     tensor,
-    trace_distance,
 )
-from qmerge.merging import (
-    ZERO_PROB,
-    _probabilities,
-    _rotated,
-    _sample,
-    _Setup,
-    ensemble_reference_check,
-    merge_trials,
-    plan_merge,
-    run_merge,
-    run_merge_exhaustive,
-)
-from conftest import (NoDraws, fidelity, permute_subsystems, purify, random_density,
-                      random_pure_state)
+from qmerge.merging import plan_merge, run_merge
+from conftest import (basis_state, fidelity, maximally_mixed, permute_subsystems, purify,
+                      random_density, random_pure_state, trace_distance)
 
 
 def ket(*amps):
@@ -52,7 +40,7 @@ class TestLayout:
 
     def test_index_convention_first_label_most_significant(self):
         # |1⟩_A |0⟩_B sits at index 1*2 + 0 = 2
-        psi = presets.basis_state((("A", 2), ("B", 2)), index=2)
+        psi = basis_state((("A", 2), ("B", 2)), index=2)
         assert psi.tensor_view()[1, 0] == 1.0
 
     def test_derived_fields_match_parts_and_are_frozen(self):
@@ -72,15 +60,15 @@ class TestLayout:
 
 class TestTensor:
     def test_basis_case(self):
-        a = presets.basis_state((("A", 2),))
-        b = presets.basis_state((("B", 2),))
+        a = basis_state((("A", 2),))
+        b = basis_state((("B", 2),))
         joint = tensor(a, b)
         assert joint.layout.labels == ("A", "B")
         np.testing.assert_allclose(joint.amplitudes, [1, 0, 0, 0])
 
     def test_diagonal_kron(self):
-        joint = tensor(presets.maximally_mixed("A", 2),
-                       presets.basis_state((("B", 2),)).density())
+        joint = tensor(maximally_mixed("A", 2),
+                       basis_state((("B", 2),)).density())
         np.testing.assert_allclose(joint.matrix, np.diag([0.5, 0, 0.5, 0]), atol=1e-12)
 
     def test_two_pairs_reduce_back(self):
@@ -131,12 +119,12 @@ class TestPartialTrace:
 
 class TestPurify:
     def test_maximally_mixed_gives_bell(self):
-        psi = purify(presets.maximally_mixed("A", 2), "R")
+        psi = purify(maximally_mixed("A", 2), "R")
         assert psi.layout.parts == (("A", 2), ("R", 2))
         np.testing.assert_allclose(psi.amplitudes, ket(1, 0, 0, 1), atol=1e-12)
 
     def test_pure_input_gets_trivial_purifier(self):
-        rho = presets.basis_state((("A", 2),)).density()
+        rho = basis_state((("A", 2),)).density()
         psi = purify(rho, "R")
         assert psi.layout.dim_of("R") == 1
         back = reduced_density(psi, "A")
@@ -162,7 +150,7 @@ class TestPurify:
 
     def test_label_collision_rejected(self):
         with pytest.raises(ValueError):
-            purify(presets.maximally_mixed("A", 2), "A")
+            purify(maximally_mixed("A", 2), "A")
 
 
 class TestHaarUnitary:
@@ -182,122 +170,6 @@ class TestHaarUnitary:
         assert abs(mean - 0.5) < 0.02
 
 
-def one_copy(arr):
-    """merging's setup for an (A, R, B) array taken as the only copy, with
-    Alice's marginal formed densely."""
-    rows = arr.reshape(arr.shape[0], -1)
-    return _Setup(copy=arr, n=1, boost=1, rho_a=rows @ rows.conj().T, weights=None)
-
-
-def _branches(arr, basis, block):
-    """Every branch of Alice's measurement of ``arr``, as unnormalized
-    (A1, R, B) arrays, and the Born probabilities from her marginal."""
-    setup = one_copy(arr)
-    probs = list(_probabilities(basis, setup, block))
-    rotated = _rotated(basis, setup)
-    return [rotated[k * block:(k + 1) * block] for k in range(len(probs))], probs
-
-
-class TestBlockMeasure:
-    # Alice's coarse-grained measurement in merging: an (A, R, B) array is
-    # rotated on A and cut into blocks of L indices
-    BELL = np.eye(2).reshape(2, 1, 2) / np.sqrt(2)
-
-    def test_product_state_identity_basis(self):
-        psi = np.eye(2)[0].reshape(2, 1, 1) * np.eye(2)[0]  # |0⟩_A |0⟩_B
-        blocks, probs = _branches(psi, np.eye(2), 1)
-        assert probs == [1.0, 0.0]
-        np.testing.assert_array_equal(blocks[0], [[[1, 0]]])
-
-    def test_full_rank_block_is_no_measurement(self):
-        blocks, probs = _branches(self.BELL, haar_unitary(2, np.random.default_rng(0)), 2)
-        assert len(blocks) == 1 and abs(probs[0] - 1) < 1e-12
-
-    def test_bell_complete_measurement(self):
-        # hand computation: outcomes 0/1 each with p = 1/2, post = |k⟩_B
-        blocks, probs = _branches(self.BELL, np.eye(2), 1)
-        assert len(blocks) == 2
-        for k, (block, p) in enumerate(zip(blocks, probs)):
-            assert abs(p - 0.5) < 1e-12
-            np.testing.assert_allclose(block.reshape(-1) / np.sqrt(p), np.eye(2)[k], atol=1e-12)
-
-    def test_probabilities_sum_to_one(self):
-        # each branch is a slice of the rotated array, with its squared norm
-        rng = np.random.default_rng(6)
-        psi = random_pure_state(rng, (("A", 6), ("R", 2), ("B", 3))).tensor_view()
-        for block in (1, 2, 3, 6):
-            w = haar_unitary(6, rng)
-            blocks, probs = _branches(psi, w, block)
-            rotated = (w @ psi.reshape(6, -1)).reshape(psi.shape)
-            assert len(blocks) == len(probs) == 6 // block
-            for k, (b, p) in enumerate(zip(blocks, probs)):
-                want = rotated[k * block:(k + 1) * block]
-                np.testing.assert_allclose(b, want, atol=1e-12)
-                assert abs(p - np.vdot(want, want).real) < 1e-12
-            assert abs(sum(probs) - 1) < 1e-10
-
-    @pytest.mark.parametrize("basis,match", [
-        (np.eye(3), "shape"),
-        (np.ones((2, 2)), "not unitary"),
-        (np.full((2, 2), math.nan), "not unitary"),
-    ])
-    def test_rejects_bad_basis(self, basis, match):
-        # an injected basis is checked once per call, before anything is drawn
-        psi = presets.bell_pair()
-        plan = plan_merge(psi, 1, slack_bits=0.0)
-        for call in (lambda: run_merge(psi, plan, NoDraws(), unitary=basis),
-                     lambda: run_merge_exhaustive(psi, plan, NoDraws(), unitary=basis),
-                     lambda: ensemble_reference_check(psi, plan, basis)):
-            with pytest.raises(ValueError, match=match):
-                call()
-
-    @pytest.mark.parametrize("party,block", [("A", 2), ("B", 1), ("C", 2)])
-    def test_sampled_branch_equals_block_branches_entry(self, party, block):
-        # with ``party`` as the measured side, _sample returns the outcome,
-        # probability and normalized amplitudes of the _branches entry drawn
-        # by one Born-rule choice over the live branches in outcome order
-        rng = np.random.default_rng(10)
-        axis = "ABC".index(party)
-        for seed in range(8):
-            psi = random_pure_state(rng, (("A", 4), ("B", 3), ("C", 4)))
-            arr = np.moveaxis(psi.tensor_view(), axis, 0)
-            w = haar_unitary(arr.shape[0], rng)
-            k, p, post = _sample(one_copy(arr), w, block, np.random.default_rng(seed))
-            blocks, probs = _branches(arr, w, block)
-            live = [j for j, q in enumerate(probs) if q >= ZERO_PROB]
-            weights = np.array([probs[j] for j in live])
-            want = live[int(np.random.default_rng(seed).choice(len(live), p=weights / weights.sum()))]
-            assert (k, p) == (want, probs[want])
-            np.testing.assert_array_equal(post, blocks[want] / np.sqrt(probs[want]))
-
-    @pytest.mark.parametrize("spec,n", [
-        ("random-pure:2x2x2:11", 3), ("random-pure:2x2x2:11", 2), ("ghz:4", 2),
-    ])
-    def test_sampled_outcome_is_the_exhaustive_entry(self, spec, n):
-        # a trial scores the branch it draws exactly as the exhaustive scan
-        # scores it, drawn by one Born-rule choice over the live branches
-        psi = presets.parse_state(spec)
-        plan = plan_merge(psi, n)
-        w = haar_unitary(plan.alice_dim, stream_rng(23, n))
-        live = run_merge_exhaustive(psi, plan, unitary=w)
-        probs = np.array([o.probability for o in live])
-        assert len(live) > 1
-        for seed in range(8):
-            (out,) = merge_trials(psi, plan, [np.random.default_rng(seed)], unitary=w)
-            drawn = np.random.default_rng(seed).choice(len(live), p=probs / probs.sum())
-            assert out == live[int(drawn)]
-
-    def test_zero_probability_branch_never_sampled(self):
-        # |0⟩_A ⊗ Φ_BR measured in A's computational basis: branch 1 has p = 0
-        psi = tensor(presets.basis_state((("A", 2),)), presets.bell_pair("B", "R"))
-        plan = plan_merge(psi, 1, slack_bits=0.0)
-        assert (plan.block_dim, plan.outcome_count) == (1, 2)
-        rngs = (np.random.default_rng(seed) for seed in range(64))
-        outs = merge_trials(psi, plan, rngs, unitary=np.eye(2))
-        assert {o.outcome_index for o in outs} == {0}
-        assert [o.outcome_index for o in run_merge_exhaustive(psi, plan, unitary=np.eye(2))] == [0]
-
-
 class TestDistances:
     def test_fidelity_self(self):
         rho = random_density(np.random.default_rng(9), (("A", 4),))
@@ -305,26 +177,26 @@ class TestDistances:
 
     def test_fidelity_pure_vs_mixed(self):
         # oracle: ⟨0| I/2 |0⟩ = 1/2
-        zero = presets.basis_state((("A", 2),)).density()
-        assert abs(fidelity(zero, presets.maximally_mixed("A", 2)) - 0.5) < 1e-10
+        zero = basis_state((("A", 2),)).density()
+        assert abs(fidelity(zero, maximally_mixed("A", 2)) - 0.5) < 1e-10
 
     def test_fidelity_orthogonal(self):
-        zero = presets.basis_state((("A", 2),), 0).density()
-        one = presets.basis_state((("A", 2),), 1).density()
+        zero = basis_state((("A", 2),), 0).density()
+        one = basis_state((("A", 2),), 1).density()
         assert fidelity(zero, one) < 1e-12
 
     def test_trace_distance_cases(self):
-        zero = presets.basis_state((("A", 2),), 0).density()
-        one = presets.basis_state((("A", 2),), 1).density()
-        mixed = presets.maximally_mixed("A", 2)
+        zero = basis_state((("A", 2),), 0).density()
+        one = basis_state((("A", 2),), 1).density()
+        mixed = maximally_mixed("A", 2)
         assert trace_distance(zero, zero) == 0
         assert abs(trace_distance(zero, one) - 1) < 1e-12
         # eigenvalues of |0⟩⟨0| − I/2 are ±1/2
         assert abs(trace_distance(zero, mixed) - 0.5) < 1e-12
 
     def test_layout_mismatch(self):
-        a = presets.maximally_mixed("A", 2)
-        b = presets.maximally_mixed("B", 2)
+        a = maximally_mixed("A", 2)
+        b = maximally_mixed("B", 2)
         with pytest.raises(ValueError, match="mismatch"):
             fidelity(a, b)
         with pytest.raises(ValueError, match="mismatch"):
@@ -405,7 +277,7 @@ class TestPermuteAndFuse:
         np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-12)
 
     def test_swap_basis_state(self):
-        psi = presets.basis_state((("A", 2), ("B", 2)), index=1)  # |01⟩
+        psi = basis_state((("A", 2), ("B", 2)), index=1)  # |01⟩
         out = permute_subsystems(psi, ("B", "A"))
         np.testing.assert_allclose(out.amplitudes, [0, 0, 1, 0])  # |10⟩
 

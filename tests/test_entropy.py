@@ -21,7 +21,7 @@ from qmerge.entropy import (
     subsets_in_counting_order,
     von_neumann_entropy,
 )
-from conftest import permute_subsystems, random_density, random_pure_state
+from conftest import maximally_mixed, permute_subsystems, random_density, random_pure_state
 
 
 def h2(p):
@@ -30,7 +30,7 @@ def h2(p):
 
 class TestVonNeumann:
     def test_maximally_mixed_qubit(self):
-        assert abs(von_neumann_entropy(presets.maximally_mixed("A", 2)) - 1.0) < 1e-12
+        assert abs(von_neumann_entropy(maximally_mixed("A", 2)) - 1.0) < 1e-12
 
     def test_pure_state_zero(self):
         rng = np.random.default_rng(0)
@@ -39,7 +39,7 @@ class TestVonNeumann:
 
     def test_binary_entropy(self):
         rho = DensityOperator(
-            presets.maximally_mixed("A", 2).layout, np.diag([0.25, 0.75])
+            maximally_mixed("A", 2).layout, np.diag([0.25, 0.75])
         )
         assert abs(von_neumann_entropy(rho) - h2(0.25)) < 1e-12
 

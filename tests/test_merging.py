@@ -24,11 +24,10 @@ from qmerge.core import (
     reduced_density,
     stream_rng,
     tensor,
-    trace_distance,
 )
 from qmerge.entropy import conditional_entropy, mutual_information
 from qmerge.merging import (
-    ZERO_PROB,
+    MAX_TRIALS,
     MergePlan,
     ensemble_reference_check,
     hadamard_basis,
@@ -39,42 +38,82 @@ from qmerge.merging import (
     run_merge_exhaustive,
 )
 from conftest import (
+    NoDraws,
+    basis_state,
     epr_boost,
     fidelity,
     flat_prepared,
     hand_branches,
-    kept_matrix,
     permute_subsystems,
     random_pure_state,
     recovered_overlap_sq,
     recovery_isometry,
     relabeled,
+    trace_distance,
 )
 
+DENSE_SIDE = 256   # largest kept side L·d_R^n that oracle_outcomes scores densely
 
-def trial_posts(psi, plan, seed, count):
-    """The shared setup and the normalized (A1, R, B) post-measurement arrays
-    of trials 0..count-1 on streams (seed, n, t), drawn as merge_trials draws
-    them."""
-    setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
-    posts = []
-    for t in range(count):
-        rng = stream_rng(seed, plan.n, t)
-        basis = haar_unitary(plan.alice_dim, rng)
-        posts.append(qmerge.merging._sample(setup, basis, plan.block_dim, rng)[2])
-    return setup, posts
+
+def drawn_branch(psi, plan, rng):
+    """One trial by hand in ψ's own basis: the Haar basis and the outcome
+    drawn from ``rng`` as merge_trials draws them, the outcome from the live
+    branches of hand_branches. Returns the outcome k, its p and its
+    normalized (A1·R, B) matrix M."""
+    basis = haar_unitary(plan.alice_dim, rng)
+    branches = hand_branches(flat_prepared(psi, plan.n, plan.k_boost), basis, plan.block_dim)
+    probs = np.array([p for p, _ in branches.values()])
+    k = list(branches)[rng.choice(len(probs), p=probs / probs.sum())]
+    return (k, *branches[k])
+
+
+def oracle_outcomes(psi, plan, basis):
+    """Alice's measurement in ``basis`` done by hand on the dense ψ^⊗n ⊗
+    Φ_{2^k}, in ψ's own basis, sharing no code with merging: each live
+    outcome k of hand_branches as its p and, for a kept side of at most
+    ``DENSE_SIDE``, its scores (F, decoupling error, achieved); None above.
+
+    F and the decoupling error are taken against the dense
+    τ = I/L ⊗ ρ_R^⊗n (fidelity, trace_distance), and achieved by Bob's
+    recovery onto the dense target |Φ_L⟩ ⊗ ψ^⊗n (recovery_isometry,
+    recovered_overlap_sq)."""
+    branches = hand_branches(flat_prepared(psi, plan.n, plan.k_boost), basis, plan.block_dim)
+    side = plan.block_dim * (psi.dim // psi.layout.dim_of(("A", "B"))) ** plan.n
+    if side > DENSE_SIDE:
+        return {k: (p, None) for k, (p, _) in branches.items()}
+    target, tau = dense_target(psi, plan), reference_tau(psi, plan)
+    oracle = {}
+    for k, (p, m) in branches.items():
+        sigma = kept_density(m)
+        achieved = recovered_overlap_sq(m, target, recovery_isometry(m, target))
+        oracle[k] = p, (fidelity(sigma, tau), trace_distance(sigma, tau), achieved)
+    return oracle
+
+
+def assert_matches_oracle(outs, oracle):
+    """Each outcome's probability and scores against :func:`oracle_outcomes`."""
+    for out in outs:
+        p, scores = oracle[out.outcome_index]
+        assert abs(out.probability - p) <= 1e-12
+        if scores is not None:
+            f, err, achieved = scores
+            assert abs(out.uhlmann_fidelity - f) <= 1e-8
+            assert abs(out.decoupling_error - err) <= 1e-8
+            assert abs(out.achieved_fidelity - achieved) <= 1e-12
 
 
 def dense_target(psi, plan):
     """|Φ_L⟩ ⊗ ψ^⊗n built densely from tensor products, as a (kept, Bob)
-    matrix: the kept parts are A1 and the fused reference copies (copy 0
-    most significant); Bob holds Φ_L's half, Alice's copies and Bob's copies."""
+    matrix: the kept parts are A1 and the reference parties of every copy
+    (copy 0 most significant); Bob holds Φ_L's half, Alice's copies and
+    Bob's copies."""
     n = plan.n
+    refs = [label for label in psi.layout.labels if label not in ("A", "B")]
     state = presets.bell_pair("A1", "BL", dim=plan.block_dim)
     for i in range(n):
         state = tensor(state, presets.pure(
             [(f"{label}_{i}", d) for label, d in psi.layout.parts], psi.amplitudes))
-    kept = ("A1", *[f"R_{i}" for i in range(n)])
+    kept = ("A1", *[f"{label}_{i}" for i in range(n) for label in refs])
     bobs = ["BL", *[f"A_{i}" for i in range(n)], *[f"B_{i}" for i in range(n)]]
     state = permute_subsystems(state, (*kept, *bobs))
     return state.amplitudes.reshape(state.layout.dim_of(kept), -1)
@@ -228,6 +267,129 @@ class TestRunMerge:
             run_merge(seed11_state, plan, stream_rng(4, 3, 0), dim_cap=64)
 
 
+class TestBlockMeasure:
+    # Alice's coarse-grained measurement: her basis is cut into blocks of L
+    # rows, and each outcome is checked through run_merge_exhaustive and
+    # merge_trials with an injected basis against the same measurement done
+    # by hand (oracle_outcomes)
+    BELL_L1 = MergePlan(n=1, block_dim=1, outcome_count=2, k_boost=0, alice_dim=2,
+                        cond_entropy=-1.0, slack_bits=0.0, rate_clipped=False)
+
+    def test_product_state_identity_basis(self):
+        psi = basis_state((("A", 2), ("B", 2)))  # |0⟩_A |0⟩_B
+        plan = plan_merge(psi, 1, slack_bits=0.0)
+        assert (plan.block_dim, plan.outcome_count) == (1, 2)
+        outs = run_merge_exhaustive(psi, plan, unitary=np.eye(2))
+        assert [(o.outcome_index, o.probability) for o in outs] == [(0, 1.0)]
+        assert_matches_oracle(outs, oracle_outcomes(psi, plan, np.eye(2)))
+
+    def test_full_rank_block_is_no_measurement(self):
+        psi = presets.bell_pair()
+        plan = plan_merge(psi, 1, slack_bits=0.0)
+        assert (plan.block_dim, plan.outcome_count) == (2, 1)
+        basis = haar_unitary(2, np.random.default_rng(0))
+        (out,) = run_merge_exhaustive(psi, plan, unitary=basis)
+        assert abs(out.probability - 1) < 1e-12 and abs(out.achieved_fidelity - 1) < 1e-12
+        assert_matches_oracle([out], oracle_outcomes(psi, plan, basis))
+
+    def test_bell_complete_measurement(self):
+        # hand computation: outcomes 0/1 each with p = 1/2, post = |k⟩_B,
+        # which leaves nothing on Alice's or the reference's side to decouple
+        psi = presets.bell_pair()
+        outs = run_merge_exhaustive(psi, self.BELL_L1, unitary=np.eye(2))
+        assert [o.outcome_index for o in outs] == [0, 1]
+        for out in outs:
+            assert abs(out.probability - 0.5) < 1e-12
+            assert out.decoupling_error < 1e-12 and abs(out.achieved_fidelity - 1) < 1e-12
+        assert_matches_oracle(outs, oracle_outcomes(psi, self.BELL_L1, np.eye(2)))
+
+    def test_probabilities_sum_to_one(self):
+        # every block size of a 6-dimensional Alice: each branch's probability
+        # and scores against the rotated array cut by hand
+        rng = np.random.default_rng(6)
+        psi = random_pure_state(rng, (("A", 6), ("R", 2), ("B", 3)))
+        for block in (1, 2, 3, 6):
+            plan = MergePlan(n=1, block_dim=block, outcome_count=6 // block, k_boost=0,
+                             alice_dim=6, cond_entropy=0.0, slack_bits=0.0, rate_clipped=False)
+            w = haar_unitary(6, rng)
+            outs = run_merge_exhaustive(psi, plan, unitary=w)
+            assert [o.outcome_index for o in outs] == list(range(6 // block))
+            assert_matches_oracle(outs, oracle_outcomes(psi, plan, w))
+            assert abs(sum(o.probability for o in outs) - 1) < 1e-10
+
+    @pytest.mark.parametrize("basis,match", [
+        (np.eye(3), "shape"),
+        (np.ones((2, 2)), "not unitary"),
+        (np.full((2, 2), math.nan), "not unitary"),
+    ])
+    def test_rejects_bad_basis(self, basis, match):
+        # an injected basis is checked once per call, before anything is drawn
+        psi = presets.bell_pair()
+        plan = plan_merge(psi, 1, slack_bits=0.0)
+        for call in (lambda: run_merge(psi, plan, NoDraws(), unitary=basis),
+                     lambda: run_merge_exhaustive(psi, plan, NoDraws(), unitary=basis),
+                     lambda: ensemble_reference_check(psi, plan, basis)):
+            with pytest.raises(ValueError, match=match):
+                call()
+
+    def test_no_basis_rejected(self):
+        # neither a generator nor an injected basis: nothing to measure in
+        psi = presets.bell_pair()
+        plan = plan_merge(psi, 1, slack_bits=0.0)
+        for call in (lambda: run_merge_exhaustive(psi, plan),
+                     lambda: ensemble_reference_check(psi, plan, None)):
+            with pytest.raises(ValueError, match="unitary"):
+                call()
+
+    @pytest.mark.parametrize("party,block", [("A", 2), ("B", 1), ("C", 2)])
+    def test_sampled_branch_equals_block_branches_entry(self, party, block):
+        # with ``party`` as the measured side, a trial returns the outcome,
+        # probability and scores of the hand-measured branch drawn by one
+        # Born-rule choice over the live branches in outcome order
+        rng = np.random.default_rng(10)
+        rest = [label for label in "ABC" if label != party]
+        roles = {party: "A", rest[0]: "R", rest[1]: "B"}
+        for seed in range(8):
+            psi = relabeled(random_pure_state(rng, (("A", 4), ("B", 3), ("C", 4))), roles)
+            d = psi.layout.dim_of("A")
+            plan = MergePlan(n=1, block_dim=block, outcome_count=d // block, k_boost=0,
+                             alice_dim=d, cond_entropy=0.0, slack_bits=0.0, rate_clipped=False)
+            w = haar_unitary(d, rng)
+            (out,) = merge_trials(psi, plan, [np.random.default_rng(seed)], unitary=w)
+            oracle = oracle_outcomes(psi, plan, w)
+            live = np.array([p for p, _ in oracle.values()])
+            want = list(oracle)[np.random.default_rng(seed).choice(len(live), p=live / live.sum())]
+            assert out.outcome_index == want
+            assert_matches_oracle([out], oracle)
+
+    @pytest.mark.parametrize("spec,n", [
+        ("random-pure:2x2x2:11", 3), ("random-pure:2x2x2:11", 2), ("ghz:4", 2),
+    ])
+    def test_sampled_outcome_is_the_exhaustive_entry(self, spec, n):
+        # a trial scores the branch it draws exactly as the exhaustive scan
+        # scores it, drawn by one Born-rule choice over the live branches
+        psi = presets.parse_state(spec)
+        plan = plan_merge(psi, n)
+        w = haar_unitary(plan.alice_dim, stream_rng(23, n))
+        live = run_merge_exhaustive(psi, plan, unitary=w)
+        probs = np.array([o.probability for o in live])
+        assert len(live) > 1
+        for seed in range(8):
+            (out,) = merge_trials(psi, plan, [np.random.default_rng(seed)], unitary=w)
+            drawn = np.random.default_rng(seed).choice(len(live), p=probs / probs.sum())
+            assert out == live[int(drawn)]
+
+    def test_zero_probability_branch_never_sampled(self):
+        # |0⟩_A ⊗ Φ_BR measured in A's computational basis: branch 1 has p = 0
+        psi = tensor(basis_state((("A", 2),)), presets.bell_pair("B", "R"))
+        plan = plan_merge(psi, 1, slack_bits=0.0)
+        assert (plan.block_dim, plan.outcome_count) == (1, 2)
+        rngs = (np.random.default_rng(seed) for seed in range(64))
+        outs = merge_trials(psi, plan, rngs, unitary=np.eye(2))
+        assert {o.outcome_index for o in outs} == {0}
+        assert [o.outcome_index for o in run_merge_exhaustive(psi, plan, unitary=np.eye(2))] == [0]
+
+
 class TestMergeTrials:
     # on the random state Bob's spent boost pairs go to junk: his side is
     # 8 at n=1 and 16 at n=2, the target's Bob side L·r^n only 2 and 4
@@ -257,8 +419,9 @@ class TestMergeTrials:
         assert len(outs) == 4 + plan.outcome_count and built == []
 
     def test_bases_checked_once_per_call_not_per_trial(self, monkeypatch):
-        # a Haar draw is unitary by construction, so one off by 1e-7 is used
-        # as drawn; an injected basis is checked once for all its trials
+        """A Haar draw is unitary by construction, so one off by 1e-7 is used
+        as drawn; an injected basis is checked once per call, for all its
+        trials. The call count of ``_checked`` is the claim, so it is named."""
         psi = presets.parse_state("random-pure:2x2x2:11")
         plan = plan_merge(psi, 2)
         want = merge_trials(psi, plan, (stream_rng(5, 2, t) for t in range(4)))
@@ -272,9 +435,11 @@ class TestMergeTrials:
         assert [o.outcome_index for o in got] == [o.outcome_index for o in want]
         for o, w in zip(got, want):
             assert abs(o.achieved_fidelity - w.achieved_fidelity) < 1e-12
-        merge_trials(psi, plan, (stream_rng(5, 2, t) for t in range(4)),
-                     unitary=hadamard_basis(plan.alice_dim))
-        assert checks == [plan.alice_dim]
+        hadamard = hadamard_basis(plan.alice_dim)
+        merge_trials(psi, plan, (stream_rng(5, 2, t) for t in range(4)), unitary=hadamard)
+        run_merge_exhaustive(psi, plan, unitary=hadamard)
+        ensemble_reference_check(psi, plan, hadamard)
+        assert checks == [plan.alice_dim] * 3
 
     def test_one_trial_peak_memory(self, seed11_state):
         # a seed-11 n=6 trial (L=2, N=32) builds neither ψ^⊗n, 2^18 amplitudes
@@ -290,12 +455,27 @@ class TestMergeTrials:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
 
+    def test_exhaustive_scan_peak_memory(self, seed11_state):
+        # the seed-11 n=6 scan (L=2, N=32) builds one branch at a time, not
+        # the rotation of all D = 64 rows, 2^18 amplitudes (4 MB)
+        plan = plan_merge(seed11_state, 6)
+        assert (plan.block_dim, plan.outcome_count) == (2, 32)
+        run_merge(seed11_state, plan, stream_rng(11, 6, 0))
+        tracemalloc.start()
+        try:
+            outs = run_merge_exhaustive(seed11_state, plan, stream_rng(11, 6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(outs) == 32 and peak <= 2 * 2 ** 20
+
     def test_no_eigh_and_one_svd_of_the_one_copy_per_run(self, seed11_state, monkeypatch):
-        # τ = I/L ⊗ ρ_R^⊗n is diagonal in the basis of the one-copy SVD's
-        # left factor, as ρ_R = U·S²·U†: one setup, whose one SVD is of the
-        # one-copy (R, AB) matrix, and no eigh anywhere in the run. Each
-        # outcome then takes one SVD, of √w·M, for both its Uhlmann
-        # fidelity and Bob's recovery, and one eigvalsh
+        """τ = I/L ⊗ ρ_R^⊗n is diagonal in the basis of the one-copy SVD's
+        left factor, as ρ_R = U·S²·U†: one setup, whose one SVD is of the
+        one-copy (R, AB) matrix, and no eigh anywhere in the run. Each
+        outcome then takes one SVD, of √w·M, for both its Uhlmann fidelity
+        and Bob's recovery, and one eigvalsh. The call counts are the claim,
+        so ``_setup`` is named to count the SVDs inside it."""
         setups, setup_svds = [], []
         calls = {"eigh": [], "svd": [], "eigvalsh": []}
         setup = qmerge.merging._setup
@@ -345,7 +525,8 @@ class TestMergeTrials:
 
 class TestReferenceSupportScoring:
     # every outcome is scored in C^L ⊗ supp(ρ_R)^⊗n; the oracles below build
-    # the dense I/L ⊗ ρ_R^⊗n and score with core.fidelity / trace_distance
+    # the dense I/L ⊗ ρ_R^⊗n and score with conftest's fidelity and
+    # trace_distance
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_achieved_equals_uhlmann_seed11(self, seed11_state, n):
@@ -360,15 +541,10 @@ class TestReferenceSupportScoring:
         plan = plan_merge(psi, n)
         w = haar_unitary(plan.alice_dim, stream_rng(19, n))
         outs = run_merge_exhaustive(psi, plan, unitary=w)
-        branches = hand_branches(flat_prepared(psi, n, plan.k_boost), w, plan.block_dim)
-        assert [o.outcome_index for o in outs] == list(branches)
-        dense = reference_tau(psi, plan)
-        for out in outs:
-            p, m = branches[out.outcome_index]
-            assert abs(out.probability - p) <= 1e-12
-            sigma = kept_density(m)
-            assert abs(out.uhlmann_fidelity - fidelity(sigma, dense)) <= 1e-8
-            assert abs(out.decoupling_error - trace_distance(sigma, dense)) <= 1e-8
+        oracle = oracle_outcomes(psi, plan, w)
+        assert [o.outcome_index for o in outs] == list(oracle)
+        assert all(scores is not None for _, scores in oracle.values())
+        assert_matches_oracle(outs, oracle)
 
     def test_ghz4_exhaustive_n5(self):
         psi = presets.parse_state("ghz:4")
@@ -380,10 +556,11 @@ class TestReferenceSupportScoring:
 
 
 class TestSetupCopyOrder:
-    # oracles for _setup's copy order that share no code with it: flat
-    # amplitude vectors, an explicit axis transpose, and reduced_density.
-    # _setup writes R in its Schmidt basis, so only what a unitary on R
-    # leaves alone is compared with the oracle
+    # the copy order of the setup, the branches and τ's weights, through
+    # run_merge_exhaustive with an injected Haar basis, against oracles that
+    # share no code with it: flat amplitude vectors, an explicit axis
+    # transpose, and reduced_density (oracle_outcomes). The run writes R in
+    # its Schmidt basis, so only what a unitary on R leaves alone is compared
 
     @staticmethod
     def state(spec, seed11_state):
@@ -392,7 +569,7 @@ class TestSetupCopyOrder:
         if spec == "seed11:RBA":
             return permute_subsystems(seed11_state, ("R", "B", "A"))
         if spec == "epr+R0":  # ρ_R = |0⟩⟨0| has rank 1 on d_R = 2
-            return tensor(presets.bell_pair(), presets.basis_state((("R", 2),)))
+            return tensor(presets.bell_pair(), basis_state((("R", 2),)))
         return presets.parse_state(spec)
 
     @pytest.mark.parametrize("spec,n,k", [
@@ -402,52 +579,39 @@ class TestSetupCopyOrder:
         ("ghz:4", 5, 0),  # ρ_{C1C2} has rank 2 of 4: R^n shrinks from 4^5 to 2^5
         ("random-pure:4x4x2:9", 2, 0),  # L = 2 over a non-flat ρ_R: w's order shows
     ])
-    def test_setup_matches_flat_kron_oracle(self, seed11_state, spec, n, k):
+    def test_setup_matches_flat_kron_oracle(self, seed11_state, spec, n, k, monkeypatch):
         psi = self.state(spec, seed11_state)
         plan = plan_merge(psi, n)
         assert plan.k_boost == k
         if spec == "random-pure:4x4x2:9":
             assert plan.block_dim == 2
-        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
-        # the prepared state is never stored: the identity's rows, contracted
-        # copy by copy, give it
-        d, block = plan.alice_dim, plan.block_dim
-        expected, got = flat_prepared(psi, n, k), qmerge.merging._rotated(np.eye(d), setup)
-        assert got.shape[::2] == expected.shape[::2]
-        np.testing.assert_allclose(ab_gram(got), ab_gram(expected), rtol=0, atol=1e-12)
-        # Alice's marginal ρ_A^⊗n ⊗ I/2^k, which fixes every Born probability
-        np.testing.assert_allclose(setup.rho_a, gram(expected.reshape(d, -1)),
-                                   rtol=0, atol=1e-12)
-        # R keeps only supp(ρ_R)^⊗n, on which its reduced state is diagonal
-        # with the spectrum of ρ_R^⊗n and equals w's reference factor
+        basis = haar_unitary(plan.alice_dim, stream_rng(29, n))
+        sides, eigvalsh = [], np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):  # each outcome's one spectrum
+            sides.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        outs = run_merge_exhaustive(psi, plan, unitary=basis)
+        monkeypatch.undo()
+        # Alice's marginal ρ_A^⊗n ⊗ I/2^k fixes every Born probability; the
+        # branches and τ = I/L ⊗ ρ_R^⊗n, A1 most significant, fix the scores
+        # (scored densely up to a kept side of DENSE_SIDE: not ghz:4 at n=5)
+        oracle = oracle_outcomes(psi, plan, basis)
+        assert [o.outcome_index for o in outs] == list(oracle)
+        assert_matches_oracle(outs, oracle)
+        # R keeps only supp(ρ_R)^⊗n: that spectrum has side L·r_R^n
         refs = [label for label in psi.layout.labels if label not in ("A", "B")]
         lam = np.linalg.eigvalsh(reduced_density(psi, refs).matrix) if refs else np.ones(1)
-        lam = lam[lam > 1e-12]
-        assert got.shape[1] == lam.size ** n
-        rho_r = gram(got.transpose(1, 0, 2).reshape(got.shape[1], -1))
-        np.testing.assert_allclose(np.sort(np.diag(rho_r).real),
-                                   np.sort(reduce(np.kron, [lam] * n)), rtol=0, atol=1e-12)
-        np.testing.assert_allclose(rho_r, np.diag(setup.weights.reshape(block, -1).sum(0)),
-                                   rtol=0, atol=1e-12)
-        # τ = I/L ⊗ ρ_R^⊗n: A1 most significant and flat
-        np.testing.assert_allclose(setup.weights.reshape(block, -1),
-                                   np.tile(np.diag(rho_r).real / block, (block, 1)),
-                                   rtol=0, atol=1e-12)
+        side = plan.block_dim * int(np.sum(lam > 1e-12)) ** n
+        assert sides == [(side, side)] * len(outs)
 
 
 class TestSampler:
-    # _sample against Alice's measurement done by hand on the dense ψ^⊗n ⊗
-    # Φ_{2^k} in ψ's own basis (conftest's flat_prepared and hand_branches).
-    # The sampler writes R in its Schmidt basis, so a branch is compared
-    # through its (A1·B)-side Gram matrix, which no unitary on R changes
-
-    @staticmethod
-    def case(spec, seed11_state):
-        if spec.startswith("seed11"):
-            return permute_subsystems(seed11_state, spec.split(":")[1])
-        return presets.parse_state(spec)
-
-    @pytest.mark.parametrize("spec,n,block,k", [
+    # sampled and exhaustive outcomes against Alice's measurement done by
+    # hand on the dense ψ^⊗n ⊗ Φ_{2^k} in ψ's own basis (oracle_outcomes)
+    CASES = pytest.mark.parametrize("spec,n,block,k", [
         ("seed11:ABR", 3, None, 0),   # Alice first
         ("seed11:BAR", 2, 2, 0),      # Alice in the middle
         ("seed11:RBA", 3, 4, 0),      # Alice last
@@ -457,28 +621,50 @@ class TestSampler:
         ("random-pure:3x2x2:5", 2, 3, 2),      # Alice of dimension 3, D = 36
         ("random-pure:4x2x2:6", 2, 4, 0),      # Alice of dimension 4
     ])
-    def test_matches_dense_rotation(self, seed11_state, spec, n, block, k):
-        psi = self.case(spec, seed11_state)
+
+    @staticmethod
+    def case(spec, seed11_state, n, block, k):
+        """The state, its plan with block size ``block`` (the planned one
+        when None), and a Haar basis of Alice's dimension."""
+        if spec.startswith("seed11"):
+            psi = permute_subsystems(seed11_state, spec.split(":")[1])
+        else:
+            psi = presets.parse_state(spec)
         plan = plan_merge(psi, n)
         assert plan.k_boost == k
         if block is not None:
             plan = dataclasses.replace(plan, block_dim=block,
                                        outcome_count=plan.alice_dim // block)
-        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
-        basis = haar_unitary(plan.alice_dim, stream_rng(29, n))
-        dense = hand_branches(flat_prepared(psi, n, k), basis, plan.block_dim)
-        probs = qmerge.merging._probabilities(basis, setup, plan.block_dim)
-        assert list(np.flatnonzero(probs >= ZERO_PROB)) == list(dense)
-        np.testing.assert_allclose([probs[j] for j in dense], [p for p, _ in dense.values()],
-                                   rtol=0, atol=1e-12)
-        live = np.array([p for p, _ in dense.values()])
+        return psi, plan, haar_unitary(plan.alice_dim, stream_rng(29, n))
+
+    @CASES
+    def test_matches_dense_rotation(self, seed11_state, spec, n, block, k):
+        psi, plan, basis = self.case(spec, seed11_state, n, block, k)
+        oracle = oracle_outcomes(psi, plan, basis)
+        outs = run_merge_exhaustive(psi, plan, unitary=basis)
+        assert [o.outcome_index for o in outs] == list(oracle)
+        assert_matches_oracle(outs, oracle)
+        # a trial draws by one Born-rule choice over the live outcomes
+        live = np.array([o.probability for o in outs])
         for seed in range(6):
-            j, p, post = qmerge.merging._sample(setup, basis, plan.block_dim,
-                                                np.random.default_rng(seed))
-            want = list(dense)[np.random.default_rng(seed).choice(len(live), p=live / live.sum())]
-            assert j == want and abs(p - dense[j][0]) <= 1e-12
-            m = dense[j][1].reshape(plan.block_dim, -1, post.shape[-1])
-            np.testing.assert_allclose(ab_gram(post), ab_gram(m), rtol=0, atol=1e-12)
+            (out,) = merge_trials(psi, plan, [np.random.default_rng(seed)], unitary=basis)
+            want = np.random.default_rng(seed).choice(len(live), p=live / live.sum())
+            assert out == outs[int(want)]
+
+    @CASES
+    def test_bob_side_matches_dense_rotation(self, seed11_state, spec, n, block, k):
+        """Bob's side of each branch, through its (A1·B)-side Gram matrix,
+        which no unitary on R changes. His optimal recovery absorbs any
+        unitary on his side, so no public output carries it: the branches
+        come from ``_setup`` and ``_branch``."""
+        psi, plan, basis = self.case(spec, seed11_state, n, block, k)
+        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP, unitary=basis)
+        dense = hand_branches(flat_prepared(psi, n, k), basis, plan.block_dim)
+        assert dense
+        for j, (p, m) in dense.items():
+            post = qmerge.merging._branch(setup, basis, j, p)
+            want = m.reshape(plan.block_dim, -1, post.shape[-1])
+            np.testing.assert_allclose(ab_gram(post), ab_gram(want), rtol=0, atol=1e-12)
 
 
 class TestFactoredTarget:
@@ -491,13 +677,8 @@ class TestFactoredTarget:
         psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
         plan = plan_merge(psi, n)
         out = run_merge(psi, plan, stream_rng(11, n, 0))
-        rng = stream_rng(11, n, 0)
-        basis = haar_unitary(plan.alice_dim, rng)
-        branches = hand_branches(flat_prepared(psi, n, plan.k_boost), basis, plan.block_dim)
-        probs = np.array([p for p, _ in branches.values()])
-        assert out.outcome_index == list(branches)[rng.choice(len(probs), p=probs / probs.sum())]
-        p, m = branches[out.outcome_index]
-        assert abs(out.probability - p) <= 1e-12
+        k, p, m = drawn_branch(psi, plan, stream_rng(11, n, 0))
+        assert out.outcome_index == k and abs(out.probability - p) <= 1e-12
         dense = dense_target(psi, plan)
         oracle = recovered_overlap_sq(m, dense, recovery_isometry(m, dense))
         assert abs(out.achieved_fidelity - oracle) <= 1e-12
@@ -509,11 +690,12 @@ class TestFactoredTarget:
 
     def test_recovery_fitted_to_another_trial_falls_short(self, seed11_state):
         # achieved_fidelity is a real recovery: a V fitted to the wrong post
-        # state must miss the Uhlmann optimum of the real one
+        # state must miss the Uhlmann optimum of the real one. Trials 0 and
+        # 1 are drawn by hand and recovered onto the dense target
         plan = plan_merge(seed11_state, 3)
-        setup, posts = trial_posts(seed11_state, plan, 11, 2)
-        post, other = map(kept_matrix, posts)
-        target = np.diag(np.sqrt(setup.weights))  # τ's canonical purification
+        post, other = (drawn_branch(seed11_state, plan, stream_rng(11, 3, t))[2]
+                       for t in range(2))
+        target = dense_target(seed11_state, plan)
         out = run_merge(seed11_state, plan, stream_rng(11, 3, 0))
         right = recovery_isometry(post, target)
         assert abs(recovered_overlap_sq(post, target, right) - out.achieved_fidelity) <= 1e-12
@@ -536,7 +718,7 @@ class TestFactoredTarget:
     def test_target_cap_counts_factored_amplitudes(self):
         # EPR ⊗ |0⟩_R at n=2 plans L=4: the prepared state has 8² = 64
         # amplitudes, the target L²·d_R²·r² = 256 (r = min(d_R, d_A·d_B) = 2)
-        psi = tensor(presets.bell_pair(), presets.basis_state((("R", 2),)))
+        psi = tensor(presets.bell_pair(), basis_state((("R", 2),)))
         plan = plan_merge(psi, 2, slack_bits=0.0)
         assert plan.block_dim == 4
         run_merge(psi, plan, stream_rng(18, 2, 0), dim_cap=256)
@@ -575,19 +757,24 @@ class TestMergeLayoutInvariance:
 
 
 class TestRecoveryIsometry:
-    # merging._recovery on a (kept, Bob) matrix M and weights w, scored by
-    # merging._outcome; the oracles are conftest's fidelity and its
-    # general-target overlap against the dense diag(√w)
+    # Bob's recovery and a branch's scores: the scores through
+    # run_merge_exhaustive on states whose branches are known by hand,
+    # against oracle_outcomes; his isometry V, which no public output
+    # carries, against conftest's overlap oracle
 
     @staticmethod
-    def score(m, w):
-        """_outcome on a bare (kept, Bob) matrix under τ = diag(w)."""
-        plan = MergePlan(n=1, block_dim=1, outcome_count=1, k_boost=0, alice_dim=1,
+    def complete_measurement(psi, rng):
+        """The outcomes of a qubit Alice measured completely (L = 1) in a
+        Haar basis, and their oracle."""
+        plan = MergePlan(n=1, block_dim=1, outcome_count=2, k_boost=0, alice_dim=2,
                          cond_entropy=0.0, slack_bits=0.0, rate_clipped=False)
-        setup = qmerge.merging._Setup(copy=None, n=1, boost=1, rho_a=None, weights=w)
-        return qmerge.merging._outcome(0, 1.0, m, plan, setup)
+        basis = haar_unitary(2, rng)
+        return run_merge_exhaustive(psi, plan, unitary=basis), oracle_outcomes(psi, plan, basis)
 
     def test_post_equals_target_gives_identity_embedding(self):
+        """V maps a branch equal to τ's canonical purification diag(√w) by
+        the identity. V is Bob's side, absorbed into the public overlap, so
+        it comes from ``_recovery``."""
         w = np.array([0.4, 0.3, 0.2, 0.1])
         target = np.diag(np.sqrt(w))
         s, v = qmerge.merging._recovery(target, w)
@@ -596,47 +783,48 @@ class TestRecoveryIsometry:
         assert abs(recovered_overlap_sq(target, target, v) - 1.0) < 1e-12
 
     def test_worked_example_conditional_correction(self):
-        # Bob turns |φ−⟩ on (R, B) into |φ+⟩, the canonical purification of
-        # τ = I/2, with the local phase flip Z
+        """Bob turns |φ−⟩ on (R, B) into |φ+⟩, the canonical purification of
+        τ = I/2, with the local phase flip Z. Z is Bob's side, absorbed into
+        the public overlap, so it comes from ``_recovery``; the scores come
+        from merging a one-dimensional Alice beside |φ−⟩."""
         phi_minus = np.diag([1.0, -1.0]) / np.sqrt(2)
-        w = np.full(2, 0.5)
-        _, v = qmerge.merging._recovery(phi_minus, w)
+        _, v = qmerge.merging._recovery(phi_minus, np.full(2, 0.5))
         np.testing.assert_allclose(v, np.diag([1.0, -1.0]), atol=1e-9)
-        out = self.score(phi_minus, w)
+        psi = presets.pure((("A", 1), ("R", 2), ("B", 2)), phi_minus.reshape(-1))
+        (out,) = run_merge_exhaustive(psi, plan_merge(psi, 1), unitary=np.eye(1))
         assert abs(out.achieved_fidelity - 1.0) < 1e-9 and out.decoupling_error < 1e-12
 
     def test_uhlmann_oracle_on_random_pairs(self):
         # overlap² must equal the fidelity of the kept reductions (Uhlmann),
         # whether Bob's side is smaller than, equal to or larger than the
-        # kept side L·r_R^n
+        # kept side L·r_R = 4
         rng = np.random.default_rng(3)
         for bob in (2, 4, 7) * 7:
-            m = random_unit_matrix(rng, 4, bob)
-            w = rng.dirichlet(np.ones(4))
-            _, v = qmerge.merging._recovery(m, w)
-            assert v.shape == (4 * -(-bob // 4), bob)
-            assert np.abs(v.conj().T @ v - np.eye(bob)).max() < 1e-9
-            out = self.score(m, w)
-            uhlmann = fidelity(kept_density(m), kept_density(np.diag(np.sqrt(w))))
-            assert abs(out.uhlmann_fidelity - uhlmann) < 1e-6
-            assert abs(out.achieved_fidelity - uhlmann) < 1e-6
-            overlap = recovered_overlap_sq(m, np.diag(np.sqrt(w)), v)
-            assert abs(overlap - uhlmann) < 1e-6
+            psi = random_pure_state(rng, (("A", 2), ("R", 4), ("B", bob)))
+            outs, oracle = self.complete_measurement(psi, rng)
+            assert len(outs) == 2
+            assert_matches_oracle(outs, oracle)
 
     def test_oversized_bob_side_lands_in_junk(self):
-        # Bob's input can outgrow the target side (spent boost pairs); the
-        # junk-extended isometry still hits the Uhlmann optimum
+        """Bob's input can outgrow the target side (spent boost pairs); the
+        junk-extended V is still an isometry of his whole side and hits the
+        Uhlmann optimum. V's shape and isometry are Bob's side, absorbed
+        into the public overlap, so they come from ``_recovery``; the scores
+        come from merges with a kept side of 3 and a Bob side of 8."""
         rng = np.random.default_rng(21)
-        for _ in range(10):
-            m = random_unit_matrix(rng, 3, 8)
-            w = rng.dirichlet(np.ones(3))
+        for kept, bob in ((4, 2), (4, 4), (4, 7)) + ((3, 8),) * 10:
+            m = random_unit_matrix(rng, kept, bob)
+            w = rng.dirichlet(np.ones(kept))
             _, v = qmerge.merging._recovery(m, w)
-            assert v.shape == (9, 8)  # 3 junk slices of size 3
-            assert np.abs(v.conj().T @ v - np.eye(8)).max() < 1e-9
-            out = self.score(m, w)
+            assert v.shape == (kept * -(-bob // kept), bob)  # junk slices of size kept
+            assert np.abs(v.conj().T @ v - np.eye(bob)).max() < 1e-9
             uhlmann = fidelity(kept_density(m), kept_density(np.diag(np.sqrt(w))))
-            assert abs(out.achieved_fidelity - uhlmann) < 1e-6
-            assert abs(out.uhlmann_fidelity - uhlmann) < 1e-6
+            assert abs(recovered_overlap_sq(m, np.diag(np.sqrt(w)), v) - uhlmann) < 1e-6
+        for _ in range(10):
+            psi = random_pure_state(rng, (("A", 2), ("R", 3), ("B", 8)))
+            outs, oracle = self.complete_measurement(psi, rng)
+            assert len(outs) == 2
+            assert_matches_oracle(outs, oracle)
 
 
 class TestEnsembleReference:
@@ -676,6 +864,22 @@ class TestEnsembleReference:
 
 
 class TestMonteCarlo:
+    def test_trials_bounded_before_any_plan_or_draw(self, monkeypatch):
+        # MAX_TRIALS bounds the work at the door; at the bound itself the
+        # curve goes on to plan its first copy count
+        assert MAX_TRIALS == 10_000
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("planned before the trials check")
+
+        monkeypatch.setattr(qmerge.merging, "plan_merge", refuse)
+        monkeypatch.setattr(qmerge.merging, "stream_rng", lambda *key: NoDraws())
+        for trials in (MAX_TRIALS + 1, 10 ** 9, 0):
+            with pytest.raises(ValueError, match="^trials must be in 1..10000$"):
+                monte_carlo_merge(presets.bell_pair(), (1,), trials=trials)
+        with pytest.raises(AssertionError, match="planned"):
+            monte_carlo_merge(presets.bell_pair(), (1,), trials=MAX_TRIALS)
+
     def test_bell_curve_is_perfect(self):
         rows = monte_carlo_merge(presets.bell_pair(), (1, 2, 3), trials=5,
                                  slack_bits=0.0, seed=9)
