@@ -2,9 +2,10 @@
 
 Results go to stdout (JSON by default, CSV with ``--format csv``),
 diagnostics to stderr. Exit codes: 0 success, 2 usage error, 3 dimension cap
-exceeded. All randomness is derived from the ``--seed`` flag through
-per-consumer streams keyed as (seed, n, trial) for merge trials, so repeated
-invocations are byte-identical and adding trials never perturbs earlier ones.
+exceeded or, with a cap raised beyond the machine, memory exhausted. All
+randomness is derived from the ``--seed`` flag through per-consumer streams
+keyed as (seed, n, trial) for merge trials, so repeated invocations are
+byte-identical and adding trials never perturbs earlier ones.
 """
 
 from __future__ import annotations
@@ -221,6 +222,8 @@ def cmd_merge(args) -> str:
         check_caps(state, plan, cap)  # before the D×D basis is built
         unitary = hadamard_basis(plan.alice_dim)
     if args.exhaustive:
+        # an injected basis draws nothing; a generator would load numpy.random
+        # (about 5 MB of peak RSS) for no draw
         rng = None if unitary is not None else stream_rng(args.seed, args.n, 0)
         outcomes = run_merge_exhaustive(state, plan, rng, unitary=unitary, dim_cap=cap)
     else:
@@ -387,8 +390,8 @@ def main(argv=None) -> int:
         args.parser.error("--exhaustive scores every outcome of one basis; it takes no --trials")
     try:
         text = args.func(args)
-    except DimensionCapError as err:
-        print(f"error: {err}", file=sys.stderr)
+    except (DimensionCapError, MemoryError) as err:  # a cap raised past the machine
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -23,16 +23,19 @@ it is wrapped in one again. The plan's L·N = D and :func:`check_caps`'
 D = d_A^n·2^k make L divide Alice's dimension. So the loops over trials
 and outcomes check no input again.
 
-No n-copy state is built. A run keeps one copy of ψ as an (A, R, B) array,
-Alice's marginal ρ_A^⊗n ⊗ I/2^k of the prepared state ψ^⊗n ⊗ Φ_{2^k}
-(D×D), and τ's weights (:func:`_setup`). Alice measures a basis W cut into
-blocks of L rows. The Born probability of block k depends only on her
-marginal, p_k = Σ_{i ∈ block k} (W·ρ_A^⊗n ⊗ I/2^k·W†)_ii
-(:func:`_probabilities`); they sum to 1 up to roundoff, since ψ is stored
-normalized. Branch k, W_k·(ψ^⊗n ⊗ Φ_{2^k}) / √p_k, is built from block k's
-rows alone (:func:`_branch`), contracted one copy at a time
-(:func:`_rotated`), copy 0 most significant on each axis. A trial builds
-the one branch it draws; the exhaustive scan builds one branch at a time.
+No path builds an n-copy state: ψ^⊗n is formed nowhere. A run keeps one
+copy of ψ as an (A, R, B) array, Alice's marginal ρ_A^⊗n ⊗ I/2^k of the
+prepared state ψ^⊗n ⊗ Φ_{2^k} (D×D), and τ's weights (:func:`_setup`).
+Alice measures a basis W cut into blocks of L rows. The Born probability of
+block k depends only on her marginal,
+p_k = Σ_{i ∈ block k} (W·ρ_A^⊗n ⊗ I/2^k·W†)_ii (:func:`_probabilities`);
+they sum to 1 up to roundoff, since ψ is stored normalized. Branch k,
+W_k·(ψ^⊗n ⊗ Φ_{2^k}) / √p_k, is built from block k's rows alone, contracted
+one copy at a time, copy 0 most significant on each axis
+(:func:`_branch`, the only code that turns basis rows into amplitudes). A
+trial builds the one branch it draws; the exhaustive scan and the ensemble
+check (:func:`ensemble_reference_check`, which sums the scored branches'
+reference blocks) build one branch at a time.
 
 The copy's reference axis is in its Schmidt basis: one thin SVD U·S·Vh of
 the copy as an (R × AB) matrix gives ρ_R = U·S²·U†, and R is rotated by
@@ -197,7 +200,7 @@ def plan_merge(
     if clipped:
         block = 1
     else:
-        p = _smallest_prime_factor(d_a) if d_a > 1 else 2
+        p = _smallest_prime_factor(d_a)
         max_pow = 0
         rem = d_total
         while rem % p == 0:
@@ -219,10 +222,11 @@ def plan_merge(
     )
 
 
-def _trace_alice_bob(t: np.ndarray) -> np.ndarray:
-    """Σ_a t[a] t[a]†: the reference block of an unnormalized (A, R, B)
-    amplitude array, where every t[a] is an (R, B) view."""
-    return sum(m @ m.conj().T for m in t)
+def _reference(t: np.ndarray) -> np.ndarray:
+    """Σ_a t[a]·t[a]†, the reference block of an (A, R, B) amplitude array,
+    as one product."""
+    flat = t.transpose(1, 0, 2).reshape(t.shape[1], -1)
+    return flat @ flat.conj().T
 
 
 def _kron_power(one: np.ndarray, n: int) -> np.ndarray:
@@ -260,16 +264,14 @@ def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
 
 @dataclass(frozen=True)
 class _Setup:
-    """What every scored trial of one plan shares: one copy of ψ, Alice's
-    marginal, the weights that fix both τ and Bob's recovery target, the
-    block size and an injected basis."""
+    """What every scored trial of one plan shares: the plan, one copy of ψ,
+    Alice's marginal, the weights that fix both τ and Bob's recovery target,
+    and an injected basis."""
 
+    plan: MergePlan
     copy: np.ndarray      # one copy as a read-only (A, R, B) array, R in its Schmidt basis
-    n: int                # copies
-    boost: int            # 2^k, the side of each half of Φ_{2^k}
     rho_a: np.ndarray     # ρ_A^⊗n ⊗ I/2^k, Alice's marginal of ψ^⊗n ⊗ Φ_{2^k}: D×D
     weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) on the (A1, R) rows
-    block: int            # L: rows of Alice's basis per outcome
     basis: np.ndarray | None   # the injected basis, checked; None: a Haar draw per trial
 
 
@@ -309,35 +311,9 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary=None) -> _Setu
     rho_a = np.kron(_kron_power(flat @ flat.conj().T, plan.n), np.eye(boost) / boost)
     rho_a.setflags(write=False)
     block = plan.block_dim
-    return _Setup(copy=copy, n=plan.n, boost=boost, rho_a=rho_a,
+    return _Setup(plan=plan, copy=copy, rho_a=rho_a,
                   weights=np.kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, plan.n)),
-                  block=block, basis=basis)
-
-
-def _rotated(rows: np.ndarray, setup: _Setup) -> np.ndarray:
-    """rows·(ψ^⊗n ⊗ Φ_{2^k}) for (m × D) rows of Alice's basis, as an
-    unnormalized (m, R, B) array, contracted one copy at a time.
-
-    Each row is read as a (d_A, …, d_A, 2^k) tensor, copy 0 most significant.
-    Each step contracts its leading Alice axis with the copy, as one matrix
-    product per row, and appends the copy's reference axis to R and its Bob
-    axis to B. The boost axis is left, and Φ_{2^k} = Σ_e |e⟩|e⟩/√2^k makes
-    it Bob's last; its factor 1/√2^k scales the rows before the first step.
-    The largest array is the rows or the output, of
-    m·r_R^n·d_B^n·2^k amplitudes: one branch's worth for the L rows of a
-    block (:func:`_branch`).
-    """
-    d_a, r, d_b = setup.copy.shape
-    pair = setup.copy.reshape(d_a, r * d_b)
-    m = rows.shape[0]
-    # (m, Alice's copies left and boost, R so far, B so far)
-    x = (rows * (1 / math.sqrt(setup.boost))).reshape(m, -1, 1, 1)
-    for _ in range(setup.n):
-        _, left, rs, bs = x.shape
-        x = x.reshape(m, d_a, -1).transpose(0, 2, 1) @ pair
-        x = x.reshape(m, left // d_a, rs, bs, r, d_b).transpose(0, 1, 2, 4, 3, 5)
-        x = x.reshape(m, left // d_a, rs * r, bs * d_b)
-    return x.transpose(0, 2, 3, 1).reshape(m, x.shape[2], -1)
+                  basis=basis)
 
 
 def _probabilities(setup: _Setup, basis: np.ndarray) -> np.ndarray:
@@ -352,15 +328,35 @@ def _probabilities(setup: _Setup, basis: np.ndarray) -> np.ndarray:
     tr ρ = 1 up to roundoff, since ψ is stored normalized.
     """
     # (W·ρ·W†)_ii as the row sums of (W·ρ)∘W̄: one D×D product
-    return ((basis @ setup.rho_a) * basis.conj()).real.sum(1).reshape(-1, setup.block).sum(1)
+    diag = ((basis @ setup.rho_a) * basis.conj()).real.sum(1)
+    return diag.reshape(-1, setup.plan.block_dim).sum(1)
 
 
 def _branch(setup: _Setup, basis: np.ndarray, k: int, p: float) -> np.ndarray:
     """Branch k of Alice's measurement in ``basis``, of probability p > 0:
-    block k's L rows through :func:`_rotated`, normalized, as an
-    (A1, R, B) array. The only place a block's rows are cut."""
-    rows = basis[k * setup.block:(k + 1) * setup.block]
-    return _rotated(rows, setup) * (1 / math.sqrt(p))
+    W_k·(ψ^⊗n ⊗ Φ_{2^k}) / √p for block k's L rows W_k, as a normalized
+    (A1, R, B) array. The only place Alice's basis rows meet ψ.
+
+    Each row is read as a (d_A, …, d_A, 2^k) tensor, copy 0 most significant.
+    Each step contracts its leading Alice axis with the copy, as one matrix
+    product per row, and appends the copy's reference axis to R and its Bob
+    axis to B. The boost axis is left, and Φ_{2^k} = Σ_e |e⟩|e⟩/√2^k makes
+    it Bob's last; its factor 1/√2^k scales the rows before the first step.
+    The largest array is the rows or the branch, of L·r_R^n·d_B^n·2^k
+    amplitudes.
+    """
+    plan = setup.plan
+    d_a, r, d_b = setup.copy.shape
+    pair = setup.copy.reshape(d_a, r * d_b)
+    m = plan.block_dim
+    # (L, Alice's copies left and boost, R so far, B so far)
+    x = (basis[k * m:(k + 1) * m] * (1 / math.sqrt(2 ** plan.k_boost))).reshape(m, -1, 1, 1)
+    for _ in range(plan.n):
+        _, left, rs, bs = x.shape
+        x = x.reshape(m, d_a, -1).transpose(0, 2, 1) @ pair
+        x = x.reshape(m, left // d_a, rs, bs, r, d_b).transpose(0, 1, 2, 4, 3, 5)
+        x = x.reshape(m, left // d_a, rs * r, bs * d_b)
+    return x.transpose(0, 2, 3, 1).reshape(m, x.shape[2], -1) * (1 / math.sqrt(p))
 
 
 def _sample(setup: _Setup, basis: np.ndarray, rng: np.random.Generator):
@@ -397,8 +393,7 @@ def _recovery(m: np.ndarray, w: np.ndarray):
     return s, v
 
 
-def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
-             setup: _Setup) -> MergeOutcome:
+def _outcome(index: int, prob: float, post: np.ndarray, setup: _Setup) -> MergeOutcome:
     """Score one branch, given as its normalized (A1, R, B) state."""
     m = post.reshape(-1, post.shape[-1])
     w = setup.weights
@@ -414,8 +409,8 @@ def _outcome(index: int, prob: float, post: np.ndarray, plan: MergePlan,
         decoupling_error=float(0.5 * np.abs(lam).sum()),
         uhlmann_fidelity=float(min(1.0, s.sum() ** 2)),
         achieved_fidelity=float(min(1.0, (np.abs(overlaps) ** 2).sum())),
-        epr_net_bits=math.log2(plan.block_dim) - plan.k_boost,
-        cbits=math.log2(plan.outcome_count),
+        epr_net_bits=setup.plan.predicted_epr_bits - setup.plan.k_boost,
+        cbits=setup.plan.predicted_cbits,
     )
 
 
@@ -438,7 +433,7 @@ def _basis(setup: _Setup, rng) -> np.ndarray:
         return setup.basis
     if rng is None:
         raise ValueError("provide either rng or an explicit measurement unitary")
-    return haar_unitary(setup.rho_a.shape[0], rng)
+    return haar_unitary(setup.plan.alice_dim, rng)
 
 
 def merge_trials(
@@ -460,7 +455,7 @@ def merge_trials(
     outcomes = []
     for rng in rngs:
         k, p, post = _sample(setup, _basis(setup, rng), rng)
-        outcomes.append(_outcome(k, p, post, plan, setup))
+        outcomes.append(_outcome(k, p, post, setup))
     return outcomes
 
 
@@ -492,7 +487,7 @@ def run_merge_exhaustive(
         )
     setup = _setup(psi, plan, dim_cap, unitary)
     basis = _basis(setup, rng)
-    return [_outcome(k, float(p), _branch(setup, basis, k, p), plan, setup)
+    return [_outcome(k, float(p), _branch(setup, basis, k, p), setup)
             for k, p in enumerate(_probabilities(setup, basis)) if p >= ZERO_PROB]
 
 
@@ -506,12 +501,13 @@ def ensemble_reference_check(
     """Trace distance between Σ_k p_k σ_R^(k) and ρ_R^⊗n.
 
     Local operations cannot change the unconditioned reference state, so
-    this is zero up to roundoff for every basis; the sum runs over all
-    outcomes using unnormalized branches, so vanishing-probability outcomes
-    contribute exactly. Σ_k p_k σ_R^(k) is the reference block of all D
-    rows of ``unitary`` through :func:`_rotated`, taken at once, since
-    grouping rows into blocks does not change that sum; ρ_R^⊗n is the same
-    block for the rows of the identity. Both are in the Schmidt basis of
+    this is zero up to roundoff for every basis. p_k comes from
+    :func:`_probabilities` and σ_R^(k) is the reference block of
+    :func:`_branch` k, normalized by its own trace, so a branch built from
+    the wrong rows of ``unitary`` shows. Outcomes below ``ZERO_PROB`` are
+    skipped, as in a run; their share of the trace is below N·1e-12, and so
+    is what they can add to the result. ρ_R^⊗n is the Kronecker power of
+    the one copy's reference block. Both are in the Schmidt basis of
     supp(ρ_R)^⊗n, not from τ's weights.
     """
     if plan.outcome_count > MAX_ENSEMBLE_OUTCOMES:
@@ -519,11 +515,16 @@ def ensemble_reference_check(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {MAX_ENSEMBLE_OUTCOMES}"
         )
     setup = _setup(psi, plan, dim_cap, unitary)
-    avg = _trace_alice_bob(_rotated(_basis(setup, None), setup))
-    prepared = _trace_alice_bob(_rotated(np.eye(plan.alice_dim), setup))
-    # on the raw sums, not on states renormalized by their constructor, so
-    # a lost share of the trace counts too
-    return float(0.5 * np.abs(np.linalg.eigvalsh(avg - prepared)).sum())
+    basis = _basis(setup, None)
+    avg = 0
+    for k, p in enumerate(_probabilities(setup, basis)):
+        if p >= ZERO_PROB:
+            sigma = _reference(_branch(setup, basis, k, p))
+            avg = avg + p / np.trace(sigma).real * sigma
+    # the p_k are not renormalized over the outcomes kept, so a lost share
+    # of the trace counts too
+    diff = avg - _kron_power(_reference(setup.copy), plan.n)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 @dataclass(frozen=True)
@@ -570,13 +571,8 @@ def monte_carlo_merge(
             outcomes = merge_trials(
                 psi, plan, (stream_rng(seed, n, t) for t in range(trials)), dim_cap=dim_cap)
         except DimensionCapError:
-            rows.append(CurveRow(
-                n=n, trials=0, block_dim=0, outcome_count=0, k_boost=0,
-                epr_net_bits=math.nan, cbits=math.nan,
-                fidelity_mean=math.nan, fidelity_median=math.nan, fidelity_min=math.nan,
-                decoupling_mean=math.nan, decoupling_median=math.nan,
-                decoupling_min=math.nan, skipped=True,
-            ))
+            # no trials ran: the counts are 0 and the eight float fields NaN
+            rows.append(CurveRow(n, 0, 0, 0, 0, *[math.nan] * 8, skipped=True))
             continue
         fids = [o.achieved_fidelity for o in outcomes]
         errs = [o.decoupling_error for o in outcomes]

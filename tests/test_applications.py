@@ -396,6 +396,10 @@ class TestEntanglementOfPurification:
         ((("U", 2), ("A", 3)), 2, 2),
     ])
     def test_gradient_matches_central_differences(self, parts, out, env):
+        """The objective's value and gradient against central differences of
+        an oracle that shares no code with it. The gradient drives the
+        search but appears in no public output, so the private kernel
+        ``_ep_objective`` is named."""
         rng = np.random.default_rng(41)
         rho = random_density(rng, parts)
         d_u = dict(parts)["U"]

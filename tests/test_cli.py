@@ -211,6 +211,28 @@ class TestMergeCommand:
         assert code == 3 and out == "" and len(err.splitlines()) == 1
         assert "1048576x1048576" in err
 
+    @pytest.mark.parametrize("basis,cap_from,message,shown", [
+        ("haar", "flag", "Unable to allocate 16.0 TiB", "Unable to allocate 16.0 TiB"),
+        ("hadamard", "env", "", "out of memory"),
+    ], ids=["haar-flag", "hadamard-env"])
+    def test_cap_raised_beyond_the_machine_exits_3(
+            self, capsys, monkeypatch, basis, cap_from, message, shown):
+        # a 2^41 cap admits Alice's 2^20 x 2^20 arrays, which no machine
+        # holds; the stubs raise where they would be allocated, and
+        # allocate nothing
+        def out_of_memory(*_, **__):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(qmerge.cli, "merge_trials", out_of_memory)
+        monkeypatch.setattr(qmerge.cli, "hadamard_basis", out_of_memory)
+        cap = str(2 ** 41)
+        flags = ["--dim-cap", cap] if cap_from == "flag" else []
+        if cap_from == "env":
+            monkeypatch.setenv("QMERGE_DIM_CAP", cap)
+        code, out, err = run_cli(capsys, "merge", "--state", "random-pure:1024x1x1:1", "-n", "2",
+                                 "--seed", "1", "--basis", basis, *flags)
+        assert (code, out, err) == (3, "", f"error: {shown}\n")
+
     @pytest.mark.parametrize("state,n,code,match", [
         ("random-pure:1x1:0", "64", 0, ""),
         ("random-pure:1x1:0", "65", 2, "n must be <= 64"),

@@ -854,6 +854,36 @@ class TestEnsembleReference:
         w = haar_unitary(plan.alice_dim, np.random.default_rng(9))
         assert ensemble_reference_check(psi, plan, w) < 1e-12
 
+    def test_peak_memory(self, seed11_state):
+        # the seed-11 n=6 check (L=2, N=32) sums one branch at a time, not
+        # the rotation of all D = 64 rows or of the identity, 2^18
+        # amplitudes (4 MB) each
+        plan = plan_merge(seed11_state, 6)
+        assert (plan.block_dim, plan.outcome_count) == (2, 32)
+        w = haar_unitary(plan.alice_dim, stream_rng(11, 6, 0))
+        ensemble_reference_check(seed11_state, plan, w)
+        tracemalloc.start()
+        try:
+            value = ensemble_reference_check(seed11_state, plan, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value <= 1e-9 and peak <= 2 * 2 ** 20
+
+    def test_sees_the_block_cut(self, monkeypatch):
+        """Criterion 5 must rest on the branches a run scores: when outcome
+        k is built from block k+1's rows, the check reads far from zero. No
+        public input builds a wrong branch, so ``_branch`` is patched."""
+        psi = presets.parse_state("random-pure:2x2x2:11")
+        plan = plan_merge(psi, 2, slack_bits=1.0)
+        w = haar_unitary(plan.alice_dim, np.random.default_rng(3))
+        assert ensemble_reference_check(psi, plan, w) <= 1e-9
+        branch = qmerge.merging._branch
+        monkeypatch.setattr(
+            qmerge.merging, "_branch",
+            lambda setup, basis, k, p: branch(setup, basis, (k + 1) % plan.outcome_count, p))
+        assert ensemble_reference_check(psi, plan, w) >= 1e-3
+
     def test_outcome_cap(self):
         psi = presets.parse_state("ghz:4")
         plan = plan_merge(psi, 13)
