@@ -35,7 +35,6 @@ from .entropy import (
     von_neumann_entropy,
 )
 
-MAX_PARTIES = 16
 MAX_HELPERS = 12
 MAX_RESTARTS = 1_000   # most restarts of one EP search and of `sideinfo --restarts`
 
@@ -99,14 +98,13 @@ def compression_region(state: State, parties: Labels | None = None) -> RateRegio
     state.layout.check_subset(labels, "parties")
     if len(labels) < 2:
         raise ValueError("need at least 2 parties")
-    if len(labels) > MAX_PARTIES:
-        raise DimensionCapError(f"more than {MAX_PARTIES} parties")
+    subsets = subsets_in_counting_order(labels)
     if state.layout.dim > DEFAULT_DENSITY_CAP:
         raise DimensionCapError("state dimension exceeds the region cap")
     report = EntropyReport(state)
     s_full = report.entropy(labels)
     constraints = []
-    for subset in subsets_in_counting_order(labels):
+    for subset in subsets:
         complement = tuple(l for l in labels if l not in set(subset))
         bound = s_full - (report.entropy(complement) if complement else 0.0)
         constraints.append(RateConstraint(subset, bound))
@@ -123,11 +121,7 @@ def mac_region(
 ) -> RateRegion:
     """Achievable quantum multiple-access rates in terms of signed coherent
     information: R_A ≤ I(A⟩CB), R_B ≤ I(B⟩CA), R_A+R_B ≤ I(AB⟩C)."""
-    a = state.layout.check_subset(sender_a, "sender A")
-    b = state.layout.check_subset(sender_b, "sender B")
-    c = state.layout.check_subset(decoder, "decoder")
-    if (set(a) & set(b)) or (set(a) & set(c)) or (set(b) & set(c)):
-        raise ValueError("sender and decoder groups must be disjoint")
+    a, b, c = state.layout.check_groups(sender_a=sender_a, sender_b=sender_b, decoder=decoder)
     report = EntropyReport(state)
     name_a, name_b = ",".join(a), ",".join(b)
     constraints = (
@@ -150,10 +144,7 @@ class EoAResult:
 def eoa(psi: PureState, alice: Labels = "A", bob: Labels = "B") -> EoAResult:
     """Entanglement of assistance: minimize min{S(A∪T), S(B∪T̄)} over all
     splits T of the helper parties, first split in counting order on ties."""
-    a = psi.layout.check_subset(alice, "alice")
-    b = psi.layout.check_subset(bob, "bob")
-    if set(a) & set(b):
-        raise ValueError("alice and bob groups overlap")
+    a, b = psi.layout.check_groups(alice=alice, bob=bob)
     helpers = tuple(l for l in psi.layout.labels if l not in set(a) | set(b))
     if len(helpers) > MAX_HELPERS:
         raise DimensionCapError(f"more than {MAX_HELPERS} helper parties")
@@ -302,9 +293,7 @@ def entanglement_of_purification(
     against the pure-state cap, and ρ′, of side (dim ρ_AU / d_U)·cap_out,
     against the density cap.
     """
-    a = rho.layout.check_subset(alice, "alice")
-    if u_label in set(a):
-        raise ValueError("u_label cannot be part of the alice group")
+    a, _ = rho.layout.check_groups(alice=alice, u_label=u_label)
     d_u = rho.layout.dim_of(u_label)
     if len(rho.layout) > len(a) + 1:
         rho = partial_trace(rho, a + (u_label,))
@@ -381,9 +370,7 @@ def side_info_rates(
     forming anything, when ρ over Alice and the input or ρ′ over Alice and
     the output has a side over the density cap.
     """
-    a = psi.layout.check_subset(alice, "alice")
-    if ch.input_label in set(a):
-        raise ValueError("the side-information channel must not act on Alice")
+    a, _ = psi.layout.check_groups(alice=alice, channel_input=ch.input_label)
     d_a = psi.layout.dim_of(a)
     for side in (d_a * psi.layout.dim_of(ch.input_label), d_a * ch.out_dim):
         if side > DEFAULT_DENSITY_CAP:

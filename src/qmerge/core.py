@@ -5,12 +5,18 @@ The composite basis index is lexicographic with the first listed label most
 significant, so ``tensor`` is a plain Kronecker product and reshapes into a
 per-subsystem tensor are direct.
 
+Label arguments are checked by the layout, once, where they enter: one
+group by :meth:`SubsystemLayout.check_subset`, and groups that must be
+disjoint, as in every signed-entropy rate, by
+:meth:`SubsystemLayout.check_groups`, the only overlap check.
+
 All values are immutable after construction; every operation is a pure
 function except the ones taking an explicit seeded generator.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
@@ -95,6 +101,17 @@ class SubsystemLayout:
         if len(set(wanted)) != len(wanted):
             raise ValueError(f"{what} contains repeated labels")
         return tuple(l for l in self.labels if l in set(wanted))
+
+    def check_groups(self, **groups: Labels) -> tuple[tuple[str, ...], ...]:
+        """Validate named label groups that must be pairwise disjoint, each
+        by :meth:`check_subset` under its name; returns them in argument
+        order. The one overlap check of every signed-entropy rate."""
+        checked = {name: self.check_subset(labels, name) for name, labels in groups.items()}
+        for (x, xs), (y, ys) in itertools.combinations(checked.items(), 2):
+            shared = [l for l in xs if l in ys]
+            if shared:
+                raise ValueError(f"{x} and {y} overlap on {shared}")
+        return tuple(checked.values())
 
 
 def _freeze(arr: np.ndarray, scale: float = 1.0) -> np.ndarray:

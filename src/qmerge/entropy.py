@@ -5,14 +5,23 @@ Every function accepts either a :class:`DensityOperator` or a
 :class:`PureState`; pure inputs are reduced without forming the global
 projector, and the entropy of a full pure state is the entropy of the
 smaller half of any bipartition (zero for the whole system).
+
+Groups that must be disjoint (S(A|B), I(A:B), the SSA margin) are checked
+by the layout's :meth:`~qmerge.core.SubsystemLayout.check_groups`.
+:func:`subsets_in_counting_order` holds the one work bound of every loop
+over subsets of parties: at most ``MAX_SUBSETS`` = 2^16 − 1 subsets.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
 from .core import (
     DensityOperator,
+    DimensionCapError,
     Labels,
     PureState,
     State,
@@ -20,6 +29,8 @@ from .core import (
     partial_trace,
     reduced_density,
 )
+
+MAX_SUBSETS = 2 ** 16 - 1   # most subsets one enumeration may return
 
 
 def von_neumann_entropy(rho: State) -> float:
@@ -49,15 +60,6 @@ def subset_entropy(state: State, labels: Labels) -> float:
     return von_neumann_entropy(reduced_density(state, side))
 
 
-def _disjoint(state: State, a: Labels, b: Labels) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    a_t = state.layout.check_subset(a, "first label set")
-    b_t = state.layout.check_subset(b, "second label set")
-    overlap = set(a_t) & set(b_t)
-    if overlap:
-        raise ValueError(f"label sets overlap on {sorted(overlap)}")
-    return a_t, b_t
-
-
 def conditional_entropy(state: State, of: Labels, given: Labels) -> float:
     """S(A|B); see :meth:`EntropyReport.conditional`."""
     return EntropyReport(state).conditional(of, given)
@@ -75,22 +77,28 @@ def coherent_information(state: State, a: Labels, b: Labels) -> float:
 
 def ssa_margin(state: State, a: Labels, b: Labels, c: Labels) -> float:
     """S(A|B) − S(A|BC); nonnegative for every state (strong subadditivity)."""
-    a_t, b_t = _disjoint(state, a, b)
-    _, c_t = _disjoint(state, a, c)
-    if set(b_t) & set(c_t):
-        raise ValueError(f"label sets overlap on {sorted(set(b_t) & set(c_t))}")
+    a_t, b_t, c_t = state.layout.check_groups(a=a, b=b, c=c)
     report = EntropyReport(state)
     return report.conditional(a_t, b_t) - report.conditional(a_t, b_t + c_t)
 
 
 def subsets_in_counting_order(labels: tuple[str, ...], max_size: int | None = None):
     """Non-empty subsets of at most ``max_size`` labels, bit i of the
-    counter selecting label i."""
+    counter selecting label i.
+
+    The one work bound of every subset loop: raises
+    :class:`DimensionCapError` when the subsets number over
+    ``MAX_SUBSETS``, before any is formed. Only the subsets returned are
+    enumerated, so the work follows their number, not 2^m.
+    """
     m = len(labels)
-    for mask in range(1, 2 ** m):
-        subset = tuple(labels[i] for i in range(m) if mask >> i & 1)
-        if max_size is None or len(subset) <= max_size:
-            yield subset
+    sizes = range(1, (m if max_size is None else min(max_size, m)) + 1)
+    count = sum(math.comb(m, j) for j in sizes)
+    if count > MAX_SUBSETS:
+        raise DimensionCapError(f"{count} subsets of {m} parties, over the {MAX_SUBSETS} cap")
+    combos = (c for j in sizes for c in itertools.combinations(range(m), j))
+    return [tuple(labels[i] for i in c)
+            for c in sorted(combos, key=lambda c: sum(1 << i for i in c))]
 
 
 class EntropyReport:
@@ -117,12 +125,12 @@ class EntropyReport:
 
     def conditional(self, of: Labels, given: Labels) -> float:
         """S(A|B) = S(AB) − S(B); signed, negative for entangled states."""
-        a, b = _disjoint(self.state, of, given)
+        a, b = self.state.layout.check_groups(of=of, given=given)
         return self.entropy(a + b) - self.entropy(b)
 
     def mutual(self, a: Labels, b: Labels) -> float:
         """I(A:B) = S(A) + S(B) − S(AB); nonnegative up to numerics."""
-        a_t, b_t = _disjoint(self.state, a, b)
+        a_t, b_t = self.state.layout.check_groups(a=a, b=b)
         return self.entropy(a_t) + self.entropy(b_t) - self.entropy(a_t + b_t)
 
     def coherent(self, a: Labels, b: Labels) -> float:

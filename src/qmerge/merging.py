@@ -107,6 +107,8 @@ class MergePlan:
             raise ValueError("block_dim * outcome_count must equal alice_dim")
         if self.k_boost > 0 and self.cond_entropy <= 0:
             raise ValueError("EPR boost only applies when S(A|B) > 0")
+        if self.alice == self.bob:
+            raise ValueError(f"alice and bob are the same party {self.alice!r}")
 
     @property
     def predicted_epr_bits(self) -> float:

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from qmerge.core import (
     stream_rng,
     tensor,
 )
-from qmerge.entropy import coherent_information, subset_entropy, von_neumann_entropy
+from qmerge.entropy import (
+    MAX_SUBSETS,
+    EntropyReport,
+    coherent_information,
+    ssa_margin,
+    subset_entropy,
+    von_neumann_entropy,
+)
 from conftest import NoDraws, basis_state, maximally_mixed, random_density, random_pure_state
 
 
@@ -165,6 +173,13 @@ class TestCompressionRegion:
             direct = (conditional_entropy(rho, c.subset, complement) if complement
                       else von_neumann_entropy(rho))
             assert abs(c.bound - direct) < 1e-9
+
+    def test_party_count_bounded_by_the_subset_cap(self):
+        """2^17 − 1 subsets are over ``MAX_SUBSETS``; one-dimensional parties
+        keep the density cap out of the way, so the enumerator refuses."""
+        psi = basis_state(tuple((f"P{i}", 1) for i in range(17)))
+        with pytest.raises(DimensionCapError, match=f"131071 subsets .* {MAX_SUBSETS} cap"):
+            compression_region(psi)
 
     def test_full_rate_sum_nonnegative(self):
         rng = np.random.default_rng(2)
@@ -503,3 +518,35 @@ class TestSideInfo:
         with pytest.raises(ValueError, match="unknown|mismatch|dimension"):
             side_info_rates(presets.cc_purification(),
                             ChannelSpec.identity("X", 2, "U"), rng=stream_rng(17))
+
+
+# --- disjoint label groups ---------------------------------------------------
+
+_GHZ4 = presets.ghz(4)   # A, B, C1, C2
+_RHO_AU = tensor(maximally_mixed("A", 2), maximally_mixed("U", 2))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: EntropyReport(_GHZ4).conditional(("A", "C1"), "C1"),
+     "of and given overlap on ['C1']"),
+    (lambda: EntropyReport(_GHZ4).mutual("A", ("A", "B")), "a and b overlap on ['A']"),
+    (lambda: ssa_margin(_GHZ4, ("A", "B"), "B", "C1"), "a and b overlap on ['B']"),
+    (lambda: ssa_margin(_GHZ4, "A", "B", ("A", "C1")), "a and c overlap on ['A']"),
+    (lambda: ssa_margin(_GHZ4, "A", ("B", "C1"), "C1"), "b and c overlap on ['C1']"),
+    (lambda: mac_region(_GHZ4, ("A", "C1"), ("B", "C1"), "C2"),
+     "sender_a and sender_b overlap on ['C1']"),
+    (lambda: mac_region(_GHZ4, "A", "B", ("A", "C1")), "sender_a and decoder overlap on ['A']"),
+    (lambda: mac_region(_GHZ4, "A", "B", ("B", "C2")), "sender_b and decoder overlap on ['B']"),
+    (lambda: eoa(_GHZ4, ("A", "C1"), "C1"), "alice and bob overlap on ['C1']"),
+    (lambda: entanglement_of_purification(_RHO_AU, ("A", "U"), "U", restarts=1, max_iters=5),
+     "alice and u_label overlap on ['U']"),
+    (lambda: side_info_rates(_GHZ4, ChannelSpec.identity("A", 2, "U"), alice="A",
+                             restarts=1, rng=stream_rng(18)),
+     "alice and channel_input overlap on ['A']"),
+], ids=["conditional", "mutual", "ssa-a-b", "ssa-a-c", "ssa-b-c", "mac-a-b", "mac-a-c",
+        "mac-b-c", "eoa", "ep", "sideinfo"])
+def test_overlapping_groups_rejected_naming_the_shared_labels(call, message):
+    """Every rate over disjoint party groups refuses overlapping ones, with
+    one message naming both groups and the labels they share."""
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

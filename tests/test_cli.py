@@ -131,6 +131,38 @@ class TestEntropyCommand:
         assert code == 0 and out.strip() == "+1.000000000000"
 
 
+RANDOM_17_QUBITS = "random-pure:" + "x".join(["2"] * 17) + ":1"
+
+
+class TestReportCommand:
+    def test_max_subset_lists_the_small_subsets_in_counting_order(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--state", "ghz:3", "--max-subset", "2")
+        assert code == 0
+        entries = json.loads(out)["subsets"]
+        assert [e["subset"] for e in entries] == ["A", "B", "A,B", "C1", "A,C1", "B,C1"]
+        for e in entries:
+            assert abs(e["entropy"] - 1.0) < 1e-12
+            assert abs(e["conditional_on_rest"] + 1.0) < 1e-12
+
+    def test_over_the_subset_cap_exits_3_before_any_entropy(self, capsys, monkeypatch):
+        def no_entropy(*args):
+            raise AssertionError("an entropy was computed before the subset cap")
+
+        monkeypatch.setattr(qmerge.entropy, "subset_entropy", no_entropy)
+        code, out, err = run_cli(capsys, "report", "--state", RANDOM_17_QUBITS)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+        assert "131071 subsets" in err
+
+    def test_max_subset_counts_against_the_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "report", "--state", RANDOM_17_QUBITS,
+                               "--max-subset", "2", "--format", "csv")
+        assert code == 0 and len(out.splitlines()) == 1 + 17 + 136
+
+    def test_region_on_seventeen_parties_still_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--state", RANDOM_17_QUBITS)
+        assert code == 3 and out == "" and len(err.splitlines()) == 1
+
+
 class TestMergeCommand:
     def test_exhaustive_hadamard_cc(self, capsys):
         code, out, _ = run_cli(capsys, "merge", "--state", "cc-pure", "-n", "1",
@@ -293,6 +325,12 @@ class TestEoaCommand:
         doc = json.loads(out)
         assert abs(doc["value"] - 1.0) < 1e-9
         assert len(doc["cuts"]) == 4
+
+    def test_overlapping_groups_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eoa", "--state", "ghz:4",
+                                 "--alice", "A,C1", "--bob", "C1")
+        assert code == 2 and out == ""
+        assert err == "error: alice and bob overlap on ['C1']\n"
 
 
 class TestSideinfoCommand:

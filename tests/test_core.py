@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,21 @@ class TestLayout:
         assert layout == same and hash(layout) == hash(same) == hash((layout.parts,))
         assert layout != SubsystemLayout((("B", 3), ("A", 2)))
         assert repr(layout) == "SubsystemLayout(parts=(('A', 2), ('B', 3)))"
+
+    def test_check_groups_returns_checked_groups_in_argument_order(self):
+        layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        assert layout.check_groups(x=("C", "A"), y="B") == (("A", "C"), ("B",))
+
+    @pytest.mark.parametrize("groups,message", [
+        ({"x": ("A", "B"), "y": "C", "z": ("C", "B")}, "x and z overlap on ['B']"),
+        ({"x": "A", "y": ("B", "C"), "z": ("C", "B")}, "y and z overlap on ['B', 'C']"),
+        ({"x": "A", "y": ()}, "y must be a non-empty label set"),
+        ({"x": ("A", "A")}, "x contains repeated labels"),
+    ])
+    def test_check_groups_names_the_group_at_fault(self, groups, message):
+        layout = SubsystemLayout((("A", 2), ("B", 2), ("C", 2)))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            layout.check_groups(**groups)
 
 
 class TestTensor:

@@ -8,10 +8,12 @@ import pytest
 from qmerge import presets
 from qmerge.core import (
     DensityOperator,
+    DimensionCapError,
     haar_unitary,
     tensor,
 )
 from qmerge.entropy import (
+    MAX_SUBSETS,
     EntropyReport,
     coherent_information,
     conditional_entropy,
@@ -189,6 +191,26 @@ class TestEntropyReport:
         report = EntropyReport(presets.ghz(3))
         order = list(subsets_in_counting_order(report.labels))
         assert order[:4] == [("A",), ("B",), ("A", "B"), ("C1",)]
+
+    @pytest.mark.parametrize("max_size", [None, 0, 1, 2, 3, 6, 9])
+    def test_subset_enumeration_matches_the_counting_oracle(self, max_size):
+        labels = tuple("ABCDEF")
+        expected = [tuple(labels[i] for i in range(6) if mask >> i & 1)
+                    for mask in range(1, 2 ** 6)]
+        expected = [t for t in expected if max_size is None or len(t) <= max_size]
+        assert list(subsets_in_counting_order(labels, max_size)) == expected
+
+    def test_subset_cap_is_eager(self):
+        """Over ``MAX_SUBSETS`` subsets raise at the call, before any is
+        formed; ``max_size`` counts, so few small subsets of many parties
+        pass, and only those are enumerated."""
+        labels = tuple(f"P{i}" for i in range(17))
+        with pytest.raises(DimensionCapError, match=f"131071 subsets of 17 parties.*{MAX_SUBSETS}"):
+            subsets_in_counting_order(labels)
+        assert len(list(subsets_in_counting_order(labels, 2))) == 17 + 136
+        assert len(list(subsets_in_counting_order(labels[:16]))) == MAX_SUBSETS
+        many = tuple(f"P{i}" for i in range(40))   # 2^40 masks: none may be visited
+        assert list(subsets_in_counting_order(many, 1)) == [(l,) for l in many]
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(10)

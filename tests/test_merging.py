@@ -216,6 +216,17 @@ class TestPlanMerge:
             MergePlan(n=1, block_dim=1, outcome_count=2, k_boost=1, alice_dim=2,
                       cond_entropy=-1.0, slack_bits=0.0, rate_clipped=False)
 
+    def test_alice_equal_to_bob_rejected(self):
+        """A hand-built plan naming one party twice is refused when it is
+        built, not deep in the merge kernel; ``plan_merge`` refuses it
+        through the group check of S(A|B)."""
+        with pytest.raises(ValueError, match="same party 'A'"):
+            MergePlan(n=1, block_dim=1, outcome_count=2, k_boost=0, alice_dim=2,
+                      cond_entropy=0.0, slack_bits=0.0, rate_clipped=False,
+                      alice="A", bob="A")
+        with pytest.raises(ValueError, match=re.escape("overlap on ['A']")):
+            plan_merge(presets.cc_purification(), 1, alice="A", bob="A")
+
 
 class TestRunMerge:
     def test_bell_pair_keeps_the_entanglement(self):
