@@ -20,7 +20,6 @@ from .core import (
     PureState,
     State,
     apply_channel,
-    as_labels,
     partial_trace,
     phase_fixed_qr,
     reduced_density,
@@ -91,11 +90,11 @@ class RateRegion:
         ]
 
 
-def compression_region(state: State, parties: Labels | None = None) -> RateRegion:
+def compression_region(state: State) -> RateRegion:
     """Distributed-compression bounds R_T ≥ S(T | complement) for every
-    non-empty subset T of parties."""
-    labels = as_labels(parties) if parties is not None else state.layout.labels
-    state.layout.check_subset(labels, "parties")
+    non-empty subset T of the state's parties. Entropies are never
+    negative, so the total rate bound S(all parties) is not either."""
+    labels = state.layout.labels
     if len(labels) < 2:
         raise ValueError("need at least 2 parties")
     subsets = subsets_in_counting_order(labels)
@@ -108,8 +107,6 @@ def compression_region(state: State, parties: Labels | None = None) -> RateRegio
         complement = tuple(l for l in labels if l not in set(subset))
         bound = s_full - (report.entropy(complement) if complement else 0.0)
         constraints.append(RateConstraint(subset, bound))
-    if s_full < -1e-9:
-        raise AssertionError("total rate bound must be nonnegative")
     return RateRegion(labels, tuple(constraints), "compression")
 
 
@@ -279,14 +276,19 @@ def entanglement_of_purification(
     Only a restart that improves on the best so far is wrapped in a
     :class:`ChannelSpec`, whose constructor checks the isometry, so the
     returned value is the entropy of the returned channel. The identity
-    and full-trace channels are always scored as baselines, through
-    :func:`apply_channel`, so the estimate never exceeds S(AU).
+    and full-trace channels are always evaluated as baselines, through
+    :func:`apply_channel`: they give S(AU) and S(A). Each is a candidate
+    only when the caps hold it (``cap_out`` ≥ d_U for the identity,
+    ``cap_env`` ≥ d_U for the full trace), the identity first on ties; with
+    neither, the first restart sets the best value.
     ``converged`` is True when every restart stopped with its Riemannian
     gradient norm below ``EP_GRAD_TOL``; a restart also stops after
     ``max_iters`` steps or when no step decreases the entropy. The bracket
     comes from the entropies of ρ_AU alone, not from the search: E_p is at
     least half the mutual information I(A:R′) (Terhal, Horodecki, Leung &
-    DiVincenzo 2002) and at most min(S(A), S(R′)), with S(R′) = S(AU).
+    DiVincenzo 2002) and at most min(S(A), S(R′)), with S(R′) = S(AU). Its
+    S(A) and S(AU) are the baselines' own values, so at the default caps
+    ``value`` ≤ ``upper`` holds exactly.
     Raises :class:`DimensionCapError`, before drawing anything, when one of
     the two arrays each objective evaluation allocates is over its cap: the
     product V·ρ, with (dim ρ_AU / d_U)·cap_out·cap_env·dim ρ_AU entries,
@@ -317,17 +319,14 @@ def entanglement_of_purification(
             f"EP search output side {side} exceeds the {DEFAULT_DENSITY_CAP} density cap")
     rng = rng if rng is not None else stream_rng(0)
 
-    best_ch = ChannelSpec.identity(u_label, d_u)
+    identity = ChannelSpec.identity(u_label, d_u)
+    full_trace = ChannelSpec.full_trace(u_label, d_u)
+    s_au = von_neumann_entropy(apply_channel(rho, identity))
+    s_a = von_neumann_entropy(apply_channel(rho, full_trace))
     best = math.inf
-    candidates = []
-    if cap_out >= d_u:
-        candidates.append(ChannelSpec.identity(u_label, d_u))
-    if cap_env >= d_u:
-        candidates.append(ChannelSpec.full_trace(u_label, d_u))
-    for ch in candidates:
-        v = von_neumann_entropy(apply_channel(rho, ch))
-        if v < best:
-            best, best_ch = v, ch
+    for fits, s, ch in ((cap_out >= d_u, s_au, identity), (cap_env >= d_u, s_a, full_trace)):
+        if fits and s < best:
+            best, best_ch = s, ch
 
     value_and_grad = _ep_objective(rho, u_label, cap_out, cap_env)
     all_converged = True
@@ -339,7 +338,6 @@ def entanglement_of_purification(
         finals.append(f)
         if f < best:
             best, best_ch = f, ChannelSpec(u_label, v, u_label, cap_out, cap_env)
-    s_a, s_au = subset_entropy(rho, a), von_neumann_entropy(rho)
     return EpEstimate(best, best_ch, restarts, all_converged,
                       lower=(s_a + s_au - subset_entropy(rho, u_label)) / 2,
                       upper=min(s_a, s_au), restart_min=min(finals), restart_max=max(finals))

@@ -110,12 +110,6 @@ _slack_bits = _bounded_arg(float, lambda v: math.isfinite(v) and v >= 0,
                            "a finite number >= 0")
 
 
-def _clean(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
 def _plan_dict(plan: MergePlan) -> dict:
     d = dataclasses.asdict(plan)
     del d["alice"], d["bob"]
@@ -127,10 +121,6 @@ def _plan_dict(plan: MergePlan) -> dict:
 _CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(CurveRow))
 
 
-def _curve_dict(row: CurveRow) -> dict:
-    return {key: _clean(value) for key, value in dataclasses.asdict(row).items()}
-
-
 def _emit_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
@@ -139,8 +129,7 @@ def _emit_csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
+    writer.writerows(rows)  # None is written as an empty field
     return buf.getvalue()
 
 
@@ -213,7 +202,7 @@ def cmd_merge(args) -> str:
             state, range(args.curve[0], args.curve[1] + 1), trials,
             args.slack, args.seed, dim_cap=cap,
         )
-        dicts = [_curve_dict(r) for r in rows]
+        dicts = [dataclasses.asdict(r) for r in rows]
         return _emit(args, {"curve": dicts}, _CURVE_FIELDS,
                      [tuple(d.values()) for d in dicts])
     plan = plan_merge(state, args.n, args.slack)
@@ -257,6 +246,8 @@ def cmd_region(args) -> str:
     else:
         region = compression_region(state)
     obj = _region_dict(region)
+    header = ("subset", "bound")
+    rows = [(",".join(c.subset), c.bound) for c in region.constraints]
     if args.point is not None:
         contained, violated = region.contains(args.point)
         obj["point"] = {
@@ -264,13 +255,9 @@ def cmd_region(args) -> str:
             "contained": contained,
             "violations": [",".join(c.subset) for c in violated],
         }
-    header = ("subset", "bound") + (("satisfied",) if args.point is not None else ())
-    rows = []
-    for c in region.constraints:
-        row = (",".join(c.subset), c.bound)
-        if args.point is not None:
-            row += (c not in violated,)
-        rows.append(row)
+        header += ("satisfied",)
+        violated = set(violated)
+        rows = [row + (c not in violated,) for row, c in zip(rows, region.constraints)]
     return _emit(args, obj, header, rows)
 
 

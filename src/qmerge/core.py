@@ -179,7 +179,7 @@ class DensityOperator:
         spectrum = np.linalg.eigvalsh(mat)
         spectrum.setflags(write=False)
         if not spectrum[0] >= EIG_FLOOR:
-            raise ValueError(f"minimum eigenvalue {spectrum[0]!r} below {EIG_FLOOR}")
+            raise ValueError(f"minimum eigenvalue {float(spectrum[0])} below {EIG_FLOOR}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "spectrum", spectrum)
 

@@ -34,10 +34,11 @@ MAX_SUBSETS = 2 ** 16 - 1   # most subsets one enumeration may return
 
 
 def von_neumann_entropy(rho: State) -> float:
-    """S(ρ) = −Tr ρ log2 ρ, with drift eigenvalues clamped and 0·log 0 = 0."""
+    """S(ρ) = −Tr ρ log2 ρ, with 0·log 0 = 0. Drift eigenvalues are clamped
+    into [0, 1], so every term −λ·log2 λ, and S, is nonnegative."""
     if isinstance(rho, PureState):
         return 0.0
-    lam = np.clip(rho.spectrum, 0.0, None)
+    lam = np.clip(rho.spectrum, 0.0, 1.0)
     lam = lam[lam > 0]
     return float(-(lam * np.log2(lam)).sum())
 

@@ -497,10 +497,9 @@ def ensemble_reference_check(
     psi: PureState,
     plan: MergePlan,
     unitary: np.ndarray,
-    *,
-    dim_cap: int = DEFAULT_PURE_CAP,
 ) -> float:
-    """Trace distance between Σ_k p_k σ_R^(k) and ρ_R^⊗n.
+    """Trace distance between Σ_k p_k σ_R^(k) and ρ_R^⊗n, with the plan
+    checked against the default pure cap.
 
     Local operations cannot change the unconditioned reference state, so
     this is zero up to roundoff for every basis. p_k comes from
@@ -516,7 +515,7 @@ def ensemble_reference_check(
         raise DimensionCapError(
             f"{plan.outcome_count} outcomes exceed the enumeration cap {MAX_ENSEMBLE_OUTCOMES}"
         )
-    setup = _setup(psi, plan, dim_cap, unitary)
+    setup = _setup(psi, plan, DEFAULT_PURE_CAP, unitary)
     basis = _basis(setup, None)
     avg = 0
     for k, p in enumerate(_probabilities(setup, basis)):
@@ -531,21 +530,26 @@ def ensemble_reference_check(
 
 @dataclass(frozen=True)
 class CurveRow:
-    """Aggregate of the merge trials at one copy count."""
+    """Aggregate of the merge trials at one copy count.
+
+    A skipped row, whose plan was over a cap, ran no trials: its counts are
+    0 and its eight float fields None, which the CLI writes as null in JSON
+    and as an empty field in CSV.
+    """
 
     n: int
     trials: int
     block_dim: int
     outcome_count: int
     k_boost: int
-    epr_net_bits: float
-    cbits: float
-    fidelity_mean: float
-    fidelity_median: float
-    fidelity_min: float
-    decoupling_mean: float
-    decoupling_median: float
-    decoupling_min: float
+    epr_net_bits: float | None
+    cbits: float | None
+    fidelity_mean: float | None
+    fidelity_median: float | None
+    fidelity_min: float | None
+    decoupling_mean: float | None
+    decoupling_median: float | None
+    decoupling_min: float | None
     skipped: bool = False
 
 
@@ -556,25 +560,23 @@ def monte_carlo_merge(
     slack_bits: float = DEFAULT_SLACK_BITS,
     seed: int = 0,
     *,
-    alice: str = "A",
-    bob: str = "B",
     dim_cap: int = DEFAULT_PURE_CAP,
 ) -> list[CurveRow]:
     """Independent merge trials for each copy count, with per-trial streams
     keyed by (seed, n, trial) so adding trials never perturbs earlier ones.
     ``trials`` must lie in 1..``MAX_TRIALS``, checked before any plan or
-    draw."""
+    draw. A copy count whose plan is over a cap gives a skipped row
+    (:class:`CurveRow`)."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
     rows = []
     for n in n_values:
         try:
-            plan = plan_merge(psi, n, slack_bits, alice, bob)
+            plan = plan_merge(psi, n, slack_bits)
             outcomes = merge_trials(
                 psi, plan, (stream_rng(seed, n, t) for t in range(trials)), dim_cap=dim_cap)
         except DimensionCapError:
-            # no trials ran: the counts are 0 and the eight float fields NaN
-            rows.append(CurveRow(n, 0, 0, 0, 0, *[math.nan] * 8, skipped=True))
+            rows.append(CurveRow(n, 0, 0, 0, 0, *[None] * 8, skipped=True))
             continue
         fids = [o.achieved_fidelity for o in outcomes]
         errs = [o.decoupling_error for o in outcomes]

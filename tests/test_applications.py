@@ -443,15 +443,47 @@ class TestEntanglementOfPurification:
     def test_not_converged_when_cut_short(self):
         assert seed11_search(1, max_iters=5).converged is False
 
+    @pytest.mark.parametrize("d_u", [2, 3])
+    def test_value_never_above_its_upper_bound(self, d_u):
+        """The bracket's S(A) and S(AU) are the entropies of the full-trace
+        and identity baselines, so at the default caps value ≤ upper holds
+        exactly, with no roundoff between two computations of one entropy."""
+        above = []
+        for i in range(150):
+            est = entanglement_of_purification(
+                bench_input(7, i, d_u), "A", "U", restarts=1, max_iters=5,
+                rng=np.random.default_rng([7, i, d_u, 1]))
+            if est.value > est.upper:
+                above.append(i)
+        assert above == []
+
+    def test_restart_wins_when_no_baseline_fits(self):
+        # d_U = 4 with caps 2 x 2: neither the identity (out 4) nor the full
+        # trace (env 4) fits, yet the bracket is the one at the default caps
+        rho = random_density(np.random.default_rng(17), (("A", 2), ("U", 4)))
+        capped = entanglement_of_purification(rho, "A", "U", cap_out=2, cap_env=2,
+                                              restarts=2, rng=stream_rng(17), max_iters=20)
+        default = entanglement_of_purification(rho, "A", "U", restarts=1,
+                                               rng=stream_rng(17), max_iters=1)
+        assert (capped.channel.out_dim, capped.channel.env_dim) == (2, 2)
+        assert capped.value == capped.restart_min
+        assert (capped.lower, capped.upper) == (default.lower, default.upper)
+
+
+def bench_input(seed, i, d_u):
+    """The ep-search benchmark's input i at ``seed``, drawn the same way: a
+    rank-r Wishart rho_AU with A=2, U=d_u from stream (seed, i, d_u)."""
+    rng = np.random.default_rng([seed, i, d_u])
+    d = 2 * d_u
+    rank = int(rng.integers(1, d + 1))
+    g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
+    m = g @ g.conj().T
+    return DensityOperator(SubsystemLayout((("A", 2), ("U", d_u))), m / m.trace().real)
+
 
 def seed11_input(i):
-    """The benchmark's seed-11 input i, drawn the same way: a rank-r
-    Wishart rho_AU with A=2, U=3 from stream (11, i, 3)."""
-    rng = np.random.default_rng([11, i, 3])
-    rank = int(rng.integers(1, 7))
-    g = rng.standard_normal((6, rank)) + 1j * rng.standard_normal((6, rank))
-    m = g @ g.conj().T
-    return DensityOperator(SubsystemLayout((("A", 2), ("U", 3))), m / m.trace().real)
+    """The benchmark's seed-11 input i (:func:`bench_input` at U=3)."""
+    return bench_input(11, i, 3)
 
 
 def seed11_search(i, **kwargs):
@@ -499,6 +531,9 @@ class TestSideInfo:
                                  ChannelSpec.identity("B", 2, "U"),
                                  rng=stream_rng(14), restarts=2)
         assert abs(result.r_a) < 1e-9
+        # S(AU) = S(A) = 1 and no restart goes lower: the tie goes to the identity
+        assert result.ep.value == result.ep.upper == 1.0 < result.ep.restart_min
+        assert (result.ep.channel.out_dim, result.ep.channel.env_dim) == (2, 1)
 
     def test_full_trace_channel_on_example1(self):
         result = side_info_rates(presets.example1_purification(),

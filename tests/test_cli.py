@@ -30,6 +30,19 @@ IDENTITY_CHANNEL = {
 }
 
 
+def edge_bell_file(tmp_path) -> str:
+    """A mixed A,B file (2x2) holding (1+3ε)|Φ+⟩⟨Φ+| − ε·(the other three Bell
+    projectors), ε = 0.9e-9: every eigenvalue is at least −0.9e-9, above the
+    PSD floor, and the largest is 1 + 2.7e-9."""
+    eps = 0.9e-9
+    phi = np.array([1, 0, 0, 1]) / math.sqrt(2)
+    rho = (1 + 4 * eps) * np.outer(phi, phi) - eps * np.eye(4)
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"labels": ["A", "B"], "dims": [2, 2], "kind": "mixed",
+                                "re": list(rho.ravel()), "im": [0.0] * 16}))
+    return str(path)
+
+
 class TestParseState:
     def test_epr_amplitudes(self):
         psi = parse_state("epr")
@@ -130,6 +143,11 @@ class TestEntropyCommand:
         code, out, _ = run_cli(capsys, "entropy", "--state", "epr", "--of", "A")
         assert code == 0 and out.strip() == "+1.000000000000"
 
+    def test_entropy_of_an_accepted_state_is_never_negative(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "entropy", "--state", edge_bell_file(tmp_path),
+                               "--of", "A,B")
+        assert (code, out) == (0, "+0.000000000000\n")
+
 
 RANDOM_17_QUBITS = "random-pure:" + "x".join(["2"] * 17) + ":1"
 
@@ -198,6 +216,20 @@ class TestMergeCommand:
         lines = out.splitlines()
         assert lines[0].startswith("n,trials,block_dim")
         assert len(lines) == 3
+
+    def test_skipped_row_is_null_in_json_and_empty_in_csv(self, capsys):
+        # n=6 needs 2^22 prepared amplitudes, over the 2^20 cap
+        argv = ("merge", "--state", "random-pure:2x2x2:11", "--curve", "5..6",
+                "--trials", "3", "--seed", "11")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        row = json.loads(out)["curve"][1]
+        assert row["n"] == 6 and row["skipped"] is True
+        assert [k for k, v in row.items() if v is None] == [
+            "epr_net_bits", "cbits", "fidelity_mean", "fidelity_median", "fidelity_min",
+            "decoupling_mean", "decoupling_median", "decoupling_min"]
+        code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0 and out.splitlines()[2] == "6,0,0,0,0,,,,,,,,,True"
 
     def test_empty_curve_is_header_only_csv(self, capsys):
         code, out, _ = run_cli(capsys, "merge", "--state", "epr", "--seed", "1",
@@ -299,6 +331,18 @@ class TestRegionCommand:
         doc = json.loads(out)
         assert doc["point"]["contained"] is False
         assert "A" in doc["point"]["violations"]
+        code, out, _ = run_cli(capsys, "region", "--state", "epr", "--point=1,-1.5",
+                               "--format", "csv")
+        assert code == 0
+        assert out.splitlines() == ["subset,bound,satisfied", "A,-1.0,True", "B,-1.0,False",
+                                    '"A,B",0.0,False']
+
+    def test_state_at_the_psd_floor(self, capsys, tmp_path):
+        # its largest eigenvalue is above 1; clamped, S(A,B) is 0, not negative
+        code, out, _ = run_cli(capsys, "region", "--state", edge_bell_file(tmp_path))
+        assert code == 0
+        bounds = [c["bound"] for c in json.loads(out)["constraints"]]
+        assert bounds == [-1.0, -1.0, 0.0]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
@@ -463,6 +507,14 @@ class TestErrorPaths:
                                  "--of", "A", "--given", "B")
         assert code == 2 and out == ""
         assert len(err.splitlines()) == 1 and "finite" in err
+
+    def test_eigenvalue_below_the_floor_is_printed_as_a_plain_float(self, capsys, tmp_path):
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps({"labels": ["A", "B"], "dims": [2, 1], "kind": "mixed",
+                                    "re": [1, 0.5, 0.5, 0], "im": [0, 0, 0, 0]}))
+        code, out, err = run_cli(capsys, "entropy", "--state", str(path), "--of", "A")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: minimum eigenvalue -0.20710678118654754 below -1e-09\n"
 
     def test_ghz_over_the_cap_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "entropy", "--state", "ghz:4", "--of", "A",

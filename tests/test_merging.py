@@ -962,6 +962,8 @@ class TestMonteCarlo:
         rows = monte_carlo_merge(seed11_state, (1, 9), trials=2, slack_bits=1.0,
                                  seed=13, dim_cap=2 ** 12)
         assert not rows[0].skipped and rows[1].skipped
+        # a skipped row ran no trials: zero counts and no float values
+        assert dataclasses.astuple(rows[1]) == (9, 0, 0, 0, 0, *[None] * 8, True)
 
 
 class TestResourceLedger:
