@@ -184,12 +184,14 @@ EP_GRAD_TOL = 1e-6     # Riemannian gradient norm at which a restart has converg
 EP_LOG_FLOOR = 1e-14   # eigenvalue floor inside log2 ρ′ for the gradient
 _ARMIJO = 1e-4         # sufficient-decrease fraction of the first-order model
 _MAX_HALVINGS = 40
+EP_STACK_ENTRIES = 2 ** 20   # most entries of V·ρ or ρ′ over one stack of restarts
 
 
 def _ep_objective(rho: DensityOperator, u_label: str, out: int, env: int):
     """f(V) = S(Tr_env[(I⊗V⊗I)·ρ·(I⊗V⊗I)†]) in bits and its Euclidean
-    gradient, on plain arrays: V is an (out·env × d_U) matrix with rows
-    ``o * env + e``, as in :class:`ChannelSpec`.
+    gradient, on a stack of plain arrays: V is (S × out·env × d_U), each
+    slice with rows ``o * env + e`` as in :class:`ChannelSpec`, and the
+    values (S,) and gradients (S × out·env × d_U) come slice by slice.
 
     The gradient G satisfies df = Re Tr(G†·dV) for any dV, from
     dS = −Tr[(log₂ρ′ + 1/ln 2)·dρ′] with dρ′ = Tr_env[dV·ρ·V† + V·ρ·dV†];
@@ -200,53 +202,94 @@ def _ep_objective(rho: DensityOperator, u_label: str, out: int, env: int):
     lo, d_in, hi = math.prod(dims[:pos]), dims[pos], math.prod(dims[pos + 1:])
     inv_ln2 = 1.0 / math.log(2.0)
 
-    def value_and_grad(v: np.ndarray) -> tuple[float, np.ndarray]:
+    def value_and_grad(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s = len(v)
         w, rho_out = stinespring_contract(rho.matrix, v, lo, hi, out, env)
         lam, vecs = np.linalg.eigh(rho_out)
-        pos_lam = lam[lam > 0]
-        f = float(-(pos_lam * np.log2(pos_lam)).sum())
+        # eigh sorts ascending, so the masked terms lead each row and add
+        # zeros before any positive term
+        pos_lam = np.where(lam > 0, lam, 1.0)
+        f = -(pos_lam * np.log2(pos_lam)).sum(axis=-1)
         # −(log₂ρ′ + 1/ln 2) contracted with W over everything but (o; e, i)
-        g_op = (vecs * -(np.log2(np.maximum(lam, EP_LOG_FLOOR)) + inv_ln2)) @ vecs.conj().T
-        g_op = g_op.reshape(lo, out, hi, lo * out * hi).transpose(1, 3, 0, 2).reshape(out, -1)
-        return f, 2.0 * (g_op @ w).reshape(out * env, d_in)
+        weights = -(np.log2(np.maximum(lam, EP_LOG_FLOOR)) + inv_ln2)
+        g_op = (vecs * weights[:, None, :]) @ _adjoint(vecs)
+        g_op = g_op.reshape(s, lo, out, hi, lo * out * hi).transpose(0, 2, 4, 1, 3)
+        g_op = g_op.reshape(s, out, -1)
+        return f, 2.0 * (g_op @ w).reshape(s, out * env, d_in)
 
     return value_and_grad
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each slice of a stack."""
+    return x.conj().transpose(0, 2, 1)
+
+
+def _inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re⟨x, y⟩ of each slice of two stacks, as one (1×n)·(n×1) product per
+    slice."""
+    n = x.shape[1] * x.shape[2]
+    return (x.conj().reshape(-1, 1, n) @ y.reshape(-1, n, 1))[:, 0, 0].real
+
+
 def _tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project G onto the tangent space of the isometries at V."""
-    vg = v.conj().T @ g
-    return g - v @ ((vg + vg.conj().T) / 2)
+    """Project each G onto the tangent space of the isometries at its V."""
+    vg = _adjoint(v) @ g
+    return g - v @ ((vg + _adjoint(vg)) / 2)
 
 
-def _descend(value_and_grad, v: np.ndarray, max_iters: int) -> tuple[np.ndarray, float, bool]:
-    """Riemannian gradient descent over isometries from V: Barzilai–Borwein
-    trial steps, long and short in turn, Armijo backtracking, and retraction
-    by phase-fixed QR. Stops when ‖ξ‖ < ``EP_GRAD_TOL`` (converged), after
-    ``max_iters`` steps, or when no step decreases f. Returns the last V,
-    f(V) and whether it converged."""
+def _descend(value_and_grad, v: np.ndarray, max_iters: int) -> tuple[np.ndarray, np.ndarray,
+                                                                      np.ndarray]:
+    """Riemannian gradient descent over isometries from each V of a stack:
+    Barzilai–Borwein trial steps, long and short in turn, Armijo
+    backtracking, and retraction by phase-fixed QR. The restarts descend in
+    lockstep, each in its own slice with its own step size, step count and
+    halving count: each round makes one batched evaluation of a candidate
+    for every restart still running, so restart r's path does not depend on
+    how many restarts run beside it. A restart stops after ``max_iters``
+    steps, else when ‖ξ‖ < ``EP_GRAD_TOL`` (converged), else after
+    ``_MAX_HALVINGS`` halvings find no step that decreases f. Works in
+    place, so no second stack of V is held: returns the given stack, now
+    holding each restart's last V, with f(V) and whether it converged."""
+    n, v_end = len(v), v
+    f_end, converged = np.empty(n), np.zeros(n, dtype=bool)
+    # the running restarts: their indices into the stack and their state
+    run = np.arange(n)
     f, g = value_and_grad(v)
     xi = _tangent(v, g)
-    t = 1.0
-    for k in range(max_iters):
-        norm2 = float(np.vdot(xi, xi).real)
-        if norm2 < EP_GRAD_TOL ** 2:
-            return v, f, True
-        for _ in range(_MAX_HALVINGS):
-            cand = phase_fixed_qr(v - t * xi)
-            fc, gc = value_and_grad(cand)
-            if fc <= f - _ARMIJO * t * norm2:
-                break
-            t /= 2
-        else:
-            return v, f, False
-        xi_c = _tangent(cand, gc)
-        s, y = cand - v, xi_c - xi
-        sy = abs(float(np.vdot(s, y).real))
-        num, den = (float(np.vdot(s, s).real), sy) if k % 2 else (sy, float(np.vdot(y, y).real))
-        t = num / den if sy > 0 else 1.0
-        v, f, xi = cand, fc, xi_c
-    return v, f, False
+    t, k, halvings = np.ones(n), np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    norm2 = _inner(xi, xi)
+    while True:
+        small = norm2 < EP_GRAD_TOL ** 2
+        stop = (k >= max_iters) | small | (halvings == _MAX_HALVINGS)
+        if stop.any():
+            done = run[stop]
+            v_end[done], f_end[done] = v[stop], f[stop]
+            converged[done] = small[stop] & (k[stop] < max_iters)
+            go = ~stop
+            if not go.any():
+                return v_end, f_end, converged
+            run, v, f, xi, t, k, halvings, norm2 = (
+                x[go] for x in (run, v, f, xi, t, k, halvings, norm2))
+        cand = phase_fixed_qr(v - t[:, None, None] * xi)
+        fc, gc = value_and_grad(cand)
+        ok = fc <= f - _ARMIJO * t * norm2
+        step = slice(None)
+        if not ok.all():
+            t[~ok] /= 2
+            halvings[~ok] += 1
+            if not ok.any():
+                continue
+            step = ok
+        cand, xi_c = cand[step], _tangent(cand[step], gc[step])
+        s, y = cand - v[step], xi_c - xi[step]
+        sy = np.abs(_inner(s, y))
+        odd = k[step] % 2
+        num, den = np.where(odd, _inner(s, s), sy), np.where(odd, sy, _inner(y, y))
+        t[step] = np.divide(num, den, out=np.ones(len(sy)), where=sy > 0)
+        v[step], f[step], xi[step], norm2[step] = cand, fc[step], xi_c, _inner(xi_c, xi_c)
+        k[step] += 1
+        halvings[step] = 0
 
 
 def entanglement_of_purification(
@@ -268,9 +311,15 @@ def entanglement_of_purification(
     outside ``alice`` and ``u_label`` are traced out first.
 
     Each restart starts at the phase-fixed QR of one complex Gaussian
-    matrix drawn from ``rng`` and draws nothing else, so restart r starts at
-    the same point whatever ``restarts`` is, which must lie in
-    1..``MAX_RESTARTS``. The descent works on plain
+    matrix drawn from ``rng`` in restart order and draws nothing else, so
+    restart r starts at the same point whatever ``restarts`` is, which must
+    lie in 1..``MAX_RESTARTS``. The restarts descend in lockstep on stacked
+    arrays (:func:`_descend`), each in its own slice, so restart r's result
+    does not depend on how many restarts run beside it. A stack holds at
+    most max(1, ``EP_STACK_ENTRIES`` // max(V·ρ entries, side(ρ′)²))
+    restarts, which keeps each evaluation's stacked V·ρ and ρ′ within
+    2^20 entries however many restarts there are; further restarts run in
+    later stacks. The descent works on plain
     arrays with the exact entropy gradient, and each restart is scored by
     the objective's value at its last isometry, with no state built again.
     Only a restart that improves on the best so far is wrapped in a
@@ -329,15 +378,18 @@ def entanglement_of_purification(
             best, best_ch = s, ch
 
     value_and_grad = _ep_objective(rho, u_label, cap_out, cap_env)
+    stack = max(1, EP_STACK_ENTRIES // max(entries, side * side))
     all_converged = True
     finals = []
-    for _ in range(restarts):
-        z = rng.standard_normal((2, m, d_u))
-        v, f, converged = _descend(value_and_grad, phase_fixed_qr(z[0] + 1j * z[1]), max_iters)
-        all_converged = all_converged and converged
-        finals.append(f)
-        if f < best:
-            best, best_ch = f, ChannelSpec(u_label, v, u_label, cap_out, cap_env)
+    for first in range(0, restarts, stack):
+        z = rng.standard_normal((min(stack, restarts - first), 2, m, d_u))
+        vs, fs, converged = _descend(value_and_grad, phase_fixed_qr(z[:, 0] + 1j * z[:, 1]),
+                                     max_iters)
+        all_converged = all_converged and bool(converged.all())
+        for v, f in zip(vs, fs.tolist()):
+            finals.append(f)
+            if f < best:
+                best, best_ch = f, ChannelSpec(u_label, v, u_label, cap_out, cap_env)
     return EpEstimate(best, best_ch, restarts, all_converged,
                       lower=(s_a + s_au - subset_entropy(rho, u_label)) / 2,
                       upper=min(s_a, s_au), restart_min=min(finals), restart_max=max(finals))

@@ -297,10 +297,10 @@ def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
 def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     """The Q factor of a full-column-rank ``z`` with its column phases fixed
     so the triangular factor has a positive real diagonal, which makes it
-    unique."""
+    unique. A stack of matrices (leading axes) is factored slice by slice."""
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -318,16 +318,18 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def stinespring_contract(rho: np.ndarray, v: np.ndarray, lo: int, hi: int,
                          out: int, env: int) -> tuple[np.ndarray, np.ndarray]:
-    """Σ_e V_e ρ V_e† on plain arrays: ``v`` (out·env × d_in, rows ``o * env + e``
-    as in :class:`ChannelSpec`) acts on the middle factor of the (lo·d_in·hi)-
-    square ``rho``. Returns W = (I⊗V⊗I)·ρ, with rows (a, o, b, a', b') and
-    columns (e, i), and ρ′, from V* on W's bra side in one product over e."""
-    d_in = v.shape[1]
-    w = (v @ rho.reshape(lo, d_in, -1)).reshape(lo, out, env, hi, lo, d_in, hi)
-    w = w.transpose(0, 1, 3, 4, 6, 2, 5).reshape(-1, env * d_in)
-    rho_out = (w @ v.conj().reshape(out, env * d_in).T).reshape(lo, out, hi, lo, hi, out)
+    """Σ_e V_e ρ V_e† on plain arrays, for a stack of S isometries at once:
+    ``v`` (S × out·env × d_in, rows ``o * env + e`` as in :class:`ChannelSpec`)
+    acts on the middle factor of the (lo·d_in·hi)-square ``rho``. Returns
+    W = (I⊗V⊗I)·ρ, of shape (S, rows (a, o, b, a', b'), columns (e, i)), and
+    the S matrices ρ′, from V* on W's bra side in one product over e."""
+    s, d_in = v.shape[0], v.shape[2]
+    w = (v[:, None] @ rho.reshape(lo, d_in, -1)).reshape(s, lo, out, env, hi, lo, d_in, hi)
+    w = w.transpose(0, 1, 2, 4, 5, 7, 3, 6).reshape(s, -1, env * d_in)
+    v_bra = v.conj().reshape(s, out, env * d_in).transpose(0, 2, 1)
+    rho_out = (w @ v_bra).reshape(s, lo, out, hi, lo, hi, out)
     side = lo * out * hi
-    return w, rho_out.transpose(0, 1, 2, 3, 5, 4).reshape(side, side)
+    return w, rho_out.transpose(0, 1, 2, 3, 4, 6, 5).reshape(s, side, side)
 
 
 def apply_channel(rho: DensityOperator, ch: ChannelSpec) -> DensityOperator:
@@ -343,7 +345,8 @@ def apply_channel(rho: DensityOperator, ch: ChannelSpec) -> DensityOperator:
     if ch.output_label != ch.input_label and ch.output_label in rho.layout.labels:
         raise ValueError(f"output label {ch.output_label!r} already present")
     lo, hi = math.prod(rho.layout.dims[:pos]), math.prod(rho.layout.dims[pos + 1:])
-    rho_out = stinespring_contract(rho.matrix, ch.isometry, lo, hi, ch.out_dim, ch.env_dim)[1]
+    rho_out = stinespring_contract(rho.matrix, ch.isometry[None], lo, hi,
+                                   ch.out_dim, ch.env_dim)[1][0]
     parts = list(rho.layout.parts)
     parts[pos] = (ch.output_label, ch.out_dim)
     return DensityOperator(SubsystemLayout(tuple(parts)), rho_out)

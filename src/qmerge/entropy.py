@@ -35,12 +35,13 @@ MAX_SUBSETS = 2 ** 16 - 1   # most subsets one enumeration may return
 
 def von_neumann_entropy(rho: State) -> float:
     """S(ρ) = −Tr ρ log2 ρ, with 0·log 0 = 0. Drift eigenvalues are clamped
-    into [0, 1], so every term −λ·log2 λ, and S, is nonnegative."""
+    into [0, 1], so every term −λ·log2 λ, and S, is nonnegative; a pure
+    spectrum gives +0.0, not the −0.0 of −(1·log2 1)."""
     if isinstance(rho, PureState):
         return 0.0
     lam = np.clip(rho.spectrum, 0.0, 1.0)
     lam = lam[lam > 0]
-    return float(-(lam * np.log2(lam)).sum())
+    return float(-(lam * np.log2(lam)).sum()) + 0.0
 
 
 def subset_entropy(state: State, labels: Labels) -> float:

@@ -14,6 +14,7 @@ import pytest
 
 import qmerge
 from qmerge import presets
+from qmerge.applications import EP_GRAD_TOL, _ARMIJO, _MAX_HALVINGS, _ep_objective
 from qmerge.core import (
     RANK_TOL,
     DensityOperator,
@@ -251,3 +252,59 @@ def decoupling_test_state(seed=11, threshold=-0.3) -> PureState:
 @pytest.fixture(scope="session")
 def seed11_state() -> PureState:
     return decoupling_test_state()
+
+
+def _retract(z):
+    """Phase-fixed QR of one matrix, written out apart from the library's."""
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def oracle_descend(value_and_grad, v, max_iters):
+    """One restart of the E_p descent on its own, on a 2-D isometry V: the
+    per-restart loop the lockstep search replaced, driving the library's
+    objective one one-slice stack at a time. Returns the last V, f(V),
+    whether it converged and the number of objective evaluations."""
+    def evaluate(x):
+        f, g = value_and_grad(x[None])
+        return float(f[0]), g[0]
+
+    def tangent(x, g):
+        xg = x.conj().T @ g
+        return g - x @ ((xg + xg.conj().T) / 2)
+
+    (f, g), evals = evaluate(v), 1
+    xi, t = tangent(v, g), 1.0
+    for k in range(max_iters):
+        norm2 = float(np.vdot(xi, xi).real)
+        if norm2 < EP_GRAD_TOL ** 2:
+            return v, f, True, evals
+        for _ in range(_MAX_HALVINGS):
+            cand = _retract(v - t * xi)
+            (fc, gc), evals = evaluate(cand), evals + 1
+            if fc <= f - _ARMIJO * t * norm2:
+                break
+            t /= 2
+        else:
+            return v, f, False, evals
+        xi_c = tangent(cand, gc)
+        s, y = cand - v, xi_c - xi
+        sy = abs(float(np.vdot(s, y).real))
+        num, den = (float(np.vdot(s, s).real), sy) if k % 2 else (sy, float(np.vdot(y, y).real))
+        t = num / den if sy > 0 else 1.0
+        v, f, xi = cand, fc, xi_c
+    return v, f, False, evals
+
+
+def oracle_ep_restarts(rho, restarts, rng, max_iters=400):
+    """The restarts of ``entanglement_of_purification(rho, "A", "U")`` at the
+    default caps, each drawn from ``rng`` in turn and run alone by
+    :func:`oracle_descend`: one (V, f, converged, evaluations) per restart."""
+    d_u = rho.layout.dim_of("U")
+    value_and_grad = _ep_objective(rho, "U", d_u, d_u)
+    runs = []
+    for _ in range(restarts):
+        z = rng.standard_normal((2, d_u * d_u, d_u))
+        runs.append(oracle_descend(value_and_grad, _retract(z[0] + 1j * z[1]), max_iters))
+    return runs

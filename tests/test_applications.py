@@ -35,7 +35,14 @@ from qmerge.entropy import (
     subset_entropy,
     von_neumann_entropy,
 )
-from conftest import NoDraws, basis_state, maximally_mixed, random_density, random_pure_state
+from conftest import (
+    NoDraws,
+    basis_state,
+    maximally_mixed,
+    oracle_ep_restarts,
+    random_density,
+    random_pure_state,
+)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -419,7 +426,8 @@ class TestEntanglementOfPurification:
         rho = random_density(rng, parts)
         d_u = dict(parts)["U"]
         v = rng.standard_normal((out * env, d_u)) + 1j * rng.standard_normal((out * env, d_u))
-        f, grad = _ep_objective(rho, "U", out, env)(v)
+        f, grad = _ep_objective(rho, "U", out, env)(v[None])
+        f, grad = f[0], grad[0]
         assert abs(f - oracle_channel_entropy(rho.matrix, parts, v, out, env)) < 1e-10
         h = 1e-6
         for _ in range(4):
@@ -433,7 +441,7 @@ class TestEntanglementOfPurification:
 
         def recording(z):
             v = qr(z)
-            seen.append(np.abs(v.conj().T @ v - np.eye(v.shape[1])).max())
+            seen.extend(np.abs(w.conj().T @ w - np.eye(w.shape[1])).max() for w in v)
             return v
 
         monkeypatch.setattr(applications, "phase_fixed_qr", recording)
@@ -468,6 +476,101 @@ class TestEntanglementOfPurification:
         assert (capped.channel.out_dim, capped.channel.env_dim) == (2, 2)
         assert capped.value == capped.restart_min
         assert (capped.lower, capped.upper) == (default.lower, default.upper)
+
+    @pytest.mark.parametrize("d_u", [2, 3])
+    @pytest.mark.parametrize("restarts, max_iters", [(1, 400), (4, 400), (7, 400), (4, 5)])
+    def test_lockstep_search_equals_the_per_restart_oracle(self, d_u, restarts, max_iters):
+        for i in range(4):
+            rho, seed = bench_input(11, i, d_u), [11, i, d_u, 1]
+            est = entanglement_of_purification(rho, "A", "U", restarts=restarts,
+                                               max_iters=max_iters, rng=np.random.default_rng(seed))
+            runs = oracle_ep_restarts(rho, restarts, np.random.default_rng(seed), max_iters)
+            assert_search_matches_oracle(est, runs, d_u, tol=0.0)
+
+    @pytest.mark.parametrize("max_iters, converged", [(31, False), (32, True)])
+    def test_out_of_steps_is_checked_before_the_gradient(self, max_iters, converged):
+        # U=2 input 0: the restart's ‖ξ‖ first falls below EP_GRAD_TOL after
+        # 31 steps, so with 31 allowed it stops out of steps, not converged
+        rho, seed = bench_input(11, 0, 2), [11, 0, 2, 1]
+        est = entanglement_of_purification(rho, "A", "U", restarts=1, max_iters=max_iters,
+                                           rng=np.random.default_rng(seed))
+        runs = oracle_ep_restarts(rho, 1, np.random.default_rng(seed), max_iters)
+        assert est.converged is converged
+        assert_search_matches_oracle(est, runs, 2, tol=0.0)
+
+    def test_restarts_that_stop_apart_keep_their_own_paths(self):
+        # seed-11 input 12: restarts 0 and 2 converge after 89 and 92
+        # evaluations, 1 and 3 use up their 400 steps after 507 and 518
+        rho, seed = seed11_input(12), [11, 12, 3, 1]
+        runs = oracle_ep_restarts(rho, 4, np.random.default_rng(seed))
+        assert [(conv, evals) for _, _, conv, evals in runs] == [
+            (True, 89), (False, 507), (True, 92), (False, 518)]
+        rng = np.random.default_rng(seed)
+        starts = np.array([applications.phase_fixed_qr(z[0] + 1j * z[1])
+                           for z in (rng.standard_normal((2, 9, 3)) for _ in range(4))])
+        v, f, converged = applications._descend(_ep_objective(rho, "U", 3, 3), starts, 400)
+        assert converged.tolist() == [True, False, True, False]
+        for r, (v_r, f_r, _, _) in enumerate(runs):
+            assert f[r] == f_r and v[r].tobytes() == v_r.tobytes()
+        assert_search_matches_oracle(seed11_search(12), runs, 3, tol=0.0)
+
+    def test_lockstep_search_near_the_oracle_at_u4(self):
+        # 16×4 isometries and 8×8 ρ′, where a stacked LAPACK or BLAS call is
+        # held to 1e-12 of its one-slice call, not to the bit; on inputs 11,
+        # 13 and 18 a restart beats both baselines
+        for i in (11, 13, 18):
+            rho, seed = bench_input(11, i, 4), [11, i, 4, 1]
+            est = entanglement_of_purification(rho, "A", "U", restarts=2,
+                                               rng=np.random.default_rng(seed))
+            runs = oracle_ep_restarts(rho, 2, np.random.default_rng(seed))
+            assert_search_matches_oracle(est, runs, 4, tol=1e-12)
+
+    @pytest.mark.parametrize("bound, stacks", [(108, [1] * 7), (216, [2, 2, 2, 1])])
+    def test_stacked_restarts_do_not_depend_on_the_stack_size(
+            self, monkeypatch, stack_sizes, bound, stacks):
+        # at U=3 one restart's V·ρ has 108 entries, more than its ρ′ (36)
+        whole = seed11_search(3, restarts=7)
+        monkeypatch.setattr(applications, "EP_STACK_ENTRIES", bound)
+        chunked = seed11_search(3, restarts=7)
+        assert stack_sizes == [7] + stacks
+        assert chunked.channel.isometry.tobytes() == whole.channel.isometry.tobytes()
+        assert ((chunked.value, chunked.restart_min, chunked.restart_max, chunked.converged)
+                == (whole.value, whole.restart_min, whole.restart_max, whole.converged))
+
+    def test_a_stack_holds_at_most_2_to_the_20_entries(self, stack_sizes):
+        # cap_env 2^14 on A=2, U=2: one V·ρ has 2·2^15·4 = 2^18 entries, so a
+        # stack holds 4 restarts
+        rho = random_density(np.random.default_rng(5), (("A", 2), ("U", 2)))
+        entanglement_of_purification(rho, "A", "U", cap_out=2, cap_env=2 ** 14, restarts=5,
+                                     rng=stream_rng(5), max_iters=0)
+        assert stack_sizes == [4, 1]
+
+
+@pytest.fixture
+def stack_sizes(monkeypatch):
+    """The number of restarts in each stack the search hands to ``_descend``."""
+    descend, seen = applications._descend, []
+
+    def recording(value_and_grad, v, max_iters):
+        seen.append(len(v))
+        return descend(value_and_grad, v, max_iters)
+
+    monkeypatch.setattr(applications, "_descend", recording)
+    return seen
+
+
+def assert_search_matches_oracle(est, runs, d_u, tol):
+    """The search's restart spread, convergence and, when a restart won, its
+    isometry, against the oracle's restarts run one at a time."""
+    finals = [f for _, f, _, _ in runs]
+    assert abs(est.restart_min - min(finals)) <= tol
+    assert abs(est.restart_max - max(finals)) <= tol
+    assert est.converged == all(conv for _, _, conv, _ in runs)
+    if est.channel.isometry.shape[0] == d_u * d_u:   # neither baseline
+        assert abs(est.value - min(finals)) <= tol
+        if tol == 0.0:
+            winner = runs[finals.index(min(finals))][0]
+            assert est.channel.isometry.tobytes() == winner.tobytes()
 
 
 def bench_input(seed, i, d_u):

@@ -1,5 +1,7 @@
 """Command-line behavior: presets, formats, determinism and exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -359,6 +361,29 @@ class TestRegionCommand:
         doc = json.loads(out)
         assert doc["kind"] == "mac"
         assert [c["subset"] for c in doc["constraints"]] == ["A", "B", "A,B"]
+
+
+def printed_numbers(out: str, fmt: str) -> list[float]:
+    """Every float literal of a JSON document, or every CSV field that parses
+    as a number."""
+    if fmt == "json":
+        found = []
+        json.loads(out, parse_float=lambda text: found.append(float(text)) or float(text))
+        return found
+    fields = [f for row in csv.reader(io.StringIO(out)) for f in row]
+    return [float(f) for f in fields if re.fullmatch(r"-?\d+(\.\d+)?(e-?\d+)?", f)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["report example1", "region edge"])
+def test_a_zero_entropy_prints_as_positive_zero(capsys, tmp_path, command, fmt):
+    # S(B) of example1 and S(A,B) of the edge Bell file are 0 from −(1·log2 1)
+    name, state = command.split()
+    state = edge_bell_file(tmp_path) if state == "edge" else state
+    code, out, _ = run_cli(capsys, name, "--state", state, "--format", fmt)
+    values = printed_numbers(out, fmt)
+    assert code == 0 and 0.0 in values
+    assert [v for v in values if v == 0 and math.copysign(1.0, v) < 0] == []
 
 
 class TestEoaCommand:
