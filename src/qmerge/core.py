@@ -10,6 +10,12 @@ group by :meth:`SubsystemLayout.check_subset`, and groups that must be
 disjoint, as in every signed-entropy rate, by
 :meth:`SubsystemLayout.check_groups`, the only overlap check.
 
+States are checked where they enter, by the :class:`PureState`,
+:class:`DensityOperator` and :class:`ChannelSpec` constructors. A density
+operator that a kernel derives from checked states (``partial_trace``,
+``reduced_density``, ``apply_channel``, ``tensor``, ``PureState.density``)
+is stored without the checks, divided by its trace like any other.
+
 All values are immutable after construction; every operation is a pure
 function except the ones taking an explicit seeded generator.
 """
@@ -25,7 +31,7 @@ import numpy as np
 
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-10
-EIG_FLOOR = -1e-9          # eigenvalues in [EIG_FLOOR, 0] are treated as 0
+EIG_FLOOR = -1e-9          # least eigenvalue the door accepts; entropies clamp below 0
 RANK_TOL = 1e-12
 
 DEFAULT_PURE_CAP = 2 ** 20      # max amplitudes of any pure state we build
@@ -134,7 +140,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has length {amps.shape[0]}, layout needs {self.layout.dim}"
             )
-        # the squared norm is the trace of |ψ⟩⟨ψ|, which DensityOperator checks
+        # the squared norm is the trace of |ψ⟩⟨ψ|, held to DensityOperator's tolerance
         norm_sq = float(np.vdot(amps, amps).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector squared norm {norm_sq!r} is not 1 within {NORM_TOL}")
@@ -150,15 +156,22 @@ class PureState:
 
     def density(self) -> "DensityOperator":
         """The rank-one projector |ψ⟩⟨ψ| as a density operator."""
-        return DensityOperator(self.layout, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return DensityOperator._derived(self.layout,
+                                        np.outer(self.amplitudes, self.amplitudes.conj()))
 
 
 @dataclass(frozen=True)
 class DensityOperator:
     """A Hermitian, PSD, unit-trace operator over a :class:`SubsystemLayout`.
 
-    ``spectrum`` holds the ascending eigenvalues found by the PSD check, so
-    no caller needs to diagonalize the matrix again for them.
+    The constructor is the door: it checks the shape, Hermiticity, trace
+    and the ``EIG_FLOOR`` of what callers and loaders pass in. Kernels store
+    what they derive from checked states through :meth:`_derived`, which
+    checks nothing, so a derived state may lie below the floor by about
+    d·1e-9, d the traced-out dimension; the entropies clamp it.
+    ``spectrum`` holds the ascending eigenvalues of the stored matrix,
+    computed once as it is stored, so no caller needs to diagonalize the
+    matrix again for them.
     """
 
     layout: SubsystemLayout
@@ -175,13 +188,25 @@ class DensityOperator:
         tr = complex(mat.trace())
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"trace {tr.real!r} is not 1 within {NORM_TOL}")
-        mat = _freeze(mat, tr.real)
+        self._store(mat)
+        if not self.spectrum[0] >= EIG_FLOOR:
+            raise ValueError(f"minimum eigenvalue {float(self.spectrum[0])} below {EIG_FLOOR}")
+
+    def _store(self, mat: np.ndarray) -> None:
+        """Freeze ``mat`` divided by its real trace, and its spectrum."""
+        mat = _freeze(mat, mat.trace().real)
         spectrum = np.linalg.eigvalsh(mat)
         spectrum.setflags(write=False)
-        if not spectrum[0] >= EIG_FLOOR:
-            raise ValueError(f"minimum eigenvalue {float(spectrum[0])} below {EIG_FLOOR}")
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "spectrum", spectrum)
+
+    @classmethod
+    def _derived(cls, layout: SubsystemLayout, mat: np.ndarray) -> "DensityOperator":
+        """A state a kernel computed from checked states, stored unchecked."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "layout", layout)
+        rho._store(mat)
+        return rho
 
     @property
     def dim(self) -> int:
@@ -256,7 +281,7 @@ def tensor(a: State, b: State) -> State:
     layout = SubsystemLayout(a.layout.parts + b.layout.parts)
     if isinstance(a, PureState):
         return PureState(layout, np.kron(a.amplitudes, b.amplitudes))
-    return DensityOperator(layout, np.kron(a.matrix, b.matrix))
+    return DensityOperator._derived(layout, np.kron(a.matrix, b.matrix))
 
 
 def _sub_layout(layout: SubsystemLayout, positions: Sequence[int]) -> SubsystemLayout:
@@ -277,7 +302,7 @@ def partial_trace(rho: DensityOperator, keep: Labels) -> DensityOperator:
     dd = math.prod(dims[i] for i in drop_pos)
     t = t.reshape(dk, dd, dk, dd)
     reduced = np.einsum("ikjk->ij", t)
-    return DensityOperator(_sub_layout(rho.layout, keep_pos), reduced)
+    return DensityOperator._derived(_sub_layout(rho.layout, keep_pos), reduced)
 
 
 def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
@@ -287,7 +312,7 @@ def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
     rest = [i for i in range(len(psi.layout)) if i not in keep_pos]
     layout = _sub_layout(psi.layout, keep_pos)
     m = psi.tensor_view().transpose(keep_pos + rest).reshape(layout.dim, -1)
-    return DensityOperator(layout, m @ m.conj().T)
+    return DensityOperator._derived(layout, m @ m.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -349,4 +374,4 @@ def apply_channel(rho: DensityOperator, ch: ChannelSpec) -> DensityOperator:
                                    ch.out_dim, ch.env_dim)[1][0]
     parts = list(rho.layout.parts)
     parts[pos] = (ch.output_label, ch.out_dim)
-    return DensityOperator(SubsystemLayout(tuple(parts)), rho_out)
+    return DensityOperator._derived(SubsystemLayout(tuple(parts)), rho_out)

@@ -45,6 +45,21 @@ def edge_bell_file(tmp_path) -> str:
     return str(path)
 
 
+def floor_file(tmp_path, parties: int) -> str:
+    """A mixed file on ``parties`` qubits A, B, C: |0…0⟩⟨0…0| with every
+    other diagonal entry at −ε and the first at 1 + (2^parties − 1)·ε, with
+    ε = 1e-9 (the PSD floor) for two parties and 0.9e-9 for three. The file
+    is accepted, but its marginals have eigenvalues near −d·ε, where d is
+    the traced-out dimension."""
+    eps = {2: 1e-9, 3: 0.9e-9}[parties]
+    d = 2 ** parties
+    rho = np.diag([1 + (d - 1) * eps] + [-eps] * (d - 1))
+    path = tmp_path / f"floor{parties}.json"
+    path.write_text(json.dumps({"labels": list("ABC"[:parties]), "dims": [2] * parties,
+                                "kind": "mixed", "re": list(rho.ravel()), "im": [0.0] * d * d}))
+    return str(path)
+
+
 class TestParseState:
     def test_epr_amplitudes(self):
         psi = parse_state("epr")
@@ -384,6 +399,20 @@ def test_a_zero_entropy_prints_as_positive_zero(capsys, tmp_path, command, fmt):
     values = printed_numbers(out, fmt)
     assert code == 0 and 0.0 in values
     assert [v for v in values if v == 0 and math.copysign(1.0, v) < 0] == []
+
+
+@pytest.mark.parametrize("parties,command", [
+    (2, "entropy --of A --given B"), (2, "report"), (2, "region"), (3, "report"),
+    (3, "region"), (3, "region --mac"), (3, "entropy --of A --given B,C"),
+])
+def test_marginals_of_a_state_at_the_psd_floor(capsys, tmp_path, parties, command):
+    # a state the door accepts is not checked again: its marginals below the
+    # floor are clamped, and every entropy of |0…0⟩⟨0…0| prints as 0
+    name, *flags = command.split()
+    code, out, err = run_cli(capsys, name, "--state", floor_file(tmp_path, parties), *flags)
+    values = [float(out)] if name == "entropy" else printed_numbers(out, "json")
+    assert (code, err) == (0, "") and values
+    assert all(v == 0.0 and math.copysign(1.0, v) > 0 for v in values)
 
 
 class TestEoaCommand:

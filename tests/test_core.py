@@ -1,6 +1,7 @@
 """State construction, composition, reduction, validation and distances."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -8,7 +9,10 @@ import numpy as np
 import pytest
 
 from qmerge import presets
+from qmerge.applications import compression_region, entanglement_of_purification
+from qmerge.cli import main
 from qmerge.core import (
+    EIG_FLOOR,
     ChannelSpec,
     DensityOperator,
     PureState,
@@ -20,6 +24,7 @@ from qmerge.core import (
     stream_rng,
     tensor,
 )
+from qmerge.entropy import von_neumann_entropy
 from qmerge.merging import plan_merge, run_merge
 from conftest import (basis_state, fidelity, maximally_mixed, permute_subsystems, purify,
                       random_density, random_pure_state, trace_distance)
@@ -125,12 +130,20 @@ class TestPartialTrace:
             partial_trace(rho, ())
 
     def test_trace_and_positivity_preserved(self):
+        # no kernel checks its output at run time: each output of a checked
+        # state is Hermitian, of unit trace and PSD within the door's tolerances
         rng = np.random.default_rng(1)
+        parts = (("A", 2), ("B", 3), ("C", 2))
         for _ in range(200):
-            rho = random_density(rng, (("A", 2), ("B", 3), ("C", 2)))
-            red = partial_trace(rho, ("A", "C"))
-            assert abs(red.matrix.trace() - 1) < 1e-10
-            assert np.linalg.eigvalsh(red.matrix)[0] >= -1e-9
+            rho = random_density(rng, parts)
+            psi = random_pure_state(rng, parts)
+            iso = haar_unitary(6, rng)[:, :3]
+            for out in (partial_trace(rho, ("A", "C")), reduced_density(psi, ("A", "C")),
+                        apply_channel(rho, ChannelSpec("B", iso, "U", 2, 3)),
+                        tensor(rho, random_density(rng, (("D", 2),))), psi.density()):
+                assert np.abs(out.matrix - out.matrix.conj().T).max() <= 1e-10
+                assert abs(out.matrix.trace() - 1) < 1e-10
+                assert np.linalg.eigvalsh(out.matrix)[0] >= -1e-9
 
 
 class TestPurify:
@@ -379,14 +392,69 @@ class TestValidation:
 
     @pytest.mark.parametrize("dim", [1, 2, 6])
     def test_spectrum_is_the_read_only_eigvalsh(self, dim):
+        # checked at the door, or derived by a kernel and stored unchecked
         rho = random_density(np.random.default_rng(dim), (("A", dim),))
-        assert np.array_equal(rho.spectrum, np.linalg.eigvalsh(rho.matrix))
-        with pytest.raises(ValueError):
-            rho.spectrum[0] = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            rho.spectrum = np.zeros(dim)
+        derived = partial_trace(tensor(rho, maximally_mixed("B", 2)), "A")
+        for state in (rho, derived, apply_channel(rho, ChannelSpec.identity("A", dim))):
+            assert np.array_equal(state.spectrum, np.linalg.eigvalsh(state.matrix))
+            with pytest.raises(ValueError):
+                state.spectrum[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.spectrum = np.zeros(dim)
 
     def test_states_are_frozen(self):
         psi = presets.bell_pair()
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0
+
+
+def floor_state(a: str, b: str) -> DensityOperator:
+    """diag(1 + 3ε, −ε, −ε, −ε) on two qubits, ε just inside the PSD floor:
+    accepted, yet a partial trace puts an eigenvalue near −2ε."""
+    eps = -EIG_FLOOR * (1 - 1e-9)
+    return DensityOperator(SubsystemLayout(((a, 2), (b, 2))),
+                           np.diag([1 + 3 * eps, -eps, -eps, -eps]))
+
+
+class TestOneDoor:
+    """States are checked where they enter; a kernel's output is stored
+    unchecked, so no state the door accepts fails inside a kernel."""
+
+    def test_kernels_accept_a_state_at_the_floor(self):
+        rho = floor_state("A", "B")
+        for out in (partial_trace(rho, "B"), apply_channel(rho, ChannelSpec.full_trace("A", 2)),
+                    tensor(rho, floor_state("C", "D"))):
+            assert out.spectrum[0] < EIG_FLOOR
+            entropy = von_neumann_entropy(out)
+            assert math.isfinite(entropy) and entropy >= 0
+
+    @staticmethod
+    def count_door_calls(monkeypatch) -> list:
+        calls = []
+        door = DensityOperator.__post_init__
+
+        def counted(self):
+            calls.append(self.layout)
+            door(self)
+
+        monkeypatch.setattr(DensityOperator, "__post_init__", counted)
+        return calls
+
+    def test_report_on_a_mixed_file_checks_only_the_load(self, monkeypatch, tmp_path, capsys):
+        rho = random_density(np.random.default_rng(0), (("A", 2), ("B", 2), ("C", 2)))
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"labels": ["A", "B", "C"], "dims": [2, 2, 2],
+                                    "kind": "mixed", "re": rho.matrix.real.ravel().tolist(),
+                                    "im": rho.matrix.imag.ravel().tolist()}))
+        calls = self.count_door_calls(monkeypatch)
+        assert main(["report", "--state", str(path)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["subsets"]) == 7
+        assert calls == [rho.layout]
+
+    def test_library_workloads_never_reach_the_door(self, monkeypatch):
+        psi = presets.parse_state("ghz:4")
+        rho = random_density(np.random.default_rng(0), (("A", 2), ("U", 3)))
+        calls = self.count_door_calls(monkeypatch)
+        assert len(compression_region(psi).constraints) == 15
+        entanglement_of_purification(rho, rng=np.random.default_rng(1), restarts=2, max_iters=5)
+        assert calls == []
