@@ -15,7 +15,6 @@ from .core import (
     DEFAULT_DENSITY_CAP,
     DEFAULT_PURE_CAP,
     DensityOperator,
-    DimensionCapError,
     Labels,
     PureState,
     State,
@@ -25,6 +24,7 @@ from .core import (
     reduced_density,
     stinespring_contract,
     stream_rng,
+    within_cap,
 )
 from .entropy import (
     EntropyReport,
@@ -98,8 +98,7 @@ def compression_region(state: State) -> RateRegion:
     if len(labels) < 2:
         raise ValueError("need at least 2 parties")
     subsets = subsets_in_counting_order(labels)
-    if state.layout.dim > DEFAULT_DENSITY_CAP:
-        raise DimensionCapError("state dimension exceeds the region cap")
+    within_cap("region state dimension", state.layout.dim, DEFAULT_DENSITY_CAP)
     report = EntropyReport(state)
     s_full = report.entropy(labels)
     constraints = []
@@ -143,8 +142,7 @@ def eoa(psi: PureState, alice: Labels = "A", bob: Labels = "B") -> EoAResult:
     splits T of the helper parties, first split in counting order on ties."""
     a, b = psi.layout.check_groups(alice=alice, bob=bob)
     helpers = tuple(l for l in psi.layout.labels if l not in set(a) | set(b))
-    if len(helpers) > MAX_HELPERS:
-        raise DimensionCapError(f"more than {MAX_HELPERS} helper parties")
+    within_cap("eoa helper parties", len(helpers), MAX_HELPERS)
     report = EntropyReport(psi)
     cut_values: dict[tuple[str, ...], float] = {}
     best_value, best_cut = math.inf, ()
@@ -184,7 +182,7 @@ EP_GRAD_TOL = 1e-6     # Riemannian gradient norm at which a restart has converg
 EP_LOG_FLOOR = 1e-14   # eigenvalue floor inside log2 ρ′ for the gradient
 _ARMIJO = 1e-4         # sufficient-decrease fraction of the first-order model
 _MAX_HALVINGS = 40
-EP_STACK_ENTRIES = 2 ** 20   # most entries of V·ρ or ρ′ over one stack of restarts
+EP_STACK_ENTRIES = 2 ** 20   # most entries one round of a stack of restarts holds at once
 
 
 def _ep_objective(rho: DensityOperator, u_label: str, out: int, env: int):
@@ -315,13 +313,18 @@ def entanglement_of_purification(
     restart r starts at the same point whatever ``restarts`` is, which must
     lie in 1..``MAX_RESTARTS``. The restarts descend in lockstep on stacked
     arrays (:func:`_descend`), each in its own slice, so restart r's result
-    does not depend on how many restarts run beside it. A stack holds at
-    most max(1, ``EP_STACK_ENTRIES`` // max(V·ρ entries, side(ρ′)²))
-    restarts, which keeps each evaluation's stacked V·ρ and ρ′ within
-    2^20 entries however many restarts there are; further restarts run in
-    later stacks. The descent works on plain
-    arrays with the exact entropy gradient, and each restart is scored by
-    the objective's value at its last isometry, with no state built again.
+    does not depend on how many restarts run beside it. One round holds,
+    per restart, two arrays of V·ρ's size (the objective's product and its
+    transposed copy), up to five of ρ′'s (ρ′, its copy, its eigenvectors
+    and the gradient operator with its copy) and about ten of V's (the
+    descent's iterate, candidate, gradients, steps and their QR) at once,
+    as tracemalloc shows. So a stack holds at most
+    max(1, ``EP_STACK_ENTRIES`` // (2·(V·ρ entries) + 5·side(ρ′)² + 10·(V entries)))
+    restarts, which keeps each round within 2^20 entries however many
+    restarts there are; further restarts run in later stacks. The descent
+    works on plain arrays with the exact entropy gradient, and each restart
+    is scored by the objective's value at its last isometry, with no state
+    built again.
     Only a restart that improves on the best so far is wrapped in a
     :class:`ChannelSpec`, whose constructor checks the isometry, so the
     returned value is the entropy of the returned channel. The identity
@@ -358,14 +361,9 @@ def entanglement_of_purification(
         raise ValueError("cap_out * cap_env must cover the input dimension")
     m = cap_out * cap_env
     entries = rho.dim // d_u * m * rho.dim
-    if entries > DEFAULT_PURE_CAP:
-        raise DimensionCapError(
-            f"EP search needs a V*rho product of {entries} entries, "
-            f"over the {DEFAULT_PURE_CAP} cap")
+    within_cap("EP V*rho entries", entries, DEFAULT_PURE_CAP)
     side = rho.dim // d_u * cap_out
-    if side > DEFAULT_DENSITY_CAP:
-        raise DimensionCapError(
-            f"EP search output side {side} exceeds the {DEFAULT_DENSITY_CAP} density cap")
+    within_cap("EP output side", side, DEFAULT_DENSITY_CAP)
     rng = rng if rng is not None else stream_rng(0)
 
     identity = ChannelSpec.identity(u_label, d_u)
@@ -378,7 +376,7 @@ def entanglement_of_purification(
             best, best_ch = s, ch
 
     value_and_grad = _ep_objective(rho, u_label, cap_out, cap_env)
-    stack = max(1, EP_STACK_ENTRIES // max(entries, side * side))
+    stack = max(1, EP_STACK_ENTRIES // (2 * entries + 5 * side * side + 10 * m * d_u))
     all_converged = True
     finals = []
     for first in range(0, restarts, stack):
@@ -423,10 +421,7 @@ def side_info_rates(
     a, _ = psi.layout.check_groups(alice=alice, channel_input=ch.input_label)
     d_a = psi.layout.dim_of(a)
     for side in (d_a * psi.layout.dim_of(ch.input_label), d_a * ch.out_dim):
-        if side > DEFAULT_DENSITY_CAP:
-            raise DimensionCapError(
-                f"sideinfo needs a density matrix of side {side}, "
-                f"over the {DEFAULT_DENSITY_CAP} cap")
+        within_cap("sideinfo density side", side, DEFAULT_DENSITY_CAP)
     rho = apply_channel(reduced_density(psi, a + (ch.input_label,)), ch)
     u = ch.output_label
     r_a = conditional_entropy(rho, a, u)

@@ -16,6 +16,10 @@ operator that a kernel derives from checked states (``partial_trace``,
 ``reduced_density``, ``apply_channel``, ``tensor``, ``PureState.density``)
 is stored without the checks, divided by its trace like any other.
 
+Every dimension cap and work bound of the package is compared, and its
+refusal worded, by :func:`within_cap`, which raises every
+:class:`DimensionCapError`; a file loader only puts the file's path first.
+
 All values are immutable after construction; every operation is a pure
 function except the ones taking an explicit seeded generator.
 """
@@ -40,6 +44,16 @@ DEFAULT_DENSITY_CAP = 2 ** 12   # max side length of any density matrix
 
 class DimensionCapError(RuntimeError):
     """A requested computation would exceed the configured dimension cap."""
+
+
+def within_cap(what: str, count: int, cap: int) -> None:
+    """Refuse ``count`` when it is over ``cap``: the one place a dimension cap
+    or work bound is compared and its refusal worded, as
+    ``<what>: <count> over the <cap> cap``. Python prints no int of over 4300
+    digits, so a count that long shows as ``2^b+``, b its bit length less 1."""
+    if count > cap:
+        shown = count if count.bit_length() < 14_000 else f"2^{count.bit_length() - 1}+"
+        raise DimensionCapError(f"{what}: {shown} over the {cap} cap")
 
 
 Labels = Union[str, Iterable[str]]
@@ -189,7 +203,10 @@ class DensityOperator:
         if not abs(tr - 1.0) <= NORM_TOL:
             raise ValueError(f"trace {tr.real!r} is not 1 within {NORM_TOL}")
         self._store(mat)
-        if not self.spectrum[0] >= EIG_FLOOR:
+        # λ_min of the matrix as given is spectrum[0]·tr; its trace is summed
+        # exactly, so a diagonal at the floor is not pushed under it by the
+        # rounding of its own sum
+        if not self.spectrum[0] * tr.real >= EIG_FLOOR * math.fsum(mat.diagonal().real):
             raise ValueError(f"minimum eigenvalue {float(self.spectrum[0])} below {EIG_FLOOR}")
 
     def _store(self, mat: np.ndarray) -> None:

@@ -21,13 +21,13 @@ import numpy as np
 
 from .core import (
     DensityOperator,
-    DimensionCapError,
     Labels,
     PureState,
     State,
     as_labels,
     partial_trace,
     reduced_density,
+    within_cap,
 )
 
 MAX_SUBSETS = 2 ** 16 - 1   # most subsets one enumeration may return
@@ -96,8 +96,7 @@ def subsets_in_counting_order(labels: tuple[str, ...], max_size: int | None = No
     m = len(labels)
     sizes = range(1, (m if max_size is None else min(max_size, m)) + 1)
     count = sum(math.comb(m, j) for j in sizes)
-    if count > MAX_SUBSETS:
-        raise DimensionCapError(f"{count} subsets of {m} parties, over the {MAX_SUBSETS} cap")
+    within_cap("subsets", count, MAX_SUBSETS)
     combos = (c for j in sizes for c in itertools.combinations(range(m), j))
     return [tuple(labels[i] for i in c)
             for c in sorted(combos, key=lambda c: sum(1 << i for i in c))]

@@ -74,6 +74,7 @@ from .core import (
     haar_unitary,
     stream_rng,
     tensor,  # noqa: F401  (bench/test_bench.py reads qmerge.merging.tensor)
+    within_cap,
 )
 from .entropy import conditional_entropy
 
@@ -177,7 +178,8 @@ def plan_merge(
 
     A plan whose prepared state ψ^⊗n ⊗ Φ_{2^k} would exceed 2^64 amplitudes,
     which no cap admits, raises :class:`DimensionCapError` before its
-    dimensions are formed. Every ψ of dimension ≥ 2 meets that check
+    dimensions are formed: ⌈log2⌉ of its amplitudes is counted against 64,
+    so no larger count is printed. Every ψ of dimension ≥ 2 meets that check
     beyond 64 copies; for a one-dimensional ψ, n > 64 raises ``ValueError``.
     """
     if n < 1:
@@ -186,16 +188,16 @@ def plan_merge(
         raise ValueError("slack_bits must be >= 0")
     for label in (alice, bob):
         psi.layout.position(label)
-    too_big = f"plan needs over 2^{_MAX_PLAN_BITS} prepared amplitudes"
-    if psi.dim ** min(n, _MAX_PLAN_BITS + 1) > 2 ** _MAX_PLAN_BITS:
-        raise DimensionCapError(too_big)
+    # (x − 1).bit_length() is ⌈log2 x⌉ for x ≥ 1
+    within_cap("prepared state bits",
+               (psi.dim ** min(n, _MAX_PLAN_BITS + 1) - 1).bit_length(), _MAX_PLAN_BITS)
     if n > _MAX_PLAN_BITS:
         raise ValueError(f"n must be <= {_MAX_PLAN_BITS}")
     s = conditional_entropy(psi, alice, bob)
     d_a = psi.layout.dim_of(alice)
     k = _ceil_bits(n * s) + _ceil_bits(slack_bits) if s > 1e-9 else 0
-    if psi.dim ** n * 4 ** min(k, _MAX_PLAN_BITS) > 2 ** _MAX_PLAN_BITS:
-        raise DimensionCapError(too_big)
+    within_cap("prepared state bits",
+               (psi.dim ** n * 4 ** min(k, _MAX_PLAN_BITS) - 1).bit_length(), _MAX_PLAN_BITS)
     d_total = d_a ** n * 2 ** k
     budget = k - n * s - slack_bits  # −n·S′(A|B) − slack, S′ per copy after boost
     clipped = budget < -1e-9
@@ -250,18 +252,14 @@ def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
     does not fit the state's dimensions.
     """
     boost = 2 ** plan.k_boost
-    if psi.dim ** plan.n * boost ** 2 > dim_cap:
-        raise DimensionCapError(f"prepared state would exceed the {dim_cap}-amplitude cap")
+    within_cap("prepared state amplitudes", psi.dim ** plan.n * boost ** 2, dim_cap)
     d_a, d_b = psi.layout.dim_of(plan.alice), psi.layout.dim_of(plan.bob)
     if d_a ** plan.n * boost != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
     d_r = psi.dim // (d_a * d_b)
-    if plan.block_dim ** 2 * (d_r * min(d_r, psi.dim // d_r)) ** plan.n > dim_cap:
-        raise DimensionCapError(f"target state would exceed the {dim_cap}-amplitude cap")
-    if plan.alice_dim ** 2 > dim_cap:
-        raise DimensionCapError(
-            f"Alice's {plan.alice_dim}x{plan.alice_dim} measurement arrays would exceed "
-            f"the {dim_cap}-amplitude cap")
+    within_cap("recovery target amplitudes",
+               plan.block_dim ** 2 * (d_r * min(d_r, psi.dim // d_r)) ** plan.n, dim_cap)
+    within_cap("Alice's basis entries", plan.alice_dim ** 2, dim_cap)
 
 
 @dataclass(frozen=True)
@@ -483,10 +481,7 @@ def run_merge_exhaustive(
 ) -> list[MergeOutcome]:
     """Score every outcome of one measurement basis at or above ``ZERO_PROB``
     instead of sampling, building one branch at a time."""
-    if plan.outcome_count > MAX_EXHAUSTIVE_OUTCOMES:
-        raise DimensionCapError(
-            f"{plan.outcome_count} outcomes exceed the exhaustive cap {MAX_EXHAUSTIVE_OUTCOMES}"
-        )
+    within_cap("exhaustive outcomes", plan.outcome_count, MAX_EXHAUSTIVE_OUTCOMES)
     setup = _setup(psi, plan, dim_cap, unitary)
     basis = _basis(setup, rng)
     return [_outcome(k, float(p), _branch(setup, basis, k, p), setup)
@@ -511,10 +506,7 @@ def ensemble_reference_check(
     the one copy's reference block. Both are in the Schmidt basis of
     supp(ρ_R)^⊗n, not from τ's weights.
     """
-    if plan.outcome_count > MAX_ENSEMBLE_OUTCOMES:
-        raise DimensionCapError(
-            f"{plan.outcome_count} outcomes exceed the enumeration cap {MAX_ENSEMBLE_OUTCOMES}"
-        )
+    within_cap("ensemble outcomes", plan.outcome_count, MAX_ENSEMBLE_OUTCOMES)
     setup = _setup(psi, plan, DEFAULT_PURE_CAP, unitary)
     basis = _basis(setup, None)
     avg = 0

@@ -33,6 +33,7 @@ from .core import (
     PureState,
     State,
     SubsystemLayout,
+    within_cap,
 )
 
 FILE_NORM_TOL = 1e-6
@@ -124,8 +125,9 @@ def parse_state(
             m = int(source[len("ghz:"):])
         except ValueError:
             raise ValueError(f"bad preset {source!r}, expected ghz:m") from None
-        if m >= pure_cap.bit_length():  # 2**m > pure_cap, without forming 2**m
-            raise DimensionCapError(f"GHZ dimension 2^{m} exceeds cap {pure_cap}")
+        # 2^m amplitudes are over pure_cap exactly when m is over
+        # ⌊log2 pure_cap⌋, so 2^m is never formed
+        within_cap("ghz qubits", m, pure_cap.bit_length() - 1)
         return ghz(m)
     if source.startswith("random-pure:"):
         try:
@@ -138,8 +140,7 @@ def parse_state(
             raise ValueError(
                 f"bad preset {source!r}, expected random-pure:d1xd2x...:seed"
             ) from None
-        if math.prod(dims) > pure_cap:
-            raise DimensionCapError(f"random state dimension exceeds cap {pure_cap}")
+        within_cap("random-pure amplitudes", math.prod(dims), pure_cap)
         return random_pure(dims, seed)
     if os.path.exists(source):
         return load_state_file(source, pure_cap, density_cap)
@@ -208,8 +209,7 @@ def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
         data = _complex_array(doc)
         d = layout.dim
         if doc["kind"] == "pure":
-            if d > pure_cap:
-                raise DimensionCapError(f"pure dimension {d} exceeds cap {pure_cap}")
+            within_cap("pure file amplitudes", d, pure_cap)
             if data.shape != (d,):
                 raise ValueError(f"expected {d} amplitudes, got {data.shape[0]}")
             norm = np.linalg.norm(data)
@@ -217,8 +217,7 @@ def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
                 raise ValueError(f"norm {norm} violates 1 beyond {FILE_NORM_TOL}")
             return PureState(layout, data / norm)
         if doc["kind"] == "mixed":
-            if d > density_cap:
-                raise DimensionCapError(f"matrix side {d} exceeds cap {density_cap}")
+            within_cap("mixed file side", d, density_cap)
             if data.shape != (d * d,):
                 raise ValueError(f"expected {d * d} matrix entries, got {data.shape[0]}")
             mat = data.reshape(d, d)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,7 +186,8 @@ class TestCompressionRegion:
         """2^17 − 1 subsets are over ``MAX_SUBSETS``; one-dimensional parties
         keep the density cap out of the way, so the enumerator refuses."""
         psi = basis_state(tuple((f"P{i}", 1) for i in range(17)))
-        with pytest.raises(DimensionCapError, match=f"131071 subsets .* {MAX_SUBSETS} cap"):
+        with pytest.raises(DimensionCapError,
+                           match=f"^subsets: 131071 over the {MAX_SUBSETS} cap$"):
             compression_region(psi)
 
     def test_full_rate_sum_nonnegative(self):
@@ -298,7 +300,7 @@ class TestEoa:
 
     def test_helper_cap(self):
         psi = presets.ghz(15)
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError, match="^eoa helper parties: 13 over the 12 cap$"):
             eoa(psi)
 
 
@@ -339,8 +341,10 @@ class TestEntanglementOfPurification:
                                          rng=stream_rng(13))
 
     @pytest.mark.parametrize("d_a, cap_out, cap_env, match", [
-        (2, 1000, 1000, "entries"),      # V·ρ has 2·10^6·4 entries, over 2^20
-        (8, 1024, 1, "density cap"),     # V·ρ has 2^17 entries, output side 8192
+        # V·ρ has 2·10^6·4 entries, over 2^20
+        (2, 1000, 1000, r"^EP V\*rho entries: 8000000 over the 1048576 cap$"),
+        # V·ρ has 2^17 entries, output side 8192
+        (8, 1024, 1, "^EP output side: 8192 over the 4096 cap$"),
     ])
     def test_caps_checked_before_any_draw(self, d_a, cap_out, cap_env, match):
         rho = tensor(maximally_mixed("A", d_a), maximally_mixed("U", 2))
@@ -525,10 +529,11 @@ class TestEntanglementOfPurification:
             runs = oracle_ep_restarts(rho, 2, np.random.default_rng(seed))
             assert_search_matches_oracle(est, runs, 4, tol=1e-12)
 
-    @pytest.mark.parametrize("bound, stacks", [(108, [1] * 7), (216, [2, 2, 2, 1])])
+    @pytest.mark.parametrize("bound, stacks", [(666, [1] * 7), (1332, [2, 2, 2, 1])])
     def test_stacked_restarts_do_not_depend_on_the_stack_size(
             self, monkeypatch, stack_sizes, bound, stacks):
-        # at U=3 one restart's V·ρ has 108 entries, more than its ρ′ (36)
+        # at U=3 one restart's V has 27 entries, its V·ρ 108 and its ρ′ 36,
+        # so a round holds 2·108 + 5·36 + 10·27 = 666 per restart
         whole = seed11_search(3, restarts=7)
         monkeypatch.setattr(applications, "EP_STACK_ENTRIES", bound)
         chunked = seed11_search(3, restarts=7)
@@ -538,12 +543,31 @@ class TestEntanglementOfPurification:
                 == (whole.value, whole.restart_min, whole.restart_max, whole.converged))
 
     def test_a_stack_holds_at_most_2_to_the_20_entries(self, stack_sizes):
-        # cap_env 2^14 on A=2, U=2: one V·ρ has 2·2^15·4 = 2^18 entries, so a
-        # stack holds 4 restarts
+        # cap_env 2^12 on A=2, U=2: one V has 2^14 entries, V·ρ 2·2^13·4 =
+        # 2^16 and ρ′ side 4, so a round holds 2·2^16 + 5·16 + 10·2^14
+        # entries per restart and a stack holds 3 restarts
         rho = random_density(np.random.default_rng(5), (("A", 2), ("U", 2)))
-        entanglement_of_purification(rho, "A", "U", cap_out=2, cap_env=2 ** 14, restarts=5,
+        entanglement_of_purification(rho, "A", "U", cap_out=2, cap_env=2 ** 12, restarts=7,
                                      rng=stream_rng(5), max_iters=0)
-        assert stack_sizes == [4, 1]
+        assert stack_sizes == [3, 3, 1]
+
+    @pytest.mark.parametrize("d_a", [1, 2])
+    def test_peak_memory_does_not_grow_with_restarts(self, stack_sizes, d_a):
+        # at cap_env 2^14 one restart's round holds over 2^19 entries, V's
+        # share the most at d_A = 1 and V·ρ's at d_A = 2, so each stack
+        # holds one restart, and 16 restarts peak as one does
+        rho = random_density(np.random.default_rng(5), (("A", d_a), ("U", 2)))
+        peaks = []
+        for restarts in (1, 16):
+            tracemalloc.start()
+            try:
+                entanglement_of_purification(rho, "A", "U", cap_out=2, cap_env=2 ** 14,
+                                             restarts=restarts, rng=stream_rng(3), max_iters=2)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert stack_sizes == [1] * 17
+        assert peaks[1] <= 1.2 * peaks[0]
 
 
 @pytest.fixture

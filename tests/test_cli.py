@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -133,7 +134,7 @@ class TestParseState:
 
     def test_ghz_checked_against_the_pure_cap(self):
         assert parse_state("ghz:3", pure_cap=8).dim == 8
-        with pytest.raises(DimensionCapError):
+        with pytest.raises(DimensionCapError, match="^ghz qubits: 4 over the 3 cap$"):
             parse_state("ghz:4", pure_cap=8)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -185,8 +186,7 @@ class TestReportCommand:
 
         monkeypatch.setattr(qmerge.entropy, "subset_entropy", no_entropy)
         code, out, err = run_cli(capsys, "report", "--state", RANDOM_17_QUBITS)
-        assert code == 3 and out == "" and len(err.splitlines()) == 1
-        assert "131071 subsets" in err
+        assert (code, out, err) == (3, "", "error: subsets: 131071 over the 65535 cap\n")
 
     def test_max_subset_counts_against_the_cap(self, capsys):
         code, out, _ = run_cli(capsys, "report", "--state", RANDOM_17_QUBITS,
@@ -289,8 +289,8 @@ class TestMergeCommand:
         monkeypatch.setattr(qmerge.cli, "hadamard_basis", no_basis)
         code, out, err = run_cli(capsys, "merge", "--state", "random-pure:1024x1x1:1", "-n", "2",
                                  "--seed", "1", "--basis", basis)
-        assert code == 3 and out == "" and len(err.splitlines()) == 1
-        assert "1048576x1048576" in err
+        assert (code, out) == (3, "")
+        assert err == "error: Alice's basis entries: 1099511627776 over the 1048576 cap\n"
 
     @pytest.mark.parametrize("basis,cap_from,message,shown", [
         ("haar", "flag", "Unable to allocate 16.0 TiB", "Unable to allocate 16.0 TiB"),
@@ -318,7 +318,7 @@ class TestMergeCommand:
         ("random-pure:1x1:0", "64", 0, ""),
         ("random-pure:1x1:0", "65", 2, "n must be <= 64"),
         ("random-pure:1x1:0", "1000000000", 2, "n must be <= 64"),
-        ("epr", "65", 3, "2^64"),
+        ("epr", "65", 3, "prepared state bits: 130 over the 64 cap"),
     ])
     def test_copy_counts_bounded_at_64(self, capsys, state, n, code, match):
         # a one-dimensional state passes the 2^64-amplitude check at any n
@@ -539,8 +539,7 @@ class TestSideinfoCommand:
         monkeypatch.setattr(qmerge.applications, "stinespring_contract", no_contraction)
         code, out, err = run_cli(capsys, "sideinfo", "--state", "random-pure:2x1x2:1",
                                  "--channel", str(path), "--seed", "2")
-        assert code == 3 and out == "" and len(err.splitlines()) == 1
-        assert "side 8192" in err
+        assert (code, out, err) == (3, "", "error: sideinfo density side: 8192 over the 4096 cap\n")
 
 class TestErrorPaths:
     def test_unknown_preset_exits_2_with_empty_stdout(self, capsys):
@@ -574,6 +573,21 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "entropy", "--state", "ghz:4", "--of", "A",
                                  "--dim-cap", "8")
         assert code == 3 and out == "" and len(err.splitlines()) == 1
+
+    def test_a_huge_ghz_exits_3_at_once_with_a_short_line(self, capsys):
+        # 2^1000000000 is neither formed nor printed: the qubits are counted
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "entropy", "--state", "ghz:1000000000", "--of", "A")
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (3, "", "error: ghz qubits: 1000000000 over the 20 cap\n")
+        assert len(err) < 200
+
+    def test_a_product_too_long_to_print_still_exits_3(self, capsys):
+        # three 2000-digit dimensions multiply to a 6000-digit count
+        dims = "x".join(["9" * 2000] * 3)
+        code, out, err = run_cli(capsys, "entropy", "--state", f"random-pure:{dims}:1", "--of", "A")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(r"error: random-pure amplitudes: 2\^19931\+ over the 1048576 cap\n", err)
 
     @pytest.mark.parametrize("flags", [
         ("-n", "1", "--trials", "0"),

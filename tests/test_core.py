@@ -1,9 +1,11 @@
 """State construction, composition, reduction, validation and distances."""
 
+import ast
 import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from qmerge.core import (
     EIG_FLOOR,
     ChannelSpec,
     DensityOperator,
+    DimensionCapError,
     PureState,
     SubsystemLayout,
     apply_channel,
@@ -23,6 +26,7 @@ from qmerge.core import (
     reduced_density,
     stream_rng,
     tensor,
+    within_cap,
 )
 from qmerge.entropy import von_neumann_entropy
 from qmerge.merging import plan_merge, run_merge
@@ -408,12 +412,13 @@ class TestValidation:
             psi.amplitudes[0] = 0
 
 
+FLOOR_DIAGONAL = [1 + 3e-9, -1e-9, -1e-9, -1e-9]   # three eigenvalues at EIG_FLOOR
+
+
 def floor_state(a: str, b: str) -> DensityOperator:
-    """diag(1 + 3ε, −ε, −ε, −ε) on two qubits, ε just inside the PSD floor:
-    accepted, yet a partial trace puts an eigenvalue near −2ε."""
-    eps = -EIG_FLOOR * (1 - 1e-9)
-    return DensityOperator(SubsystemLayout(((a, 2), (b, 2))),
-                           np.diag([1 + 3 * eps, -eps, -eps, -eps]))
+    """diag(1 + 3ε, −ε, −ε, −ε) on two qubits, ε = −EIG_FLOOR at the PSD
+    floor: accepted, yet a partial trace puts an eigenvalue near −2ε."""
+    return DensityOperator(SubsystemLayout(((a, 2), (b, 2))), np.diag(FLOOR_DIAGONAL))
 
 
 class TestOneDoor:
@@ -427,6 +432,17 @@ class TestOneDoor:
             assert out.spectrum[0] < EIG_FLOOR
             entropy = von_neumann_entropy(out)
             assert math.isfinite(entropy) and entropy >= 0
+
+    def test_the_door_and_the_loader_accept_the_floor_matrix(self, tmp_path):
+        # its trace sums to just under 1 in floating point; the loader divides
+        # by that sum before the constructor sees the matrix
+        assert -EIG_FLOOR == 1e-9 and np.diag(FLOOR_DIAGONAL).trace() < 1
+        path = tmp_path / "floor.json"
+        path.write_text(json.dumps({"labels": ["A", "B"], "dims": [2, 2], "kind": "mixed",
+                                    "re": np.diag(FLOOR_DIAGONAL).ravel().tolist(),
+                                    "im": [0] * 16}))
+        for rho in (floor_state("A", "B"), presets.load_state_file(str(path))):
+            assert rho.dim == 4 and rho.spectrum[-1] > 1
 
     @staticmethod
     def count_door_calls(monkeypatch) -> list:
@@ -458,3 +474,58 @@ class TestOneDoor:
         assert len(compression_region(psi).constraints) == 15
         entanglement_of_purification(rho, rng=np.random.default_rng(1), restarts=2, max_iters=5)
         assert calls == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def calls_in_src(name: str) -> list[tuple[str, str, ast.Call]]:
+    """(module, enclosing function, call) for each call of ``name`` in
+    ``src/qmerge``; the function is "" at module level."""
+    found = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.module, self.scope = module, []
+
+        def visit_FunctionDef(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name) and node.func.id == name:
+                found.append((self.module, ".".join(self.scope), node))
+            self.generic_visit(node)
+
+    for path in sorted((ROOT / "src" / "qmerge").glob("*.py")):
+        Calls(path.name).visit(ast.parse(path.read_text(encoding="utf-8")))
+    return found
+
+
+class TestCapLedger:
+    """Every dimension cap and work bound is refused by ``within_cap``, in
+    one message form, and each of its labels is in the README table."""
+
+    def test_passes_at_the_cap_and_refuses_one_over(self):
+        within_cap("things", 8, 8)
+        with pytest.raises(DimensionCapError, match="^things: 9 over the 8 cap$"):
+            within_cap("things", 9, 8)
+
+    def test_a_count_too_long_to_print_shows_its_bit_length(self):
+        # Python prints no int of over 4300 digits; 2^20000 has 6021
+        with pytest.raises(DimensionCapError, match=r"^things: 2\^20000\+ over the 8 cap$"):
+            within_cap("things", 2 ** 20000 + 1, 8)
+
+    def test_only_within_cap_constructs_the_error(self):
+        sites = [(module, func) for module, func, _ in calls_in_src("DimensionCapError")]
+        assert sites == [("core.py", "within_cap")]
+
+    def test_every_label_is_in_the_readme_table(self):
+        labels = [call.args[0] for _, _, call in calls_in_src("within_cap")]
+        assert all(isinstance(l, ast.Constant) and isinstance(l.value, str) for l in labels)
+        text = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = text[text.index("### Dimension caps"):text.index("### Validation")]
+        table = re.findall(r"^\| `([^`]+)` \|", section, flags=re.M)
+        assert sorted(set(table)) == sorted(table)
+        assert set(table) == {l.value for l in labels}

@@ -174,14 +174,15 @@ class TestEprBoost:
 
 
 class TestPlanMerge:
-    @pytest.mark.parametrize("spec,n,slack", [
-        ("epr", 33, 1.0),                  # 4^33 amplitudes before any boost
-        ("epr", 10 ** 400, 1.0),           # never formed as 2^n
-        ("example1-pure", 1, 31.0),        # 8·4^32: the boost carries the slack
-        ("example1-pure", 1, 1e300),
+    @pytest.mark.parametrize("spec,n,slack,bits", [
+        ("epr", 33, 1.0, 66),                 # 4^33 amplitudes before any boost
+        ("epr", 10 ** 400, 1.0, 130),         # never formed as 2^n: 4^65 is counted
+        ("example1-pure", 1, 31.0, 67),       # 8·4^32: the boost carries the slack
+        ("example1-pure", 1, 1e300, 131),     # 8·4^64: the boost counts at most 64
     ])
-    def test_plans_no_cap_admits_raise_before_forming_dimensions(self, spec, n, slack):
-        with pytest.raises(DimensionCapError, match="2\\^64"):
+    def test_plans_no_cap_admits_raise_before_forming_dimensions(self, spec, n, slack, bits):
+        with pytest.raises(DimensionCapError,
+                           match=f"^prepared state bits: {bits} over the 64 cap$"):
             plan_merge(presets.parse_state(spec), n, slack_bits=slack)
 
     def test_bell_three_copies(self):
@@ -723,7 +724,8 @@ class TestFactoredTarget:
         assert plan.block_dim ** 2 * psi.dim ** 6 > DEFAULT_PURE_CAP
         out = run_merge(psi, plan, stream_rng(17, 6, 0))
         assert abs(out.achieved_fidelity - out.uhlmann_fidelity) <= 1e-6
-        with pytest.raises(DimensionCapError, match="prepared state"):
+        with pytest.raises(DimensionCapError,
+                           match="^prepared state amplitudes: 2097152 over the 1048576 cap$"):
             run_merge(psi, plan_merge(psi, 7), stream_rng(17, 7, 0))
 
     def test_target_cap_counts_factored_amplitudes(self):
@@ -733,7 +735,8 @@ class TestFactoredTarget:
         plan = plan_merge(psi, 2, slack_bits=0.0)
         assert plan.block_dim == 4
         run_merge(psi, plan, stream_rng(18, 2, 0), dim_cap=256)
-        with pytest.raises(DimensionCapError, match="target state"):
+        with pytest.raises(DimensionCapError,
+                           match="^recovery target amplitudes: 256 over the 128 cap$"):
             run_merge(psi, plan, stream_rng(18, 2, 0), dim_cap=128)
 
 
@@ -900,7 +903,7 @@ class TestEnsembleReference:
         plan = plan_merge(psi, 13)
         assert plan.outcome_count == 8192
         # the cap is checked before the basis is read
-        with pytest.raises(DimensionCapError, match="enumeration cap"):
+        with pytest.raises(DimensionCapError, match="^ensemble outcomes: 8192 over the 4096 cap$"):
             ensemble_reference_check(psi, plan, np.eye(1))
 
 

@@ -1,9 +1,16 @@
 """The command-line sweep of ``tools/sweep.py``: a repeat run gives the same
-bytes, and a comparison names every command line that differs."""
+bytes, a comparison names every command line that differs, and each of its
+cap commands exits 3 with one line in the one cap form."""
 
 import importlib.util
 import json
+import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from qmerge.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("sweep", ROOT / "tools" / "sweep.py")
@@ -40,3 +47,15 @@ def test_compare_prints_each_mismatch_and_exits_1(tmp_path, capsys):
         "region: stdout '1\\n' -> '2\\n'"]
     assert sweep.main(["--compare", paths[0], paths[0]]) == 0
     assert capsys.readouterr().out == "4 command lines identical\n"
+
+
+@pytest.mark.parametrize("line", sweep.CAP_COMMANDS)
+def test_each_cap_exits_3_with_one_line_in_one_form(line, tmp_path, monkeypatch, capsys):
+    for name, doc in sweep.FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QMERGE_DIM_CAP", raising=False)
+    code = main(shlex.split(line))
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"error: (.+: )?.+: \d+ over the \d+ cap\n", err)

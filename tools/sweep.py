@@ -50,6 +50,12 @@ FILES = {
     # accepted, with marginals below it
     "floor2.json": _mixed(["A", "B"], _diag([1 + 3e-9] + [-1e-9] * 3)),
     "floor3.json": _mixed(["A", "B", "C"], _diag([1 + 6.3e-9] + [-0.9e-9] * 7)),
+    # (|000> + |110>)/sqrt(2) on A, B, R: a pure file whose merge at n = 2
+    # plans L = 4, so Bob's target (256 amplitudes) outgrows the prepared
+    # state (64)
+    "bell_r0.json": {"labels": ["A", "B", "R"], "dims": [2, 2, 2], "kind": "pure",
+                     "re": [0.7071067811865476, 0, 0, 0, 0, 0, 0.7071067811865476, 0],
+                     "im": [0] * 8},
     # least eigenvalue -0.207: refused at the door
     "neg.json": {"labels": ["A", "B"], "dims": [2, 1], "kind": "mixed",
                  "re": [1, 0.5, 0.5, 0], "im": [0, 0, 0, 0]},
@@ -59,6 +65,27 @@ FILES = {
 def _sideinfo(state: str, flags: str = "") -> str:
     return f"sideinfo --state {state} --channel chan.json --seed 2 {flags}".rstrip()
 
+
+# exit 3 from each cap the CLI reaches, in the order of the README table
+CAP_COMMANDS = [
+    "entropy --state ghz:4 --of A --dim-cap 8",
+    "entropy --state ghz:1000000000 --of A",
+    "entropy --state random-pure:2x2x2:1 --of A --dim-cap 4",
+    "entropy --state bell_r0.json --of A --dim-cap 4",
+    "entropy --state floor2.json --of A --dim-cap 2",
+    "merge --state epr -n 65 --seed 1",
+    "merge --state example1-pure -n 1 --slack 31 --seed 1",
+    "merge --state epr -n 4 --seed 1 --dim-cap 32",
+    "merge --state bell_r0.json -n 2 --slack 0 --seed 1 --dim-cap 128",
+    "merge --state random-pure:1024x1x1:1 -n 2 --seed 1",
+    "merge --state cc-pure -n 9 --exhaustive --seed 1",
+    "report --state random-pure:" + "x".join(["2"] * 17) + ":1",
+    "region --state ghz:13",
+    "eoa --state ghz:15",
+    _sideinfo("random-pure:4096x2x2:1"),
+    _sideinfo("cc-pure", "--cap-out 1000 --cap-env 1000"),
+    _sideinfo("random-pure:1x2x2:1", "--cap-out 5000 --cap-env 1"),
+]
 
 COMMANDS = [
     # the README examples
@@ -124,15 +151,13 @@ COMMANDS = [
     "region --state floor3.json",
     "region --state floor3.json --mac",
     "entropy --state floor3.json --of A --given B,C",
-    # exits 2 and 3
+    # exits 2, then the exits 3 of CAP_COMMANDS
     "entropy --state neg.json --of A",
     "entropy --state nope --of A",
-    "merge --state random-pure:1024x1x1:1 -n 2 --seed 1",
     "merge --state epr --curve 1..65 --seed 1",
-    "merge --state epr -n 65 --seed 1",
     "eoa --state ghz:4 --alice A,C1 --bob C1",
     _sideinfo("cc-pure", "--restarts 1001"),
-    "report --state random-pure:" + "x".join(["2"] * 17) + ":1",
+    *CAP_COMMANDS,
 ]
 
 
