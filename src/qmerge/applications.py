@@ -92,21 +92,17 @@ class RateRegion:
 
 def compression_region(state: State) -> RateRegion:
     """Distributed-compression bounds R_T ≥ S(T | complement) for every
-    non-empty subset T of the state's parties. Entropies are never
+    non-empty subset T of the state's parties, from
+    :meth:`EntropyReport.conditional_on_rest`; the subset bound of
+    :func:`subsets_in_counting_order` bounds the work. Entropies are never
     negative, so the total rate bound S(all parties) is not either."""
     labels = state.layout.labels
     if len(labels) < 2:
         raise ValueError("need at least 2 parties")
-    subsets = subsets_in_counting_order(labels)
-    within_cap("region state dimension", state.layout.dim, DEFAULT_DENSITY_CAP)
     report = EntropyReport(state)
-    s_full = report.entropy(labels)
-    constraints = []
-    for subset in subsets:
-        complement = tuple(l for l in labels if l not in set(subset))
-        bound = s_full - (report.entropy(complement) if complement else 0.0)
-        constraints.append(RateConstraint(subset, bound))
-    return RateRegion(labels, tuple(constraints), "compression")
+    constraints = tuple(RateConstraint(t, report.conditional_on_rest(t))
+                        for t in subsets_in_counting_order(labels))
+    return RateRegion(labels, constraints, "compression")
 
 
 def mac_region(
@@ -138,21 +134,16 @@ class EoAResult:
 
 
 def eoa(psi: PureState, alice: Labels = "A", bob: Labels = "B") -> EoAResult:
-    """Entanglement of assistance: minimize min{S(A∪T), S(B∪T̄)} over all
-    splits T of the helper parties, first split in counting order on ties."""
+    """Entanglement of assistance: minimize S(A∪T) over all splits T of the
+    helper parties, first split in counting order on ties. For a pure ψ
+    S(A∪T) = S(B∪T̄), so each split is one cut with one entropy."""
     a, b = psi.layout.check_groups(alice=alice, bob=bob)
     helpers = tuple(l for l in psi.layout.labels if l not in set(a) | set(b))
     within_cap("eoa helper parties", len(helpers), MAX_HELPERS)
     report = EntropyReport(psi)
-    cut_values: dict[tuple[str, ...], float] = {}
-    best_value, best_cut = math.inf, ()
-    for t in ((), *subsets_in_counting_order(helpers)):
-        t_bar = tuple(l for l in helpers if l not in set(t))
-        cut = min(report.entropy(a + t), report.entropy(b + t_bar))
-        cut_values[t] = cut
-        if cut < best_value:
-            best_value, best_cut = cut, t
-    return EoAResult(best_value, best_cut, cut_values)
+    cut_values = {t: report.entropy(a + t) for t in ((), *subsets_in_counting_order(helpers))}
+    best_cut = min(cut_values, key=cut_values.get)   # the first of equal values
+    return EoAResult(cut_values[best_cut], best_cut, cut_values)
 
 
 @dataclass(frozen=True)

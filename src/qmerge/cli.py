@@ -175,16 +175,11 @@ def cmd_report(args) -> str:
     state = _load_state(args)
     report = EntropyReport(state)
     labels = report.labels
-    entries = []
-    for subset in subsets_in_counting_order(labels, args.max_subset):
-        rest = tuple(l for l in labels if l not in set(subset))
-        entry = {
-            "subset": ",".join(subset),
-            "entropy": report.entropy(subset),
-            "conditional_on_rest": report.conditional(subset, rest) if rest
-            else report.entropy(subset),
-        }
-        entries.append(entry)
+    entries = [{
+        "subset": ",".join(subset),
+        "entropy": report.entropy(subset),
+        "conditional_on_rest": report.conditional_on_rest(subset),
+    } for subset in subsets_in_counting_order(labels, args.max_subset)]
     obj = {
         "labels": list(labels),
         "dims": list(state.layout.dims),

@@ -3,13 +3,17 @@ information.
 
 Every function accepts either a :class:`DensityOperator` or a
 :class:`PureState`; pure inputs are reduced without forming the global
-projector, and the entropy of a full pure state is the entropy of the
-smaller half of any bipartition (zero for the whole system).
+projector. A pure state has one entropy per cut {T, T̄}, S(T) = S(T̄),
+computed once from the smaller side, or on a dimension tie from the side
+that holds the layout's first label (zero for the whole system).
 
 Groups that must be disjoint (S(A|B), I(A:B), the SSA margin) are checked
 by the layout's :meth:`~qmerge.core.SubsystemLayout.check_groups`.
 :func:`subsets_in_counting_order` holds the one work bound of every loop
 over subsets of parties: at most ``MAX_SUBSETS`` = 2^16 − 1 subsets.
+:func:`~qmerge.applications.eoa` adds a stricter one, at most
+``MAX_HELPERS`` = 12 helper parties, so at most 2^12 = 4096 cuts; the
+subset bound alone would admit 16 helpers and 65536 cuts.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .core import (
     Labels,
     PureState,
     State,
-    as_labels,
     partial_trace,
     reduced_density,
     within_cap,
@@ -44,22 +47,29 @@ def von_neumann_entropy(rho: State) -> float:
     return float(-(lam * np.log2(lam)).sum()) + 0.0
 
 
-def subset_entropy(state: State, labels: Labels) -> float:
-    """Entropy of the reduced state on ``labels``.
-
-    For a pure global state the complement side is used when smaller; the
-    two agree by purification duality.
-    """
-    subset = state.layout.check_subset(labels)
+def _side(state: State, subset: tuple[str, ...]) -> tuple[str, ...]:
+    """The labels, in layout order, whose reduced state gives S(``subset``):
+    the subset itself for a density operator. For a pure state the cut
+    {T, T̄} has one entropy, so it is the smaller side, or on a dimension tie
+    the side that holds the layout's first label. For T the whole of a pure
+    state of dimension above 1, that is the empty side."""
     if isinstance(state, DensityOperator):
-        if set(subset) == set(state.layout.labels):
-            return von_neumann_entropy(state)
-        return von_neumann_entropy(partial_trace(state, subset))
-    rest = tuple(l for l in state.layout.labels if l not in set(subset))
-    if not rest:
-        return 0.0
-    side = subset if state.layout.dim_of(subset) <= state.layout.dim_of(rest) else rest
-    return von_neumann_entropy(reduced_density(state, side))
+        return subset
+    labels = state.layout.labels
+    rest = tuple(l for l in labels if l not in subset)
+    d_t, d_r = state.layout.dim_of(subset), state.layout.dim_of(rest)
+    return subset if d_t < d_r or (d_t == d_r and labels[0] in subset) else rest
+
+
+def subset_entropy(state: State, labels: Labels) -> float:
+    """Entropy of the reduced state on ``labels``, from the reduced state on
+    their :func:`_side`: for a pure state, a subset and its complement
+    share one eigen-solve and one value (purification duality)."""
+    side = _side(state, state.layout.check_subset(labels))
+    if len(side) in (0, len(state.layout)):
+        return von_neumann_entropy(state)   # the whole state: 0 when it is pure
+    reduce = reduced_density if isinstance(state, PureState) else partial_trace
+    return von_neumann_entropy(reduce(state, side))
 
 
 def conditional_entropy(state: State, of: Labels, given: Labels) -> float:
@@ -103,11 +113,12 @@ def subsets_in_counting_order(labels: tuple[str, ...], max_size: int | None = No
 
 
 class EntropyReport:
-    """Subset entropies of one state, memoized by sorted label subset, and
-    the signed entropic quantities built from them.
+    """Subset entropies of one state, memoized by the :func:`_side` of each
+    subset, and the signed entropic quantities built from them.
 
     The 2^m subsets reappear across rate-region constraints; computing each
-    once keeps those loops cheap.
+    once keeps those loops cheap, and for a pure state a subset and its
+    complement are one entry.
     """
 
     def __init__(self, state: State):
@@ -119,10 +130,17 @@ class EntropyReport:
         return self.state.layout.labels
 
     def entropy(self, labels: Labels) -> float:
-        key = tuple(sorted(as_labels(labels)))
+        subset = self.state.layout.check_subset(labels)
+        key = _side(self.state, subset)
         if key not in self._cache:
-            self._cache[key] = subset_entropy(self.state, key)
+            self._cache[key] = subset_entropy(self.state, subset)
         return self._cache[key]
+
+    def conditional_on_rest(self, labels: Labels) -> float:
+        """S(T | rest) = S(all) − S(rest), or S(T) when T is every label."""
+        subset = self.state.layout.check_subset(labels)
+        rest = tuple(l for l in self.labels if l not in subset)
+        return self.entropy(self.labels) - self.entropy(rest) if rest else self.entropy(subset)
 
     def conditional(self, of: Labels, given: Labels) -> float:
         """S(A|B) = S(AB) − S(B); signed, negative for entangled states."""

@@ -596,4 +596,15 @@ def hadamard_basis(dim: int) -> np.ndarray:
     m = dim.bit_length() - 1
     if 2 ** m != dim:
         raise ValueError(f"Hadamard basis needs a power-of-2 dimension, got {dim}")
-    return _kron_power(np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2), m)
+    h = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    # H^⊗k sits on the rows and columns that are multiples of step = dim / 2^k;
+    # H^⊗(k+1) = H^⊗k ⊗ h fills the three interleaved grids beside it, then
+    # its own grid in place, so one D×D array is all that is held, and each
+    # entry is multiplied in np.kron's order, bit for bit
+    basis = np.empty((dim, dim), dtype=complex)
+    basis[0, 0] = 1
+    for step in (dim >> k for k in range(m)):
+        grid = basis[::step, ::step]
+        for i, j in ((0, 1), (1, 0), (1, 1), (0, 0)):
+            np.multiply(grid, h[i, j], out=basis[i * step // 2::step, j * step // 2::step])
+    return basis

@@ -26,6 +26,9 @@ from qmerge.core import (
 )
 from qmerge.merging import ZERO_PROB
 
+# pure presets with cuts whose two sides have the same dimension
+TIED_CUTS = ["random-pure:2x2x2x2:1", "random-pure:2x3x2x3:5", "random-pure:2x2x2x2x2x2:7"]
+
 
 class NoDraws:
     """A stand-in generator that fails on any draw, for checks that must

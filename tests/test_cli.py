@@ -19,6 +19,7 @@ import qmerge
 from qmerge.cli import _emit_json, main
 from qmerge.core import DimensionCapError, PureState, partial_trace
 from qmerge.presets import load_channel_file, parse_state
+from conftest import TIED_CUTS
 
 
 def run_cli(capsys, *argv):
@@ -328,6 +329,39 @@ class TestMergeCommand:
             assert out == "" and len(err.splitlines()) == 1 and match in err
         else:
             assert json.loads(out)["plan"]["n"] == 64
+
+
+class TestOneEntropyPerCut:
+    """``report``, ``region`` and ``eoa`` read one entropy per cut of a pure
+    state: one eigen-solve each, and one value for a subset and its
+    complement."""
+
+    @pytest.mark.parametrize("source", TIED_CUTS)
+    def test_report_entropy_is_minus_conditional_on_rest(self, capsys, source):
+        code, out, _ = run_cli(capsys, "report", "--state", source)
+        proper = json.loads(out)["subsets"][:-1]
+        assert code == 0 and len(proper) == 2 ** len(source.split("x")) - 2
+        assert [e["subset"] for e in proper if e["entropy"] != -e["conditional_on_rest"]] == []
+
+    @pytest.mark.parametrize("argv, solves", [
+        (("report", "--state", "ghz:12"), 2 ** 11 - 1),
+        (("region", "--state", "ghz:12"), 2 ** 11 - 1),
+        (("eoa", "--state", "ghz:14"), 2 ** 12),
+    ])
+    def test_one_eigen_solve_per_cut(self, capsys, monkeypatch, argv, solves):
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        code, _, _ = run_cli(capsys, *argv)
+        assert (code, len(calls)) == (0, solves)
+
+    def test_region_and_report_share_the_subsets_bound(self, capsys):
+        code, out, err = run_cli(capsys, "region", "--state", "ghz:13")
+        assert (code, err) == (0, "")
+        bounds = {c["subset"]: c["bound"] for c in json.loads(out)["constraints"]}
+        _, out, _ = run_cli(capsys, "report", "--state", "ghz:13")
+        assert bounds == {e["subset"]: e["conditional_on_rest"]
+                          for e in json.loads(out)["subsets"]}
+        assert len(bounds) == 2 ** 13 - 1
 
 
 class TestRegionCommand:

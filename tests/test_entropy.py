@@ -15,6 +15,7 @@ from qmerge.core import (
 from qmerge.entropy import (
     MAX_SUBSETS,
     EntropyReport,
+    _side,
     coherent_information,
     conditional_entropy,
     mutual_information,
@@ -23,7 +24,13 @@ from qmerge.entropy import (
     subsets_in_counting_order,
     von_neumann_entropy,
 )
-from conftest import maximally_mixed, permute_subsystems, random_density, random_pure_state
+from conftest import (
+    TIED_CUTS,
+    maximally_mixed,
+    permute_subsystems,
+    random_density,
+    random_pure_state,
+)
 
 
 def h2(p):
@@ -170,6 +177,29 @@ class TestIdentitySuite:
             assert abs(quantity(rho) - quantity(rotated)) < 1e-9
 
 
+class TestOneEntropyPerCut:
+    """For a pure state S(T) = S(T̄): both sides of a cut give one value, bit
+    for bit, also where the two sides have the same dimension."""
+
+    @pytest.mark.parametrize("source", TIED_CUTS)
+    def test_a_subset_and_its_complement_agree_bitwise(self, source):
+        psi = presets.parse_state(source)
+        report = EntropyReport(psi)
+        for t in subsets_in_counting_order(psi.layout.labels)[:-1]:
+            t_bar = tuple(l for l in psi.layout.labels if l not in t)
+            assert subset_entropy(psi, t) == subset_entropy(psi, t_bar)
+            assert report.entropy(t) == report.entropy(t_bar) == subset_entropy(psi, t)
+
+    def test_a_tie_takes_the_side_that_holds_the_first_label(self):
+        psi = presets.parse_state("random-pure:2x3x2x3:5")
+        # dims A 2, B 3, C1 2, C2 3
+        assert _side(psi, ("B", "C1")) == ("A", "C2")
+        assert _side(psi, ("A", "C2")) == ("A", "C2")
+        assert _side(psi, ("A", "B", "C1")) == ("C2",)
+        assert _side(psi, ("A", "B", "C1", "C2")) == ()
+        assert _side(psi.density(), ("B", "C1")) == ("B", "C1")
+
+
 class TestEntropyReport:
     def test_matches_direct_computation(self):
         rng = np.random.default_rng(9)
@@ -180,12 +210,13 @@ class TestEntropyReport:
         assert abs(report.conditional("A", "B") - conditional_entropy(rho, "A", "B")) < 1e-12
         assert abs(report.mutual("A", ("B", "C")) - mutual_information(rho, "A", ("B", "C"))) < 1e-12
 
-    def test_memoizes_per_sorted_subset(self):
+    def test_memoizes_one_entry_per_cut(self):
+        # a pure state's subset and its complement are one cut: A,B in any
+        # order and C1 share the entry of the smaller side
         report = EntropyReport(presets.ghz(3))
-        report.entropy(("B", "A"))
-        assert ("A", "B") in report._cache
-        report.entropy(("A", "B"))
-        assert len([k for k in report._cache if set(k) == {"A", "B"}]) == 1
+        for labels in (("B", "A"), ("A", "B"), ("C1",)):
+            assert report.entropy(labels) == 1.0
+        assert report._cache == {("C1",): 1.0}
 
     def test_subset_enumeration_order(self):
         report = EntropyReport(presets.ghz(3))

@@ -279,6 +279,28 @@ class TestRunMerge:
             run_merge(seed11_state, plan, stream_rng(4, 3, 0), dim_cap=64)
 
 
+class TestHadamardBasis:
+    H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+    @pytest.mark.parametrize("m", range(11))
+    def test_bitwise_the_kron_power(self, m):
+        got = hadamard_basis(2 ** m)
+        want = qmerge.merging._kron_power(self.H, m)
+        assert got.shape == want.shape == (2 ** m, 2 ** m)
+        # the bits of each float, so the signs of zero imaginary parts count
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_holds_one_d_by_d_array(self):
+        dim = 1024
+        tracemalloc.start()
+        try:
+            hadamard_basis(dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 16 * dim ** 2
+
+
 class TestBlockMeasure:
     # Alice's coarse-grained measurement: her basis is cut into blocks of L
     # rows, and each outcome is checked through run_merge_exhaustive and

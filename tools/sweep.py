@@ -80,7 +80,6 @@ CAP_COMMANDS = [
     "merge --state random-pure:1024x1x1:1 -n 2 --seed 1",
     "merge --state cc-pure -n 9 --exhaustive --seed 1",
     "report --state random-pure:" + "x".join(["2"] * 17) + ":1",
-    "region --state ghz:13",
     "eoa --state ghz:15",
     _sideinfo("random-pure:4096x2x2:1"),
     _sideinfo("cc-pure", "--cap-out 1000 --cap-env 1000"),
@@ -128,6 +127,10 @@ COMMANDS = [
     "region --state epr --point=1,-1.5 --format csv",
     "region --state ghz:12",
     "region --state ghz:12 --format csv",
+    "region --state ghz:13",
+    # cuts whose two sides have the same dimension
+    "report --state random-pure:2x2x2x2:1",
+    "eoa --state random-pure:2x2x2x2:1",
     # the E_p search
     _sideinfo("cc-pure", "--restarts 1"),
     _sideinfo("cc-pure", "--restarts 7"),
