@@ -105,23 +105,22 @@ def compression_region(state: State) -> RateRegion:
     return RateRegion(labels, constraints, "compression")
 
 
-def mac_region(
-    state: State,
-    sender_a: Labels = "A",
-    sender_b: Labels = "B",
-    decoder: Labels = "C",
-) -> RateRegion:
+def mac_region(state: State) -> RateRegion:
     """Achievable quantum multiple-access rates in terms of signed coherent
-    information: R_A ≤ I(A⟩CB), R_B ≤ I(B⟩CA), R_A+R_B ≤ I(AB⟩C)."""
-    a, b, c = state.layout.check_groups(sender_a=sender_a, sender_b=sender_b, decoder=decoder)
+    information: R_A ≤ I(A⟩CB), R_B ≤ I(B⟩CA), R_A+R_B ≤ I(AB⟩C).
+
+    The senders are parties A and B and the decoder C is every other party,
+    as in ``region --mac``; a state with no other party has an empty
+    decoder and raises ``ValueError``."""
+    decoder = tuple(l for l in state.layout.labels if l not in ("A", "B"))
+    a, b, c = state.layout.check_groups(sender_a="A", sender_b="B", decoder=decoder)
     report = EntropyReport(state)
-    name_a, name_b = ",".join(a), ",".join(b)
     constraints = (
-        RateConstraint((name_a,), report.coherent(a, c + b)),
-        RateConstraint((name_b,), report.coherent(b, c + a)),
-        RateConstraint((name_a, name_b), report.coherent(a + b, c)),
+        RateConstraint(a, report.coherent(a, c + b)),
+        RateConstraint(b, report.coherent(b, c + a)),
+        RateConstraint(a + b, report.coherent(a + b, c)),
     )
-    return RateRegion((name_a, name_b), constraints, "mac")
+    return RateRegion(a + b, constraints, "mac")
 
 
 @dataclass(frozen=True)
@@ -395,21 +394,21 @@ def side_info_rates(
     psi: PureState,
     ch: ChannelSpec,
     *,
-    alice: Labels = "A",
     restarts: int = 4,
     cap_out: int | None = None,
     cap_env: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> SideInfoResult:
     """Achievable side-information corner for one choice of the helper
-    channel: R_a = S(A|U) and R_b = E_p estimate − S(A|U).
+    channel: R_a = S(A|U) and R_b = E_p estimate − S(A|U), with Alice party
+    A and U the channel's output, whose input must be another party.
 
     ψ is reduced to Alice and the channel's input before the channel acts,
     so |ψ⟩⟨ψ| is never formed. Raises :class:`DimensionCapError`, before
     forming anything, when ρ over Alice and the input or ρ′ over Alice and
     the output has a side over the density cap.
     """
-    a, _ = psi.layout.check_groups(alice=alice, channel_input=ch.input_label)
+    a, _ = psi.layout.check_groups(alice="A", channel_input=ch.input_label)
     d_a = psi.layout.dim_of(a)
     for side in (d_a * psi.layout.dim_of(ch.input_label), d_a * ch.out_dim):
         within_cap("sideinfo density side", side, DEFAULT_DENSITY_CAP)

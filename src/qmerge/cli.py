@@ -2,7 +2,10 @@
 
 Results go to stdout (JSON by default, CSV with ``--format csv``),
 diagnostics to stderr. Exit codes: 0 success, 2 usage error, 3 dimension cap
-exceeded or, with a cap raised beyond the machine, memory exhausted. All
+exceeded or, with a cap raised beyond the machine, memory exhausted. The
+pure-state cap comes from ``--dim-cap`` alone; no environment variable is
+read. The roles are the paper's: ``merge`` moves A's share to B, and
+``region --mac`` has senders A and B and every other party as decoder. All
 randomness is derived from the ``--seed`` flag through per-consumer streams
 keyed as (seed, n, trial) for merge trials, so repeated invocations are
 byte-identical and adding trials never perturbs earlier ones.
@@ -16,7 +19,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 
 from .applications import (
@@ -28,7 +30,6 @@ from .applications import (
     side_info_rates,
 )
 from .core import (
-    DEFAULT_DENSITY_CAP,
     DEFAULT_PURE_CAP,
     DimensionCapError,
     PureState,
@@ -48,8 +49,6 @@ from .merging import (
     run_merge_exhaustive,
 )
 from .presets import load_channel_file, parse_state
-
-ENV_DIM_CAP = "QMERGE_DIM_CAP"
 
 
 def _fmt_bits(value: float) -> str:
@@ -112,7 +111,6 @@ _slack_bits = _bounded_arg(float, lambda v: math.isfinite(v) and v >= 0,
 
 def _plan_dict(plan: MergePlan) -> dict:
     d = dataclasses.asdict(plan)
-    del d["alice"], d["bob"]
     for key in ("predicted_epr_bits", "predicted_cbits", "target_rate"):
         d[key] = getattr(plan, key)
     return d
@@ -139,21 +137,8 @@ def _emit(args, json_obj, header, rows) -> str:
     return _emit_json(json_obj)
 
 
-def _pure_cap(args) -> int:
-    if args.dim_cap is not None:
-        return args.dim_cap
-    text = os.environ.get(ENV_DIM_CAP)
-    if text is None:
-        return DEFAULT_PURE_CAP
-    try:
-        return _positive_int(text)
-    except argparse.ArgumentTypeError as err:
-        raise ValueError(f"{ENV_DIM_CAP}: {err}") from None
-
-
 def _load_state(args):
-    cap = _pure_cap(args)
-    return parse_state(args.state, cap, min(cap, DEFAULT_DENSITY_CAP))
+    return parse_state(args.state, args.dim_cap)
 
 
 def _require_pure(state, command: str) -> PureState:
@@ -191,7 +176,7 @@ def cmd_report(args) -> str:
 
 def cmd_merge(args) -> str:
     state = _require_pure(_load_state(args), "merge")
-    cap, trials = _pure_cap(args), args.trials or 1
+    cap, trials = args.dim_cap, args.trials or 1
     if args.curve:
         rows = monte_carlo_merge(
             state, range(args.curve[0], args.curve[1] + 1), trials,
@@ -235,11 +220,7 @@ def _region_dict(region: RateRegion) -> dict:
 
 def cmd_region(args) -> str:
     state = _load_state(args)
-    if args.mac:
-        decoder = tuple(l for l in state.layout.labels if l not in ("A", "B"))
-        region = mac_region(state, "A", "B", decoder)
-    else:
-        region = compression_region(state)
+    region = mac_region(state) if args.mac else compression_region(state)
     obj = _region_dict(region)
     header = ("subset", "bound")
     rows = [(",".join(c.subset), c.bound) for c in region.constraints]
@@ -279,15 +260,8 @@ def cmd_sideinfo(args) -> str:
         state, channel, restarts=args.restarts, rng=stream_rng(args.seed),
         cap_out=args.cap_out, cap_env=args.cap_env,
     )
-    ep = {
-        "value": result.ep.value,
-        "restarts_used": result.ep.restarts_used,
-        "converged": result.ep.converged,
-        "lower": result.ep.lower,
-        "upper": result.ep.upper,
-        "restart_min": result.ep.restart_min,
-        "restart_max": result.ep.restart_max,
-    }
+    ep = {f.name: getattr(result.ep, f.name)
+          for f in dataclasses.fields(result.ep) if f.name != "channel"}
     header = ("r_a", "r_b", "ep_value", "ep_restarts", "ep_converged",
               "ep_lower", "ep_upper", "ep_restart_min", "ep_restart_max")
     return _emit(args, {"r_a": result.r_a, "r_b": result.r_b, "ep": ep}, header,
@@ -306,9 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--state", required=True,
                         help="preset name or path to a JSON state file")
     common.add_argument("--format", choices=("json", "csv"), default="json")
-    common.add_argument("--dim-cap", type=_positive_int, default=None,
-                        help=f"pure-state amplitude cap (default {DEFAULT_PURE_CAP}, "
-                             f"env {ENV_DIM_CAP})")
+    common.add_argument("--dim-cap", type=_positive_int, default=DEFAULT_PURE_CAP,
+                        help=f"pure-state amplitude cap (default {DEFAULT_PURE_CAP})")
 
     parser = _Parser(
         prog="qmerge",
@@ -342,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("region", parents=[common], help="rate-region constraints")
     p.add_argument("--mac", action="store_true",
-                   help="multiple-access bounds on A,B into decoder C")
+                   help="multiple-access bounds on A,B into the other parties")
     p.add_argument("--point", type=_rates_arg, default=None,
                    help="comma-separated rates to test for membership")
     p.set_defaults(func=cmd_region)

@@ -1,12 +1,12 @@
 """Simulation of the state-merging protocol.
 
-One run takes n copies of a tripartite pure state shared by Alice, Bob and a
-reference, pre-invests EPR pairs when the conditional entropy is positive,
-measures Alice's block in a (Haar-random or injected) basis coarse-grained to
-blocks of size L, and checks how well Bob's optimal local recovery
-reconstructs the global state while the reference stays untouched. Resources
-are tallied in ebits (log2 L net of the boost) and cbits (log2 of the
-outcome count).
+One run takes n copies of a tripartite pure state shared by Alice (party
+A), Bob (party B) and a reference (every other party), pre-invests EPR
+pairs when the conditional entropy is positive, measures Alice's block in a
+(Haar-random or injected) basis coarse-grained to blocks of size L, and
+checks how well Bob's optimal local recovery reconstructs the global state
+while the reference stays untouched. Resources are tallied in ebits
+(log2 L net of the boost) and cbits (log2 of the outcome count).
 
 Every state of a run is a plain array of three fused axes (A|A1, R, B):
 Alice's share (A before the measurement, A1 after), the reference parties
@@ -98,8 +98,6 @@ class MergePlan:
     cond_entropy: float  # per-copy S(A|B) of the input state
     slack_bits: float
     rate_clipped: bool   # no L ≥ 1 satisfied the rate budget; fell back to L=1
-    alice: str = "A"
-    bob: str = "B"
 
     def __post_init__(self):
         if self.block_dim < 1 or self.k_boost < 0:
@@ -108,8 +106,6 @@ class MergePlan:
             raise ValueError("block_dim * outcome_count must equal alice_dim")
         if self.k_boost > 0 and self.cond_entropy <= 0:
             raise ValueError("EPR boost only applies when S(A|B) > 0")
-        if self.alice == self.bob:
-            raise ValueError(f"alice and bob are the same party {self.alice!r}")
 
     @property
     def predicted_epr_bits(self) -> float:
@@ -166,11 +162,11 @@ def plan_merge(
     psi: PureState,
     n: int,
     slack_bits: float = DEFAULT_SLACK_BITS,
-    alice: str = "A",
-    bob: str = "B",
 ) -> MergePlan:
     """Choose block size, outcome count and EPR boost for n copies.
 
+    Alice is party A and Bob party B, as in the paper; every other party is
+    the reference. A ψ without A or B raises ``ValueError`` before any count.
     Positive S(A|B) is first cancelled by pre-invested EPR pairs; the block
     then targets rate −S(A|B) per copy, backed off by ``slack_bits`` and
     restricted to powers of the smallest prime factor of Alice's dimension
@@ -186,15 +182,15 @@ def plan_merge(
         raise ValueError("n must be >= 1")
     if slack_bits < 0:
         raise ValueError("slack_bits must be >= 0")
-    for label in (alice, bob):
+    for label in ("A", "B"):
         psi.layout.position(label)
     # (x − 1).bit_length() is ⌈log2 x⌉ for x ≥ 1
     within_cap("prepared state bits",
                (psi.dim ** min(n, _MAX_PLAN_BITS + 1) - 1).bit_length(), _MAX_PLAN_BITS)
     if n > _MAX_PLAN_BITS:
         raise ValueError(f"n must be <= {_MAX_PLAN_BITS}")
-    s = conditional_entropy(psi, alice, bob)
-    d_a = psi.layout.dim_of(alice)
+    s = conditional_entropy(psi, "A", "B")
+    d_a = psi.layout.dim_of("A")
     k = _ceil_bits(n * s) + _ceil_bits(slack_bits) if s > 1e-9 else 0
     within_cap("prepared state bits",
                (psi.dim ** n * 4 ** min(k, _MAX_PLAN_BITS) - 1).bit_length(), _MAX_PLAN_BITS)
@@ -221,8 +217,6 @@ def plan_merge(
         cond_entropy=s,
         slack_bits=slack_bits,
         rate_clipped=clipped,
-        alice=alice,
-        bob=bob,
     )
 
 
@@ -253,7 +247,7 @@ def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
     """
     boost = 2 ** plan.k_boost
     within_cap("prepared state amplitudes", psi.dim ** plan.n * boost ** 2, dim_cap)
-    d_a, d_b = psi.layout.dim_of(plan.alice), psi.layout.dim_of(plan.bob)
+    d_a, d_b = psi.layout.dim_of("A"), psi.layout.dim_of("B")
     if d_a ** plan.n * boost != plan.alice_dim:
         raise ValueError("plan is inconsistent with the state's dimensions")
     d_r = psi.dim // (d_a * d_b)
@@ -297,7 +291,7 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary=None) -> _Setu
     """
     check_caps(psi, plan, dim_cap)
     basis = None if unitary is None else _checked(unitary, plan.alice_dim)
-    pa, pb = psi.layout.position(plan.alice), psi.layout.position(plan.bob)
+    pa, pb = psi.layout.position("A"), psi.layout.position("B")
     others = [i for i in range(len(psi.layout)) if i not in (pa, pb)]
     one = psi.tensor_view().transpose([pa, *others, pb])
     one = one.reshape(one.shape[0], -1, one.shape[-1])

@@ -92,11 +92,13 @@ def _random_labels(count: int) -> tuple[str, ...]:
     return ("A", "B") + tuple(f"C{i}" for i in range(1, count - 1))
 
 
-def random_pure(dims, seed: int, labels=None) -> PureState:
+def random_pure(dims, seed: int) -> PureState:
     """Haar-random pure state: a normalized complex standard-Gaussian vector
-    drawn from ``default_rng(seed)`` (real parts first, then imaginary)."""
+    drawn from ``default_rng(seed)`` (real parts first, then imaginary), on
+    the parties of the ``random-pure`` preset: A; A, B; A, B, R; or A, B,
+    C1, C2, … for four or more."""
     dims = tuple(int(d) for d in dims)
-    labels = tuple(labels) if labels is not None else _random_labels(len(dims))
+    labels = _random_labels(len(dims))
     rng = np.random.default_rng(seed)
     n = math.prod(dims)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -112,12 +114,9 @@ _FIXED_PRESETS = {
 }
 
 
-def parse_state(
-    source: str,
-    pure_cap: int = DEFAULT_PURE_CAP,
-    density_cap: int = DEFAULT_DENSITY_CAP,
-) -> State:
-    """Resolve a preset string or load a JSON state file."""
+def parse_state(source: str, pure_cap: int = DEFAULT_PURE_CAP) -> State:
+    """Resolve a preset string or load a JSON state file, with the caps of
+    :func:`load_state_file`."""
     if source in _FIXED_PRESETS:
         return _FIXED_PRESETS[source]()
     if source.startswith("ghz:"):
@@ -143,7 +142,7 @@ def parse_state(
         within_cap("random-pure amplitudes", math.prod(dims), pure_cap)
         return random_pure(dims, seed)
     if os.path.exists(source):
-        return load_state_file(source, pure_cap, density_cap)
+        return load_state_file(source, pure_cap)
     raise ValueError(
         f"unknown preset or missing file {source!r}; presets are "
         f"{sorted(_FIXED_PRESETS)} plus ghz:m and random-pure:dims:seed"
@@ -191,8 +190,9 @@ def _complex_array(doc: dict) -> np.ndarray:
     return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
 
 
-def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
-                    density_cap: int = DEFAULT_DENSITY_CAP) -> State:
+def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP) -> State:
+    """A pure file's amplitudes are held to ``pure_cap``, and a mixed file's
+    side to min(``pure_cap``, ``DEFAULT_DENSITY_CAP``)."""
     doc = _load_json(path)
     with _naming(path):
         for field in ("labels", "dims", "kind"):
@@ -217,7 +217,7 @@ def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP,
                 raise ValueError(f"norm {norm} violates 1 beyond {FILE_NORM_TOL}")
             return PureState(layout, data / norm)
         if doc["kind"] == "mixed":
-            within_cap("mixed file side", d, density_cap)
+            within_cap("mixed file side", d, min(pure_cap, DEFAULT_DENSITY_CAP))
             if data.shape != (d * d,):
                 raise ValueError(f"expected {d * d} matrix entries, got {data.shape[0]}")
             mat = data.reshape(d, d)

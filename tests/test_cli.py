@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import qmerge
+from qmerge.applications import mac_region
 from qmerge.cli import _emit_json, main
 from qmerge.core import DimensionCapError, PureState, partial_trace
 from qmerge.presets import load_channel_file, parse_state
@@ -137,6 +138,20 @@ class TestParseState:
         assert parse_state("ghz:3", pure_cap=8).dim == 8
         with pytest.raises(DimensionCapError, match="^ghz qubits: 4 over the 3 cap$"):
             parse_state("ghz:4", pure_cap=8)
+
+    def test_mixed_file_side_follows_the_pure_cap(self, capsys, tmp_path):
+        # a library caller gets the side cap the CLI applies, min(pure cap, 2^12)
+        path = tmp_path / "mixed16.json"
+        path.write_text(json.dumps({
+            "labels": ["A", "B", "C", "D"], "dims": [2, 2, 2, 2], "kind": "mixed",
+            "re": (np.eye(16) / 16).reshape(-1).tolist(), "im": [0] * 256}))
+        assert parse_state(str(path), pure_cap=16).dim == 16
+        message = f"{path}: mixed file side: 16 over the 8 cap"
+        with pytest.raises(DimensionCapError, match=f"^{re.escape(message)}$"):
+            parse_state(str(path), pure_cap=8)
+        code, out, err = run_cli(capsys, "entropy", "--state", str(path), "--of", "A",
+                                 "--dim-cap", "8")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_channel_file_rejects_non_finite(self, tmp_path, bad):
@@ -267,16 +282,11 @@ class TestMergeCommand:
                                  "--seed", "1", "--dim-cap", "32")
         assert code == 3 and out == ""
 
-    def test_env_cap_respected(self, capsys, monkeypatch):
+    def test_cap_is_not_read_from_the_environment(self, capsys, monkeypatch):
+        # --dim-cap is the one route to the pure cap
         monkeypatch.setenv("QMERGE_DIM_CAP", "32")
-        code, out, _ = run_cli(capsys, "merge", "--state", "epr", "-n", "4", "--seed", "1")
-        assert code == 3 and out == ""
-
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QMERGE_DIM_CAP", "32")
-        code, _, _ = run_cli(capsys, "merge", "--state", "epr", "-n", "4",
-                             "--seed", "1", "--dim-cap", "1048576")
-        assert code == 0
+        code, out, err = run_cli(capsys, "merge", "--state", "epr", "-n", "4", "--seed", "1")
+        assert code == 0 and out and err == ""
 
     @pytest.mark.parametrize("basis", ["haar", "hadamard"])
     def test_alice_basis_over_the_cap_exits_3_before_building_it(
@@ -293,12 +303,12 @@ class TestMergeCommand:
         assert (code, out) == (3, "")
         assert err == "error: Alice's basis entries: 1099511627776 over the 1048576 cap\n"
 
-    @pytest.mark.parametrize("basis,cap_from,message,shown", [
-        ("haar", "flag", "Unable to allocate 16.0 TiB", "Unable to allocate 16.0 TiB"),
-        ("hadamard", "env", "", "out of memory"),
-    ], ids=["haar-flag", "hadamard-env"])
+    @pytest.mark.parametrize("basis,message,shown", [
+        ("haar", "Unable to allocate 16.0 TiB", "Unable to allocate 16.0 TiB"),
+        ("hadamard", "", "out of memory"),
+    ], ids=["haar-flag", "hadamard-flag"])
     def test_cap_raised_beyond_the_machine_exits_3(
-            self, capsys, monkeypatch, basis, cap_from, message, shown):
+            self, capsys, monkeypatch, basis, message, shown):
         # a 2^41 cap admits Alice's 2^20 x 2^20 arrays, which no machine
         # holds; the stubs raise where they would be allocated, and
         # allocate nothing
@@ -307,12 +317,8 @@ class TestMergeCommand:
 
         monkeypatch.setattr(qmerge.cli, "merge_trials", out_of_memory)
         monkeypatch.setattr(qmerge.cli, "hadamard_basis", out_of_memory)
-        cap = str(2 ** 41)
-        flags = ["--dim-cap", cap] if cap_from == "flag" else []
-        if cap_from == "env":
-            monkeypatch.setenv("QMERGE_DIM_CAP", cap)
         code, out, err = run_cli(capsys, "merge", "--state", "random-pure:1024x1x1:1", "-n", "2",
-                                 "--seed", "1", "--basis", basis, *flags)
+                                 "--seed", "1", "--basis", basis, "--dim-cap", str(2 ** 41))
         assert (code, out, err) == (3, "", f"error: {shown}\n")
 
     @pytest.mark.parametrize("state,n,code,match", [
@@ -410,6 +416,15 @@ class TestRegionCommand:
         doc = json.loads(out)
         assert doc["kind"] == "mac"
         assert [c["subset"] for c in doc["constraints"]] == ["A", "B", "A,B"]
+
+    def test_mac_bounds_are_the_library_region(self, capsys):
+        # GHZ on A, B, C1, C2: mac_region and `region --mac` both take the
+        # decoder (C1, C2)
+        _, out, _ = run_cli(capsys, "region", "--state", "ghz:4", "--mac")
+        printed = [c["bound"] for c in json.loads(out)["constraints"]]
+        library = mac_region(parse_state("ghz:4").density())
+        assert printed == [1.0, 1.0, 1.0]
+        np.testing.assert_allclose([c.bound for c in library.constraints], printed, atol=1e-9)
 
 
 def printed_numbers(out: str, fmt: str) -> list[float]:
@@ -717,14 +732,6 @@ class TestFileShapes:
         path.write_text("[1, 2]")
         code, out, err = run_cli(capsys, "entropy", "--state", str(path), "--of", "A")
         assert code == 2 and out == "" and len(err.splitlines()) == 1
-
-
-@pytest.mark.parametrize("value", ["0", "abc"])
-def test_bad_env_cap_exits_2_naming_the_variable(capsys, monkeypatch, value):
-    monkeypatch.setenv("QMERGE_DIM_CAP", value)
-    code, out, err = run_cli(capsys, "entropy", "--state", "epr", "--of", "A")
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "QMERGE_DIM_CAP" in err
 
 
 @pytest.mark.parametrize("argv", [

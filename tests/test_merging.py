@@ -217,17 +217,6 @@ class TestPlanMerge:
             MergePlan(n=1, block_dim=1, outcome_count=2, k_boost=1, alice_dim=2,
                       cond_entropy=-1.0, slack_bits=0.0, rate_clipped=False)
 
-    def test_alice_equal_to_bob_rejected(self):
-        """A hand-built plan naming one party twice is refused when it is
-        built, not deep in the merge kernel; ``plan_merge`` refuses it
-        through the group check of S(A|B)."""
-        with pytest.raises(ValueError, match="same party 'A'"):
-            MergePlan(n=1, block_dim=1, outcome_count=2, k_boost=0, alice_dim=2,
-                      cond_entropy=0.0, slack_bits=0.0, rate_clipped=False,
-                      alice="A", bob="A")
-        with pytest.raises(ValueError, match=re.escape("overlap on ['A']")):
-            plan_merge(presets.cc_purification(), 1, alice="A", bob="A")
-
 
 class TestRunMerge:
     def test_bell_pair_keeps_the_entanglement(self):
@@ -763,17 +752,13 @@ class TestFactoredTarget:
 
 
 class TestMergeLayoutInvariance:
-    # the subsystem order and the role labels of the input state must not
-    # change which outcomes are drawn or how they score
-    @pytest.mark.parametrize("variant", ["permuted", "relabeled"])
-    def test_same_outcomes(self, seed11_state, variant):
-        if variant == "permuted":
-            psi, roles = permute_subsystems(seed11_state, ("R", "B", "A")), {}
-        else:
-            psi, roles = relabeled(seed11_state, {"A": "X", "B": "Y"}), {"alice": "X", "bob": "Y"}
+    # the subsystem order of the input state must not change which outcomes
+    # are drawn or how they score
+    def test_same_outcomes(self, seed11_state):
+        psi = permute_subsystems(seed11_state, ("R", "B", "A"))
         base = merge_trials(seed11_state, plan_merge(seed11_state, 2),
                             (stream_rng(11, 2, t) for t in range(5)))
-        moved = merge_trials(psi, plan_merge(psi, 2, **roles),
+        moved = merge_trials(psi, plan_merge(psi, 2),
                              (stream_rng(11, 2, t) for t in range(5)))
         for a, b in zip(base, moved, strict=True):
             assert a.outcome_index == b.outcome_index

@@ -54,7 +54,6 @@ def test_each_cap_exits_3_with_one_line_in_one_form(line, tmp_path, monkeypatch,
     for name, doc in sweep.FILES.items():
         (tmp_path / name).write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("QMERGE_DIM_CAP", raising=False)
     code = main(shlex.split(line))
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")

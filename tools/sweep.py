@@ -128,6 +128,9 @@ COMMANDS = [
     "region --state ghz:12",
     "region --state ghz:12 --format csv",
     "region --state ghz:13",
+    # a multiple-access decoder of two parties, C1 and C2
+    "region --state ghz:4 --mac",
+    "region --state ghz:4 --mac --format csv",
     # cuts whose two sides have the same dimension
     "report --state random-pure:2x2x2x2:1",
     "eoa --state random-pure:2x2x2x2:1",
@@ -159,6 +162,7 @@ COMMANDS = [
     "entropy --state nope --of A",
     "merge --state epr --curve 1..65 --seed 1",
     "eoa --state ghz:4 --alice A,C1 --bob C1",
+    "region --state epr --mac",  # an empty decoder
     _sideinfo("cc-pure", "--restarts 1001"),
     *CAP_COMMANDS,
 ]
