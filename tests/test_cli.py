@@ -426,6 +426,23 @@ class TestRegionCommand:
         assert printed == [1.0, 1.0, 1.0]
         np.testing.assert_allclose([c.bound for c in library.constraints], printed, atol=1e-9)
 
+    @pytest.mark.parametrize("spec", ["ghz:3", "random-pure:2x2x2:3", "random-pure:2x2x2x2:1"])
+    def test_mac_decoder_is_every_other_party(self, capsys, spec):
+        # decoder C, R or (C1, C2): the library and the CLI give one region
+        _, out, _ = run_cli(capsys, "region", "--state", spec, "--mac")
+        printed = [(c["subset"], c["bound"]) for c in json.loads(out)["constraints"]]
+        library = mac_region(parse_state(spec).density())
+        assert [s for s, _ in printed] == ["A", "B", "A,B"]
+        np.testing.assert_allclose([c.bound for c in library.constraints],
+                                   [b for _, b in printed], atol=1e-12)
+
+    def test_mac_without_a_decoder_exits_2_as_the_library_raises(self, capsys):
+        message = "decoder must be a non-empty label set"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mac_region(parse_state("epr").density())
+        code, out, err = run_cli(capsys, "region", "--state", "epr", "--mac")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 def printed_numbers(out: str, fmt: str) -> list[float]:
     """Every float literal of a JSON document, or every CSV field that parses
@@ -732,6 +749,15 @@ class TestFileShapes:
         path.write_text("[1, 2]")
         code, out, err = run_cli(capsys, "entropy", "--state", str(path), "--of", "A")
         assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_stale_env_cap_is_ignored(capsys, monkeypatch, value):
+    # a value the old QMERGE_DIM_CAP route refused changes nothing now
+    expected = run_cli(capsys, "entropy", "--state", "epr", "--of", "A")
+    monkeypatch.setenv("QMERGE_DIM_CAP", value)
+    assert run_cli(capsys, "entropy", "--state", "epr", "--of", "A") == expected
+    assert expected[0] == 0 and expected[2] == ""
 
 
 @pytest.mark.parametrize("argv", [

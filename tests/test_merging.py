@@ -209,6 +209,13 @@ class TestPlanMerge:
         plan = plan_merge(presets.bell_pair(), 3, slack_bits=1.0)
         assert plan.block_dim == 4  # one bit under the n=3 budget
 
+    @pytest.mark.parametrize("missing", ["A", "B"])
+    def test_missing_role_raises_before_any_count(self, missing):
+        # at 10^400 copies any count would raise DimensionCapError first
+        psi = relabeled(presets.bell_pair(), {missing: "C"})
+        with pytest.raises(ValueError, match=f"^unknown subsystem label '{missing}'$"):
+            plan_merge(psi, 10 ** 400)
+
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             MergePlan(n=1, block_dim=2, outcome_count=2, k_boost=0, alice_dim=2,
@@ -752,10 +759,14 @@ class TestFactoredTarget:
 
 
 class TestMergeLayoutInvariance:
-    # the subsystem order of the input state must not change which outcomes
-    # are drawn or how they score
-    def test_same_outcomes(self, seed11_state):
-        psi = permute_subsystems(seed11_state, ("R", "B", "A"))
+    # neither the subsystem order of the input state nor the name of its
+    # reference party may change which outcomes are drawn or how they score
+    @pytest.mark.parametrize("variant", ["permuted", "relabeled"])
+    def test_same_outcomes(self, seed11_state, variant):
+        if variant == "permuted":
+            psi = permute_subsystems(seed11_state, ("R", "B", "A"))
+        else:
+            psi = relabeled(seed11_state, {"R": "E"})
         base = merge_trials(seed11_state, plan_merge(seed11_state, 2),
                             (stream_rng(11, 2, t) for t in range(5)))
         moved = merge_trials(psi, plan_merge(psi, 2),
