@@ -16,6 +16,7 @@ from .core import (
     DEFAULT_PURE_CAP,
     DensityOperator,
     Labels,
+    MAX_RESTARTS,
     PureState,
     State,
     apply_channel,
@@ -35,7 +36,6 @@ from .entropy import (
 )
 
 MAX_HELPERS = 12
-MAX_RESTARTS = 1_000   # most restarts of one EP search and of `sideinfo --restarts`
 
 
 @dataclass(frozen=True)

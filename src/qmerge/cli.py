@@ -3,15 +3,26 @@
 Results go to stdout (JSON by default, CSV with ``--format csv``),
 diagnostics to stderr. Exit codes: 0 success, 2 usage error, 3 dimension cap
 exceeded or, with a cap raised beyond the machine, memory exhausted. The
-pure-state cap comes from ``--dim-cap`` alone; no environment variable is
-read. The roles are the paper's: ``merge`` moves A's share to B, and
-``region --mac`` has senders A and B and every other party as decoder. All
-randomness is derived from the ``--seed`` flag through per-consumer streams
-keyed as (seed, n, trial) for merge trials, so repeated invocations are
-byte-identical and adding trials never perturbs earlier ones.
+pure-state cap comes from ``--dim-cap`` alone. The roles are the paper's:
+``merge`` moves A's share to B, and ``region --mac`` has senders A and B and
+every other party as decoder. All randomness is derived from the ``--seed``
+flag through per-consumer streams keyed as (seed, n, trial) for merge trials,
+so repeated invocations are byte-identical and adding trials never perturbs
+earlier ones.
+
+Importing this module sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` to 1 before numpy loads, overwriting the caller's values:
+the commands' products are small, and one thread makes stdout independent of
+the caller's thread settings. No other environment variable is read. Each
+command imports only the modules it runs.
 """
 
 from __future__ import annotations
+
+import os
+
+for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_threads] = "1"  # before numpy loads; see the module docstring
 
 import argparse
 import csv
@@ -20,35 +31,22 @@ import io
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
-from .applications import (
-    MAX_RESTARTS,
-    RateRegion,
-    compression_region,
-    eoa,
-    mac_region,
-    side_info_rates,
-)
 from .core import (
+    _MAX_PLAN_BITS,
     DEFAULT_PURE_CAP,
+    MAX_RESTARTS,
+    MAX_TRIALS,
     DimensionCapError,
     PureState,
     stream_rng,
 )
-from .entropy import EntropyReport, conditional_entropy, subset_entropy, subsets_in_counting_order
-from .merging import (
-    _MAX_PLAN_BITS,
-    MAX_TRIALS,
-    CurveRow,
-    MergePlan,
-    check_caps,
-    hadamard_basis,
-    merge_trials,
-    monte_carlo_merge,
-    plan_merge,
-    run_merge_exhaustive,
-)
 from .presets import load_channel_file, parse_state
+
+if TYPE_CHECKING:  # each command imports what it runs
+    from .applications import RateRegion
+    from .merging import MergePlan
 
 
 def _fmt_bits(value: float) -> str:
@@ -116,9 +114,6 @@ def _plan_dict(plan: MergePlan) -> dict:
     return d
 
 
-_CURVE_FIELDS = tuple(f.name for f in dataclasses.fields(CurveRow))
-
-
 def _emit_json(obj) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
@@ -148,6 +143,8 @@ def _require_pure(state, command: str) -> PureState:
 
 
 def cmd_entropy(args) -> str:
+    from .entropy import conditional_entropy, subset_entropy
+
     state = _load_state(args)
     if args.given:
         value = conditional_entropy(state, args.of, args.given)
@@ -157,6 +154,8 @@ def cmd_entropy(args) -> str:
 
 
 def cmd_report(args) -> str:
+    from .entropy import EntropyReport, subsets_in_counting_order
+
     state = _load_state(args)
     report = EntropyReport(state)
     labels = report.labels
@@ -175,6 +174,16 @@ def cmd_report(args) -> str:
 
 
 def cmd_merge(args) -> str:
+    from .merging import (
+        CurveRow,
+        check_caps,
+        hadamard_basis,
+        merge_trials,
+        monte_carlo_merge,
+        plan_merge,
+        run_merge_exhaustive,
+    )
+
     state = _require_pure(_load_state(args), "merge")
     cap, trials = args.dim_cap, args.trials or 1
     if args.curve:
@@ -183,8 +192,8 @@ def cmd_merge(args) -> str:
             args.slack, args.seed, dim_cap=cap,
         )
         dicts = [dataclasses.asdict(r) for r in rows]
-        return _emit(args, {"curve": dicts}, _CURVE_FIELDS,
-                     [tuple(d.values()) for d in dicts])
+        header = tuple(f.name for f in dataclasses.fields(CurveRow))
+        return _emit(args, {"curve": dicts}, header, [tuple(d.values()) for d in dicts])
     plan = plan_merge(state, args.n, args.slack)
     unitary = None
     if args.basis == "hadamard":
@@ -219,6 +228,8 @@ def _region_dict(region: RateRegion) -> dict:
 
 
 def cmd_region(args) -> str:
+    from .applications import compression_region, mac_region
+
     state = _load_state(args)
     region = mac_region(state) if args.mac else compression_region(state)
     obj = _region_dict(region)
@@ -238,6 +249,8 @@ def cmd_region(args) -> str:
 
 
 def cmd_eoa(args) -> str:
+    from .applications import eoa
+
     state = _require_pure(_load_state(args), "eoa")
     result = eoa(state, args.alice, args.bob)
     cuts = [
@@ -254,6 +267,8 @@ def cmd_eoa(args) -> str:
 
 
 def cmd_sideinfo(args) -> str:
+    from .applications import side_info_rates
+
     state = _require_pure(_load_state(args), "sideinfo")
     channel = load_channel_file(args.channel)
     result = side_info_rates(

@@ -40,6 +40,10 @@ RANK_TOL = 1e-12
 
 DEFAULT_PURE_CAP = 2 ** 20      # max amplitudes of any pure state we build
 DEFAULT_DENSITY_CAP = 2 ** 12   # max side length of any density matrix
+# Work bounds the CLI parser checks; here so building it loads no merging or applications.
+_MAX_PLAN_BITS = 64             # log2 of the largest prepared state any merge plan may ask for
+MAX_TRIALS = 10_000             # most trials monte_carlo_merge and `merge --trials` run
+MAX_RESTARTS = 1_000            # most restarts of one EP search and of `sideinfo --restarts`
 
 
 class DimensionCapError(RuntimeError):

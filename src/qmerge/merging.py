@@ -67,7 +67,9 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
+    _MAX_PLAN_BITS,
     DEFAULT_PURE_CAP,
+    MAX_TRIALS,
     RANK_TOL,
     DimensionCapError,
     PureState,
@@ -79,11 +81,9 @@ from .core import (
 from .entropy import conditional_entropy
 
 DEFAULT_SLACK_BITS = 1.0
-_MAX_PLAN_BITS = 64     # log2 of the largest prepared state any plan may ask for
 ZERO_PROB = 1e-12       # measurement branches below this are never sampled or scored
 MAX_EXHAUSTIVE_OUTCOMES = 256   # most outcomes run_merge_exhaustive scores
 MAX_ENSEMBLE_OUTCOMES = 4096    # most outcomes ensemble_reference_check sums
-MAX_TRIALS = 10_000             # most trials monte_carlo_merge and `merge --trials` run
 
 
 @dataclass(frozen=True)

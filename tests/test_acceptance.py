@@ -5,7 +5,6 @@ criterion.
 """
 
 import json
-import math
 import subprocess
 import sys
 import time
@@ -13,7 +12,6 @@ from contextlib import contextmanager
 
 import numpy as np
 
-import qmerge
 from qmerge import presets
 from qmerge.applications import (
     compression_region,

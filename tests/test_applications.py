@@ -33,7 +33,6 @@ from qmerge.entropy import (
     EntropyReport,
     coherent_information,
     ssa_margin,
-    subset_entropy,
     von_neumann_entropy,
 )
 from conftest import (

@@ -297,7 +297,7 @@ class TestMergeCommand:
             raise AssertionError(f"{dim}x{dim} basis formed")
 
         monkeypatch.setattr(qmerge.merging, "haar_unitary", no_basis)
-        monkeypatch.setattr(qmerge.cli, "hadamard_basis", no_basis)
+        monkeypatch.setattr(qmerge.merging, "hadamard_basis", no_basis)
         code, out, err = run_cli(capsys, "merge", "--state", "random-pure:1024x1x1:1", "-n", "2",
                                  "--seed", "1", "--basis", basis)
         assert (code, out) == (3, "")
@@ -315,8 +315,8 @@ class TestMergeCommand:
         def out_of_memory(*_, **__):
             raise MemoryError(message)
 
-        monkeypatch.setattr(qmerge.cli, "merge_trials", out_of_memory)
-        monkeypatch.setattr(qmerge.cli, "hadamard_basis", out_of_memory)
+        monkeypatch.setattr(qmerge.merging, "merge_trials", out_of_memory)
+        monkeypatch.setattr(qmerge.merging, "hadamard_basis", out_of_memory)
         code, out, err = run_cli(capsys, "merge", "--state", "random-pure:1024x1x1:1", "-n", "2",
                                  "--seed", "1", "--basis", basis, "--dim-cap", str(2 ** 41))
         assert (code, out, err) == (3, "", f"error: {shown}\n")
@@ -806,8 +806,10 @@ def test_work_bounds_rejected_by_the_parser(capsys, monkeypatch, argv, flag, lim
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("parse_state", "merge_trials", "monte_carlo_merge", "side_info_rates"):
-        monkeypatch.setattr(qmerge.cli, name, refuse)
+    monkeypatch.setattr(qmerge.cli, "parse_state", refuse)
+    monkeypatch.setattr(qmerge.merging, "merge_trials", refuse)
+    monkeypatch.setattr(qmerge.merging, "monte_carlo_merge", refuse)
+    monkeypatch.setattr(qmerge.applications, "side_info_rates", refuse)
     with pytest.raises(SystemExit) as exc:
         main(list(argv))
     captured = capsys.readouterr()
@@ -816,11 +818,52 @@ def test_work_bounds_rejected_by_the_parser(capsys, monkeypatch, argv, flag, lim
                             f"expected an integer in {limit}, got '{argv[-1]}'\n")
 
 
-def test_cli_import_loads_no_scipy():
+def _fresh_python(code: str, **env) -> str:
+    """Run ``code`` in a new interpreter that imports this qmerge; its stdout."""
     src = os.path.dirname(os.path.dirname(qmerge.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    code = ("import sys, qmerge.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": src, **env}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, qmerge.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_package_import_loads_no_numpy():
+    # the CLI sets the BLAS thread count before numpy loads; `python -m
+    # qmerge.cli` and the console script both import the package first
+    assert _fresh_python("import sys, qmerge; print('numpy' in sys.modules)") == "False\n"
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["entropy", "--state", "epr", "--of", "A", "--given", "B"],
+     ["qmerge.applications", "qmerge.merging"]),
+    (["merge", "--state", "cc-pure", "-n", "2", "--seed", "1", "--exhaustive",
+      "--basis", "hadamard", "--slack", "0"],
+     ["qmerge.applications"]),
+], ids=["entropy", "merge"])
+def test_each_command_loads_only_the_modules_it_runs(argv, absent):
+    code = ("import contextlib, io, sys\n"
+            "from qmerge.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0\n"
+            "print(*sorted(m for m in sys.modules if m.startswith('qmerge.')))")
+    loaded = _fresh_python(code).split()
+    assert "qmerge.cli" in loaded and not set(absent) & set(loaded)
+
+
+@pytest.mark.parametrize("argv", [
+    ["merge", "--state", "random-pure:2x2x2:11", "--curve", "5..6", "--trials", "3",
+     "--seed", "11"],
+    ["merge", "--state", "example1-pure", "-n", "3", "--exhaustive", "--seed", "4"],
+], ids=["curve", "exhaustive"])
+def test_stdout_does_not_depend_on_the_callers_blas_threads(argv):
+    # the CLI overwrites the thread variables before numpy loads, so these
+    # lines, whose last bits moved with the thread count, print one text
+    code = f"import sys\nfrom qmerge.cli import main\nsys.exit(main({argv!r}))"
+    one, two = (_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two and one
