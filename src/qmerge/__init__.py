@@ -11,10 +11,11 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "ChannelSpec", "DEFAULT_DENSITY_CAP", "DEFAULT_PURE_CAP", "DensityOperator",
-        "DimensionCapError", "PureState", "SubsystemLayout", "apply_channel",
-        "haar_unitary", "partial_trace", "reduced_density", "stream_rng", "tensor",
+        "ChannelSpec", "DensityOperator", "DimensionCapError", "PureState",
+        "SubsystemLayout", "apply_channel", "haar_unitary", "partial_trace",
+        "reduced_density", "stream_rng", "tensor",
     ),
+    "limits": ("DEFAULT_DENSITY_CAP", "DEFAULT_PURE_CAP"),
     "entropy": (
         "EntropyReport", "coherent_information", "conditional_entropy",
         "mutual_information", "ssa_margin", "subset_entropy", "von_neumann_entropy",

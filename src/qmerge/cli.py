@@ -10,19 +10,17 @@ flag through per-consumer streams keyed as (seed, n, trial) for merge trials,
 so repeated invocations are byte-identical and adding trials never perturbs
 earlier ones.
 
-Importing this module sets ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
-``MKL_NUM_THREADS`` to 1 before numpy loads, overwriting the caller's values:
-the commands' products are small, and one thread makes stdout independent of
-the caller's thread settings. No other environment variable is read. Each
-command imports only the modules it runs.
+A command on a state of at most ``ONE_THREAD_MAX_ENTRIES`` entries
+(amplitudes, or density-matrix entries) runs BLAS on one thread: ``main``
+parses its arguments before numpy loads and, for such a state, sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
+overwriting the caller's values, so its stdout does not depend on them. On
+a larger state, or once numpy is loaded, the caller's values stand.
+Importing this module loads no numpy and sets nothing. No other environment
+variable is read. Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
-
-import os
-
-for _threads in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_threads] = "1"  # before numpy loads; see the module docstring
 
 import argparse
 import csv
@@ -30,23 +28,43 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 from typing import TYPE_CHECKING
 
-from .core import (
-    _MAX_PLAN_BITS,
-    DEFAULT_PURE_CAP,
-    MAX_RESTARTS,
-    MAX_TRIALS,
-    DimensionCapError,
-    PureState,
-    stream_rng,
-)
-from .presets import load_channel_file, parse_state
+from .limits import _MAX_PLAN_BITS, DEFAULT_PURE_CAP, MAX_RESTARTS, MAX_TRIALS
 
-if TYPE_CHECKING:  # each command imports what it runs
+if TYPE_CHECKING:  # each command imports what it runs, once the BLAS threads are set
     from .applications import RateRegion
+    from .core import PureState
     from .merging import MergePlan
+
+# One BLAS thread was as fast or faster on every command timed up to this many
+# entries, and slower on the entropy loops above it: by 4% on region --state
+# ghz:13, by 42% on a report of random-pure:1024x1024:1 (2 vCPUs)
+ONE_THREAD_MAX_ENTRIES = 2 ** 12
+
+
+def _small_state(source: str) -> bool:
+    """Whether ``source`` names a state of at most ``ONE_THREAD_MAX_ENTRIES``
+    entries, read from the preset text or, for a file, bounded by its size:
+    each entry takes two JSON numbers, at least 4 bytes. Decided without
+    numpy; text that names no state counts as small and fails later."""
+    try:
+        if source.startswith("ghz:"):
+            return int(source[len("ghz:"):]) <= ONE_THREAD_MAX_ENTRIES.bit_length() - 1
+        if source.startswith("random-pure:"):
+            dims = source.split(":")[1].split("x")
+            return math.prod(int(d) for d in dims) <= ONE_THREAD_MAX_ENTRIES
+        return os.path.getsize(source) <= 4 * ONE_THREAD_MAX_ENTRIES
+    except (ValueError, OSError):
+        return True
+
+
+def _set_blas_threads(state: str) -> None:
+    if "numpy" not in sys.modules and _small_state(state):  # BLAS reads them as numpy loads
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ[var] = "1"
 
 
 def _fmt_bits(value: float) -> str:
@@ -133,10 +151,14 @@ def _emit(args, json_obj, header, rows) -> str:
 
 
 def _load_state(args):
+    from .presets import parse_state
+
     return parse_state(args.state, args.dim_cap)
 
 
 def _require_pure(state, command: str) -> PureState:
+    from .core import PureState
+
     if not isinstance(state, PureState):
         raise ValueError(f"{command} requires a pure state")
     return state
@@ -174,6 +196,7 @@ def cmd_report(args) -> str:
 
 
 def cmd_merge(args) -> str:
+    from .core import stream_rng
     from .merging import (
         CurveRow,
         check_caps,
@@ -268,6 +291,8 @@ def cmd_eoa(args) -> str:
 
 def cmd_sideinfo(args) -> str:
     from .applications import side_info_rates
+    from .core import stream_rng
+    from .presets import load_channel_file
 
     state = _require_pure(_load_state(args), "sideinfo")
     channel = load_channel_file(args.channel)
@@ -358,6 +383,9 @@ def main(argv=None) -> int:
                           "--exhaustive and --basis hadamard need -n")
     if args.command == "merge" and args.exhaustive and args.trials is not None:
         args.parser.error("--exhaustive scores every outcome of one basis; it takes no --trials")
+    _set_blas_threads(args.state)
+    from .core import DimensionCapError  # numpy loads here
+
     try:
         text = args.func(args)
     except (DimensionCapError, MemoryError) as err:  # a cap raised past the machine

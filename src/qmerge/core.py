@@ -33,17 +33,18 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from .limits import (  # noqa: F401  re-exported; see limits for why they live there
+    _MAX_PLAN_BITS,
+    DEFAULT_DENSITY_CAP,
+    DEFAULT_PURE_CAP,
+    MAX_RESTARTS,
+    MAX_TRIALS,
+)
+
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-10
 EIG_FLOOR = -1e-9          # least eigenvalue the door accepts; entropies clamp below 0
 RANK_TOL = 1e-12
-
-DEFAULT_PURE_CAP = 2 ** 20      # max amplitudes of any pure state we build
-DEFAULT_DENSITY_CAP = 2 ** 12   # max side length of any density matrix
-# Work bounds the CLI parser checks; here so building it loads no merging or applications.
-_MAX_PLAN_BITS = 64             # log2 of the largest prepared state any merge plan may ask for
-MAX_TRIALS = 10_000             # most trials monte_carlo_merge and `merge --trials` run
-MAX_RESTARTS = 1_000            # most restarts of one EP search and of `sideinfo --restarts`
 
 
 class DimensionCapError(RuntimeError):

@@ -806,7 +806,7 @@ def test_work_bounds_rejected_by_the_parser(capsys, monkeypatch, argv, flag, lim
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    monkeypatch.setattr(qmerge.cli, "parse_state", refuse)
+    monkeypatch.setattr(qmerge.presets, "parse_state", refuse)
     monkeypatch.setattr(qmerge.merging, "merge_trials", refuse)
     monkeypatch.setattr(qmerge.merging, "monte_carlo_merge", refuse)
     monkeypatch.setattr(qmerge.applications, "side_info_rates", refuse)
@@ -818,11 +818,12 @@ def test_work_bounds_rejected_by_the_parser(capsys, monkeypatch, argv, flag, lim
                             f"expected an integer in {limit}, got '{argv[-1]}'\n")
 
 
-def _fresh_python(code: str, **env) -> str:
-    """Run ``code`` in a new interpreter that imports this qmerge; its stdout."""
+def _fresh_python(code: str, *args: str, **env) -> str:
+    """Run ``python -c code args...`` in a new interpreter that imports this
+    qmerge, with ``env`` over the caller's environment; its stdout."""
     src = os.path.dirname(os.path.dirname(qmerge.__file__))
     env = {**os.environ, "PYTHONPATH": src, **env}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout
 
@@ -833,10 +834,11 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_python(code).strip() == "[]"
 
 
-def test_package_import_loads_no_numpy():
+@pytest.mark.parametrize("module", ["qmerge", "qmerge.cli"])
+def test_import_loads_no_numpy(module):
     # the CLI sets the BLAS thread count before numpy loads; `python -m
-    # qmerge.cli` and the console script both import the package first
-    assert _fresh_python("import sys, qmerge; print('numpy' in sys.modules)") == "False\n"
+    # qmerge.cli` and the console script both import these first
+    assert _fresh_python(f"import sys, {module}; print('numpy' in sys.modules)") == "False\n"
 
 
 @pytest.mark.parametrize("argv,absent", [
@@ -862,8 +864,59 @@ def test_each_command_loads_only_the_modules_it_runs(argv, absent):
     ["merge", "--state", "example1-pure", "-n", "3", "--exhaustive", "--seed", "4"],
 ], ids=["curve", "exhaustive"])
 def test_stdout_does_not_depend_on_the_callers_blas_threads(argv):
-    # the CLI overwrites the thread variables before numpy loads, so these
-    # lines, whose last bits moved with the thread count, print one text
+    # on a small state the CLI overwrites the thread variables before numpy
+    # loads, so these lines, whose last bits moved with the thread count,
+    # print one text
     code = f"import sys\nfrom qmerge.cli import main\nsys.exit(main({argv!r}))"
+    one, two = (_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two and one
+
+
+THREAD_PROBE = ("import contextlib, io, os, sys\n"
+                "if sys.argv[1] == 'numpy-first': import numpy\n"
+                "from qmerge.cli import main\n"
+                "if sys.argv[2:]:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        assert main(sys.argv[2:]) == 0\n"
+                "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+
+
+@pytest.mark.parametrize("argv,threads", [
+    (["run", "entropy", "--state", "ghz:12", "--of", "A"], "1 1"),
+    (["run", "entropy", "--state", "ghz:13", "--of", "A"], "2 None"),
+    (["run", "report", "--state", "random-pure:64x64:1"], "1 1"),
+    (["run", "report", "--state", "random-pure:64x65:1"], "2 None"),
+    (["run", "merge", "--state", "cc-pure", "-n", "2", "--seed", "1"], "1 1"),
+    (["numpy-first", "entropy", "--state", "epr", "--of", "A"], "2 None"),
+    (["import-only"], "2 None"),
+], ids=["ghz12", "ghz13", "random4096", "random4160", "merge", "numpy-loaded", "import"])
+def test_one_blas_thread_only_for_a_command_on_a_small_state(argv, threads):
+    # the caller asks for 2 threads: only a command on a state of at most
+    # ONE_THREAD_MAX_ENTRIES entries, run before numpy loads, overrides that
+    assert _fresh_python(THREAD_PROBE, *argv, OPENBLAS_NUM_THREADS="2") == threads + "\n"
+
+
+def test_a_state_file_is_small_by_its_size(tmp_path):
+    from qmerge.cli import ONE_THREAD_MAX_ENTRIES, _small_state
+
+    path = tmp_path / "state.json"
+    path.write_bytes(b" " * (4 * ONE_THREAD_MAX_ENTRIES))  # room for that many entries
+    assert _small_state(str(path))
+    path.write_bytes(b" " * (4 * ONE_THREAD_MAX_ENTRIES + 1))
+    assert not _small_state(str(path))
+    assert _small_state(str(tmp_path / "missing.json"))  # fails later, as usage
+
+
+def test_library_sideinfo_does_not_depend_on_blas_threads():
+    # a library caller keeps its own thread count; the stacked EP restarts
+    # still give the same bytes under one thread and two
+    code = ("import sys\n"
+            "from qmerge import presets, side_info_rates, stream_rng, ChannelSpec\n"
+            "r = side_info_rates(presets.cc_purification(), ChannelSpec.identity('B', 2, 'U'),\n"
+            "                    restarts=4, rng=stream_rng(2))\n"
+            "assert 'qmerge.cli' not in sys.modules\n"
+            "print(repr((r.r_a, r.r_b, r.ep.value, r.ep.lower, r.ep.upper,\n"
+            "            r.ep.restart_min, r.ep.restart_max)))\n"
+            "print(r.ep.channel.isometry.tobytes().hex())")
     one, two = (_fresh_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
     assert one == two and one
