@@ -352,10 +352,18 @@ def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Sample a Haar-distributed unitary: the phase-fixed QR of a complex
-    standard-Gaussian matrix."""
+    standard-Gaussian matrix.
+
+    It takes 2·dim² standard normals from ``rng`` in one draw, the real
+    parts first, and scales them by 1/√2 before they fill one complex
+    array. That is bit for bit ``(a + 1j*b) / np.sqrt(2)`` of two draws, as
+    numpy divides a complex array by a real one as a product with the
+    reciprocal, without the D² complex temporaries."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    parts = rng.standard_normal((2, dim, dim)) * (1 / np.sqrt(2))
+    z = np.empty((dim, dim), dtype=complex)
+    z.real, z.imag = parts
     return phase_fixed_qr(z)
 
 

@@ -58,10 +58,10 @@ decomposition, so their agreement checks the isometry's construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import statistics
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -178,18 +178,32 @@ def plan_merge(
     so no larger count is printed. Every ψ of dimension ≥ 2 meets that check
     beyond 64 copies; for a one-dimensional ψ, n > 64 raises ``ValueError``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_input(psi, slack_bits)
+    return _plan(psi, n, slack_bits, lambda: conditional_entropy(psi, "A", "B"))
+
+
+def _check_input(psi: PureState, slack_bits: float) -> None:
+    """:func:`plan_merge`'s checks that hold for every copy count, in its
+    order: ``slack_bits`` ≥ 0, then parties A and B in ψ."""
     if slack_bits < 0:
         raise ValueError("slack_bits must be >= 0")
     for label in ("A", "B"):
         psi.layout.position(label)
+
+
+def _plan(psi: PureState, n: int, slack_bits: float, entropy) -> MergePlan:
+    """:func:`plan_merge` once ψ and ``slack_bits`` have passed
+    :func:`_check_input`. ``entropy()`` gives ψ's S(A|B); it is called only
+    after the copy count's own checks, so a curve can compute it once for
+    all its plans."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     # (x − 1).bit_length() is ⌈log2 x⌉ for x ≥ 1
     within_cap("prepared state bits",
                (psi.dim ** min(n, _MAX_PLAN_BITS + 1) - 1).bit_length(), _MAX_PLAN_BITS)
     if n > _MAX_PLAN_BITS:
         raise ValueError(f"n must be <= {_MAX_PLAN_BITS}")
-    s = conditional_entropy(psi, "A", "B")
+    s = entropy()
     d_a = psi.layout.dim_of("A")
     k = _ceil_bits(n * s) + _ceil_bits(slack_bits) if s > 1e-9 else 0
     within_cap("prepared state bits",
@@ -227,10 +241,22 @@ def _reference(t: np.ndarray) -> np.ndarray:
     return flat @ flat.conj().T
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron(a, b)`` for two arrays of one ndim, bit for bit: each entry
+    is the one product a[i]·b[j], as in np.kron, broadcast over interleaved
+    axes and reshaped, without np.kron's generic wrapper."""
+    ones = (1,) * a.ndim
+    out = a.reshape([x for pair in zip(a.shape, ones) for x in pair]) * \
+        b.reshape([x for pair in zip(ones, b.shape) for x in pair])
+    return out.reshape([x * y for x, y in zip(a.shape, b.shape)])
+
+
 def _kron_power(one: np.ndarray, n: int) -> np.ndarray:
-    """one^⊗n by ``np.kron``, which fuses each axis with copy 0 most
-    significant; an all-ones array of one entry for n = 0."""
-    return reduce(np.kron, [one] * n) if n else np.ones((1,) * one.ndim, one.dtype)
+    """one^⊗n, each axis fused with copy 0 most significant: :func:`_kron`
+    folded left from the first factor, so every entry and the sign of every
+    zero is that of ``reduce(np.kron, [one] * n)``; an all-ones array of
+    one entry for n = 0."""
+    return functools.reduce(_kron, [one] * n) if n else np.ones((1,) * one.ndim, one.dtype)
 
 
 def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
@@ -302,11 +328,11 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary=None) -> _Setu
     copy.setflags(write=False)
     flat = copy.reshape(copy.shape[0], -1)
     boost = 2 ** plan.k_boost
-    rho_a = np.kron(_kron_power(flat @ flat.conj().T, plan.n), np.eye(boost) / boost)
+    rho_a = _kron(_kron_power(flat @ flat.conj().T, plan.n), np.eye(boost) / boost)
     rho_a.setflags(write=False)
     block = plan.block_dim
     return _Setup(plan=plan, copy=copy, rho_a=rho_a,
-                  weights=np.kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, plan.n)),
+                  weights=_kron(np.full(block, 1 / block), _kron_power(s[live] ** 2, plan.n)),
                   basis=basis)
 
 
@@ -353,15 +379,29 @@ def _branch(setup: _Setup, basis: np.ndarray, k: int, p: float) -> np.ndarray:
     return x.transpose(0, 2, 3, 1).reshape(m, x.shape[2], -1) * (1 / math.sqrt(p))
 
 
-def _sample(setup: _Setup, basis: np.ndarray, rng: np.random.Generator):
-    """Born-sample one outcome of :func:`_probabilities`, renormalized over
-    those at or above ``ZERO_PROB``, and build that branch alone
-    (:func:`_branch`). Returns its index, its probability and its
-    normalized (A1, R, B) state. It checks nothing."""
-    probs = _probabilities(setup, basis)
+def _draw(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Index of one outcome Born-sampled from ``probs``, renormalized over
+    those at or above ``ZERO_PROB``.
+
+    It is ``live[rng.choice(len(live), p=w / w.sum())]`` for the live
+    indices and their weights w, done as that method does it: the
+    cumulative sum of the normalized weights, divided by its last entry,
+    searched (right side) for one ``rng.random()``. So it takes that one
+    uniform from ``rng`` and gives the same index, without choice's checks
+    of p."""
     live = np.flatnonzero(probs >= ZERO_PROB)
     weights = probs[live]
-    k = int(live[int(rng.choice(len(live), p=weights / weights.sum()))])
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    return int(live[cdf.searchsorted(rng.random(), side="right")])
+
+
+def _sample(setup: _Setup, basis: np.ndarray, rng: np.random.Generator):
+    """Born-sample one outcome of :func:`_probabilities` (:func:`_draw`)
+    and build that branch alone (:func:`_branch`). Returns its index, its
+    probability and its normalized (A1, R, B) state. It checks nothing."""
+    probs = _probabilities(setup, basis)
+    k = _draw(probs, rng)
     p = float(probs[k])
     return k, p, _branch(setup, basis, k, p)
 
@@ -391,8 +431,11 @@ def _outcome(index: int, prob: float, post: np.ndarray, setup: _Setup) -> MergeO
     """Score one branch, given as its normalized (A1, R, B) state."""
     m = post.reshape(-1, post.shape[-1])
     w = setup.weights
-    # σ = M·M† is PSD by construction; ½‖σ − τ‖₁ from one eigvalsh
-    lam = np.linalg.eigvalsh(m @ m.conj().T - np.diag(w))
+    # σ = M·M† is PSD by construction; ½‖σ − τ‖₁ from one eigvalsh of
+    # σ − diag(w), with w taken off σ's diagonal in place
+    diff = m @ m.conj().T
+    diff.reshape(-1)[::diff.shape[0] + 1] -= w
+    lam = np.linalg.eigvalsh(diff)
     s, v = _recovery(m, w)
     # ⟨diag(√w)|(I ⊗ V)|M⟩ per junk index j: Σ_k √w_k·(M·Vᵀ)[k, j, k]
     recon = (m @ v.T).reshape(m.shape[0], -1, m.shape[0])
@@ -550,15 +593,21 @@ def monte_carlo_merge(
 ) -> list[CurveRow]:
     """Independent merge trials for each copy count, with per-trial streams
     keyed by (seed, n, trial) so adding trials never perturbs earlier ones.
-    ``trials`` must lie in 1..``MAX_TRIALS``, checked before any plan or
-    draw. A copy count whose plan is over a cap gives a skipped row
-    (:class:`CurveRow`)."""
+
+    The whole input is checked before any plan or draw, an empty curve's
+    too: ``trials`` must lie in 1..``MAX_TRIALS``, then ``slack_bits`` and
+    the parties as :func:`plan_merge` checks them. Every copy count is
+    planned as :func:`plan_merge` plans it, from one S(A|B) computed when
+    the first plan needs it. A copy count whose plan is over a cap gives a
+    skipped row (:class:`CurveRow`)."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials must be in 1..{MAX_TRIALS}")
+    _check_input(psi, slack_bits)
+    entropy = functools.cache(lambda: conditional_entropy(psi, "A", "B"))
     rows = []
     for n in n_values:
         try:
-            plan = plan_merge(psi, n, slack_bits)
+            plan = _plan(psi, n, slack_bits, entropy)
             outcomes = merge_trials(
                 psi, plan, (stream_rng(seed, n, t) for t in range(trials)), dim_cap=dim_cap)
         except DimensionCapError:

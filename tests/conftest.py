@@ -2,8 +2,9 @@
 states, seeded random states, a canonical purification, the Uhlmann
 fidelity and trace distance oracles, a recovery oracle against a general
 target, subsystem reordering and renaming, the EPR boost, a dense prepared
-state and Alice's measurement of it by hand, and the fixed decoupling test
-state."""
+state and Alice's measurement of it by hand, the merge's Kronecker powers,
+Haar draw and outcome draw in the expressions the byte-identical fast ones
+replaced, and the fixed decoupling test state."""
 
 import math
 from functools import reduce
@@ -22,6 +23,7 @@ from qmerge.core import (
     State,
     SubsystemLayout,
     _sub_layout,
+    phase_fixed_qr,
     tensor,
 )
 from qmerge.merging import ZERO_PROB
@@ -235,6 +237,37 @@ def hand_branches(prepared, basis, block):
             branches[k] = p, m / np.sqrt(p)
     return branches
 
+
+def kron_power_oracle(one, n):
+    """one^⊗n by ``reduce(np.kron, …)``, whose bits the merge's Kronecker
+    powers keep; an all-ones array of one entry for n = 0."""
+    return reduce(np.kron, [one] * n) if n else np.ones((1,) * one.ndim, one.dtype)
+
+
+def setup_oracle(marginal, s2, plan):
+    """Alice's marginal ρ_A^⊗n ⊗ I/2^k and τ's weights 1/L ⊗ (S_live²)^⊗n
+    by ``np.kron``, from the one-copy marginal and squared live singular
+    values."""
+    boost, block = 2 ** plan.k_boost, plan.block_dim
+    rho_a = np.kron(kron_power_oracle(marginal, plan.n), np.eye(boost) / boost)
+    weights = np.kron(np.full(block, 1 / block), kron_power_oracle(s2, plan.n))
+    return rho_a, weights
+
+
+def haar_oracle(dim, rng):
+    """A Haar unitary from two D×D draws, the real parts first, divided by
+    √2 as a complex array."""
+    a = rng.standard_normal((dim, dim))
+    b = rng.standard_normal((dim, dim))
+    return phase_fixed_qr((a + 1j * b) / np.sqrt(2))
+
+
+def choice_oracle(probs, rng):
+    """The outcome index ``rng.choice`` draws from the entries of ``probs``
+    at or above ZERO_PROB, renormalized."""
+    live = np.flatnonzero(probs >= ZERO_PROB)
+    weights = probs[live]
+    return int(live[int(rng.choice(len(live), p=weights / weights.sum()))])
 
 
 def decoupling_test_state(seed=11, threshold=-0.3) -> PureState:

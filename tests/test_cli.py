@@ -273,6 +273,13 @@ class TestMergeCommand:
                                     "fidelity_min,decoupling_mean,decoupling_median,"
                                     "decoupling_min,skipped"]
 
+    def test_empty_curve_checks_the_parties_as_one_copy_count_does(self, capsys):
+        # a state without B exits 2 whether its curve is empty or not
+        state = ("merge", "--state", "random-pure:2:1", "--seed", "1")
+        results = [run_cli(capsys, *state, *copies)
+                   for copies in (("--curve", "3..1"), ("--curve", "1..2"), ("-n", "1"))]
+        assert results == [(2, "", "error: unknown subsystem label 'B'\n")] * 3
+
     def test_mixed_state_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "merge", "--state", "cc", "-n", "1", "--seed", "1")
         assert code == 2 and out == "" and "pure" in err

@@ -30,8 +30,8 @@ from qmerge.core import (
 )
 from qmerge.entropy import von_neumann_entropy
 from qmerge.merging import plan_merge, run_merge
-from conftest import (basis_state, fidelity, maximally_mixed, permute_subsystems, purify,
-                      random_density, random_pure_state, trace_distance)
+from conftest import (basis_state, fidelity, haar_oracle, maximally_mixed, permute_subsystems,
+                      purify, random_density, random_pure_state, trace_distance)
 
 
 def ket(*amps):
@@ -195,6 +195,17 @@ class TestHaarUnitary:
     def test_dim1_is_phase(self):
         w = haar_unitary(1, np.random.default_rng(4))
         assert abs(abs(w[0, 0]) - 1) < 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 64, 128])
+    def test_same_bytes_and_stream_as_two_draws(self, dim):
+        # one (2, D, D) draw scaled by 1/√2 is bit for bit the old
+        # (a + 1j*b) / √2, and leaves the stream where two draws left it
+        for seed in range(4):
+            got_rng, want_rng = (np.random.default_rng([seed, dim]) for _ in range(2))
+            got, want = haar_unitary(dim, got_rng), haar_oracle(dim, want_rng)
+            assert got.dtype == want.dtype and got.shape == want.shape == (dim, dim)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.random() == want_rng.random()
 
     def test_first_entry_second_moment(self):
         # Monte-Carlo oracle for the Haar moment E|W00|^2 = 1/d

@@ -16,6 +16,7 @@ import qmerge
 from qmerge import presets
 from qmerge.core import (
     DEFAULT_PURE_CAP,
+    RANK_TOL,
     DensityOperator,
     DimensionCapError,
     PureState,
@@ -28,6 +29,7 @@ from qmerge.core import (
 from qmerge.entropy import conditional_entropy, mutual_information
 from qmerge.merging import (
     MAX_TRIALS,
+    ZERO_PROB,
     MergePlan,
     ensemble_reference_check,
     hadamard_basis,
@@ -40,15 +42,18 @@ from qmerge.merging import (
 from conftest import (
     NoDraws,
     basis_state,
+    choice_oracle,
     epr_boost,
     fidelity,
     flat_prepared,
     hand_branches,
+    kron_power_oracle,
     permute_subsystems,
     random_pure_state,
     recovered_overlap_sq,
     recovery_isometry,
     relabeled,
+    setup_oracle,
     trace_distance,
 )
 
@@ -295,6 +300,73 @@ class TestHadamardBasis:
         finally:
             tracemalloc.stop()
         assert peak <= 1.05 * 16 * dim ** 2
+
+
+class TestSameBytes:
+    """The merge's Kronecker powers and outcome draw give the bytes, and
+    take the draws, of the np.kron and rng.choice expressions they
+    replaced (conftest's oracles)."""
+
+    # inexact products, whose rounding shows the order of the fold, and
+    # signed zeros, whose products show the order of each multiplication
+    FACTORS = {
+        "1-D real": np.array([-0.0, 0.1, -1 / 3]),
+        "1-D complex": np.array([complex(-0.0, 0.7), complex(0.1, -0.0), complex(-1 / 3, 0.3)]),
+        "2-D real": np.array([[0.3, -0.0, 1 / 7], [-2 / 3, 0.0, 0.7]]),
+        "2-D complex": np.array([[complex(0.3, -0.0), complex(-0.0, 0.0), 1 / 7],
+                                 [complex(-2 / 3, 0.1), complex(0.0, -0.0), -0.7j]]),
+    }
+
+    @pytest.mark.parametrize("n", range(7))
+    @pytest.mark.parametrize("kind", FACTORS)
+    def test_kron_power_is_reduce_of_np_kron(self, kind, n):
+        one = self.FACTORS[kind]
+        got, want = qmerge.merging._kron_power(one, n), kron_power_oracle(one, n)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("spec,n", [
+        ("seed11", 1), ("seed11", 3), ("seed11", 5),
+        ("random-pure:2x2x2:11", 1), ("random-pure:2x2x2:11", 4),  # L = 1 with a k = 2 boost
+        ("random-pure:4x4x2:9", 2),   # L = 2 over a non-flat ρ_R
+        ("ghz:4", 3),                 # ρ_R of rank 2 of 4
+    ])
+    def test_setup_marginal_and_weights(self, seed11_state, spec, n, monkeypatch):
+        psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
+        plan = plan_merge(psi, n)
+        spectra, svd = [], np.linalg.svd
+
+        def recording_svd(*args, **kwargs):
+            out = svd(*args, **kwargs)
+            spectra.append(out[1])
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
+        monkeypatch.undo()
+        (s,) = spectra
+        flat = setup.copy.reshape(setup.copy.shape[0], -1)
+        rho_a, weights = setup_oracle(flat @ flat.conj().T,
+                                      s[s ** 2 > RANK_TOL * s[0] ** 2] ** 2, plan)
+        assert setup.rho_a.shape == (plan.alice_dim,) * 2
+        assert setup.rho_a.tobytes() == rho_a.tobytes()
+        assert setup.weights.tobytes() == weights.tobytes()
+
+    def test_draw_is_rng_choice_over_the_live_outcomes(self):
+        # 1200 seeded probability vectors of 1 to 64 outcomes, each entry
+        # below ZERO_PROB with probability 1/4 (zero, just below, or at it);
+        # the vector sums to 1 up to roundoff, as Born probabilities do
+        below = np.array([0.0, 1e-13, np.nextafter(ZERO_PROB, 0), ZERO_PROB])
+        for i in range(1200):
+            gen = np.random.default_rng([31, i])
+            probs = gen.dirichlet(np.full(int(gen.integers(1, 65)), gen.uniform(0.05, 2)))
+            dead = gen.random(probs.size) < 0.25
+            probs[dead] = below[gen.integers(0, below.size, int(dead.sum()))]
+            if not (probs >= ZERO_PROB).any():
+                probs[int(gen.integers(probs.size))] = 1.0
+            got_rng, want_rng = (np.random.default_rng(i) for _ in range(2))
+            assert qmerge.merging._draw(probs, got_rng) == choice_oracle(probs, want_rng), i
+            assert got_rng.random() == want_rng.random(), i
 
 
 class TestBlockMeasure:
@@ -928,19 +1000,59 @@ class TestEnsembleReference:
 class TestMonteCarlo:
     def test_trials_bounded_before_any_plan_or_draw(self, monkeypatch):
         # MAX_TRIALS bounds the work at the door; at the bound itself the
-        # curve goes on to plan its first copy count
+        # curve goes on to plan its first copy count, through the planner
+        # that plan_merge shares
         assert MAX_TRIALS == 10_000
 
         def refuse(*args, **kwargs):
             raise AssertionError("planned before the trials check")
 
-        monkeypatch.setattr(qmerge.merging, "plan_merge", refuse)
+        monkeypatch.setattr(qmerge.merging, "_plan", refuse)
         monkeypatch.setattr(qmerge.merging, "stream_rng", lambda *key: NoDraws())
         for trials in (MAX_TRIALS + 1, 10 ** 9, 0):
             with pytest.raises(ValueError, match="^trials must be in 1..10000$"):
                 monte_carlo_merge(presets.bell_pair(), (1,), trials=trials)
         with pytest.raises(AssertionError, match="planned"):
             monte_carlo_merge(presets.bell_pair(), (1,), trials=MAX_TRIALS)
+
+    @pytest.mark.parametrize("spec", ["seed11", "random-pure:2x2x2:11"])
+    def test_one_entropy_per_curve_and_plan_merge_plans(self, seed11_state, spec, monkeypatch):
+        # S(A|B) is computed once for the whole curve, and each copy count
+        # is planned as plan_merge plans it alone, field for field; on the
+        # second state S(A|B) > 0 also sets each plan's EPR boost
+        psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
+        entropies, plans = [], []
+        entropy, trials = qmerge.merging.conditional_entropy, qmerge.merging.merge_trials
+        monkeypatch.setattr(qmerge.merging, "conditional_entropy",
+                            lambda *args: entropies.append(args) or entropy(*args))
+        monkeypatch.setattr(qmerge.merging, "merge_trials",
+                            lambda psi, plan, *args, **kw: plans.append(plan)
+                            or trials(psi, plan, *args, **kw))
+        rows = monte_carlo_merge(psi, range(1, 5), trials=2, seed=3)
+        assert entropies == [(psi, "A", "B")]
+        monkeypatch.undo()
+        assert [p.n for p in plans] == [r.n for r in rows] == [1, 2, 3, 4]
+        assert [dataclasses.astuple(p) for p in plans] == \
+            [dataclasses.astuple(plan_merge(psi, n)) for n in range(1, 5)]
+
+    def test_whole_input_checked_before_any_plan(self, monkeypatch):
+        # a curve checks what plan_merge checks for every copy count, with
+        # its messages in its order, an empty curve too, and computes no
+        # entropy for an empty one
+        def refuse(*args, **kwargs):
+            raise AssertionError("planned or computed an entropy")
+
+        monkeypatch.setattr(qmerge.merging, "_plan", refuse)
+        monkeypatch.setattr(qmerge.merging, "conditional_entropy", refuse)
+        no_bob = presets.parse_state("random-pure:2:1")
+        for n_values in ((), range(3, 1), (1, 2)):
+            with pytest.raises(ValueError, match="^unknown subsystem label 'B'$"):
+                monte_carlo_merge(no_bob, n_values, trials=1)
+            with pytest.raises(ValueError, match="^slack_bits must be >= 0$"):
+                monte_carlo_merge(no_bob, n_values, trials=1, slack_bits=-1)
+            with pytest.raises(ValueError, match="^trials must be in 1..10000$"):
+                monte_carlo_merge(no_bob, n_values, trials=0, slack_bits=-1)
+        assert monte_carlo_merge(presets.bell_pair(), range(3, 1), trials=1) == []
 
     def test_bell_curve_is_perfect(self):
         rows = monte_carlo_merge(presets.bell_pair(), (1, 2, 3), trials=5,

@@ -161,6 +161,7 @@ COMMANDS = [
     "entropy --state neg.json --of A",
     "entropy --state nope --of A",
     "merge --state epr --curve 1..65 --seed 1",
+    "merge --state random-pure:2:1 --curve 3..1 --seed 1",  # an empty curve, no party B
     "eoa --state ghz:4 --alice A,C1 --bob C1",
     "region --state epr --mac",  # an empty decoder
     _sideinfo("cc-pure", "--restarts 1001"),
