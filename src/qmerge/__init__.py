@@ -17,13 +17,11 @@ _EXPORTS = {
     ),
     "limits": ("DEFAULT_DENSITY_CAP", "DEFAULT_PURE_CAP"),
     "entropy": (
-        "EntropyReport", "coherent_information", "conditional_entropy",
-        "mutual_information", "ssa_margin", "subset_entropy", "von_neumann_entropy",
+        "EntropyReport", "conditional_entropy", "subset_entropy", "von_neumann_entropy",
     ),
     "merging": (
-        "CurveRow", "MergeOutcome", "MergePlan", "ensemble_reference_check",
-        "hadamard_basis", "merge_trials", "monte_carlo_merge", "plan_merge",
-        "run_merge", "run_merge_exhaustive",
+        "CurveRow", "MergeOutcome", "MergePlan", "hadamard_basis", "merge_trials",
+        "monte_carlo_merge", "plan_merge", "run_merge", "run_merge_exhaustive",
     ),
     "applications": (
         "EoAResult", "EpEstimate", "RateConstraint", "RateRegion", "SideInfoResult",

@@ -259,7 +259,7 @@ class ChannelSpec:
             )
         gram = iso.conj().T @ iso
         if not np.abs(gram - np.eye(iso.shape[1])).max() <= HERMITIAN_TOL:
-            raise ValueError("isometry columns are not orthonormal within 1e-10")
+            raise ValueError(f"isometry columns are not orthonormal within {HERMITIAN_TOL}")
         object.__setattr__(self, "isometry", iso)
 
     @property

@@ -7,8 +7,8 @@ projector. A pure state has one entropy per cut {T, T̄}, S(T) = S(T̄),
 computed once from the smaller side, or on a dimension tie from the side
 that holds the layout's first label (zero for the whole system).
 
-Groups that must be disjoint (S(A|B), I(A:B), the SSA margin) are checked
-by the layout's :meth:`~qmerge.core.SubsystemLayout.check_groups`.
+The two groups of S(A|B) and of I(A⟩B) = −S(A|B) must be disjoint; the
+layout's :meth:`~qmerge.core.SubsystemLayout.check_groups` checks them.
 :func:`subsets_in_counting_order` holds the one work bound of every loop
 over subsets of parties: at most ``MAX_SUBSETS`` = 2^16 − 1 subsets.
 :func:`~qmerge.applications.eoa` adds a stricter one, at most
@@ -77,23 +77,6 @@ def conditional_entropy(state: State, of: Labels, given: Labels) -> float:
     return EntropyReport(state).conditional(of, given)
 
 
-def mutual_information(state: State, a: Labels, b: Labels) -> float:
-    """I(A:B); see :meth:`EntropyReport.mutual`."""
-    return EntropyReport(state).mutual(a, b)
-
-
-def coherent_information(state: State, a: Labels, b: Labels) -> float:
-    """I(A⟩B); see :meth:`EntropyReport.coherent`."""
-    return EntropyReport(state).coherent(a, b)
-
-
-def ssa_margin(state: State, a: Labels, b: Labels, c: Labels) -> float:
-    """S(A|B) − S(A|BC); nonnegative for every state (strong subadditivity)."""
-    a_t, b_t, c_t = state.layout.check_groups(a=a, b=b, c=c)
-    report = EntropyReport(state)
-    return report.conditional(a_t, b_t) - report.conditional(a_t, b_t + c_t)
-
-
 def subsets_in_counting_order(labels: tuple[str, ...], max_size: int | None = None):
     """Non-empty subsets of at most ``max_size`` labels, bit i of the
     counter selecting label i.
@@ -146,11 +129,6 @@ class EntropyReport:
         """S(A|B) = S(AB) − S(B); signed, negative for entangled states."""
         a, b = self.state.layout.check_groups(of=of, given=given)
         return self.entropy(a + b) - self.entropy(b)
-
-    def mutual(self, a: Labels, b: Labels) -> float:
-        """I(A:B) = S(A) + S(B) − S(AB); nonnegative up to numerics."""
-        a_t, b_t = self.state.layout.check_groups(a=a, b=b)
-        return self.entropy(a_t) + self.entropy(b_t) - self.entropy(a_t + b_t)
 
     def coherent(self, a: Labels, b: Labels) -> float:
         """I(A⟩B) = −S(A|B), signed."""

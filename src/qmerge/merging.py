@@ -33,9 +33,8 @@ they sum to 1 up to roundoff, since ψ is stored normalized. Branch k,
 W_k·(ψ^⊗n ⊗ Φ_{2^k}) / √p_k, is built from block k's rows alone, contracted
 one copy at a time, copy 0 most significant on each axis
 (:func:`_branch`, the only code that turns basis rows into amplitudes). A
-trial builds the one branch it draws; the exhaustive scan and the ensemble
-check (:func:`ensemble_reference_check`, which sums the scored branches'
-reference blocks) build one branch at a time.
+trial builds the one branch it draws; the exhaustive scan builds one branch
+at a time.
 
 The copy's reference axis is in its Schmidt basis: one thin SVD U·S·Vh of
 the copy as an (R × AB) matrix gives ρ_R = U·S²·U†, and R is rotated by
@@ -83,7 +82,6 @@ from .entropy import conditional_entropy
 DEFAULT_SLACK_BITS = 1.0
 ZERO_PROB = 1e-12       # measurement branches below this are never sampled or scored
 MAX_EXHAUSTIVE_OUTCOMES = 256   # most outcomes run_merge_exhaustive scores
-MAX_ENSEMBLE_OUTCOMES = 4096    # most outcomes ensemble_reference_check sums
 
 
 @dataclass(frozen=True)
@@ -232,13 +230,6 @@ def _plan(psi: PureState, n: int, slack_bits: float, entropy) -> MergePlan:
         slack_bits=slack_bits,
         rate_clipped=clipped,
     )
-
-
-def _reference(t: np.ndarray) -> np.ndarray:
-    """Σ_a t[a]·t[a]†, the reference block of an (A, R, B) amplitude array,
-    as one product."""
-    flat = t.transpose(1, 0, 2).reshape(t.shape[1], -1)
-    return flat @ flat.conj().T
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -484,9 +475,9 @@ def merge_trials(
     """One merging trial per generator, all sharing one setup of the plan.
 
     Each trial draws a fresh Haar basis from its generator unless an
-    explicit ``unitary`` is injected (test hook), then Born-samples an
-    outcome from the same generator (:func:`_sample`) and scores that branch
-    alone.
+    explicit ``unitary`` is injected (as ``--basis hadamard`` does), then
+    Born-samples an outcome from the same generator (:func:`_sample`) and
+    scores that branch alone.
     """
     setup = _setup(psi, plan, dim_cap, unitary)
     outcomes = []
@@ -496,16 +487,9 @@ def merge_trials(
     return outcomes
 
 
-def run_merge(
-    psi: PureState,
-    plan: MergePlan,
-    rng: np.random.Generator,
-    *,
-    unitary: np.ndarray | None = None,
-    dim_cap: int = DEFAULT_PURE_CAP,
-) -> MergeOutcome:
+def run_merge(psi: PureState, plan: MergePlan, rng: np.random.Generator) -> MergeOutcome:
     """One merging trial: :func:`merge_trials` with a single generator."""
-    return merge_trials(psi, plan, [rng], unitary=unitary, dim_cap=dim_cap)[0]
+    return merge_trials(psi, plan, [rng])[0]
 
 
 def run_merge_exhaustive(
@@ -523,38 +507,6 @@ def run_merge_exhaustive(
     basis = _basis(setup, rng)
     return [_outcome(k, float(p), _branch(setup, basis, k, p), setup)
             for k, p in enumerate(_probabilities(setup, basis)) if p >= ZERO_PROB]
-
-
-def ensemble_reference_check(
-    psi: PureState,
-    plan: MergePlan,
-    unitary: np.ndarray,
-) -> float:
-    """Trace distance between Σ_k p_k σ_R^(k) and ρ_R^⊗n, with the plan
-    checked against the default pure cap.
-
-    Local operations cannot change the unconditioned reference state, so
-    this is zero up to roundoff for every basis. p_k comes from
-    :func:`_probabilities` and σ_R^(k) is the reference block of
-    :func:`_branch` k, normalized by its own trace, so a branch built from
-    the wrong rows of ``unitary`` shows. Outcomes below ``ZERO_PROB`` are
-    skipped, as in a run; their share of the trace is below N·1e-12, and so
-    is what they can add to the result. ρ_R^⊗n is the Kronecker power of
-    the one copy's reference block. Both are in the Schmidt basis of
-    supp(ρ_R)^⊗n, not from τ's weights.
-    """
-    within_cap("ensemble outcomes", plan.outcome_count, MAX_ENSEMBLE_OUTCOMES)
-    setup = _setup(psi, plan, DEFAULT_PURE_CAP, unitary)
-    basis = _basis(setup, None)
-    avg = 0
-    for k, p in enumerate(_probabilities(setup, basis)):
-        if p >= ZERO_PROB:
-            sigma = _reference(_branch(setup, basis, k, p))
-            avg = avg + p / np.trace(sigma).real * sigma
-    # the p_k are not renormalized over the outcomes kept, so a lost share
-    # of the trace counts too
-    diff = avg - _kron_power(_reference(setup.copy), plan.n)
-    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 @dataclass(frozen=True)

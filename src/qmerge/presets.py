@@ -44,10 +44,9 @@ def pure(labels_dims, amplitudes) -> PureState:
     return PureState(SubsystemLayout(tuple(labels_dims)), np.asarray(amplitudes, dtype=complex))
 
 
-def bell_pair(label_a: str = "A", label_b: str = "B", dim: int = 2) -> PureState:
-    """The maximally entangled state Σ|ii⟩/√d on two d-dimensional parts."""
-    amps = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
-    return pure(((label_a, dim), (label_b, dim)), amps)
+def bell_pair() -> PureState:
+    """The EPR pair (|00⟩+|11⟩)/√2 on qubits A,B."""
+    return pure((("A", 2), ("B", 2)), np.eye(2, dtype=complex).reshape(-1) / math.sqrt(2))
 
 
 def ghz(m: int) -> PureState:
@@ -106,7 +105,7 @@ def random_pure(dims, seed: int) -> PureState:
 
 
 _FIXED_PRESETS = {
-    "epr": lambda: bell_pair(),
+    "epr": bell_pair,
     "cc": classically_correlated,
     "cc-pure": cc_purification,
     "example1": example1,

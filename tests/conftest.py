@@ -1,10 +1,12 @@
-"""Shared helpers: a generator that refuses draws, basis and maximally mixed
-states, seeded random states, a canonical purification, the Uhlmann
-fidelity and trace distance oracles, a recovery oracle against a general
-target, subsystem reordering and renaming, the EPR boost, a dense prepared
-state and Alice's measurement of it by hand, the merge's Kronecker powers,
-Haar draw and outcome draw in the expressions the byte-identical fast ones
-replaced, and the fixed decoupling test state."""
+"""Shared helpers: a generator that refuses draws, basis, maximally mixed
+and maximally entangled states, seeded random states, a canonical
+purification, the Uhlmann fidelity and trace distance oracles, mutual
+information and the strong-subadditivity margin, a recovery oracle against
+a general target, subsystem reordering and renaming, the EPR boost, a dense
+prepared state and Alice's measurement of it by hand, the ensemble
+reference check, the merge's Kronecker powers, Haar draw and outcome draw
+in the expressions the byte-identical fast ones replaced, and the fixed
+decoupling test state."""
 
 import math
 from functools import reduce
@@ -14,9 +16,10 @@ import numpy as np
 import pytest
 
 import qmerge
-from qmerge import presets
+from qmerge import merging, presets
 from qmerge.applications import EP_GRAD_TOL, _ARMIJO, _MAX_HALVINGS, _ep_objective
 from qmerge.core import (
+    DEFAULT_PURE_CAP,
     RANK_TOL,
     DensityOperator,
     PureState,
@@ -26,6 +29,7 @@ from qmerge.core import (
     phase_fixed_qr,
     tensor,
 )
+from qmerge.entropy import EntropyReport
 from qmerge.merging import ZERO_PROB
 
 # pure presets with cuts whose two sides have the same dimension
@@ -50,6 +54,12 @@ def basis_state(labels_dims, index: int = 0) -> PureState:
 
 def maximally_mixed(label: str, dim: int) -> DensityOperator:
     return DensityOperator(SubsystemLayout(((label, dim),)), np.eye(dim) / dim)
+
+
+def max_entangled(label_a: str, label_b: str, dim: int = 2) -> PureState:
+    """Σ|ii⟩/√d on two d-dimensional parts named ``label_a``, ``label_b``."""
+    amps = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
+    return presets.pure(((label_a, dim), (label_b, dim)), amps)
 
 
 def random_pure_state(rng, labels_dims) -> PureState:
@@ -117,6 +127,20 @@ def fidelity(rho: DensityOperator, sigma: DensityOperator) -> float:
     _check_same_layout(rho, sigma)
     s = np.linalg.svd(_psd_sqrt(rho.matrix) @ _psd_sqrt(sigma.matrix), compute_uv=False)
     return float(min(1.0, s.sum() ** 2))
+
+
+def mutual_information(state: State, a, b) -> float:
+    """I(A:B) = S(A) + S(B) − S(AB); nonnegative up to numerics."""
+    a_t, b_t = state.layout.check_groups(a=a, b=b)
+    report = EntropyReport(state)
+    return report.entropy(a_t) + report.entropy(b_t) - report.entropy(a_t + b_t)
+
+
+def ssa_margin(state: State, a, b, c) -> float:
+    """S(A|B) − S(A|BC); nonnegative for every state (strong subadditivity)."""
+    a_t, b_t, c_t = state.layout.check_groups(a=a, b=b, c=c)
+    report = EntropyReport(state)
+    return report.conditional(a_t, b_t) - report.conditional(a_t, b_t + c_t)
 
 
 def recovery_isometry(post: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -195,7 +219,7 @@ def epr_boost(psi: PureState, k: int) -> PureState:
     while k > 0:
         ca, cb = f"A{j}", f"B{j}"
         if ca not in taken and cb not in taken:
-            psi = tensor(psi, presets.bell_pair(ca, cb))
+            psi = tensor(psi, max_entangled(ca, cb))
             k -= 1
         j += 1
     return psi
@@ -236,6 +260,41 @@ def hand_branches(prepared, basis, block):
         if p >= ZERO_PROB:
             branches[k] = p, m / np.sqrt(p)
     return branches
+
+
+def _reference(t):
+    """Σ_a t[a]·t[a]†, the reference block of an (A, R, B) amplitude array."""
+    flat = t.transpose(1, 0, 2).reshape(t.shape[1], -1)
+    return flat @ flat.conj().T
+
+
+def ensemble_reference_check(psi: PureState, plan, unitary) -> float:
+    """Trace distance between Σ_k p_k σ_R^(k) and ρ_R^⊗n for Alice's
+    measurement in ``unitary``, at the default pure cap.
+
+    Local operations cannot change the unconditioned reference state, so
+    this is zero up to roundoff for every basis. It is built on the merge's
+    own ``_setup``, ``_probabilities``, ``_branch`` and ``_kron_power``,
+    looked up at call time, so it checks the branches a run scores: p_k
+    comes from ``_probabilities`` and σ_R^(k) is the reference block of
+    ``_branch`` k, normalized by its own trace, so a branch built from the
+    wrong rows of ``unitary`` shows. Outcomes below ``ZERO_PROB`` are
+    skipped, as in a run; their share of the trace is below N·1e-12, and so
+    is what they can add to the result. ρ_R^⊗n is the Kronecker power of
+    the one copy's reference block. Both are in the Schmidt basis of
+    supp(ρ_R)^⊗n, not from τ's weights.
+    """
+    setup = merging._setup(psi, plan, DEFAULT_PURE_CAP, unitary)
+    basis = setup.basis
+    avg = 0
+    for k, p in enumerate(merging._probabilities(setup, basis)):
+        if p >= ZERO_PROB:
+            sigma = _reference(merging._branch(setup, basis, k, p))
+            avg = avg + p / np.trace(sigma).real * sigma
+    # the p_k are not renormalized over the outcomes kept, so a lost share
+    # of the trace counts too
+    diff = avg - merging._kron_power(_reference(setup.copy), plan.n)
+    return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def kron_power_oracle(one, n):

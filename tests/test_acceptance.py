@@ -20,22 +20,11 @@ from qmerge.applications import (
     mac_region,
 )
 from qmerge.core import haar_unitary, stream_rng, tensor
-from qmerge.entropy import (
-    conditional_entropy,
-    mutual_information,
-    ssa_margin,
-    subset_entropy,
-    von_neumann_entropy,
-)
-from qmerge.merging import (
-    ensemble_reference_check,
-    hadamard_basis,
-    plan_merge,
-    run_merge,
-    run_merge_exhaustive,
-)
-from conftest import (basis_state, decoupling_test_state, maximally_mixed, random_density,
-                      random_pure_state)
+from qmerge.entropy import conditional_entropy, subset_entropy, von_neumann_entropy
+from qmerge.merging import hadamard_basis, plan_merge, run_merge, run_merge_exhaustive
+from conftest import (basis_state, decoupling_test_state, ensemble_reference_check,
+                      max_entangled, maximally_mixed, mutual_information, random_density,
+                      random_pure_state, ssa_margin)
 from test_applications import (
     oracle_compression_bounds,
     oracle_eoa,
@@ -168,7 +157,7 @@ def test_criterion_08_rate_regions():
 
 def test_criterion_09_mac_bounds():
     with criterion(9, "multiple-access bounds (1, -1, 0) with a negative sender", 1.0):
-        rho = tensor(presets.bell_pair("A", "C").density(),
+        rho = tensor(max_entangled("A", "C").density(),
                      maximally_mixed("B", 2))
         bounds = [c.bound for c in mac_region(rho).constraints]
         assert abs(bounds[0] - 1.0) <= 1e-9
@@ -200,7 +189,7 @@ def test_criterion_11_ep_estimator_soundness():
         est = entanglement_of_purification(trivial, "A", "U", restarts=2,
                                            rng=stream_rng(111))
         assert abs(est.value - subset_entropy(trivial, "A")) <= 1e-6
-        bell = presets.bell_pair("A", "U").density()
+        bell = max_entangled("A", "U").density()
         est = entanglement_of_purification(bell, "A", "U", restarts=2,
                                            rng=stream_rng(112))
         assert abs(est.value - oracle_ep_grid(bell.matrix, 2)) <= 1e-3

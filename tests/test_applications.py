@@ -28,20 +28,17 @@ from qmerge.core import (
     stream_rng,
     tensor,
 )
-from qmerge.entropy import (
-    MAX_SUBSETS,
-    EntropyReport,
-    coherent_information,
-    ssa_margin,
-    von_neumann_entropy,
-)
+from qmerge.entropy import MAX_SUBSETS, EntropyReport, von_neumann_entropy
 from conftest import (
     NoDraws,
     basis_state,
+    max_entangled,
     maximally_mixed,
+    mutual_information,
     oracle_ep_restarts,
     random_density,
     random_pure_state,
+    ssa_margin,
 )
 
 
@@ -228,13 +225,13 @@ class TestMembership:
 
 class TestMacRegion:
     def test_two_noiseless_channels(self):
-        rho = tensor(presets.bell_pair("A", "C"), presets.bell_pair("B", "C'")).density()
+        rho = tensor(max_entangled("A", "C"), max_entangled("B", "C'")).density()
         region = mac_region(rho)
         bounds = [c.bound for c in region.constraints]
         np.testing.assert_allclose(bounds, [1.0, 1.0, 2.0], atol=1e-9)
 
     def test_negative_single_sender_bound(self):
-        rho = tensor(presets.bell_pair("A", "C").density(), maximally_mixed("B", 2))
+        rho = tensor(max_entangled("A", "C").density(), maximally_mixed("B", 2))
         region = mac_region(rho)
         bounds = [c.bound for c in region.constraints]
         np.testing.assert_allclose(bounds, [1.0, -1.0, 0.0], atol=1e-9)
@@ -247,7 +244,7 @@ class TestMacRegion:
         np.testing.assert_allclose(bounds, [-1.0, -1.0, -2.0], atol=1e-9)
 
     def test_upper_bound_membership(self):
-        rho = tensor(presets.bell_pair("A", "C"), presets.bell_pair("B", "C'")).density()
+        rho = tensor(max_entangled("A", "C"), max_entangled("B", "C'")).density()
         region = mac_region(rho)
         assert region.contains((1.0, 1.0))[0]
         assert not region.contains((1.5, 1.0))[0]
@@ -258,9 +255,9 @@ class TestMacRegion:
         for _ in range(100):
             rho = random_density(rng, (("A", 2), ("B", 2), ("C", 2)),
                                  rank=int(rng.integers(1, 9)))
-            lhs = (coherent_information(rho, "A", "C")
-                   + coherent_information(rho, "B", ("A", "C")))
-            rhs = coherent_information(rho, ("A", "B"), "C")
+            report = EntropyReport(rho)
+            lhs = report.coherent("A", "C") + report.coherent("B", ("A", "C"))
+            rhs = report.coherent(("A", "B"), "C")
             assert abs(lhs - rhs) < 1e-9
 
     def test_missing_label(self):
@@ -280,7 +277,7 @@ class TestEoa:
         assert abs(eoa(psi).value - 1.0) < 1e-9
 
     def test_unentangled_alice(self):
-        psi = tensor(basis_state((("A", 2),)), presets.bell_pair("B", "C1"))
+        psi = tensor(basis_state((("A", 2),)), max_entangled("B", "C1"))
         assert eoa(psi).value < 1e-9
 
     def test_matches_bruteforce_oracle(self):
@@ -318,7 +315,7 @@ class TestEntanglementOfPurification:
             assert est.value <= von_neumann_entropy(rho) + 1e-9
 
     def test_bell_case_matches_grid_oracle(self):
-        rho = presets.bell_pair("A", "U").density()
+        rho = max_entangled("A", "U").density()
         est = entanglement_of_purification(rho, "A", "U", rng=stream_rng(10), restarts=2)
         expected = oracle_ep_grid(rho.matrix, 2)
         assert abs(est.value - expected) < 1e-3
@@ -334,7 +331,7 @@ class TestEntanglementOfPurification:
         assert values[0] >= values[1] - 1e-12 >= values[2] - 2e-12
 
     def test_caps_validated(self):
-        rho = presets.bell_pair("A", "U").density()
+        rho = max_entangled("A", "U").density()
         with pytest.raises(ValueError, match="cover"):
             entanglement_of_purification(rho, "A", "U", cap_out=1, cap_env=1,
                                          rng=stream_rng(13))
@@ -691,7 +688,7 @@ _RHO_AU = tensor(maximally_mixed("A", 2), maximally_mixed("U", 2))
 @pytest.mark.parametrize("call,message", [
     (lambda: EntropyReport(_GHZ4).conditional(("A", "C1"), "C1"),
      "of and given overlap on ['C1']"),
-    (lambda: EntropyReport(_GHZ4).mutual("A", ("A", "B")), "a and b overlap on ['A']"),
+    (lambda: mutual_information(_GHZ4, "A", ("A", "B")), "a and b overlap on ['A']"),
     (lambda: ssa_margin(_GHZ4, ("A", "B"), "B", "C1"), "a and b overlap on ['B']"),
     (lambda: ssa_margin(_GHZ4, "A", "B", ("A", "C1")), "a and c overlap on ['A']"),
     (lambda: ssa_margin(_GHZ4, "A", ("B", "C1"), "C1"), "b and c overlap on ['C1']"),

@@ -848,6 +848,22 @@ def test_import_loads_no_numpy(module):
     assert _fresh_python(f"import sys, {module}; print('numpy' in sys.modules)") == "False\n"
 
 
+def test_every_exported_name_resolves_and_is_listed():
+    # each name of the package surface is read from its submodule on lookup
+    listed = dir(qmerge)
+    for name in qmerge.__all__:
+        getattr(qmerge, name)
+        assert name in listed, name
+
+
+@pytest.mark.parametrize("name", ["mutual_information", "coherent_information", "ssa_margin",
+                                  "ensemble_reference_check"])
+def test_test_oracles_are_not_exported(name):
+    # these live in the tests' conftest, not in the package
+    with pytest.raises(AttributeError):
+        getattr(qmerge, name)
+
+
 @pytest.mark.parametrize("argv,absent", [
     (["entropy", "--state", "epr", "--of", "A", "--given", "B"],
      ["qmerge.applications", "qmerge.merging"]),

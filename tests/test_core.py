@@ -30,8 +30,9 @@ from qmerge.core import (
 )
 from qmerge.entropy import von_neumann_entropy
 from qmerge.merging import plan_merge, run_merge
-from conftest import (basis_state, fidelity, haar_oracle, maximally_mixed, permute_subsystems,
-                      purify, random_density, random_pure_state, trace_distance)
+from conftest import (basis_state, fidelity, haar_oracle, max_entangled, maximally_mixed,
+                      permute_subsystems, purify, random_density, random_pure_state,
+                      trace_distance)
 
 
 def ket(*amps):
@@ -100,13 +101,13 @@ class TestTensor:
         # oracle: direct matrix computation with np.kron
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         expected = np.outer(phi, phi)
-        pairs = tensor(presets.bell_pair("A", "B"), presets.bell_pair("C", "D"))
+        pairs = tensor(presets.bell_pair(), max_entangled("C", "D"))
         back = partial_trace(pairs.density(), ("A", "B"))
         np.testing.assert_allclose(back.matrix, expected, atol=1e-12)
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            tensor(presets.bell_pair("A", "B"), presets.bell_pair("B", "C"))
+            tensor(presets.bell_pair(), max_entangled("B", "C"))
 
 
 class TestPartialTrace:

@@ -16,10 +16,7 @@ from qmerge.entropy import (
     MAX_SUBSETS,
     EntropyReport,
     _side,
-    coherent_information,
     conditional_entropy,
-    mutual_information,
-    ssa_margin,
     subset_entropy,
     subsets_in_counting_order,
     von_neumann_entropy,
@@ -27,9 +24,11 @@ from qmerge.entropy import (
 from conftest import (
     TIED_CUTS,
     maximally_mixed,
+    mutual_information,
     permute_subsystems,
     random_density,
     random_pure_state,
+    ssa_margin,
 )
 
 
@@ -83,14 +82,14 @@ class TestMutualInformation:
 
 class TestCoherentInformation:
     def test_bell_pair(self):
-        assert abs(coherent_information(presets.bell_pair(), "A", "B") - 1.0) < 1e-12
+        assert abs(EntropyReport(presets.bell_pair()).coherent("A", "B") - 1.0) < 1e-12
 
     def test_example1_signed_vs_legacy(self):
         rho = presets.example1()
-        assert abs(coherent_information(rho, "A", "B") + 1.0) < 1e-12
+        assert abs(EntropyReport(rho).coherent("A", "B") + 1.0) < 1e-12
 
     def test_classically_correlated(self):
-        assert abs(coherent_information(presets.classically_correlated(), "A", "B")) < 1e-12
+        assert abs(EntropyReport(presets.classically_correlated()).coherent("A", "B")) < 1e-12
 
 
 class TestSSA:
@@ -164,7 +163,7 @@ class TestIdentitySuite:
         for quantity in (
             lambda r: conditional_entropy(r, "A", "B"),
             lambda r: mutual_information(r, "A", ("B", "C")),
-            lambda r: coherent_information(r, "B", "C"),
+            lambda r: EntropyReport(r).coherent("B", "C"),
         ):
             assert abs(quantity(rho) - quantity(moved)) < 1e-9
         w = haar_unitary(2, rng)
@@ -208,7 +207,7 @@ class TestEntropyReport:
         for subset in subsets_in_counting_order(report.labels):
             assert abs(report.entropy(subset) - subset_entropy(rho, subset)) < 1e-12
         assert abs(report.conditional("A", "B") - conditional_entropy(rho, "A", "B")) < 1e-12
-        assert abs(report.mutual("A", ("B", "C")) - mutual_information(rho, "A", ("B", "C"))) < 1e-12
+        assert report.coherent("A", ("B", "C")) == -conditional_entropy(rho, "A", ("B", "C"))
 
     def test_memoizes_one_entry_per_cut(self):
         # a pure state's subset and its complement are one cut: A,B in any

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 
 from qmerge.cli import main
 from qmerge.core import partial_trace
-from qmerge.entropy import ssa_margin, subset_entropy, von_neumann_entropy
-from conftest import permute_subsystems, random_density, random_pure_state
+from qmerge.entropy import subset_entropy, von_neumann_entropy
+from conftest import permute_subsystems, random_density, random_pure_state, ssa_margin
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
