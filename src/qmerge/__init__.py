@@ -11,11 +11,11 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "ChannelSpec", "DensityOperator", "DimensionCapError", "PureState",
-        "SubsystemLayout", "apply_channel", "haar_unitary", "partial_trace",
-        "reduced_density", "stream_rng", "tensor",
+        "ChannelSpec", "DensityOperator", "PureState", "SubsystemLayout",
+        "apply_channel", "haar_unitary", "partial_trace", "reduced_density",
+        "stream_rng", "tensor",
     ),
-    "limits": ("DEFAULT_DENSITY_CAP", "DEFAULT_PURE_CAP"),
+    "limits": ("DEFAULT_DENSITY_CAP", "DEFAULT_PURE_CAP", "DimensionCapError"),
     "entropy": (
         "EntropyReport", "conditional_entropy", "subset_entropy", "von_neumann_entropy",
     ),

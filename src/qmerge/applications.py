@@ -12,11 +12,8 @@ import numpy as np
 
 from .core import (
     ChannelSpec,
-    DEFAULT_DENSITY_CAP,
-    DEFAULT_PURE_CAP,
     DensityOperator,
     Labels,
-    MAX_RESTARTS,
     PureState,
     State,
     apply_channel,
@@ -25,7 +22,6 @@ from .core import (
     reduced_density,
     stinespring_contract,
     stream_rng,
-    within_cap,
 )
 from .entropy import (
     EntropyReport,
@@ -34,6 +30,7 @@ from .entropy import (
     subsets_in_counting_order,
     von_neumann_entropy,
 )
+from .limits import DEFAULT_DENSITY_CAP, DEFAULT_PURE_CAP, MAX_RESTARTS, within_cap
 
 MAX_HELPERS = 12
 

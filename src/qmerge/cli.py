@@ -12,7 +12,8 @@ earlier ones.
 
 A command on a state of at most ``ONE_THREAD_MAX_ENTRIES`` entries
 (amplitudes, or density-matrix entries) runs BLAS on one thread: ``main``
-parses its arguments before numpy loads and, for such a state, sets
+parses its arguments before numpy loads, reads a preset's size with the
+parser's own :func:`~qmerge.limits.read_preset`, and, for such a state, sets
 ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1,
 overwriting the caller's values, so its stdout does not depend on them. On
 a larger state, or once numpy is loaded, the caller's values stand.
@@ -32,7 +33,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .limits import _MAX_PLAN_BITS, DEFAULT_PURE_CAP, MAX_RESTARTS, MAX_TRIALS
+from .limits import (_MAX_PLAN_BITS, DEFAULT_PURE_CAP, FIXED_PRESETS, MAX_RESTARTS,
+                     MAX_TRIALS, DimensionCapError, read_preset)
 
 if TYPE_CHECKING:  # each command imports what it runs, once the BLAS threads are set
     from .applications import RateRegion
@@ -47,16 +49,16 @@ ONE_THREAD_MAX_ENTRIES = 2 ** 12
 
 def _small_state(source: str) -> bool:
     """Whether ``source`` names a state of at most ``ONE_THREAD_MAX_ENTRIES``
-    entries, read from the preset text or, for a file, bounded by its size:
-    each entry takes two JSON numbers, at least 4 bytes. Decided without
-    numpy; text that names no state counts as small and fails later."""
+    entries: a preset within that cap as ``parse_state`` reads it, or a file
+    bounded by its size, as each entry takes two JSON numbers of at least 4
+    bytes. Decided without numpy; text that names no state counts as small
+    and fails later."""
     try:
-        if source.startswith("ghz:"):
-            return int(source[len("ghz:"):]) <= ONE_THREAD_MAX_ENTRIES.bit_length() - 1
-        if source.startswith("random-pure:"):
-            dims = source.split(":")[1].split("x")
-            return math.prod(int(d) for d in dims) <= ONE_THREAD_MAX_ENTRIES
-        return os.path.getsize(source) <= 4 * ONE_THREAD_MAX_ENTRIES
+        kind, args = read_preset(source, ONE_THREAD_MAX_ENTRIES)
+        return (bool(args) or kind in FIXED_PRESETS
+                or os.path.getsize(source) <= 4 * ONE_THREAD_MAX_ENTRIES)
+    except DimensionCapError:
+        return False
     except (ValueError, OSError):
         return True
 
@@ -384,8 +386,6 @@ def main(argv=None) -> int:
     if args.command == "merge" and args.exhaustive and args.trials is not None:
         args.parser.error("--exhaustive scores every outcome of one basis; it takes no --trials")
     _set_blas_threads(args.state)
-    from .core import DimensionCapError  # numpy loads here
-
     try:
         text = args.func(args)
     except (DimensionCapError, MemoryError) as err:  # a cap raised past the machine

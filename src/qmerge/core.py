@@ -16,9 +16,8 @@ operator that a kernel derives from checked states (``partial_trace``,
 ``reduced_density``, ``apply_channel``, ``tensor``, ``PureState.density``)
 is stored without the checks, divided by its trace like any other.
 
-Every dimension cap and work bound of the package is compared, and its
-refusal worded, by :func:`within_cap`, which raises every
-:class:`DimensionCapError`; a file loader only puts the file's path first.
+The dimension caps and work bounds, and :func:`~qmerge.limits.within_cap`,
+which compares each of them, live in the numpy-free :mod:`qmerge.limits`.
 
 All values are immutable after construction; every operation is a pure
 function except the ones taking an explicit seeded generator.
@@ -33,32 +32,10 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .limits import (  # noqa: F401  re-exported; see limits for why they live there
-    _MAX_PLAN_BITS,
-    DEFAULT_DENSITY_CAP,
-    DEFAULT_PURE_CAP,
-    MAX_RESTARTS,
-    MAX_TRIALS,
-)
-
 HERMITIAN_TOL = 1e-10
 NORM_TOL = 1e-10
 EIG_FLOOR = -1e-9          # least eigenvalue the door accepts; entropies clamp below 0
 RANK_TOL = 1e-12
-
-
-class DimensionCapError(RuntimeError):
-    """A requested computation would exceed the configured dimension cap."""
-
-
-def within_cap(what: str, count: int, cap: int) -> None:
-    """Refuse ``count`` when it is over ``cap``: the one place a dimension cap
-    or work bound is compared and its refusal worded, as
-    ``<what>: <count> over the <cap> cap``. Python prints no int of over 4300
-    digits, so a count that long shows as ``2^b+``, b its bit length less 1."""
-    if count > cap:
-        shown = count if count.bit_length() < 14_000 else f"2^{count.bit_length() - 1}+"
-        raise DimensionCapError(f"{what}: {shown} over the {cap} cap")
 
 
 Labels = Union[str, Iterable[str]]
@@ -358,12 +335,14 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     parts first, and scales them by 1/√2 before they fill one complex
     array. That is bit for bit ``(a + 1j*b) / np.sqrt(2)`` of two draws, as
     numpy divides a complex array by a real one as a product with the
-    reciprocal, without the D² complex temporaries."""
+    reciprocal, without the D² complex temporaries. The normals are freed
+    before the QR, which holds only ``z`` and its factors."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     parts = rng.standard_normal((2, dim, dim)) * (1 / np.sqrt(2))
     z = np.empty((dim, dim), dtype=complex)
     z.real, z.imag = parts
+    del parts
     return phase_fixed_qr(z)
 
 

@@ -30,8 +30,8 @@ from .core import (
     State,
     partial_trace,
     reduced_density,
-    within_cap,
 )
+from .limits import within_cap
 
 MAX_SUBSETS = 2 ** 16 - 1   # most subsets one enumeration may return
 

@@ -66,18 +66,14 @@ from typing import Iterable
 import numpy as np
 
 from .core import (
-    _MAX_PLAN_BITS,
-    DEFAULT_PURE_CAP,
-    MAX_TRIALS,
     RANK_TOL,
-    DimensionCapError,
     PureState,
     haar_unitary,
     stream_rng,
     tensor,  # noqa: F401  (bench/test_bench.py reads qmerge.merging.tensor)
-    within_cap,
 )
 from .entropy import conditional_entropy
+from .limits import _MAX_PLAN_BITS, DEFAULT_PURE_CAP, MAX_TRIALS, DimensionCapError, within_cap
 
 DEFAULT_SLACK_BITS = 1.0
 ZERO_PROB = 1e-12       # measurement branches below this are never sampled or scored

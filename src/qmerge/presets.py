@@ -10,9 +10,12 @@ Preset strings understood by :func:`parse_state`:
 * ``ghz:m`` — the m-qubit GHZ state on A,B,C1..C(m−2)
 * ``random-pure:d1xd2x...:seed`` — a Haar-random pure state
 
-Anything else is treated as a path to a JSON state file with parallel flat
-``re``/``im`` arrays (amplitudes for ``"kind": "pure"``, a row-major matrix
-for ``"kind": "mixed"``), ordered with the first label most significant.
+The grammar is read by :func:`qmerge.limits.read_preset`. Anything else is
+treated as a path to a JSON state file with parallel flat ``re``/``im``
+arrays (amplitudes for ``"kind": "pure"``, a row-major matrix for
+``"kind": "mixed"``), ordered with the first label most significant. A
+preset wins over a file of the same name, so ``./epr`` loads a file named
+``epr``.
 """
 
 from __future__ import annotations
@@ -24,17 +27,9 @@ import os
 
 import numpy as np
 
-from .core import (
-    ChannelSpec,
-    DEFAULT_DENSITY_CAP,
-    DEFAULT_PURE_CAP,
-    DensityOperator,
-    DimensionCapError,
-    PureState,
-    State,
-    SubsystemLayout,
-    within_cap,
-)
+from .core import ChannelSpec, DensityOperator, PureState, State, SubsystemLayout
+from .limits import (DEFAULT_DENSITY_CAP, DEFAULT_PURE_CAP, FIXED_PRESETS,
+                     DimensionCapError, read_preset, within_cap)
 
 FILE_NORM_TOL = 1e-6
 
@@ -104,47 +99,29 @@ def random_pure(dims, seed: int) -> PureState:
     return pure(tuple(zip(labels, dims)), v / np.linalg.norm(v))
 
 
-_FIXED_PRESETS = {
+_BUILDERS = {
     "epr": bell_pair,
     "cc": classically_correlated,
     "cc-pure": cc_purification,
     "example1": example1,
     "example1-pure": example1_purification,
+    "ghz": ghz,
+    "random-pure": random_pure,
 }
 
 
 def parse_state(source: str, pure_cap: int = DEFAULT_PURE_CAP) -> State:
-    """Resolve a preset string or load a JSON state file, with the caps of
+    """Build the preset that :func:`~qmerge.limits.read_preset` reads from
+    ``source``, or load the JSON state file it names, with the caps of
     :func:`load_state_file`."""
-    if source in _FIXED_PRESETS:
-        return _FIXED_PRESETS[source]()
-    if source.startswith("ghz:"):
-        try:
-            m = int(source[len("ghz:"):])
-        except ValueError:
-            raise ValueError(f"bad preset {source!r}, expected ghz:m") from None
-        # 2^m amplitudes are over pure_cap exactly when m is over
-        # ⌊log2 pure_cap⌋, so 2^m is never formed
-        within_cap("ghz qubits", m, pure_cap.bit_length() - 1)
-        return ghz(m)
-    if source.startswith("random-pure:"):
-        try:
-            _, dims_part, seed_part = source.split(":")
-            dims = tuple(int(d) for d in dims_part.split("x"))
-            seed = int(seed_part)
-            if min(dims) < 1 or seed < 0:
-                raise ValueError
-        except ValueError:
-            raise ValueError(
-                f"bad preset {source!r}, expected random-pure:d1xd2x...:seed"
-            ) from None
-        within_cap("random-pure amplitudes", math.prod(dims), pure_cap)
-        return random_pure(dims, seed)
+    kind, args = read_preset(source, pure_cap)
+    if args or kind in FIXED_PRESETS:
+        return _BUILDERS[kind](*args)
     if os.path.exists(source):
         return load_state_file(source, pure_cap)
     raise ValueError(
         f"unknown preset or missing file {source!r}; presets are "
-        f"{sorted(_FIXED_PRESETS)} plus ghz:m and random-pure:dims:seed"
+        f"{sorted(FIXED_PRESETS)} plus ghz:m and random-pure:dims:seed"
     )
 
 

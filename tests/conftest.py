@@ -19,7 +19,6 @@ import qmerge
 from qmerge import merging, presets
 from qmerge.applications import EP_GRAD_TOL, _ARMIJO, _MAX_HALVINGS, _ep_objective
 from qmerge.core import (
-    DEFAULT_PURE_CAP,
     RANK_TOL,
     DensityOperator,
     PureState,
@@ -29,6 +28,7 @@ from qmerge.core import (
     phase_fixed_qr,
     tensor,
 )
+from qmerge.limits import DEFAULT_PURE_CAP
 from qmerge.entropy import EntropyReport
 from qmerge.merging import ZERO_PROB
 

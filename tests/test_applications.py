@@ -22,13 +22,13 @@ from qmerge.applications import (
 from qmerge.core import (
     ChannelSpec,
     DensityOperator,
-    DimensionCapError,
     SubsystemLayout,
     partial_trace,
     stream_rng,
     tensor,
 )
 from qmerge.entropy import MAX_SUBSETS, EntropyReport, von_neumann_entropy
+from qmerge.limits import DimensionCapError
 from conftest import (
     NoDraws,
     basis_state,

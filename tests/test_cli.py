@@ -18,7 +18,8 @@ import pytest
 import qmerge
 from qmerge.applications import mac_region
 from qmerge.cli import _emit_json, main
-from qmerge.core import DimensionCapError, PureState, partial_trace
+from qmerge.core import PureState, partial_trace
+from qmerge.limits import FIXED_PRESETS, DimensionCapError
 from qmerge.presets import load_channel_file, parse_state
 from conftest import TIED_CUTS
 
@@ -64,6 +65,15 @@ def floor_file(tmp_path, parties: int) -> str:
 
 
 class TestParseState:
+    @pytest.mark.parametrize("name", FIXED_PRESETS)
+    def test_every_fixed_name_is_built(self, name):
+        assert parse_state(name).dim in (4, 8)
+
+    @pytest.mark.parametrize("source", ["ghz", "random-pure"])
+    def test_a_kind_without_its_arguments_names_a_file(self, source):
+        with pytest.raises(ValueError, match=f"^unknown preset or missing file '{source}'"):
+            parse_state(source)
+
     def test_epr_amplitudes(self):
         psi = parse_state("epr")
         np.testing.assert_allclose(psi.amplitudes,
@@ -928,6 +938,18 @@ def test_a_state_file_is_small_by_its_size(tmp_path):
     path.write_bytes(b" " * (4 * ONE_THREAD_MAX_ENTRIES + 1))
     assert not _small_state(str(path))
     assert _small_state(str(tmp_path / "missing.json"))  # fails later, as usage
+
+
+def test_a_preset_name_wins_over_a_large_file_of_that_name(tmp_path, monkeypatch):
+    # parse_state builds the preset epr, not the file, so the threads follow
+    # the 4-entry preset; ./epr names the file, and is sized as one
+    from qmerge.cli import ONE_THREAD_MAX_ENTRIES, _small_state
+
+    (tmp_path / "epr").write_bytes(b" " * (4 * ONE_THREAD_MAX_ENTRIES + 1))
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", "entropy", "--state", "epr", "--of", "A", "--given", "B"]
+    assert _fresh_python(THREAD_PROBE, *argv, OPENBLAS_NUM_THREADS="2") == "1 1\n"
+    assert _small_state("epr") and not _small_state("./epr")
 
 
 def test_library_sideinfo_does_not_depend_on_blas_threads():

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from qmerge.core import (
     EIG_FLOOR,
     ChannelSpec,
     DensityOperator,
-    DimensionCapError,
     PureState,
     SubsystemLayout,
     apply_channel,
@@ -26,9 +26,9 @@ from qmerge.core import (
     reduced_density,
     stream_rng,
     tensor,
-    within_cap,
 )
 from qmerge.entropy import von_neumann_entropy
+from qmerge.limits import DimensionCapError, within_cap
 from qmerge.merging import plan_merge, run_merge
 from conftest import (basis_state, fidelity, haar_oracle, max_entangled, maximally_mixed,
                       permute_subsystems, purify, random_density, random_pure_state,
@@ -207,6 +207,19 @@ class TestHaarUnitary:
             assert got.dtype == want.dtype and got.shape == want.shape == (dim, dim)
             assert got.tobytes() == want.tobytes()
             assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("dim", [128, 256])
+    def test_normals_are_freed_before_the_qr(self, dim):
+        # the QR holds z, its factors and LAPACK's work, about 4.1-4.5 D×D
+        # complex arrays; the 2·D² normals, kept alive too, would add one more
+        haar_unitary(dim, np.random.default_rng(1))  # LAPACK's first-call state
+        tracemalloc.start()
+        try:
+            haar_unitary(dim, np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.75 * 16 * dim ** 2
 
     def test_first_entry_second_moment(self):
         # Monte-Carlo oracle for the Haar moment E|W00|^2 = 1/d
@@ -531,7 +544,7 @@ class TestCapLedger:
 
     def test_only_within_cap_constructs_the_error(self):
         sites = [(module, func) for module, func, _ in calls_in_src("DimensionCapError")]
-        assert sites == [("core.py", "within_cap")]
+        assert sites == [("limits.py", "within_cap")]
 
     def test_every_label_is_in_the_readme_table(self):
         labels = [call.args[0] for _, _, call in calls_in_src("within_cap")]

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from qmerge import presets
-from qmerge.core import (
-    DensityOperator,
-    DimensionCapError,
-    haar_unitary,
-    tensor,
-)
+from qmerge.core import DensityOperator, haar_unitary, tensor
 from qmerge.entropy import (
     MAX_SUBSETS,
     EntropyReport,
@@ -21,6 +16,7 @@ from qmerge.entropy import (
     subsets_in_counting_order,
     von_neumann_entropy,
 )
+from qmerge.limits import DimensionCapError
 from conftest import (
     TIED_CUTS,
     maximally_mixed,

@@ -15,10 +15,8 @@ import pytest
 import qmerge
 from qmerge import presets
 from qmerge.core import (
-    DEFAULT_PURE_CAP,
     RANK_TOL,
     DensityOperator,
-    DimensionCapError,
     PureState,
     SubsystemLayout,
     haar_unitary,
@@ -27,6 +25,7 @@ from qmerge.core import (
     tensor,
 )
 from qmerge.entropy import conditional_entropy
+from qmerge.limits import DEFAULT_PURE_CAP, DimensionCapError
 from qmerge.merging import (
     MAX_TRIALS,
     ZERO_PROB,

@@ -1,8 +1,9 @@
 """Property tests: every string given to a numeric CLI flag, every state or
 channel file and every ``ghz:``/``random-pure:`` preset ends in exit 0, 2 or 3
-with one stderr line and no traceback; partial traces commute with
-reordering subsystems; complementary parts of a pure state have equal
-entropy; and strong subadditivity holds.
+with one stderr line and no traceback; the CLI's BLAS thread choice counts a
+preset as the parser does; partial traces commute with reordering
+subsystems; complementary parts of a pure state have equal entropy; and
+strong subadditivity holds.
 
 Examples are derandomized, so every run checks the same inputs.
 """
@@ -15,12 +16,14 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qmerge.cli import main
+from qmerge.cli import ONE_THREAD_MAX_ENTRIES, _small_state, main
 from qmerge.core import partial_trace
 from qmerge.entropy import subset_entropy, von_neumann_entropy
+from qmerge.limits import DimensionCapError
+from qmerge.presets import parse_state
 from conftest import permute_subsystems, random_density, random_pure_state, ssa_margin
 
 FIXED = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -216,6 +219,29 @@ def preset_strings():
 @given(preset_strings())
 def test_preset_strings(source):
     check_outcome(["report", "--state", source, "--max-subset", "1", "--dim-cap", "64"])
+
+
+# one count: a preset is small for the BLAS thread choice exactly when the
+# parser, held to the same bound, admits it; text it rejects counts as small
+@settings(FIXED, max_examples=200)
+@given(preset_strings())
+@example("ghz:12")
+@example("ghz:13")
+@example("random-pure:64x64:1")
+@example("random-pure:64x65:1")
+@example("random-pure:64x65:-1")
+def test_the_thread_choice_counts_a_preset_as_the_parser_does(source):
+    try:
+        parse_state(source, ONE_THREAD_MAX_ENTRIES)
+    except DimensionCapError:
+        assert not _small_state(source)
+    except ValueError as err:
+        form = "ghz:m" if source.startswith("ghz:") else "random-pure:d1xd2x...:seed"
+        assert str(err) in (f"bad preset {source!r}, expected {form}",
+                            "GHZ needs at least 2 parties")
+        assert _small_state(source)
+    else:
+        assert _small_state(source)
 
 
 @st.composite

@@ -1,8 +1,11 @@
 """The size report of ``tools/size.py``: code lines and settable values of
-a small fixture package whose counts are known by hand."""
+a small fixture package whose counts are known by hand, and its usage
+errors."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 _spec = importlib.util.spec_from_file_location("size", ROOT / "tools" / "size.py")
@@ -57,3 +60,20 @@ def test_report_lists_each_module_and_the_total(tmp_path, capsys):
 def test_the_package_is_measured_by_default():
     names = [name for name, _, _ in size.measure(size.DEFAULT_PACKAGE)]
     assert "__init__.py" in names and "merging.py" in names
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage(flag, capsys):
+    assert size.main([flag]) == 0
+    out, err = capsys.readouterr()
+    assert "python tools/size.py [PACKAGE_DIR]" in out and err == ""
+
+
+@pytest.mark.parametrize("where", ["missing", "empty", "file.py", "extra"])
+def test_a_path_that_is_no_package_exits_2_with_one_line(where, tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "file.py").write_text("X = 1\n")
+    args = [str(tmp_path), "more"] if where == "extra" else [str(tmp_path / where)]
+    assert size.main(args) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: ")

@@ -3,7 +3,8 @@
     python tools/size.py [PACKAGE_DIR]
 
 PACKAGE_DIR defaults to ``src/qmerge`` beside this file's directory. Each
-``*.py`` file directly in it is one module, in name order.
+``*.py`` file directly in it is one module, in name order. ``-h`` prints
+this text; a PACKAGE_DIR that holds no module exits 2.
 
 A code line is a physical line that is not blank, not only a comment, and
 not part of a docstring (the string that opens a module, class or function
@@ -84,8 +85,15 @@ def measure(package: Path) -> list[tuple[str, int, int]]:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
+    if args[:1] in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
     package = Path(args[0]) if args else DEFAULT_PACKAGE
     rows = measure(package)
+    if len(args) > 1 or not rows:
+        print(f"error: expected one directory of *.py modules, got {' '.join(args)!r}",
+              file=sys.stderr)
+        return 2
     width = max(len("module"), *(len(name) for name, _, _ in rows))
     print(f"{'module':<{width}}  code  settable")
     for name, lines, values in rows:

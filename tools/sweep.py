@@ -160,6 +160,11 @@ COMMANDS = [
     # exits 2, then the exits 3 of CAP_COMMANDS
     "entropy --state neg.json --of A",
     "entropy --state nope --of A",
+    # the preset grammar's refusals
+    "entropy --state ghz:x --of A",
+    "entropy --state random-pure:2x0:1 --of A",
+    "entropy --state random-pure:2x2 --of A",
+    "entropy --state nosuch --of A",
     "merge --state epr --curve 1..65 --seed 1",
     "merge --state random-pure:2:1 --curve 3..1 --seed 1",  # an empty curve, no party B
     "eoa --state ghz:4 --alice A,C1 --bob C1",
