@@ -237,6 +237,19 @@ class TestMergeCommand:
             assert outcome["cbits"] == 1.0
             assert outcome["epr_net_bits"] == 0.0
 
+    @pytest.mark.parametrize("argv,count", [
+        (("--state", "ghz:4", "-n", "5", "--exhaustive", "--seed", "1"), 32),
+        (("--state", "cc-pure", "-n", "2", "--seed", "1", "--exhaustive", "--basis", "hadamard",
+          "--slack", "0"), 4),
+    ], ids=["ghz4-n5", "cc-pure-hadamard"])
+    def test_every_printed_outcome_achieves_its_uhlmann_fidelity(self, capsys, argv, count):
+        # two exhaustive scans on the CLI's own stream, the README's among
+        # them: Bob's recovery reaches Uhlmann's bound on every outcome
+        code, out, _ = run_cli(capsys, "merge", *argv)
+        outcomes = json.loads(out)["outcomes"]
+        assert code == 0 and len(outcomes) == count
+        assert max(abs(o["achieved_fidelity"] - o["uhlmann_fidelity"]) for o in outcomes) <= 1e-12
+
     def test_seeded_runs_byte_identical(self, capsys):
         argv = ("merge", "--state", "random-pure:2x2x2:3", "-n", "2",
                 "--seed", "42", "--trials", "4")

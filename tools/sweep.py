@@ -1,18 +1,28 @@
 """Run a fixed list of qmerge command lines and record what each prints.
 
     PYTHONPATH=src python tools/sweep.py OUT.json
-    python tools/sweep.py --compare A.json B.json
+    python tools/sweep.py [--tolerant] --compare A.json B.json
 
 The first form runs each line of ``COMMANDS`` as its own
 ``python -m qmerge.cli`` process, on the source tree that ``PYTHONPATH``
-names, and writes one canonical JSON object: {command line: [exit code,
-stdout, stderr]}. The input files the lines name (``FILES``) are written to
-a temporary directory that is every process's working directory, so the
-command lines, and any message that names a file, are the same on each run.
+names (or the installed package when it names none), and writes one
+canonical JSON object: {command line: [exit code, stdout, stderr]}. The
+input files the lines name (``FILES``) are written to a temporary directory
+that is every process's working directory, so the command lines, and any
+message that names a file, are the same on each run. A line still running
+after ``TIMEOUT_S`` seconds is stopped and recorded as exit 124 with one
+line on stderr.
 
 The second form prints every command line whose record differs between two
 such files, or that only one of them holds, and exits 1 if there is any.
-Two trees are compared by running the first form once with each on
+Then it prints the largest float change between records whose exit codes
+and text agree, and the line it is on. By default records must be equal
+byte for byte. Under ``--tolerant`` exit codes and the text between floats
+must still be equal, but each float (a token with a point or an exponent;
+integers are text) may move by ``TOLERANCE``·max(1, |x|), x its value in A.
+``tools/sweep.json`` is the record of this tree, and is compared that way,
+since the last bits of a float change with the CPU's BLAS kernel. Two
+trees are compared by running the first form once with each on
 ``PYTHONPATH``.
 """
 
@@ -21,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -62,6 +73,12 @@ FILES = {
 }
 
 
+TIMEOUT_S = 60
+TOLERANCE = 1e-9
+# a float as the CLI prints it: digits with a point, an exponent or both
+_FLOAT = re.compile(r"-?\d+(?:\.\d+(?:e[-+]?\d+)?|e[-+]?\d+)")
+
+
 def _sideinfo(state: str, flags: str = "") -> str:
     return f"sideinfo --state {state} --channel chan.json --seed 2 {flags}".rstrip()
 
@@ -78,6 +95,7 @@ CAP_COMMANDS = [
     "merge --state epr -n 4 --seed 1 --dim-cap 32",
     "merge --state bell_r0.json -n 2 --slack 0 --seed 1 --dim-cap 128",
     "merge --state random-pure:1024x1x1:1 -n 2 --seed 1",
+    "merge --state random-pure:1024x1x1:1 -n 2 --seed 1 --basis hadamard",
     "merge --state cc-pure -n 9 --exhaustive --seed 1",
     "report --state random-pure:" + "x".join(["2"] * 17) + ":1",
     "eoa --state ghz:15",
@@ -166,6 +184,8 @@ COMMANDS = [
     "entropy --state random-pure:2x2 --of A",
     "entropy --state nosuch --of A",
     "merge --state epr --curve 1..65 --seed 1",
+    "merge --state random-pure:1x1:0 -n 65 --seed 1",  # 64 copies at most, whatever the size
+    "merge --state epr -n 1 --trials 10001 --seed 1",
     "merge --state random-pure:2:1 --curve 3..1 --seed 1",  # an empty curve, no party B
     "eoa --state ghz:4 --alice A,C1 --bob C1",
     "region --state epr --mac",  # an empty decoder
@@ -190,9 +210,14 @@ def run(commands: list[str]) -> dict[str, list]:
         for name, doc in FILES.items():
             (Path(cwd) / name).write_text(json.dumps(doc))
         for line in commands:
-            done = subprocess.run([sys.executable, "-m", "qmerge.cli", *shlex.split(line)],
-                                  cwd=cwd, env=env, capture_output=True, text=True)
-            records[line] = [done.returncode, done.stdout, done.stderr]
+            try:
+                done = subprocess.run([sys.executable, "-m", "qmerge.cli", *shlex.split(line)],
+                                      cwd=cwd, env=env, capture_output=True, text=True,
+                                      timeout=TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                records[line] = [124, "", f"sweep: no exit within {TIMEOUT_S:g} s\n"]
+            else:
+                records[line] = [done.returncode, done.stdout, done.stderr]
     return records
 
 
@@ -200,29 +225,62 @@ def canonical(records: dict[str, list]) -> str:
     return json.dumps(records, sort_keys=True, indent=1, ensure_ascii=False) + "\n"
 
 
-def mismatches(a: dict[str, list], b: dict[str, list]) -> list[str]:
-    """One line per command line whose records differ or that one side lacks."""
+def float_change(x: list, y: list) -> float | None:
+    """The largest change of a float between two records, scaled by
+    max(1, |x|), or None if their exit codes or the text between their
+    floats differ."""
+    if x[0] != y[0]:
+        return None
+    worst = 0.0
+    for s, t in zip(x[1:], y[1:]):
+        if _FLOAT.split(s) != _FLOAT.split(t):
+            return None
+        for u, v in zip(map(float, _FLOAT.findall(s)), map(float, _FLOAT.findall(t))):
+            worst = max(worst, abs(u - v) / max(1.0, abs(u)))
+    return worst
+
+
+def mismatches(a: dict[str, list], b: dict[str, list], tolerance: float | None = None) -> list[str]:
+    """One line per command line that one side lacks, or whose records
+    differ: in any byte, or with a ``tolerance``, in an exit code, in the
+    text between floats or in a float by more than tolerance·max(1, |x|)."""
     lines = []
     for key in sorted(a.keys() | b.keys()):
         if key not in b or key not in a:
             lines.append(f"only in {'A' if key in a else 'B'}: {key}")
         elif a[key] != b[key]:
+            change = float_change(a[key], b[key])
+            if tolerance is not None and change is not None and change <= tolerance:
+                continue
             parts = [f"{what} {x!r:.120} -> {y!r:.120}"
                      for what, x, y in zip(("exit", "stdout", "stderr"), a[key], b[key]) if x != y]
-            lines.append(f"{key}: " + "; ".join(parts))
+            lines.append(f"{key}: " + (f"float change {change:.3g}" if change else "; ".join(parts)))
     return lines
+
+
+def largest_change(a: dict[str, list], b: dict[str, list]) -> tuple[float, str]:
+    """The largest scaled float change over the lines both sides hold with
+    the same exit code and text, and the first line that has it."""
+    changes = ((float_change(a[key], b[key]), key) for key in sorted(a.keys() & b.keys()))
+    return max(((c, key) for c, key in changes if c is not None),
+               key=lambda pair: pair[0], default=(0.0, ""))
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two sweep files instead of running one")
+    parser.add_argument("--tolerant", action="store_true",
+                        help=f"let each float move by {TOLERANCE:g}*max(1, |x|) in --compare")
     parser.add_argument("out", nargs="?", help="where to write the sweep's JSON")
     args = parser.parse_args(argv)
     if args.compare:
         a, b = (json.loads(Path(path).read_text(encoding="utf-8")) for path in args.compare)
-        found = mismatches(a, b)
-        print("\n".join(found) if found else f"{len(a)} command lines identical")
+        found = mismatches(a, b, TOLERANCE if args.tolerant else None)
+        agree = f"agree within {TOLERANCE:g}*max(1, |x|)" if args.tolerant else "identical"
+        print("\n".join(found) if found else f"{len(a)} command lines {agree}")
+        change, line = largest_change(a, b)
+        print(f"largest float change {change:.3g}" + (f": {line}" if change else ""))
         return 1 if found else 0
     if not args.out:
         parser.error("give an output file, or --compare A B")
