@@ -21,7 +21,6 @@ from .core import (
     phase_fixed_qr,
     reduced_density,
     stinespring_contract,
-    stream_rng,
 )
 from .entropy import (
     EntropyReport,
@@ -30,7 +29,8 @@ from .entropy import (
     subsets_in_counting_order,
     von_neumann_entropy,
 )
-from .limits import DEFAULT_DENSITY_CAP, DEFAULT_PURE_CAP, MAX_RESTARTS, within_cap
+from .limits import (DEFAULT_DENSITY_CAP, DEFAULT_PURE_CAP, DEFAULT_RESTARTS, MAX_RESTARTS,
+                     within_cap)
 
 MAX_HELPERS = 12
 
@@ -129,10 +129,11 @@ class EoAResult:
     cut_values: dict[tuple[str, ...], float]
 
 
-def eoa(psi: PureState, alice: Labels = "A", bob: Labels = "B") -> EoAResult:
-    """Entanglement of assistance: minimize S(A∪T) over all splits T of the
-    helper parties, first split in counting order on ties. For a pure ψ
-    S(A∪T) = S(B∪T̄), so each split is one cut with one entropy."""
+def eoa(psi: PureState, alice: Labels, bob: Labels) -> EoAResult:
+    """Entanglement of assistance between the groups ``alice`` and ``bob``:
+    minimize S(A∪T) over all splits T of the helper parties, first split in
+    counting order on ties. For a pure ψ S(A∪T) = S(B∪T̄), so each split is
+    one cut with one entropy."""
     a, b = psi.layout.check_groups(alice=alice, bob=bob)
     helpers = tuple(l for l in psi.layout.labels if l not in set(a) | set(b))
     within_cap("eoa helper parties", len(helpers), MAX_HELPERS)
@@ -279,13 +280,13 @@ def _descend(value_and_grad, v: np.ndarray, max_iters: int) -> tuple[np.ndarray,
 
 def entanglement_of_purification(
     rho: DensityOperator,
-    alice: Labels = "A",
-    u_label: str = "U",
+    alice: Labels,
+    u_label: str,
     *,
     cap_out: int | None = None,
     cap_env: int | None = None,
-    restarts: int = 4,
-    rng: np.random.Generator | None = None,
+    restarts: int = DEFAULT_RESTARTS,
+    rng: np.random.Generator,
     max_iters: int = 400,
 ) -> EpEstimate:
     """Upper-bound min_Λ S(A, Λ(U)) by Riemannian gradient descent over the
@@ -293,12 +294,13 @@ def entanglement_of_purification(
 
     The minimum is E_p(ρ_{AR′}), the entanglement of purification of A and
     the system R′ that purifies ρ_AU, not E_p(ρ_AU). Parties of ``rho``
-    outside ``alice`` and ``u_label`` are traced out first.
+    outside ``alice`` and ``u_label`` are traced out first. ``cap_out`` and
+    ``cap_env`` default to d_U.
 
     Each restart starts at the phase-fixed QR of one complex Gaussian
-    matrix drawn from ``rng`` in restart order and draws nothing else, so
-    restart r starts at the same point whatever ``restarts`` is, which must
-    lie in 1..``MAX_RESTARTS``. The restarts descend in lockstep on stacked
+    matrix drawn from the caller's ``rng`` in restart order and draws
+    nothing else, so restart r starts at the same point whatever
+    ``restarts`` is, which must lie in 1..``MAX_RESTARTS``. The restarts descend in lockstep on stacked
     arrays (:func:`_descend`), each in its own slice, so restart r's result
     does not depend on how many restarts run beside it. One round holds,
     per restart, two arrays of V·ρ's size (the objective's product and its
@@ -351,7 +353,6 @@ def entanglement_of_purification(
     within_cap("EP V*rho entries", entries, DEFAULT_PURE_CAP)
     side = rho.dim // d_u * cap_out
     within_cap("EP output side", side, DEFAULT_DENSITY_CAP)
-    rng = rng if rng is not None else stream_rng(0)
 
     identity = ChannelSpec.identity(u_label, d_u)
     full_trace = ChannelSpec.full_trace(u_label, d_u)
@@ -391,14 +392,16 @@ def side_info_rates(
     psi: PureState,
     ch: ChannelSpec,
     *,
-    restarts: int = 4,
-    cap_out: int | None = None,
-    cap_env: int | None = None,
-    rng: np.random.Generator | None = None,
+    restarts: int,
+    cap_out: int | None,
+    cap_env: int | None,
+    rng: np.random.Generator,
 ) -> SideInfoResult:
     """Achievable side-information corner for one choice of the helper
     channel: R_a = S(A|U) and R_b = E_p estimate − S(A|U), with Alice party
-    A and U the channel's output, whose input must be another party.
+    A and U the channel's output, whose input must be another party. The
+    estimate is :func:`entanglement_of_purification`'s, with the caller's
+    ``restarts``, caps (None: d_U) and ``rng``.
 
     ψ is reduced to Alice and the channel's input before the channel acts,
     so |ψ⟩⟨ψ| is never formed. Raises :class:`DimensionCapError`, before
@@ -412,7 +415,6 @@ def side_info_rates(
     rho = apply_channel(reduced_density(psi, a + (ch.input_label,)), ch)
     u = ch.output_label
     r_a = conditional_entropy(rho, a, u)
-    ep = entanglement_of_purification(
-        rho, a, u, cap_out=cap_out, cap_env=cap_env, restarts=restarts, rng=rng
-    )
+    ep = entanglement_of_purification(rho, a, u, cap_out=cap_out, cap_env=cap_env,
+                                      restarts=restarts, rng=rng)
     return SideInfoResult(r_a, ep.value - r_a, ep)

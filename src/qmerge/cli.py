@@ -33,8 +33,8 @@ import os
 import sys
 from typing import TYPE_CHECKING
 
-from .limits import (_MAX_PLAN_BITS, DEFAULT_PURE_CAP, FIXED_PRESETS, MAX_RESTARTS,
-                     MAX_TRIALS, DimensionCapError, read_preset)
+from .limits import (_MAX_PLAN_BITS, DEFAULT_PURE_CAP, DEFAULT_RESTARTS, DEFAULT_SLACK_BITS,
+                     FIXED_PRESETS, MAX_RESTARTS, MAX_TRIALS, DimensionCapError, read_preset)
 
 if TYPE_CHECKING:  # each command imports what it runs, once the BLAS threads are set
     from .applications import RateRegion
@@ -214,7 +214,7 @@ def cmd_merge(args) -> str:
     if args.curve:
         rows = monte_carlo_merge(
             state, range(args.curve[0], args.curve[1] + 1), trials,
-            args.slack, args.seed, dim_cap=cap,
+            args.slack, seed=args.seed, dim_cap=cap,
         )
         dicts = [dataclasses.asdict(r) for r in rows]
         header = tuple(f.name for f in dataclasses.fields(CurveRow))
@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     copies.add_argument("-n", type=_positive_int, help="number of copies")
     copies.add_argument("--curve", type=_range_arg, metavar="N1..N2",
                         help="aggregate trials for each copy count in the range")
-    p.add_argument("--slack", type=_slack_bits, default=1.0)
+    p.add_argument("--slack", type=_slack_bits, default=DEFAULT_SLACK_BITS)
     p.add_argument("--trials", type=_trials, default=None)  # unset: 1 trial
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--exhaustive", action="store_true",
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sideinfo", parents=[common],
                        help="side-information rate pair for a helper channel")
     p.add_argument("--channel", required=True, help="path to a JSON channel file")
-    p.add_argument("--restarts", type=_restarts, default=4)
+    p.add_argument("--restarts", type=_restarts, default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--cap-out", type=_positive_int, default=None)
     p.add_argument("--cap-env", type=_positive_int, default=None)

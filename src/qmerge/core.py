@@ -244,13 +244,15 @@ class ChannelSpec:
         return self.isometry.shape[1]
 
     @classmethod
-    def identity(cls, label: str, dim: int, output_label: str | None = None) -> "ChannelSpec":
-        return cls(label, np.eye(dim), output_label or label, dim, 1)
+    def identity(cls, label: str, dim: int) -> "ChannelSpec":
+        """The identity on ``label``, whose output keeps the label."""
+        return cls(label, np.eye(dim), label, dim, 1)
 
     @classmethod
-    def full_trace(cls, label: str, dim: int, output_label: str | None = None) -> "ChannelSpec":
-        # |i⟩ → |0⟩_out ⊗ |i⟩_env, i.e. everything ends up in the environment.
-        return cls(label, np.eye(dim), output_label or label, 1, dim)
+    def full_trace(cls, label: str, dim: int) -> "ChannelSpec":
+        """|i⟩ → |0⟩_out ⊗ |i⟩_env on ``label``: everything ends up in the
+        environment, and the one-dimensional output keeps the label."""
+        return cls(label, np.eye(dim), label, 1, dim)
 
 
 State = Union[PureState, DensityOperator]

@@ -62,14 +62,9 @@ def _side(state: State, subset: tuple[str, ...]) -> tuple[str, ...]:
 
 
 def subset_entropy(state: State, labels: Labels) -> float:
-    """Entropy of the reduced state on ``labels``, from the reduced state on
-    their :func:`_side`: for a pure state, a subset and its complement
-    share one eigen-solve and one value (purification duality)."""
-    side = _side(state, state.layout.check_subset(labels))
-    if len(side) in (0, len(state.layout)):
-        return von_neumann_entropy(state)   # the whole state: 0 when it is pure
-    reduce = reduced_density if isinstance(state, PureState) else partial_trace
-    return von_neumann_entropy(reduce(state, side))
+    """Entropy of the reduced state on ``labels``; see
+    :meth:`EntropyReport.entropy`."""
+    return EntropyReport(state).entropy(labels)
 
 
 def conditional_entropy(state: State, of: Labels, given: Labels) -> float:
@@ -113,10 +108,17 @@ class EntropyReport:
         return self.state.layout.labels
 
     def entropy(self, labels: Labels) -> float:
-        subset = self.state.layout.check_subset(labels)
-        key = _side(self.state, subset)
+        """Entropy of the reduced state on ``labels``, from the reduced state
+        on their :func:`_side`: for a pure state, a subset and its
+        complement share one eigen-solve and one value (purification
+        duality). The one place a subset is mapped to its cut and
+        diagonalized."""
+        key = _side(self.state, self.state.layout.check_subset(labels))
         if key not in self._cache:
-            self._cache[key] = subset_entropy(self.state, subset)
+            state, whole = self.state, len(key) in (0, len(self.state.layout))
+            reduce = reduced_density if isinstance(state, PureState) else partial_trace
+            # the whole state is not reduced: its entropy is 0 when it is pure
+            self._cache[key] = von_neumann_entropy(state if whole else reduce(state, key))
         return self._cache[key]
 
     def conditional_on_rest(self, labels: Labels) -> float:

@@ -1,5 +1,6 @@
-"""Dimension caps and work bounds, their one comparison, and the preset
-grammar of ``--state``.
+"""Dimension caps and work bounds, their one comparison, the preset
+grammar of ``--state``, and the defaults the CLI's parser shares with the
+library.
 
 Every cap and bound is compared, and its refusal worded, by
 :func:`within_cap`, which raises every :class:`DimensionCapError`; a file
@@ -7,7 +8,10 @@ loader only puts the file's path first. :func:`read_preset` is the one
 reader of preset text: ``presets.parse_state`` builds the state it names,
 and the CLI counts its entries to choose the BLAS thread count. Nothing here
 imports numpy, so the CLI can do that, and build its parser, before numpy
-loads.
+loads. ``DEFAULT_SLACK_BITS`` and ``DEFAULT_RESTARTS`` live here for the
+same reason: the parser's ``--slack`` and ``--restarts`` read them, and so
+do :func:`~qmerge.merging.plan_merge`, :func:`~qmerge.merging.monte_carlo_merge`
+and :func:`~qmerge.applications.entanglement_of_purification`.
 """
 
 import math
@@ -17,8 +21,12 @@ DEFAULT_DENSITY_CAP = 2 ** 12   # max side length of any density matrix
 _MAX_PLAN_BITS = 64             # log2 of the largest prepared state any merge plan may ask for
 MAX_TRIALS = 10_000             # most trials monte_carlo_merge and `merge --trials` run
 MAX_RESTARTS = 1_000            # most restarts of one EP search and of `sideinfo --restarts`
+DEFAULT_SLACK_BITS = 1.0        # bits a merge plan backs its block off the rate by
+DEFAULT_RESTARTS = 4            # restarts of one EP search
 
-FIXED_PRESETS = ("epr", "cc", "cc-pure", "example1", "example1-pure")
+# each fixed preset's size: a pure one's amplitudes, a mixed one's matrix side
+# (never near the 2^12 side cap, so the pure cap is the one that binds)
+FIXED_PRESETS = {"epr": 4, "cc": 4, "cc-pure": 8, "example1": 4, "example1-pure": 8}
 
 
 class DimensionCapError(RuntimeError):
@@ -38,9 +46,10 @@ def within_cap(what: str, count: int, cap: int) -> None:
 def read_preset(source: str, cap: int) -> tuple[str, tuple]:
     """Read ``ghz:m`` as ``("ghz", (m,))`` and ``random-pure:d1xd2x...:seed``
     as ``("random-pure", (dims, seed))``, holding the state's amplitudes to
-    ``cap``. Any other text, a name of ``FIXED_PRESETS`` or not, comes back
-    as ``(source, ())``. Malformed text raises ``ValueError`` before any
-    count is compared."""
+    ``cap``. Any other text comes back as ``(source, ())``, a name of
+    ``FIXED_PRESETS`` once its size is held to ``cap`` as a state file's
+    would be. Malformed text raises ``ValueError`` before any count is
+    compared."""
     if source.startswith("ghz:"):
         try:
             m = int(source[len("ghz:"):])
@@ -63,4 +72,6 @@ def read_preset(source: str, cap: int) -> tuple[str, tuple]:
             ) from None
         within_cap("random-pure amplitudes", math.prod(dims), cap)
         return "random-pure", (dims, seed)
+    if source in FIXED_PRESETS:
+        within_cap("fixed preset size", FIXED_PRESETS[source], cap)
     return source, ()

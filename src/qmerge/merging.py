@@ -73,9 +73,9 @@ from .core import (
     tensor,  # noqa: F401  (bench/test_bench.py reads qmerge.merging.tensor)
 )
 from .entropy import conditional_entropy
-from .limits import _MAX_PLAN_BITS, DEFAULT_PURE_CAP, MAX_TRIALS, DimensionCapError, within_cap
+from .limits import (_MAX_PLAN_BITS, DEFAULT_PURE_CAP, DEFAULT_SLACK_BITS, MAX_TRIALS,
+                     DimensionCapError, within_cap)
 
-DEFAULT_SLACK_BITS = 1.0
 ZERO_PROB = 1e-12       # measurement branches below this are never sampled or scored
 MAX_EXHAUSTIVE_OUTCOMES = 256   # most outcomes run_merge_exhaustive scores
 
@@ -282,10 +282,11 @@ class _Setup:
     basis: np.ndarray | None   # the injected basis, checked; None: a Haar draw per trial
 
 
-def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary=None) -> _Setup:
+def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary) -> _Setup:
     """The merge's one door: :func:`check_caps`, then an injected
-    ``unitary`` checked once by :func:`_checked`, then the copy, Alice's
-    marginal and τ's weights. Nothing after it checks an input again.
+    ``unitary`` (None: a Haar draw per trial) checked once by
+    :func:`_checked`, then the copy, Alice's marginal and τ's weights.
+    Nothing after it checks an input again.
 
     The copy is an (Alice, reference, Bob) array: every party other than
     Alice and Bob is fused into the reference R (dimension 1 when there is
@@ -300,7 +301,9 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary=None) -> _Setu
     purification diag(√w): his side is a copy of the (A1, R) index. So
     scoring needs only w, and no target array is built. Nor is ψ^⊗n: its
     Born probabilities need only Alice's marginal, and each branch is
-    contracted from the copy (:func:`_branch`).
+    contracted from the copy (:func:`_branch`). That marginal is
+    ρ_A^⊗n ⊗ I/2^k; with no boost (k = 0) it is ρ_A^⊗n itself, one D×D
+    array and no second one scaled by 1.
     """
     check_caps(psi, plan, dim_cap)
     basis = None if unitary is None else _checked(unitary, plan.alice_dim)
@@ -314,8 +317,9 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary=None) -> _Setu
     copy = u[:, live].conj().T @ one
     copy.setflags(write=False)
     flat = copy.reshape(copy.shape[0], -1)
-    boost = 2 ** plan.k_boost
-    rho_a = _kron(_kron_power(flat @ flat.conj().T, plan.n), np.eye(boost) / boost)
+    rho_a = _kron_power(flat @ flat.conj().T, plan.n)
+    if plan.k_boost:
+        rho_a = _kron(rho_a, np.eye(2 ** plan.k_boost) / 2 ** plan.k_boost)
     rho_a.setflags(write=False)
     block = plan.block_dim
     return _Setup(plan=plan, copy=copy, rho_a=rho_a,
@@ -491,13 +495,15 @@ def run_merge(psi: PureState, plan: MergePlan, rng: np.random.Generator) -> Merg
 def run_merge_exhaustive(
     psi: PureState,
     plan: MergePlan,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | None,
     *,
-    unitary: np.ndarray | None = None,
-    dim_cap: int = DEFAULT_PURE_CAP,
+    unitary: np.ndarray | None,
+    dim_cap: int,
 ) -> list[MergeOutcome]:
     """Score every outcome of one measurement basis at or above ``ZERO_PROB``
-    instead of sampling, building one branch at a time."""
+    instead of sampling, building one branch at a time. The basis is the
+    injected ``unitary``, else one Haar draw from ``rng``; with neither,
+    ``ValueError``. Its plan's counts are held to ``dim_cap``."""
     within_cap("exhaustive outcomes", plan.outcome_count, MAX_EXHAUSTIVE_OUTCOMES)
     setup = _setup(psi, plan, dim_cap, unitary)
     basis = _basis(setup, rng)
@@ -535,12 +541,13 @@ def monte_carlo_merge(
     n_values,
     trials: int,
     slack_bits: float = DEFAULT_SLACK_BITS,
-    seed: int = 0,
     *,
+    seed: int,
     dim_cap: int = DEFAULT_PURE_CAP,
 ) -> list[CurveRow]:
     """Independent merge trials for each copy count, with per-trial streams
-    keyed by (seed, n, trial) so adding trials never perturbs earlier ones.
+    keyed by the caller's (``seed``, n, trial) so adding trials never
+    perturbs earlier ones.
 
     The whole input is checked before any plan or draw, an empty curve's
     too: ``trials`` must lie in 1..``MAX_TRIALS``, then ``slack_bits`` and

@@ -166,9 +166,10 @@ def _complex_array(doc: dict) -> np.ndarray:
     return np.array(re, dtype=float) + 1j * np.array(im, dtype=float)
 
 
-def load_state_file(path: str, pure_cap: int = DEFAULT_PURE_CAP) -> State:
-    """A pure file's amplitudes are held to ``pure_cap``, and a mixed file's
-    side to min(``pure_cap``, ``DEFAULT_DENSITY_CAP``)."""
+def load_state_file(path: str, pure_cap: int) -> State:
+    """The state in the JSON file at ``path``. A pure file's amplitudes are
+    held to ``pure_cap``, and a mixed file's side to
+    min(``pure_cap``, ``DEFAULT_DENSITY_CAP``)."""
     doc = _load_json(path)
     with _naming(path):
         for field in ("labels", "dims", "kind"):

@@ -21,6 +21,7 @@ from qmerge.applications import (
 )
 from qmerge.core import haar_unitary, stream_rng, tensor
 from qmerge.entropy import conditional_entropy, subset_entropy, von_neumann_entropy
+from qmerge.limits import DEFAULT_PURE_CAP
 from qmerge.merging import hadamard_basis, plan_merge, run_merge, run_merge_exhaustive
 from conftest import (basis_state, decoupling_test_state, ensemble_reference_check,
                       max_entangled, maximally_mixed, mutual_information, random_density,
@@ -59,7 +60,8 @@ def test_criterion_02_cc_merging_with_hadamard_hook():
         psi = presets.cc_purification()
         for n in (1, 2):
             plan = plan_merge(psi, n, slack_bits=0.0)
-            outs = run_merge_exhaustive(psi, plan, unitary=hadamard_basis(plan.alice_dim))
+            outs = run_merge_exhaustive(psi, plan, None, unitary=hadamard_basis(plan.alice_dim),
+                                        dim_cap=DEFAULT_PURE_CAP)
             assert len(outs) == 2 ** n
             for out in outs:
                 assert abs(out.achieved_fidelity - 1.0) <= 1e-6
@@ -167,13 +169,13 @@ def test_criterion_09_mac_bounds():
 
 def test_criterion_10_entanglement_of_assistance():
     with criterion(10, "GHZ4 assistance = 1; 5-party values match the oracle", 120.0):
-        assert abs(eoa(presets.ghz(4)).value - 1.0) <= 1e-9
+        assert abs(eoa(presets.ghz(4), "A", "B").value - 1.0) <= 1e-9
         rng = np.random.default_rng(100)
         for _ in range(20):
             psi = random_pure_state(
                 rng, (("A", 2), ("B", 2), ("C1", 2), ("C2", 2), ("C3", 2)))
             expected = oracle_eoa(psi.amplitudes, (2,) * 5, 0, 1)
-            assert abs(eoa(psi).value - expected) <= 1e-9
+            assert abs(eoa(psi, "A", "B").value - expected) <= 1e-9
 
 
 def test_criterion_11_ep_estimator_soundness():

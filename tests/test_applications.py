@@ -267,18 +267,18 @@ class TestMacRegion:
 
 class TestEoa:
     def test_ghz4_all_cuts_one(self):
-        result = eoa(presets.ghz(4))
+        result = eoa(presets.ghz(4), "A", "B")
         assert abs(result.value - 1.0) < 1e-9
         assert all(abs(v - 1.0) < 1e-9 for v in result.cut_values.values())
         assert result.argmin_cut == ()  # first cut in counting order on ties
 
     def test_uncorrelated_helper(self):
         psi = tensor(presets.bell_pair(), basis_state((("C1", 2),)))
-        assert abs(eoa(psi).value - 1.0) < 1e-9
+        assert abs(eoa(psi, "A", "B").value - 1.0) < 1e-9
 
     def test_unentangled_alice(self):
         psi = tensor(basis_state((("A", 2),)), max_entangled("B", "C1"))
-        assert eoa(psi).value < 1e-9
+        assert eoa(psi, "A", "B").value < 1e-9
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(5)
@@ -286,18 +286,18 @@ class TestEoa:
             psi = random_pure_state(
                 rng, (("A", 2), ("B", 2), ("C1", 2), ("C2", 2), ("C3", 2)))
             expected = oracle_eoa(psi.amplitudes, (2,) * 5, 0, 1)
-            assert abs(eoa(psi).value - expected) < 1e-9
+            assert abs(eoa(psi, "A", "B").value - expected) < 1e-9
 
     def test_value_bounded_by_every_cut(self):
         rng = np.random.default_rng(6)
         psi = random_pure_state(rng, (("A", 2), ("B", 2), ("C1", 2), ("C2", 2)))
-        result = eoa(psi)
+        result = eoa(psi, "A", "B")
         assert all(result.value <= v for v in result.cut_values.values())
 
     def test_helper_cap(self):
         psi = presets.ghz(15)
         with pytest.raises(DimensionCapError, match="^eoa helper parties: 13 over the 12 cap$"):
-            eoa(psi)
+            eoa(psi, "A", "B")
 
 
 class TestEntanglementOfPurification:
@@ -353,12 +353,13 @@ class TestEntanglementOfPurification:
         # search starts and meets the refused draw
         assert MAX_RESTARTS == 1000
         rho = tensor(maximally_mixed("A", 2), maximally_mixed("U", 2))
-        psi, ch = presets.cc_purification(), ChannelSpec.identity("B", 2, "U")
+        psi, ch = presets.cc_purification(), ChannelSpec("B", np.eye(2), "U", 2, 1)
         for restarts in (MAX_RESTARTS + 1, 10 ** 9):
             with pytest.raises(ValueError, match="^restarts must be <= 1000$"):
                 entanglement_of_purification(rho, "A", "U", restarts=restarts, rng=NoDraws())
             with pytest.raises(ValueError, match="^restarts must be <= 1000$"):
-                side_info_rates(psi, ch, restarts=restarts, rng=NoDraws())
+                side_info_rates(psi, ch, restarts=restarts, rng=NoDraws(), cap_out=None,
+                                cap_env=None)
         with pytest.raises(AssertionError, match="rng.standard_normal"):
             entanglement_of_purification(rho, "A", "U", restarts=MAX_RESTARTS, rng=NoDraws())
 
@@ -652,8 +653,8 @@ class TestExpm:
 class TestSideInfo:
     def test_identity_channel_on_cc(self):
         result = side_info_rates(presets.cc_purification(),
-                                 ChannelSpec.identity("B", 2, "U"),
-                                 rng=stream_rng(14), restarts=2)
+                                 ChannelSpec("B", np.eye(2), "U", 2, 1),
+                                 rng=stream_rng(14), restarts=2, cap_out=None, cap_env=None)
         assert abs(result.r_a) < 1e-9
         # S(AU) = S(A) = 1 and no restart goes lower: the tie goes to the identity
         assert result.ep.value == result.ep.upper == 1.0 < result.ep.restart_min
@@ -661,14 +662,14 @@ class TestSideInfo:
 
     def test_full_trace_channel_on_example1(self):
         result = side_info_rates(presets.example1_purification(),
-                                 ChannelSpec.full_trace("B", 2, "U"),
-                                 rng=stream_rng(15), restarts=2)
+                                 ChannelSpec("B", np.eye(2), "U", 1, 2),
+                                 rng=stream_rng(15), restarts=2, cap_out=None, cap_env=None)
         assert abs(result.r_a - 1.0) < 1e-9  # no side information: R_a = S(A)
 
     def test_bell_identity_channel(self):
         result = side_info_rates(presets.bell_pair(),
-                                 ChannelSpec.identity("B", 2, "U"),
-                                 rng=stream_rng(16), restarts=2)
+                                 ChannelSpec("B", np.eye(2), "U", 2, 1),
+                                 rng=stream_rng(16), restarts=2, cap_out=None, cap_env=None)
         assert abs(result.r_a + 1.0) < 1e-9
         assert result.r_b <= 1.0 + 1e-6  # E_p estimate ≤ S(AU) = 0 here
         assert result.ep.value <= 1e-6
@@ -676,7 +677,8 @@ class TestSideInfo:
     def test_channel_label_mismatch(self):
         with pytest.raises(ValueError, match="unknown|mismatch|dimension"):
             side_info_rates(presets.cc_purification(),
-                            ChannelSpec.identity("X", 2, "U"), rng=stream_rng(17))
+                            ChannelSpec("X", np.eye(2), "U", 2, 1), rng=stream_rng(17), restarts=4,
+                            cap_out=None, cap_env=None)
 
 
 # --- disjoint label groups ---------------------------------------------------
@@ -693,10 +695,11 @@ _RHO_AU = tensor(maximally_mixed("A", 2), maximally_mixed("U", 2))
     (lambda: ssa_margin(_GHZ4, "A", "B", ("A", "C1")), "a and c overlap on ['A']"),
     (lambda: ssa_margin(_GHZ4, "A", ("B", "C1"), "C1"), "b and c overlap on ['C1']"),
     (lambda: eoa(_GHZ4, ("A", "C1"), "C1"), "alice and bob overlap on ['C1']"),
-    (lambda: entanglement_of_purification(_RHO_AU, ("A", "U"), "U", restarts=1, max_iters=5),
+    (lambda: entanglement_of_purification(_RHO_AU, ("A", "U"), "U", restarts=1, max_iters=5,
+                                          rng=stream_rng(0)),
      "alice and u_label overlap on ['U']"),
-    (lambda: side_info_rates(_GHZ4, ChannelSpec.identity("A", 2, "U"),
-                             restarts=1, rng=stream_rng(18)),
+    (lambda: side_info_rates(_GHZ4, ChannelSpec("A", np.eye(2), "U", 2, 1),
+                             restarts=1, rng=stream_rng(18), cap_out=None, cap_env=None),
      "alice and channel_input overlap on ['A']"),
 ], ids=["conditional", "mutual", "ssa-a-b", "ssa-a-c", "ssa-b-c", "eoa", "ep", "sideinfo"])
 def test_overlapping_groups_rejected_naming_the_shared_labels(call, message):

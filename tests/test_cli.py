@@ -69,6 +69,26 @@ class TestParseState:
     def test_every_fixed_name_is_built(self, name):
         assert parse_state(name).dim in (4, 8)
 
+    @pytest.mark.parametrize("name", FIXED_PRESETS)
+    def test_a_fixed_preset_is_held_to_the_cap_its_file_is_held_to(self, name, tmp_path,
+                                                                   capsys):
+        # a pure preset's amplitudes and a mixed one's side, as for a file
+        state, cap = parse_state(name), FIXED_PRESETS[name]
+        pure = isinstance(state, PureState)
+        data = state.amplitudes if pure else state.matrix.ravel()
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"labels": list(state.layout.labels),
+                                    "dims": list(state.layout.dims),
+                                    "kind": "pure" if pure else "mixed",
+                                    "re": data.real.tolist(), "im": data.imag.tolist()}))
+        assert parse_state(name, cap).dim == parse_state(str(path), cap).dim == cap
+        for source in (name, str(path)):
+            with pytest.raises(DimensionCapError, match=f": {cap} over the {cap - 1} cap$"):
+                parse_state(source, cap - 1)
+        code, out, err = run_cli(capsys, "entropy", "--state", name, "--of", "A",
+                                 "--dim-cap", str(cap - 1))
+        assert (code, out) == (3, "") and err.endswith(f": {cap} over the {cap - 1} cap\n")
+
     @pytest.mark.parametrize("source", ["ghz", "random-pure"])
     def test_a_kind_without_its_arguments_names_a_file(self, source):
         with pytest.raises(ValueError, match=f"^unknown preset or missing file '{source}'"):
@@ -969,9 +989,11 @@ def test_library_sideinfo_does_not_depend_on_blas_threads():
     # a library caller keeps its own thread count; the stacked EP restarts
     # still give the same bytes under one thread and two
     code = ("import sys\n"
+            "import numpy as np\n"
             "from qmerge import presets, side_info_rates, stream_rng, ChannelSpec\n"
-            "r = side_info_rates(presets.cc_purification(), ChannelSpec.identity('B', 2, 'U'),\n"
-            "                    restarts=4, rng=stream_rng(2))\n"
+            "r = side_info_rates(presets.cc_purification(),\n"
+            "                    ChannelSpec('B', np.eye(2), 'U', 2, 1),\n"
+            "                    restarts=4, cap_out=None, cap_env=None, rng=stream_rng(2))\n"
             "assert 'qmerge.cli' not in sys.modules\n"
             "print(repr((r.r_a, r.r_b, r.ep.value, r.ep.lower, r.ep.upper,\n"
             "            r.ep.restart_min, r.ep.restart_max)))\n"

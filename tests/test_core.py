@@ -28,7 +28,7 @@ from qmerge.core import (
     tensor,
 )
 from qmerge.entropy import von_neumann_entropy
-from qmerge.limits import DimensionCapError, within_cap
+from qmerge.limits import DEFAULT_PURE_CAP, DimensionCapError, within_cap
 from qmerge.merging import plan_merge, run_merge
 from conftest import (basis_state, fidelity, haar_oracle, max_entangled, maximally_mixed,
                       permute_subsystems, purify, random_density, random_pure_state,
@@ -466,7 +466,7 @@ class TestOneDoor:
         path.write_text(json.dumps({"labels": ["A", "B"], "dims": [2, 2], "kind": "mixed",
                                     "re": np.diag(FLOOR_DIAGONAL).ravel().tolist(),
                                     "im": [0] * 16}))
-        for rho in (floor_state("A", "B"), presets.load_state_file(str(path))):
+        for rho in (floor_state("A", "B"), presets.load_state_file(str(path), DEFAULT_PURE_CAP)):
             assert rho.dim == 4 and rho.spectrum[-1] > 1
 
     @staticmethod
@@ -497,7 +497,8 @@ class TestOneDoor:
         rho = random_density(np.random.default_rng(0), (("A", 2), ("U", 3)))
         calls = self.count_door_calls(monkeypatch)
         assert len(compression_region(psi).constraints) == 15
-        entanglement_of_purification(rho, rng=np.random.default_rng(1), restarts=2, max_iters=5)
+        entanglement_of_purification(rho, "A", "U", rng=np.random.default_rng(1), restarts=2,
+                                     max_iters=5)
         assert calls == []
 
 

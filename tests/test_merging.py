@@ -244,7 +244,8 @@ class TestRunMerge:
         psi = presets.cc_purification()
         for n in (1, 2):
             plan = plan_merge(psi, n, slack_bits=0.0)
-            outs = run_merge_exhaustive(psi, plan, unitary=hadamard_basis(plan.alice_dim))
+            outs = run_merge_exhaustive(psi, plan, None, unitary=hadamard_basis(plan.alice_dim),
+                                        dim_cap=DEFAULT_PURE_CAP)
             assert len(outs) == 2 ** n
             for out in outs:
                 assert abs(out.achieved_fidelity - 1.0) < 1e-6
@@ -343,7 +344,7 @@ class TestSameBytes:
             return out
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP)
+        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP, None)
         monkeypatch.undo()
         (s,) = spectra
         flat = setup.copy.reshape(setup.copy.shape[0], -1)
@@ -382,7 +383,7 @@ class TestBlockMeasure:
         psi = basis_state((("A", 2), ("B", 2)))  # |0⟩_A |0⟩_B
         plan = plan_merge(psi, 1, slack_bits=0.0)
         assert (plan.block_dim, plan.outcome_count) == (1, 2)
-        outs = run_merge_exhaustive(psi, plan, unitary=np.eye(2))
+        outs = run_merge_exhaustive(psi, plan, None, unitary=np.eye(2), dim_cap=DEFAULT_PURE_CAP)
         assert [(o.outcome_index, o.probability) for o in outs] == [(0, 1.0)]
         assert_matches_oracle(outs, oracle_outcomes(psi, plan, np.eye(2)))
 
@@ -391,7 +392,7 @@ class TestBlockMeasure:
         plan = plan_merge(psi, 1, slack_bits=0.0)
         assert (plan.block_dim, plan.outcome_count) == (2, 1)
         basis = haar_unitary(2, np.random.default_rng(0))
-        (out,) = run_merge_exhaustive(psi, plan, unitary=basis)
+        (out,) = run_merge_exhaustive(psi, plan, None, unitary=basis, dim_cap=DEFAULT_PURE_CAP)
         assert abs(out.probability - 1) < 1e-12 and abs(out.achieved_fidelity - 1) < 1e-12
         assert_matches_oracle([out], oracle_outcomes(psi, plan, basis))
 
@@ -399,7 +400,8 @@ class TestBlockMeasure:
         # hand computation: outcomes 0/1 each with p = 1/2, post = |k⟩_B,
         # which leaves nothing on Alice's or the reference's side to decouple
         psi = presets.bell_pair()
-        outs = run_merge_exhaustive(psi, self.BELL_L1, unitary=np.eye(2))
+        outs = run_merge_exhaustive(psi, self.BELL_L1, None, unitary=np.eye(2),
+                                    dim_cap=DEFAULT_PURE_CAP)
         assert [o.outcome_index for o in outs] == [0, 1]
         for out in outs:
             assert abs(out.probability - 0.5) < 1e-12
@@ -415,7 +417,7 @@ class TestBlockMeasure:
             plan = MergePlan(n=1, block_dim=block, outcome_count=6 // block, k_boost=0,
                              alice_dim=6, cond_entropy=0.0, slack_bits=0.0, rate_clipped=False)
             w = haar_unitary(6, rng)
-            outs = run_merge_exhaustive(psi, plan, unitary=w)
+            outs = run_merge_exhaustive(psi, plan, None, unitary=w, dim_cap=DEFAULT_PURE_CAP)
             assert [o.outcome_index for o in outs] == list(range(6 // block))
             assert_matches_oracle(outs, oracle_outcomes(psi, plan, w))
             assert abs(sum(o.probability for o in outs) - 1) < 1e-10
@@ -430,7 +432,8 @@ class TestBlockMeasure:
         psi = presets.bell_pair()
         plan = plan_merge(psi, 1, slack_bits=0.0)
         for call in (lambda: merge_trials(psi, plan, [NoDraws()], unitary=basis),
-                     lambda: run_merge_exhaustive(psi, plan, NoDraws(), unitary=basis)):
+                     lambda: run_merge_exhaustive(psi, plan, NoDraws(), unitary=basis,
+                                                  dim_cap=DEFAULT_PURE_CAP)):
             with pytest.raises(ValueError, match=match):
                 call()
 
@@ -439,7 +442,7 @@ class TestBlockMeasure:
         psi = presets.bell_pair()
         plan = plan_merge(psi, 1, slack_bits=0.0)
         with pytest.raises(ValueError, match="unitary"):
-            run_merge_exhaustive(psi, plan)
+            run_merge_exhaustive(psi, plan, None, unitary=None, dim_cap=DEFAULT_PURE_CAP)
 
     @pytest.mark.parametrize("party,block", [("A", 2), ("B", 1), ("C", 2)])
     def test_sampled_branch_equals_block_branches_entry(self, party, block):
@@ -471,7 +474,7 @@ class TestBlockMeasure:
         psi = presets.parse_state(spec)
         plan = plan_merge(psi, n)
         w = haar_unitary(plan.alice_dim, stream_rng(23, n))
-        live = run_merge_exhaustive(psi, plan, unitary=w)
+        live = run_merge_exhaustive(psi, plan, None, unitary=w, dim_cap=DEFAULT_PURE_CAP)
         probs = np.array([o.probability for o in live])
         assert len(live) > 1
         for seed in range(8):
@@ -487,7 +490,8 @@ class TestBlockMeasure:
         rngs = (np.random.default_rng(seed) for seed in range(64))
         outs = merge_trials(psi, plan, rngs, unitary=np.eye(2))
         assert {o.outcome_index for o in outs} == {0}
-        assert [o.outcome_index for o in run_merge_exhaustive(psi, plan, unitary=np.eye(2))] == [0]
+        assert [o.outcome_index for o in run_merge_exhaustive(psi, plan, None, unitary=np.eye(2),
+                                                              dim_cap=DEFAULT_PURE_CAP)] == [0]
 
 
 class TestMergeTrials:
@@ -514,7 +518,8 @@ class TestMergeTrials:
 
         monkeypatch.setattr(PureState, "__post_init__", counting_init)
         outs = merge_trials(seed11_state, plan, (stream_rng(11, 3, t) for t in range(4)))
-        outs += run_merge_exhaustive(seed11_state, plan, stream_rng(11, 3))
+        outs += run_merge_exhaustive(seed11_state, plan, stream_rng(11, 3), unitary=None,
+                                     dim_cap=DEFAULT_PURE_CAP)
         monkeypatch.undo()
         assert len(outs) == 4 + plan.outcome_count and built == []
 
@@ -537,7 +542,7 @@ class TestMergeTrials:
             assert abs(o.achieved_fidelity - w.achieved_fidelity) < 1e-12
         hadamard = hadamard_basis(plan.alice_dim)
         merge_trials(psi, plan, (stream_rng(5, 2, t) for t in range(4)), unitary=hadamard)
-        run_merge_exhaustive(psi, plan, unitary=hadamard)
+        run_merge_exhaustive(psi, plan, None, unitary=hadamard, dim_cap=DEFAULT_PURE_CAP)
         assert checks == [plan.alice_dim] * 2
 
     def test_one_trial_peak_memory(self, seed11_state):
@@ -562,11 +567,29 @@ class TestMergeTrials:
         run_merge(seed11_state, plan, stream_rng(11, 6, 0))
         tracemalloc.start()
         try:
-            outs = run_merge_exhaustive(seed11_state, plan, stream_rng(11, 6))
+            outs = run_merge_exhaustive(seed11_state, plan, stream_rng(11, 6), unitary=None,
+                                        dim_cap=DEFAULT_PURE_CAP)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert len(outs) == 32 and peak <= 2 * 2 ** 20
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_setup_without_a_boost_holds_one_marginal(self, n):
+        # with no EPR boost (k = 0) Alice's marginal is ρ_A^⊗n itself: one
+        # D×D array, and no second one scaled by I/2^0 = 1
+        psi = presets.bell_pair()
+        plan = plan_merge(psi, n)
+        dim = plan.alice_dim
+        assert (plan.k_boost, dim) == (0, 2 ** n)
+        qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP, None)
+        tracemalloc.start()
+        try:
+            qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * 16 * dim ** 2
 
     def test_no_eigh_and_one_svd_of_the_one_copy_per_run(self, seed11_state, monkeypatch):
         """τ = I/L ⊗ ρ_R^⊗n is diagonal in the basis of the one-copy SVD's
@@ -595,7 +618,9 @@ class TestMergeTrials:
         monkeypatch.setattr(qmerge.merging, "_setup", recording_setup)
         for name in calls:
             monkeypatch.setattr(np.linalg, name, recording(name, getattr(np.linalg, name)))
-        outs = run_merge_exhaustive(seed11_state, plan, unitary=hadamard_basis(plan.alice_dim))
+        outs = run_merge_exhaustive(seed11_state, plan, None,
+                                    unitary=hadamard_basis(plan.alice_dim),
+                                    dim_cap=DEFAULT_PURE_CAP)
         monkeypatch.undo()
         assert len(outs) == plan.outcome_count > 1 and len(setups) == 1
         assert calls["eigh"] == [] and len(setup_svds[0]) == 1
@@ -615,7 +640,9 @@ class TestMergeTrials:
 
         plan = plan_merge(seed11_state, 3)
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        outs = run_merge_exhaustive(seed11_state, plan, unitary=hadamard_basis(plan.alice_dim))
+        outs = run_merge_exhaustive(seed11_state, plan, None,
+                                    unitary=hadamard_basis(plan.alice_dim),
+                                    dim_cap=DEFAULT_PURE_CAP)
         monkeypatch.undo()
         assert len(outs) == plan.outcome_count > 1
         side = plan.block_dim * 2 ** 3  # L·r_R^n with r_R = 2
@@ -639,7 +666,7 @@ class TestReferenceSupportScoring:
         psi = seed11_state if spec == "seed11" else presets.parse_state(spec)
         plan = plan_merge(psi, n)
         w = haar_unitary(plan.alice_dim, stream_rng(19, n))
-        outs = run_merge_exhaustive(psi, plan, unitary=w)
+        outs = run_merge_exhaustive(psi, plan, None, unitary=w, dim_cap=DEFAULT_PURE_CAP)
         oracle = oracle_outcomes(psi, plan, w)
         assert [o.outcome_index for o in outs] == list(oracle)
         assert all(scores is not None for _, scores in oracle.values())
@@ -648,7 +675,8 @@ class TestReferenceSupportScoring:
     def test_ghz4_exhaustive_n5(self):
         psi = presets.parse_state("ghz:4")
         plan = plan_merge(psi, 5)
-        outs = run_merge_exhaustive(psi, plan, stream_rng(1, 5))
+        outs = run_merge_exhaustive(psi, plan, stream_rng(1, 5), unitary=None,
+                                    dim_cap=DEFAULT_PURE_CAP)
         assert len(outs) == plan.outcome_count == 32
         for out in outs:
             assert abs(out.achieved_fidelity - out.uhlmann_fidelity) <= 1e-12
@@ -692,7 +720,7 @@ class TestSetupCopyOrder:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
-        outs = run_merge_exhaustive(psi, plan, unitary=basis)
+        outs = run_merge_exhaustive(psi, plan, None, unitary=basis, dim_cap=DEFAULT_PURE_CAP)
         monkeypatch.undo()
         # Alice's marginal ρ_A^⊗n ⊗ I/2^k fixes every Born probability; the
         # branches and τ = I/L ⊗ ρ_R^⊗n, A1 most significant, fix the scores
@@ -740,7 +768,7 @@ class TestSampler:
     def test_matches_dense_rotation(self, seed11_state, spec, n, block, k):
         psi, plan, basis = self.case(spec, seed11_state, n, block, k)
         oracle = oracle_outcomes(psi, plan, basis)
-        outs = run_merge_exhaustive(psi, plan, unitary=basis)
+        outs = run_merge_exhaustive(psi, plan, None, unitary=basis, dim_cap=DEFAULT_PURE_CAP)
         assert [o.outcome_index for o in outs] == list(oracle)
         assert_matches_oracle(outs, oracle)
         # a trial draws by one Born-rule choice over the live outcomes
@@ -870,7 +898,8 @@ class TestRecoveryIsometry:
         plan = MergePlan(n=1, block_dim=1, outcome_count=2, k_boost=0, alice_dim=2,
                          cond_entropy=0.0, slack_bits=0.0, rate_clipped=False)
         basis = haar_unitary(2, rng)
-        return run_merge_exhaustive(psi, plan, unitary=basis), oracle_outcomes(psi, plan, basis)
+        outs = run_merge_exhaustive(psi, plan, None, unitary=basis, dim_cap=DEFAULT_PURE_CAP)
+        return outs, oracle_outcomes(psi, plan, basis)
 
     def test_post_equals_target_gives_identity_embedding(self):
         """V maps a branch equal to τ's canonical purification diag(√w) by
@@ -892,7 +921,8 @@ class TestRecoveryIsometry:
         _, v = qmerge.merging._recovery(phi_minus, np.full(2, 0.5))
         np.testing.assert_allclose(v, np.diag([1.0, -1.0]), atol=1e-9)
         psi = presets.pure((("A", 1), ("R", 2), ("B", 2)), phi_minus.reshape(-1))
-        (out,) = run_merge_exhaustive(psi, plan_merge(psi, 1), unitary=np.eye(1))
+        (out,) = run_merge_exhaustive(psi, plan_merge(psi, 1), None, unitary=np.eye(1),
+                                      dim_cap=DEFAULT_PURE_CAP)
         assert abs(out.achieved_fidelity - 1.0) < 1e-9 and out.decoupling_error < 1e-12
 
     def test_uhlmann_oracle_on_random_pairs(self):
@@ -988,9 +1018,9 @@ class TestMonteCarlo:
         monkeypatch.setattr(qmerge.merging, "stream_rng", lambda *key: NoDraws())
         for trials in (MAX_TRIALS + 1, 10 ** 9, 0):
             with pytest.raises(ValueError, match="^trials must be in 1..10000$"):
-                monte_carlo_merge(presets.bell_pair(), (1,), trials=trials)
+                monte_carlo_merge(presets.bell_pair(), (1,), trials=trials, seed=0)
         with pytest.raises(AssertionError, match="planned"):
-            monte_carlo_merge(presets.bell_pair(), (1,), trials=MAX_TRIALS)
+            monte_carlo_merge(presets.bell_pair(), (1,), trials=MAX_TRIALS, seed=0)
 
     @pytest.mark.parametrize("spec", ["seed11", "random-pure:2x2x2:11"])
     def test_one_entropy_per_curve_and_plan_merge_plans(self, seed11_state, spec, monkeypatch):
@@ -1024,12 +1054,12 @@ class TestMonteCarlo:
         no_bob = presets.parse_state("random-pure:2:1")
         for n_values in ((), range(3, 1), (1, 2)):
             with pytest.raises(ValueError, match="^unknown subsystem label 'B'$"):
-                monte_carlo_merge(no_bob, n_values, trials=1)
+                monte_carlo_merge(no_bob, n_values, trials=1, seed=0)
             with pytest.raises(ValueError, match="^slack_bits must be >= 0$"):
-                monte_carlo_merge(no_bob, n_values, trials=1, slack_bits=-1)
+                monte_carlo_merge(no_bob, n_values, trials=1, slack_bits=-1, seed=0)
             with pytest.raises(ValueError, match="^trials must be in 1..10000$"):
-                monte_carlo_merge(no_bob, n_values, trials=0, slack_bits=-1)
-        assert monte_carlo_merge(presets.bell_pair(), range(3, 1), trials=1) == []
+                monte_carlo_merge(no_bob, n_values, trials=0, slack_bits=-1, seed=0)
+        assert monte_carlo_merge(presets.bell_pair(), range(3, 1), trials=1, seed=0) == []
 
     def test_bell_curve_is_perfect(self):
         rows = monte_carlo_merge(presets.bell_pair(), (1, 2, 3), trials=5,
@@ -1045,7 +1075,8 @@ class TestMonteCarlo:
         psi = presets.cc_purification()
         for n in (1, 2):
             plan = plan_merge(psi, n, slack_bits=0.0)
-            outs = run_merge_exhaustive(psi, plan, unitary=hadamard_basis(plan.alice_dim))
+            outs = run_merge_exhaustive(psi, plan, None, unitary=hadamard_basis(plan.alice_dim),
+                                        dim_cap=DEFAULT_PURE_CAP)
             mean = sum(o.probability * o.achieved_fidelity for o in outs)
             assert abs(mean - 1.0) < 1e-6
 

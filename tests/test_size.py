@@ -12,10 +12,11 @@ _spec = importlib.util.spec_from_file_location("size", ROOT / "tools" / "size.py
 size = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(size)
 
-# code lines: import, decorator, class line, two fields, def, two body
-# lines, the second def and its return: 10. Settable: b=1, c=None, the
+# code lines: import, decorator, class line, three fields, def, two body
+# lines, the second def and its return: 11. Settable: b=1, c=None, the
 # field y = 0, the os.environ.get read, the os.environ[...] read and d=2: 6.
-# The os.environ[...] assignment sets, and reads nothing.
+# The os.environ[...] assignment sets, and reads nothing; the field z is
+# derived (init=False), so no caller can set it.
 FIXTURE = '''"""Module docstring,
 over two lines."""
 
@@ -27,6 +28,7 @@ class Point:
     """Class docstring."""
     x: int
     y: int = 0  # a trailing comment does not hide the code
+    z: int = field(init=False, repr=False)
 
 
 def f(a, b=1, *, c=None):
@@ -41,7 +43,7 @@ def g(d=2):
 
 
 def test_fixture_counts():
-    assert size.code_lines(FIXTURE) == 10
+    assert size.code_lines(FIXTURE) == 11
     assert size.settable_values(FIXTURE) == 6
 
 
@@ -52,8 +54,8 @@ def test_report_lists_each_module_and_the_total(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "module  code  settable",
         "a.py       3         1",
-        "b.py      10         6",
-        "total     13         7",
+        "b.py      11         6",
+        "total     14         7",
     ]
 
 

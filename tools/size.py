@@ -9,8 +9,9 @@ this text; a PACKAGE_DIR that holds no module exits 2.
 A code line is a physical line that is not blank, not only a comment, and
 not part of a docstring (the string that opens a module, class or function
 body). A settable value is a parameter with a default, a dataclass field
-with a default, or a read of the environment (``os.environ`` or
-``os.getenv`` in a load, not an assignment).
+with a default that its constructor takes (not one declared with
+``field(init=False, ...)``, which is derived), or a read of the environment
+(``os.environ`` or ``os.getenv`` in a load, not an assignment).
 """
 
 from __future__ import annotations
@@ -40,13 +41,24 @@ def code_lines(source: str) -> int:
                if i not in docs and line.strip() and not line.lstrip().startswith("#"))
 
 
+def _name(node: ast.AST) -> str:
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
-        if name == "dataclass":
-            return True
-    return False
+    return any(_name(deco.func if isinstance(deco, ast.Call) else deco) == "dataclass"
+               for deco in node.decorator_list)
+
+
+def _is_settable_field(node: ast.stmt) -> bool:
+    """A dataclass field with a default that is not ``field(init=False, ...)``."""
+    if not isinstance(node, ast.AnnAssign) or node.value is None:
+        return False
+    call = node.value
+    if isinstance(call, ast.Call) and _name(call.func) == "field":
+        return not any(k.arg == "init" and isinstance(k.value, ast.Constant)
+                       and k.value.value is False for k in call.keywords)
+    return True
 
 
 def _is_environ(node: ast.AST) -> bool:
@@ -55,15 +67,15 @@ def _is_environ(node: ast.AST) -> bool:
 
 
 def settable_values(source: str) -> int:
-    """Defaulted parameters, defaulted dataclass fields and environment reads."""
+    """Defaulted parameters, defaulted dataclass fields the constructor
+    takes, and environment reads."""
     count = 0
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             count += len(node.args.defaults)
             count += sum(d is not None for d in node.args.kw_defaults)
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
-            count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
-                         for s in node.body)
+            count += sum(map(_is_settable_field, node.body))
         elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
             count += _is_environ(node.value)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):

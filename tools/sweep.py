@@ -88,6 +88,7 @@ CAP_COMMANDS = [
     "entropy --state ghz:4 --of A --dim-cap 8",
     "entropy --state ghz:1000000000 --of A",
     "entropy --state random-pure:2x2x2:1 --of A --dim-cap 4",
+    "entropy --state epr --of A --dim-cap 2",
     "entropy --state bell_r0.json --of A --dim-cap 4",
     "entropy --state floor2.json --of A --dim-cap 2",
     "merge --state epr -n 65 --seed 1",
