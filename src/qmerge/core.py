@@ -323,10 +323,12 @@ def reduced_density(psi: PureState, keep: Labels) -> DensityOperator:
 def phase_fixed_qr(z: np.ndarray) -> np.ndarray:
     """The Q factor of a full-column-rank ``z`` with its column phases fixed
     so the triangular factor has a positive real diagonal, which makes it
-    unique. A stack of matrices (leading axes) is factored slice by slice."""
+    unique. A stack of matrices (leading axes) is factored slice by slice.
+    The phases are applied to the fresh Q in place, so no second array of
+    its size is held."""
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
+    return np.multiply(q, (d / np.abs(d))[..., None, :], out=q)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

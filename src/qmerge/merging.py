@@ -24,12 +24,14 @@ D = d_A^n·2^k make L divide Alice's dimension. So the loops over trials
 and outcomes check no input again.
 
 No path builds an n-copy state: ψ^⊗n is formed nowhere. A run keeps one
-copy of ψ as an (A, R, B) array, Alice's marginal ρ_A^⊗n ⊗ I/2^k of the
-prepared state ψ^⊗n ⊗ Φ_{2^k} (D×D), and τ's weights (:func:`_setup`).
-Alice measures a basis W cut into blocks of L rows. The Born probability of
-block k depends only on her marginal,
-p_k = Σ_{i ∈ block k} (W·ρ_A^⊗n ⊗ I/2^k·W†)_ii (:func:`_probabilities`);
-they sum to 1 up to roundoff, since ψ is stored normalized. Branch k,
+copy of ψ as an (A, R, B) array, ρ_A^⊗n of side D/2^k, and τ's weights
+(:func:`_setup`). Alice's marginal of the prepared state ψ^⊗n ⊗ Φ_{2^k} is
+ρ_A^⊗n ⊗ I/2^k: her half of Φ_{2^k} is maximally mixed, so the boost is
+the last index of her basis columns and no array holds it. Alice measures a
+basis W cut into blocks of L rows. The Born probability of block k depends
+only on her marginal, p_k = Σ_{i ∈ block k} (W·ρ_A^⊗n ⊗ I/2^k·W†)_ii,
+computed from ρ_A^⊗n alone (:func:`_probabilities`); they sum to 1 up to
+roundoff, since ψ is stored normalized. Branch k,
 W_k·(ψ^⊗n ⊗ Φ_{2^k}) / √p_k, is built from block k's rows alone, contracted
 one copy at a time, copy 0 most significant on each axis
 (:func:`_branch`, the only code that turns basis rows into amplitudes). A
@@ -253,9 +255,9 @@ def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
     checked in this order: the prepared state ψ^⊗n ⊗ Φ_{2^k},
     dim(ψ)^n·4^k amplitudes; Bob's target in the reference's own basis,
     L²·d_R^n·r^n amplitudes with r = min(d_R, d_A·d_B); and Alice's D×D
-    arrays, her measurement basis and her marginal ρ_A^⊗n ⊗ I/2^k, D²
-    entries. The run builds neither the prepared state nor the target; their
-    counts fix which plans exit with code 3. ``ValueError`` when the plan
+    measurement basis, D² entries, which also bound her marginal ρ_A^⊗n of
+    side D/2^k. The run builds neither the prepared state nor the target;
+    their counts fix which plans exit with code 3. ``ValueError`` when the plan
     does not fit the state's dimensions.
     """
     boost = 2 ** plan.k_boost
@@ -272,12 +274,12 @@ def check_caps(psi: PureState, plan: MergePlan, dim_cap: int) -> None:
 @dataclass(frozen=True)
 class _Setup:
     """What every scored trial of one plan shares: the plan, one copy of ψ,
-    Alice's marginal, the weights that fix both τ and Bob's recovery target,
-    and an injected basis."""
+    Alice's marginal without the boost, the weights that fix both τ and
+    Bob's recovery target, and an injected basis."""
 
     plan: MergePlan
     copy: np.ndarray      # one copy as a read-only (A, R, B) array, R in its Schmidt basis
-    rho_a: np.ndarray     # ρ_A^⊗n ⊗ I/2^k, Alice's marginal of ψ^⊗n ⊗ Φ_{2^k}: D×D
+    rho_a: np.ndarray     # ρ_A^⊗n, of side D/2^k: her marginal is ρ_A^⊗n ⊗ I/2^k
     weights: np.ndarray   # w: τ = I/L ⊗ ρ_R^⊗n is diag(w) on the (A1, R) rows
     basis: np.ndarray | None   # the injected basis, checked; None: a Haar draw per trial
 
@@ -302,8 +304,8 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary) -> _Setup:
     scoring needs only w, and no target array is built. Nor is ψ^⊗n: its
     Born probabilities need only Alice's marginal, and each branch is
     contracted from the copy (:func:`_branch`). That marginal is
-    ρ_A^⊗n ⊗ I/2^k; with no boost (k = 0) it is ρ_A^⊗n itself, one D×D
-    array and no second one scaled by 1.
+    ρ_A^⊗n ⊗ I/2^k, and only ρ_A^⊗n is stored, for every k: the boost is an
+    index of her basis (:func:`_probabilities`).
     """
     check_caps(psi, plan, dim_cap)
     basis = None if unitary is None else _checked(unitary, plan.alice_dim)
@@ -318,8 +320,6 @@ def _setup(psi: PureState, plan: MergePlan, dim_cap: int, unitary) -> _Setup:
     copy.setflags(write=False)
     flat = copy.reshape(copy.shape[0], -1)
     rho_a = _kron_power(flat @ flat.conj().T, plan.n)
-    if plan.k_boost:
-        rho_a = _kron(rho_a, np.eye(2 ** plan.k_boost) / 2 ** plan.k_boost)
     rho_a.setflags(write=False)
     block = plan.block_dim
     return _Setup(plan=plan, copy=copy, rho_a=rho_a,
@@ -332,14 +332,20 @@ def _probabilities(setup: _Setup, basis: np.ndarray) -> np.ndarray:
     only, with no checks.
 
     Her D×D basis W is cut into consecutive blocks of L rows; outcome k has
-    p_k = Σ_{i ∈ block k} (W·ρ·W†)_ii with ρ her marginal, which is the
-    squared norm of :func:`_branch` k before it is normalized. W is
-    unitary, as a Haar draw or an injected basis that passed
-    :func:`_setup`, and the plan makes L divide D. The p_k sum to
-    tr ρ = 1 up to roundoff, since ψ is stored normalized.
+    p_k = Σ_{i ∈ block k} (W·ρ·W†)_ii with ρ = ρ_A^⊗n ⊗ I/2^k her marginal,
+    which is the squared norm of :func:`_branch` k before it is normalized.
+    ρ is never formed: the boost is the last index e of W's columns, so
+    (W·ρ·W†)_ii is the mean over e of x_ie·ρ_A^⊗n·x_ie†, with x_ie the
+    D/2^k entries of row i at boost index e. Those D·2^k rows take one
+    product with ρ_A^⊗n; with no boost they are W itself. W is unitary, as
+    a Haar draw or an injected basis that passed :func:`_setup`, and the
+    plan makes L divide D. The p_k sum to tr ρ = 1 up to roundoff, since ψ
+    is stored normalized.
     """
-    # (W·ρ·W†)_ii as the row sums of (W·ρ)∘W̄: one D×D product
-    diag = ((basis @ setup.rho_a) * basis.conj()).real.sum(1)
+    d, b = basis.shape[0], 2 ** setup.plan.k_boost
+    x = basis.reshape(d, -1, b).transpose(0, 2, 1).reshape(-1, d // b)
+    # x_ie·ρ_A^⊗n·x_ie† as the row sums of (x·ρ_A^⊗n)∘x̄, summed over e too
+    diag = ((x @ setup.rho_a) * x.conj()).real.reshape(d, -1).sum(1) / b
     return diag.reshape(-1, setup.plan.block_dim).sum(1)
 
 

@@ -304,11 +304,11 @@ def kron_power_oracle(one, n):
 
 
 def setup_oracle(marginal, s2, plan):
-    """Alice's marginal ρ_A^⊗n ⊗ I/2^k and τ's weights 1/L ⊗ (S_live²)^⊗n
-    by ``np.kron``, from the one-copy marginal and squared live singular
-    values."""
-    boost, block = 2 ** plan.k_boost, plan.block_dim
-    rho_a = np.kron(kron_power_oracle(marginal, plan.n), np.eye(boost) / boost)
+    """Alice's marginal ρ_A^⊗n, which the EPR boost leaves out, and τ's
+    weights 1/L ⊗ (S_live²)^⊗n by ``np.kron``, from the one-copy marginal
+    and squared live singular values."""
+    block = plan.block_dim
+    rho_a = kron_power_oracle(marginal, plan.n)
     weights = np.kron(np.full(block, 1 / block), kron_power_oracle(s2, plan.n))
     return rho_a, weights
 

@@ -208,7 +208,7 @@ class TestHaarUnitary:
             assert got.tobytes() == want.tobytes()
             assert got_rng.random() == want_rng.random()
 
-    @pytest.mark.parametrize("dim", [128, 256])
+    @pytest.mark.parametrize("dim", [64, 128, 256])
     def test_normals_are_freed_before_the_qr(self, dim):
         # the QR holds z, its factors and LAPACK's work, about 4.1-4.5 D×D
         # complex arrays; the 2·D² normals, kept alive too, would add one more

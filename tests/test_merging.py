@@ -350,7 +350,7 @@ class TestSameBytes:
         flat = setup.copy.reshape(setup.copy.shape[0], -1)
         rho_a, weights = setup_oracle(flat @ flat.conj().T,
                                       s[s ** 2 > RANK_TOL * s[0] ** 2] ** 2, plan)
-        assert setup.rho_a.shape == (plan.alice_dim,) * 2
+        assert setup.rho_a.shape == (plan.alice_dim >> plan.k_boost,) * 2
         assert setup.rho_a.tobytes() == rho_a.tobytes()
         assert setup.weights.tobytes() == weights.tobytes()
 
@@ -421,6 +421,25 @@ class TestBlockMeasure:
             assert [o.outcome_index for o in outs] == list(range(6 // block))
             assert_matches_oracle(outs, oracle_outcomes(psi, plan, w))
             assert abs(sum(o.probability for o in outs) - 1) < 1e-10
+
+    @pytest.mark.parametrize("spec,n,slack,k,block", [
+        ("random-pure:2x2x2:11", 3, 0.5, 2, 2),
+        ("random-pure:2x2x2:11", 4, 1.0, 2, 1),
+        ("random-pure:2x2x2:5", 2, 0.5, 2, 2),
+        ("example1-pure", 2, 1.0, 3, 1),
+    ])
+    def test_boosted_probabilities_match_the_dense_marginal(self, spec, n, slack, k, block):
+        # the boost read as the last index of Alice's basis columns gives the
+        # block probabilities of her D×D marginal ρ_A^⊗n ⊗ I/2^k, built here
+        psi = presets.parse_state(spec)
+        plan = plan_merge(psi, n, slack)
+        assert (plan.k_boost, plan.block_dim) == (k, block)
+        setup = qmerge.merging._setup(psi, plan, DEFAULT_PURE_CAP, None)
+        rho = np.kron(setup.rho_a, np.eye(2 ** k) / 2 ** k)
+        for w in (haar_unitary(plan.alice_dim, np.random.default_rng(n)),
+                  hadamard_basis(plan.alice_dim)):
+            want = np.diag(w @ rho @ w.conj().T).real.reshape(-1, block).sum(1)
+            assert np.abs(qmerge.merging._probabilities(setup, w) - want).max() <= 1e-14
 
     @pytest.mark.parametrize("basis,match", [
         (np.eye(3), "shape"),
@@ -590,6 +609,31 @@ class TestMergeTrials:
         finally:
             tracemalloc.stop()
         assert peak <= 1.6 * 16 * dim ** 2
+
+    @pytest.mark.parametrize("spec,n,k", [
+        ("random-pure:2x2x2:11", 6, 2), ("random-pure:2x2x2:11", 7, 2),
+        ("random-pure:2x2x2:5", 6, 3), ("random-pure:2x2x2:5", 7, 3),
+    ])
+    def test_setup_holds_no_boost(self, spec, n, k):
+        # the EPR boost is an index of Alice's basis, not data: a boosted
+        # setup holds ρ_A^⊗n as the same ψ and n with no boost do, not
+        # ρ_A^⊗n ⊗ I/2^k of 4^k times its entries. The cap admits the
+        # prepared state of n = 7, k = 3, 2^27 amplitudes
+        psi = presets.parse_state(spec)
+        boosted = plan_merge(psi, n)
+        side = boosted.alice_dim >> k
+        assert (boosted.k_boost, boosted.block_dim) == (k, 1)
+        plain = dataclasses.replace(boosted, k_boost=0, alice_dim=side, outcome_count=side)
+        peaks = []
+        for plan in (boosted, plain):
+            qmerge.merging._setup(psi, plan, 2 ** 27, None)
+            tracemalloc.start()
+            try:
+                qmerge.merging._setup(psi, plan, 2 ** 27, None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 1.10 * peaks[1]
 
     def test_no_eigh_and_one_svd_of_the_one_copy_per_run(self, seed11_state, monkeypatch):
         """τ = I/L ⊗ ρ_R^⊗n is diagonal in the basis of the one-copy SVD's
